@@ -80,13 +80,6 @@ def _reach(sup: Supports, g: Grade, side: str) -> dict[Grade, list[Grade]]:
     return paths
 
 
-def sigma_reachable(sup: Supports, g: Grade) -> set[Grade]:
-    return set(_reach(sup, g, "sigma"))
-
-def lambda_reachable(sup: Supports, g: Grade) -> set[Grade]:
-    return set(_reach(sup, g, "lambda"))
-
-
 def _connected(sup: Supports, g: Grade, g2: Grade, side: str) -> tuple[bool, list[Grade] | None]:
     base = sup.base(side)
     for x in (g, g2):
@@ -124,7 +117,7 @@ def validate_connection_path(sup: Supports, side: str, path: list[Grade], g: Gra
             return False
     if len(path) > 1:
         acc = sup.group.mul(acc, path[-1])
-    return acc in (g2, sup.group.inv(g2))
+    return acc in (g2, sup.group.inv(sup.group.check(g2)))
 
 
 # ---------------------------------------------------------------------------

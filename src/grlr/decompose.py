@@ -22,8 +22,7 @@ from .model import AlgebraInstance, ann_A, ann_L_of_A, center
 
 
 def _block_subspace(inst: AlgebraInstance, side: str, grades: list[Grade]) -> GradedSubspace:
-    basis = inst.L if side == "L" else inst.A
-    full = GradedSubspace.full(inst.field, basis)
+    basis, full = (inst.L, inst.full_L()) if side == "L" else (inst.A, inst.full_A())
     blocks = {g: full.blocks[g] for g in grades if g in full.blocks}
     return GradedSubspace(inst.field, basis, blocks)
 

@@ -2,7 +2,15 @@
 
 Scalars are plain values: ``fractions.Fraction`` for the rationals,
 canonical residues ``0..p-1`` (ints) for GF(p).  All arithmetic goes
-through a :class:`Field` so mixed-field values are rejected early.
+through a :class:`Field`.
+
+Scalars are validated once, where they enter the program: ``parse`` and
+``from_int`` produce canonical values, and ``check`` guards the entry
+points that take scalars from outside (``BilinearRule`` tables, the
+inputs of ``rref``, ``reduce_against`` and ``coordinates_in_rref``, and
+``GradedBasis.block_vector``).  The arithmetic kernels ``add``, ``neg``,
+``sub``, ``mul``, ``inv`` and ``is_zero`` assume canonical values of this
+field and do not check them; ``inv`` still refuses zero.
 """
 from __future__ import annotations
 
@@ -18,14 +26,34 @@ Scalar = Union[int, Fraction]
 _SCALAR_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
 
 
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster 2015); larger moduli are refused, not guessed.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MODULUS_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for ``n < MODULUS_LIMIT``."""
+    if n >= MODULUS_LIMIT:
+        raise ScalarParseError(f"modulus {n} is too large: primality is decided below {MODULUS_LIMIT}")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -84,34 +112,33 @@ class Field:
     def from_int(self, n: int) -> Scalar:
         return Fraction(n) if self.kind == "rational" else n % self.p  # type: ignore[operator]
 
+    # The kernels below take canonical values of this field unchecked;
+    # ``p is None`` exactly for the rationals.
+
     def add(self, a: Scalar, b: Scalar) -> Scalar:
-        self.check(a), self.check(b)
-        return a + b if self.kind == "rational" else (a + b) % self.p  # type: ignore[operator]
+        return a + b if self.p is None else (a + b) % self.p
 
     def neg(self, a: Scalar) -> Scalar:
-        self.check(a)
-        return -a if self.kind == "rational" else (-a) % self.p  # type: ignore[operator]
+        return -a if self.p is None else (-a) % self.p
 
     def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.add(a, self.neg(b))
+        return a - b if self.p is None else (a - b) % self.p
 
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        self.check(a), self.check(b)
-        return a * b if self.kind == "rational" else (a * b) % self.p  # type: ignore[operator]
+        return a * b if self.p is None else (a * b) % self.p
 
     def inv(self, a: Scalar) -> Scalar:
-        self.check(a)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self.kind == "rational":
+        if self.p is None:
             return Fraction(1) / a
-        return pow(a, -1, self.p)  # type: ignore[arg-type]
+        return pow(a, -1, self.p)
 
     def div(self, a: Scalar, b: Scalar) -> Scalar:
         return self.mul(a, self.inv(b))
 
     def is_zero(self, a: Scalar) -> bool:
-        return self.check(a) == 0
+        return a == 0
 
     # -- text round trip -------------------------------------------------
 
@@ -170,9 +197,12 @@ def parse_field_label(label: str) -> Field:
 
 
 def field_from_json(data: dict) -> Field:
-    kind = data.get("kind")
+    kind = data.get("kind") if isinstance(data, dict) else None
     if kind == "rational":
         return RATIONALS
     if kind == "prime":
-        return prime_field(int(data["p"]))
+        try:
+            return prime_field(int(data["p"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ScalarParseError(f"bad prime field spec {data!r}: {exc}") from None
     raise ScalarParseError(f"unknown field spec {data!r}")

@@ -54,7 +54,10 @@ def _parse_basis(field: Field, group: GroupSpec, raw: Any, what: str) -> GradedB
                 f"grade of {what} entry {name!r} has length {len(grade)}, "
                 f"group needs {group.free_rank + len(group.torsion)}"
             )
-        entries.append((name, group.reduce(tuple(grade))))
+        try:
+            entries.append((name, group.check(tuple(grade))))
+        except ValueError as exc:
+            raise InstanceFormatError(f"grade of {what} entry {name!r}: {exc}") from None
     try:
         return GradedBasis(entries)
     except ValueError as exc:
@@ -144,13 +147,10 @@ def instance_from_json(data: Any) -> AlgebraInstance:
         if key not in data:
             raise InstanceFormatError(f"missing required key {key!r}")
     raw_field = data["field"]
-    if isinstance(raw_field, str):
-        try:
-            field = parse_field_label(raw_field)
-        except ValueError as exc:
-            raise InstanceFormatError(str(exc)) from None
-    else:
-        field = field_from_json(raw_field)
+    try:
+        field = parse_field_label(raw_field) if isinstance(raw_field, str) else field_from_json(raw_field)
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc)) from None
     try:
         group = GroupSpec.from_json(data["group"])
     except (TypeError, ValueError, KeyError) as exc:

@@ -3,10 +3,18 @@
 Group elements are plain int tuples in canonical form: free coordinates
 are arbitrary ints, each torsion coordinate is reduced mod its modulus.
 Written multiplicatively in the math, additively in coordinates.
+
+Grades are validated once, where they enter the program: ``reduce`` and
+``parse_grade`` canonicalise raw coordinates, ``check`` rejects anything
+not canonical, and ``BilinearRule`` and ``AlgebraInstance`` check every
+basis grade on construction.  The kernels ``mul`` and ``inv`` assume
+canonical inputs of length ``rank`` and do not check them: they add or
+negate coordinatewise and reduce only the torsion coordinates.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, mod, neg
 from typing import Iterable
 
 Grade = tuple[int, ...]
@@ -47,12 +55,20 @@ class GroupSpec:
         return tuple(g)
 
     def mul(self, a: Grade, b: Grade) -> Grade:
-        self.check(a), self.check(b)
-        return self.reduce(x + y for x, y in zip(a, b))
+        """Product of two canonical grades; the inputs are not checked."""
+        s = tuple(map(add, a, b))
+        if not self.torsion:
+            return s
+        r = self.free_rank
+        return s[:r] + tuple(map(mod, s[r:], self.torsion))
 
     def inv(self, a: Grade) -> Grade:
-        self.check(a)
-        return self.reduce(-x for x in a)
+        """Inverse of a canonical grade; the input is not checked."""
+        n = tuple(map(neg, a))
+        if not self.torsion:
+            return n
+        r = self.free_rank
+        return n[:r] + tuple(map(mod, n[r:], self.torsion))
 
     def is_identity(self, a: Grade) -> bool:
         return self.check(a) == self.identity()

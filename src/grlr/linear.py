@@ -167,9 +167,20 @@ class GradedBasis:
         self._blocks: dict[Grade, list[int]] = {}
         for i, (_, g) in enumerate(self.entries):
             self._blocks.setdefault(g, []).append(i)
+        self._checked: set[GroupSpec] = set()
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GradedBasis) and self.entries == other.entries
+
+    def check_grades(self, group: GroupSpec) -> None:
+        """Raise ValueError unless every grade is a canonical grade of ``group``.
+
+        The entries never change, so each group is checked once per basis.
+        """
+        if group not in self._checked:
+            for g in self._blocks:
+                group.check(g)
+            self._checked.add(group)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -303,10 +314,6 @@ class GradedSubspace:
 
     def sparse_vectors(self) -> list[Sparse]:
         return [self.ambient.block_vector(g, row, self.field) for g, row in self.block_vectors()]
-
-    def pivots_at(self, g: Grade) -> tuple[int, ...]:
-        rows = self.blocks.get(tuple(g), ())
-        return rref(self.field, rows)[1] if rows else ()
 
     # membership ----------------------------------------------------------
 
@@ -449,6 +456,9 @@ class BilinearRule:
         out: GradedBasis,
         table: Mapping[tuple[int, int], Mapping[int, Scalar]],
     ):
+        # grades are validated here; GroupSpec.mul and inv then trust them
+        for basis in (left, right, out):
+            basis.check_grades(group)
         self.name = name
         self.field = field
         self.group = group
@@ -457,7 +467,7 @@ class BilinearRule:
         self.out = out
         canon: dict[tuple[int, int], Sparse] = {}
         for (i, j), image in table.items():
-            vec = {int(p): field.check(x) for p, x in image.items() if not field.is_zero(field.check(x))}
+            vec = {int(p): x for p, x in image.items() if not field.is_zero(field.check(x))}
             if vec:
                 canon[(int(i), int(j))] = vec
         self.table = canon

@@ -49,6 +49,8 @@ class AlgebraInstance:
         action: BilinearRule,
         anchor: BilinearRule,
     ):
+        L.check_grades(group)
+        A.check_grades(group)
         self.name = name
         self.field = field
         self.group = group
@@ -66,12 +68,21 @@ class AlgebraInstance:
         ):
             if rule.left != lt or rule.right != rt or rule.out != ot:
                 raise ValueError(f"rule {rule.name!r} has wrong domain or codomain")
+        self._full_L: GradedSubspace | None = None
+        self._full_A: GradedSubspace | None = None
+
+    # An instance is never changed after construction, and no caller
+    # changes a returned subspace, so each is built on the first call only.
 
     def full_L(self) -> GradedSubspace:
-        return GradedSubspace.full(self.field, self.L)
+        if self._full_L is None:
+            self._full_L = GradedSubspace.full(self.field, self.L)
+        return self._full_L
 
     def full_A(self) -> GradedSubspace:
-        return GradedSubspace.full(self.field, self.A)
+        if self._full_A is None:
+            self._full_A = GradedSubspace.full(self.field, self.A)
+        return self._full_A
 
     def describe_L(self, v: Sparse) -> str:
         return self.L.describe_sparse(v, self.field)

@@ -108,7 +108,7 @@ def enumerate_connections(
     if max_len is None:
         max_len = 2 * max(1, len(mults))
     group = sup.group
-    targets = {group.reduce(g2), group.inv(g2)}
+    targets = {group.check(g2), group.inv(g2)}
     paths: list[list[Grade]] = []
 
     def walk(current: Grade, path: list[Grade]) -> None:

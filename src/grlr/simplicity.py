@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
+from typing import Iterator
 
 from .connections import lambda_classes, sigma_classes, supports
 from .decompose import (
@@ -139,8 +140,7 @@ def check_hypotheses5(inst: AlgebraInstance) -> Hypotheses5:
 
 
 def _block(inst: AlgebraInstance, side: str, g: Grade) -> GradedSubspace:
-    basis = inst.L if side == "L" else inst.A
-    full = GradedSubspace.full(inst.field, basis)
+    basis, full = (inst.L, inst.full_L()) if side == "L" else (inst.A, inst.full_A())
     return GradedSubspace(inst.field, basis, {g: full.blocks[g]} if g in full.blocks else {})
 
 
@@ -175,24 +175,25 @@ def ideal_closure_A(inst: AlgebraInstance, seed: GradedSubspace) -> GradedSubspa
 # homogeneous seed enumeration
 
 
-def _projective_block_points(field: Field, dim: int) -> list[tuple[Scalar, ...]]:
-    """One representative per line: first nonzero coordinate scaled to 1."""
-    points: list[tuple[Scalar, ...]] = []
+def _projective_block_points(field: Field, dim: int) -> Iterator[tuple[Scalar, ...]]:
+    """One representative per line: first nonzero coordinate scaled to 1.
 
-    def rec(prefix: list[Scalar], lead_placed: bool):
+    Lazy, so a caller that stops early never builds the remaining points.
+    """
+
+    def rec(prefix: list[Scalar], lead_placed: bool) -> Iterator[tuple[Scalar, ...]]:
         if len(prefix) == dim:
             if lead_placed:
-                points.append(tuple(prefix))
+                yield tuple(prefix)
             return
         if not lead_placed:
-            rec(prefix + [field.zero], False)
-            rec(prefix + [field.one], True)
+            yield from rec(prefix + [field.zero], False)
+            yield from rec(prefix + [field.one], True)
         else:
             for x in field.elements():
-                rec(prefix + [x], True)
+                yield from rec(prefix + [x], True)
 
-    rec([], False)
-    return points
+    return rec([], False)
 
 
 def _homogeneous_seeds(
