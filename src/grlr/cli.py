@@ -134,11 +134,12 @@ def cmd_classes(args: argparse.Namespace) -> int:
 def cmd_decompose(args: argparse.Namespace) -> int:
     inst = _load(args)
     _verified(inst)
+    tightness = dec.check_tight(inst)
     data: dict = {
         "command": "decompose",
         "instance": inst.name,
         "field": inst.field.label,
-        "tightness": dec.check_tight(inst).to_json(),
+        "tightness": tightness.to_json(),
     }
     rep_L = rep_A = None
     if args.side in ("L", "both"):
@@ -148,8 +149,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         rep_A = dec.decompose_A(inst)
         data["A"] = rep_A.to_json()
     if rep_L is not None and rep_A is not None:
-        tight = dec.check_tight(inst).tight
-        data["pairing"] = dec.pair_ideals(inst, rep_L, rep_A, tight).to_json()
+        data["pairing"] = dec.pair_ideals(inst, rep_L, rep_A, tightness.tight).to_json()
     if args.fine:
         data["fine"] = simp.fine_decompose(inst).to_json()
     _emit(data, args.json)
@@ -170,34 +170,26 @@ def _lattice_report(inst: AlgebraInstance, side: str) -> dict:
     if side == "L":
         lattice = enumerate_graded_ideals_L(inst)
         rep = dec.decompose_L(inst)
-        fast: list[tuple[str, GradedSubspace]] = [
+        verdict = simp.gr_simple_L(inst)
+        trivial: list[tuple[str, GradedSubspace]] = [
             ("zero", GradedSubspace.zero(inst.field, inst.L)),
             ("full", inst.full_L()),
             ("ker_anchor", ker_anchor(inst)),
         ]
-        fast += [("ideal " + "/".join(ci.label_json()), ci.total) for ci in rep.ideals]
-        verdict = simp.gr_simple_L(inst)
-        ker = ker_anchor(inst)
-        nontrivial = [
-            s for s in lattice
-            if not s.is_zero() and s.dim != inst.L.dim and s != ker
-        ]
-        products_ok = (
-            not bilinear_image(inst.bracket, inst.full_L(), inst.full_L()).is_zero()
-            and not bilinear_image(inst.product, inst.full_A(), inst.full_A()).is_zero()
-            and not bilinear_image(inst.action, inst.full_A(), inst.full_L()).is_zero()
+        products = (
+            (inst.bracket, inst.full_L(), inst.full_L()),
+            (inst.product, inst.full_A(), inst.full_A()),
+            (inst.action, inst.full_A(), inst.full_L()),
         )
     else:
         lattice = enumerate_graded_ideals_A(inst)
         rep = dec.decompose_A(inst)
-        fast = [
-            ("zero", GradedSubspace.zero(inst.field, inst.A)),
-            ("full", inst.full_A()),
-        ]
-        fast += [("ideal " + "/".join(ci.label_json()), ci.total) for ci in rep.ideals]
         verdict = simp.gr_simple_A(inst)
-        nontrivial = [s for s in lattice if not s.is_zero() and s.dim != inst.A.dim]
-        products_ok = not bilinear_image(inst.product, inst.full_A(), inst.full_A()).is_zero()
+        trivial = [("zero", GradedSubspace.zero(inst.field, inst.A)), ("full", inst.full_A())]
+        products = ((inst.product, inst.full_A(), inst.full_A()),)
+    fast = trivial + [("ideal " + "/".join(ci.label_json()), ci.total) for ci in rep.ideals]
+    nontrivial = [s for s in lattice if s not in [sub for _, sub in trivial]]
+    products_ok = all(not bilinear_image(rule, U, V).is_zero() for rule, U, V in products)
 
     missing = [label for label, sub in fast if sub not in lattice]
     lattice_simple = products_ok and not nontrivial

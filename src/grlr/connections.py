@@ -80,16 +80,21 @@ def _reach(sup: Supports, g: Grade, side: str) -> dict[Grade, list[Grade]]:
     return paths
 
 
+def _witness(sup: Supports, paths: dict[Grade, list[Grade]], g: Grade, g2: Grade) -> list[Grade] | None:
+    """[g] + the BFS path from g to g2 or to its inverse, None if neither is reached."""
+    for target in (g2, sup.group.inv(g2)):
+        if target in paths:
+            return [g] + paths[target]
+    return None
+
+
 def _connected(sup: Supports, g: Grade, g2: Grade, side: str) -> tuple[bool, list[Grade] | None]:
     base = sup.base(side)
     for x in (g, g2):
         if x not in base:
             raise ValueError(f"{format_grade(x)} is not in the {side} support")
-    paths = _reach(sup, g, side)
-    for target in (g2, sup.group.inv(g2)):
-        if target in paths:
-            return True, [g] + paths[target]
-    return False, None
+    path = _witness(sup, _reach(sup, g, side), g, g2)
+    return path is not None, path
 
 
 def sigma_connected(sup: Supports, g: Grade, g2: Grade) -> tuple[bool, list[Grade] | None]:
@@ -148,12 +153,15 @@ def _classes(sup: Supports, side: str) -> ConnectionPartition:
     for g in base:
         if g in seen:
             continue
+        # one BFS per class: connection is an equivalence relation, so the
+        # class of its first member g is everything reached from g
+        paths = _reach(sup, g, side)
         members = []
         for h in base:
-            ok, path = _connected(sup, g, h, side)
-            if ok:
+            path = _witness(sup, paths, g, h)
+            if path is not None:
                 members.append(h)
-                witness[(g, h)] = path or [g]
+                witness[(g, h)] = path
         seen.update(members)
         classes.append(tuple(sorted(members)))
     return ConnectionPartition(side, classes, witness)

@@ -8,83 +8,80 @@ Each connection class [g] of the L-side supports contributes the ideal
     V_[g]   = (+)_{g' in [g]} L_{g'},
 
 and dually on the A side with the anchor image replacing the bracket.
+Both sides run one construction, read off a per-side table:
+
+    side  basis  own support  cross support  cross rule  own rule
+    L     L      Sigma        Lambda         action      bracket
+    A     A      Lambda       Sigma          anchor      product
+
+The identity part of a class sums, over its grades g, the own-rule term
+own(X_{g^-1}, Y_g) and, for g also in the cross support, the cross-rule
+term cross(X_{g^-1}, Y_g); each rule takes X and Y from its own left and
+right bases (action: A x L, anchor: L x A).  Summed over all classes
+the identity parts give the identity block the whole support generates.
 Tightness (seven named conditions) is what makes the sum of the ideals
 all of L with zero pairwise intersections.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .connections import ConnectionPartition, Supports, lambda_classes, sigma_classes, supports
 from .groups import Grade, format_grade
-from .linear import GradedSubspace, bilinear_image, complement_in, subspace_intersect, subspace_sum
+from .linear import (
+    BilinearRule,
+    GradedBasis,
+    GradedSubspace,
+    bilinear_image,
+    complement_in,
+    subspace_intersect,
+    subspace_sum,
+)
 from .model import AlgebraInstance, ann_A, ann_L_of_A, center
 
 
-def _block_subspace(inst: AlgebraInstance, side: str, grades: list[Grade]) -> GradedSubspace:
-    basis, full = (inst.L, inst.full_L()) if side == "L" else (inst.A, inst.full_A())
-    blocks = {g: full.blocks[g] for g in grades if g in full.blocks}
-    return GradedSubspace(inst.field, basis, blocks)
+def _full(inst: AlgebraInstance, basis: GradedBasis) -> GradedSubspace:
+    return inst.full_L() if basis == inst.L else inst.full_A()
+
+
+def _block(inst: AlgebraInstance, basis: GradedBasis, grades: Iterable[Grade]) -> GradedSubspace:
+    """The blocks of ``basis`` (L or A) at ``grades``, as one subspace."""
+    full = _full(inst, basis)
+    return GradedSubspace(inst.field, basis, {g: full.blocks[g] for g in grades if g in full.blocks})
 
 
 def identity_block_L(inst: AlgebraInstance) -> GradedSubspace:
-    return _block_subspace(inst, "L", [inst.group.identity()])
+    return _block(inst, inst.L, [inst.group.identity()])
 
 def identity_block_A(inst: AlgebraInstance) -> GradedSubspace:
-    return _block_subspace(inst, "A", [inst.group.identity()])
+    return _block(inst, inst.A, [inst.group.identity()])
 
 
-def _action_term(inst: AlgebraInstance, g: Grade) -> GradedSubspace:
-    """A_{g^-1} L_g as a subspace of L."""
+def _side(
+    inst: AlgebraInstance, sup: Supports, side: str
+) -> tuple[GradedBasis, frozenset[Grade], frozenset[Grade], BilinearRule, BilinearRule]:
+    """(basis, own support, cross support, cross rule, own rule) of one side."""
+    if side == "L":
+        return inst.L, sup.sigma, sup.lam, inst.action, inst.bracket
+    return inst.A, sup.lam, sup.sigma, inst.anchor, inst.product
+
+
+def _term(inst: AlgebraInstance, rule: BilinearRule, g: Grade) -> GradedSubspace:
+    """rule(X_{g^-1}, Y_g) for the left basis X and the right basis Y of the rule."""
     ginv = inst.group.inv(g)
-    return bilinear_image(
-        inst.action, _block_subspace(inst, "A", [ginv]), _block_subspace(inst, "L", [g])
-    )
+    return bilinear_image(rule, _block(inst, rule.left, [ginv]), _block(inst, rule.right, [g]))
 
 
-def _bracket_term(inst: AlgebraInstance, g: Grade) -> GradedSubspace:
-    """[L_{g^-1}, L_g] as a subspace of L."""
-    ginv = inst.group.inv(g)
-    return bilinear_image(
-        inst.bracket, _block_subspace(inst, "L", [ginv]), _block_subspace(inst, "L", [g])
-    )
-
-
-def _anchor_term(inst: AlgebraInstance, g: Grade) -> GradedSubspace:
-    """rho(L_{g^-1})(A_g) as a subspace of A."""
-    ginv = inst.group.inv(g)
-    return bilinear_image(
-        inst.anchor, _block_subspace(inst, "L", [ginv]), _block_subspace(inst, "A", [g])
-    )
-
-
-def _product_term(inst: AlgebraInstance, g: Grade) -> GradedSubspace:
-    """A_{g^-1} A_g as a subspace of A."""
-    ginv = inst.group.inv(g)
-    return bilinear_image(
-        inst.product, _block_subspace(inst, "A", [ginv]), _block_subspace(inst, "A", [g])
-    )
-
-
-def generated_identity_L(inst: AlgebraInstance, sup: Supports | None = None) -> GradedSubspace:
-    """sum_{g in Sigma n Lambda} A_{g^-1}L_g + sum_{g in Sigma} [L_{g^-1}, L_g]."""
-    sup = sup or supports(inst)
-    total = GradedSubspace.zero(inst.field, inst.L)
-    for g in sorted(sup.sigma & sup.lam):
-        total = subspace_sum(total, _action_term(inst, g))
-    for g in sorted(sup.sigma):
-        total = subspace_sum(total, _bracket_term(inst, g))
-    return total
-
-
-def generated_identity_A(inst: AlgebraInstance, sup: Supports | None = None) -> GradedSubspace:
-    """sum_{g in Lambda n Sigma} rho(L_{g^-1})(A_g) + sum_{g in Lambda} A_{g^-1}A_g."""
-    sup = sup or supports(inst)
-    total = GradedSubspace.zero(inst.field, inst.A)
-    for g in sorted(sup.lam & sup.sigma):
-        total = subspace_sum(total, _anchor_term(inst, g))
-    for g in sorted(sup.lam):
-        total = subspace_sum(total, _product_term(inst, g))
+def _identity_part(inst: AlgebraInstance, sup: Supports, side: str, grades: Iterable[Grade]) -> GradedSubspace:
+    """Sum over g in ``grades`` of cross(X_{g^-1}, Y_g), for g in the cross
+    support only, and of own(X_{g^-1}, Y_g): a subspace of the identity block."""
+    basis, _, cross, cross_rule, own_rule = _side(inst, sup, side)
+    total = GradedSubspace.zero(inst.field, basis)
+    for g in grades:
+        if g in cross:
+            total = subspace_sum(total, _term(inst, cross_rule, g))
+        total = subspace_sum(total, _term(inst, own_rule, g))
     return total
 
 
@@ -102,28 +99,6 @@ class ClassIdeal:
 
     def label_json(self) -> list[str]:
         return [format_grade(g) for g in self.label]
-
-
-def build_class_ideal_L(inst: AlgebraInstance, cls: tuple[Grade, ...], sup: Supports | None = None) -> ClassIdeal:
-    sup = sup or supports(inst)
-    identity_part = GradedSubspace.zero(inst.field, inst.L)
-    for g in cls:
-        if g in sup.lam:
-            identity_part = subspace_sum(identity_part, _action_term(inst, g))
-        identity_part = subspace_sum(identity_part, _bracket_term(inst, g))
-    support_part = _block_subspace(inst, "L", list(cls))
-    return ClassIdeal("L", tuple(cls), identity_part, support_part, subspace_sum(identity_part, support_part))
-
-
-def build_class_ideal_A(inst: AlgebraInstance, cls: tuple[Grade, ...], sup: Supports | None = None) -> ClassIdeal:
-    sup = sup or supports(inst)
-    identity_part = GradedSubspace.zero(inst.field, inst.A)
-    for g in cls:
-        if g in sup.sigma:
-            identity_part = subspace_sum(identity_part, _anchor_term(inst, g))
-        identity_part = subspace_sum(identity_part, _product_term(inst, g))
-    support_part = _block_subspace(inst, "A", list(cls))
-    return ClassIdeal("A", tuple(cls), identity_part, support_part, subspace_sum(identity_part, support_part))
 
 
 # ---------------------------------------------------------------------------
@@ -161,62 +136,62 @@ class DecompositionReport:
         }
 
 
-def _pairwise(inst: AlgebraInstance, ideals: list[ClassIdeal], rule, side: str) -> tuple[list[dict], bool]:
+def _pairwise(ideals: list[ClassIdeal], rule: BilinearRule) -> tuple[list[dict], bool]:
+    n = len(ideals)
+    zero_product = {
+        (i, j): bilinear_image(rule, ideals[i].total, ideals[j].total).is_zero()
+        for i in range(n)
+        for j in range(n)
+        if i != j
+    }
+    ok = all(zero_product.values())
     facts = []
-    all_zero_products = True
-    all_zero_intersections = True
-    for i in range(len(ideals)):
-        for j in range(len(ideals)):
-            if i == j:
-                continue
-            prod = bilinear_image(rule, ideals[i].total, ideals[j].total)
-            inter = subspace_intersect(ideals[i].total, ideals[j].total) if i < j else None
-            if not prod.is_zero():
-                all_zero_products = False
-            if inter is not None and not inter.is_zero():
-                all_zero_intersections = False
-            if i < j:
-                facts.append(
-                    {
-                        "pair": [ideals[i].label_json(), ideals[j].label_json()],
-                        "product_zero": prod.is_zero()
-                        and bilinear_image(rule, ideals[j].total, ideals[i].total).is_zero(),
-                        "intersection_zero": inter.is_zero() if inter is not None else True,
-                    }
-                )
-    return facts, all_zero_products and all_zero_intersections
+    for i in range(n):
+        for j in range(i + 1, n):
+            inter_zero = subspace_intersect(ideals[i].total, ideals[j].total).is_zero()
+            ok = ok and inter_zero
+            facts.append(
+                {
+                    "pair": [ideals[i].label_json(), ideals[j].label_json()],
+                    "product_zero": zero_product[i, j] and zero_product[j, i],
+                    "intersection_zero": inter_zero,
+                }
+            )
+    return facts, ok
+
+
+def _decompose(inst: AlgebraInstance, side: str) -> DecompositionReport:
+    sup = supports(inst)
+    basis, _, _, _, own_rule = _side(inst, sup, side)
+    partition = sigma_classes(sup) if side == "L" else lambda_classes(sup)
+    ideals = []
+    # The classes partition the own support, so the sum of their identity
+    # parts is the identity block the whole support generates.
+    generated = GradedSubspace.zero(inst.field, basis)
+    for cls in partition.classes:
+        identity_part = _identity_part(inst, sup, side, cls)
+        support_part = _block(inst, basis, cls)
+        ideals.append(
+            ClassIdeal(side, tuple(cls), identity_part, support_part, subspace_sum(identity_part, support_part))
+        )
+        generated = subspace_sum(generated, identity_part)
+    complement = complement_in(generated, _block(inst, basis, [inst.group.identity()]))
+    span = complement
+    for ideal in ideals:
+        span = subspace_sum(span, ideal.total)
+    span_ok = span == _full(inst, basis)
+    facts, pairwise_ok = _pairwise(ideals, own_rule)
+    return DecompositionReport(
+        side, partition, ideals, complement, span_ok, complement.is_zero() and pairwise_ok, facts
+    )
 
 
 def decompose_L(inst: AlgebraInstance) -> DecompositionReport:
-    sup = supports(inst)
-    partition = sigma_classes(sup)
-    ideals = [build_class_ideal_L(inst, cls, sup) for cls in partition.classes]
-    generated = generated_identity_L(inst, sup)
-    complement = complement_in(generated, identity_block_L(inst))
-    span = GradedSubspace.zero(inst.field, inst.L)
-    for ideal in ideals:
-        span = subspace_sum(span, ideal.total)
-    span_ok = subspace_sum(span, complement) == inst.full_L()
-    facts, pairwise_ok = _pairwise(inst, ideals, inst.bracket, "L")
-    return DecompositionReport(
-        "L", partition, ideals, complement, span_ok, complement.is_zero() and pairwise_ok, facts
-    )
+    return _decompose(inst, "L")
 
 
 def decompose_A(inst: AlgebraInstance) -> DecompositionReport:
-    sup = supports(inst)
-    partition = lambda_classes(sup)
-    ideals = [build_class_ideal_A(inst, cls, sup) for cls in partition.classes]
-    generated = generated_identity_A(inst, sup)
-    complement = complement_in(generated, identity_block_A(inst))
-    span = GradedSubspace.zero(inst.field, inst.A)
-    for ideal in ideals:
-        span = subspace_sum(span, ideal.total)
-    span_ok = subspace_sum(span, complement) == inst.full_A()
-    facts, pairwise_ok = _pairwise(inst, ideals, inst.product, "A")
-    return DecompositionReport(
-        "A", partition, ideals, complement, span_ok, complement.is_zero() and pairwise_ok, facts
-    )
+    return _decompose(inst, "A")
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +243,8 @@ def check_tight(inst: AlgebraInstance) -> TightnessReport:
     AL = bilinear_image(inst.action, inst.full_A(), inst.full_L())
     record("AL_equals_L", AL, False, inst.full_L())
 
-    record("L_identity_generated", generated_identity_L(inst, sup), False, identity_block_L(inst))
-    record("A_identity_generated", generated_identity_A(inst, sup), False, identity_block_A(inst))
+    record("L_identity_generated", _identity_part(inst, sup, "L", sorted(sup.sigma)), False, identity_block_L(inst))
+    record("A_identity_generated", _identity_part(inst, sup, "A", sorted(sup.lam)), False, identity_block_A(inst))
     return TightnessReport(conditions, witnesses)
 
 

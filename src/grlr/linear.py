@@ -244,14 +244,18 @@ class GradedSubspace:
         self.field = field
         self.ambient = ambient
         canon: dict[Grade, tuple[Row, ...]] = {}
+        pivots: dict[Grade, tuple[int, ...]] = {}
         for g, rows in blocks.items():
             g = tuple(g)
             if ambient.block_dim(g) == 0 and rows:
                 raise ValueError(f"no ambient block at grade {format_grade(g)}")
-            reduced, _ = rref(field, rows)
+            reduced, cols = rref(field, rows)
             if reduced:
                 canon[g] = reduced
+                pivots[g] = cols
         self.blocks: dict[Grade, tuple[Row, ...]] = canon
+        # pivot columns of each block; blocks never change after construction
+        self.pivots: dict[Grade, tuple[int, ...]] = pivots
 
     # construction ------------------------------------------------------
 
@@ -322,7 +326,7 @@ class GradedSubspace:
         rows = self.blocks.get(g, ())
         if not rows:
             return all(self.field.is_zero(x) for x in coords)
-        return in_span(self.field, rows, rref(self.field, rows)[1], coords)
+        return in_span(self.field, rows, self.pivots[g], coords)
 
     def contains_sparse(self, v: Sparse) -> bool:
         return all(
@@ -339,7 +343,7 @@ class GradedSubspace:
         rows = self.blocks.get(g, ())
         if not rows:
             return [] if all(self.field.is_zero(x) for x in coords) else None
-        return coordinates_in_rref(self.field, rows, rref(self.field, rows)[1], coords)
+        return coordinates_in_rref(self.field, rows, self.pivots[g], coords)
 
     def to_json(self) -> dict:
         return {

@@ -17,11 +17,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .connections import lambda_classes, sigma_classes, supports
+from .connections import Supports, lambda_classes, sigma_classes, supports
 from .decompose import (
     DecompositionReport,
+    _block,
+    _full,
+    _term,
     check_tight,
     decompose_A,
     decompose_L,
@@ -82,66 +85,43 @@ def check_hypotheses5(inst: AlgebraInstance) -> Hypotheses5:
     if bad_block is not None:
         witnesses["maximal_length"] = f"support block at {format_grade(bad_block)} is not 1-dimensional"
 
-    g_mult_witness = None
-    for g in sorted(sup.sigma):
-        for h in sorted(sup.sigma):
-            if inst.group.mul(g, h) in sup.sigma:
-                image = bilinear_image(
-                    inst.bracket,
-                    _block(inst, "L", g),
-                    _block(inst, "L", h),
-                )
-                if image.is_zero():
-                    g_mult_witness = f"[L_{format_grade(g)}, L_{format_grade(h)}] = 0"
-                    break
-        if g_mult_witness:
-            break
-    if g_mult_witness is None:
-        for k in sorted(sup.lam):
-            for g in sorted(sup.sigma):
-                if inst.group.mul(k, g) in sup.sigma:
-                    if bilinear_image(inst.action, _block(inst, "A", k), _block(inst, "L", g)).is_zero():
-                        g_mult_witness = f"A_{format_grade(k)} L_{format_grade(g)} = 0"
-                        break
-            if g_mult_witness:
-                break
-    if g_mult_witness is None:
-        for k in sorted(sup.lam):
-            for j in sorted(sup.lam):
-                if inst.group.mul(k, j) in sup.lam:
-                    if bilinear_image(inst.product, _block(inst, "A", k), _block(inst, "A", j)).is_zero():
-                        g_mult_witness = f"A_{format_grade(k)} A_{format_grade(j)} = 0"
-                        break
-            if g_mult_witness:
-                break
+    g_mult_witness = _g_mult_witness(inst, sup)
     conditions["g_multiplicative"] = g_mult_witness is None
     if g_mult_witness:
         witnesses["g_multiplicative"] = g_mult_witness
 
-    asym_sigma = next((g for g in sorted(sup.sigma) if inst.group.inv(g) not in sup.sigma), None)
-    conditions["sigma_symmetric"] = asym_sigma is None
-    if asym_sigma is not None:
-        witnesses["sigma_symmetric"] = f"inverse of {format_grade(asym_sigma)} unsupported"
-    asym_lam = next((g for g in sorted(sup.lam) if inst.group.inv(g) not in sup.lam), None)
-    conditions["lambda_symmetric"] = asym_lam is None
-    if asym_lam is not None:
-        witnesses["lambda_symmetric"] = f"inverse of {format_grade(asym_lam)} unsupported"
-
-    n_sigma = len(sigma_classes(sup).classes)
-    conditions["sigma_all_connected"] = n_sigma <= 1
-    if n_sigma > 1:
-        witnesses["sigma_all_connected"] = f"{n_sigma} connection classes"
-    n_lambda = len(lambda_classes(sup).classes)
-    conditions["lambda_all_connected"] = n_lambda <= 1
-    if n_lambda > 1:
-        witnesses["lambda_all_connected"] = f"{n_lambda} connection classes"
+    # oracle.hypothesis_search reports the first failing condition in
+    # insertion order, so both symmetry conditions come before both
+    # connectedness conditions
+    for name, support in (("sigma", sup.sigma), ("lambda", sup.lam)):
+        asym = next((g for g in sorted(support) if inst.group.inv(g) not in support), None)
+        conditions[f"{name}_symmetric"] = asym is None
+        if asym is not None:
+            witnesses[f"{name}_symmetric"] = f"inverse of {format_grade(asym)} unsupported"
+    for name, classes in (("sigma", sigma_classes), ("lambda", lambda_classes)):
+        n_classes = len(classes(sup).classes)
+        conditions[f"{name}_all_connected"] = n_classes <= 1
+        if n_classes > 1:
+            witnesses[f"{name}_all_connected"] = f"{n_classes} connection classes"
 
     return Hypotheses5(conditions, witnesses)
 
 
-def _block(inst: AlgebraInstance, side: str, g: Grade) -> GradedSubspace:
-    basis, full = (inst.L, inst.full_L()) if side == "L" else (inst.A, inst.full_A())
-    return GradedSubspace(inst.field, basis, {g: full.blocks[g]} if g in full.blocks else {})
+def _g_mult_witness(inst: AlgebraInstance, sup: Supports) -> str | None:
+    """The first product of two support blocks that is zero although the
+    product of their grades is supported, or None."""
+    for rule, left, right, target, text in (
+        (inst.bracket, sup.sigma, sup.sigma, sup.sigma, "[L_{}, L_{}] = 0"),
+        (inst.action, sup.lam, sup.sigma, sup.sigma, "A_{} L_{} = 0"),
+        (inst.product, sup.lam, sup.lam, sup.lam, "A_{} A_{} = 0"),
+    ):
+        for g in sorted(left):
+            for h in sorted(right):
+                if inst.group.mul(g, h) not in target:
+                    continue
+                if bilinear_image(rule, _block(inst, rule.left, [g]), _block(inst, rule.right, [h])).is_zero():
+                    return text.format(format_grade(g), format_grade(h))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -260,60 +240,62 @@ def _undecided_reason(f: Field, cap: int) -> str:
     return "rational scalars: sampled closures found no counterexample, enumeration is not exhaustive"
 
 
-def gr_simple_L(inst: AlgebraInstance, cap: int = CLOSURE_CAP) -> SimplicityVerdict:
+def _closure_scan(
+    inst: AlgebraInstance,
+    side: str,
+    closure_of: Callable[[AlgebraInstance, GradedSubspace], GradedSubspace],
+    allowed: list[GradedSubspace],
+    cap: int,
+    proper: str,
+    clean: str,
+) -> SimplicityVerdict:
+    """Close every homogeneous seed of one side; the first closure outside
+    ``allowed`` certifies "not gr-simple", otherwise the scan's coverage
+    decides between "gr_simple" and "undecided"."""
     f = inst.field
-    if bilinear_image(inst.bracket, inst.full_L(), inst.full_L()).is_zero():
-        return SimplicityVerdict("L", "not_gr_simple", "[L, L] = 0")
-    if bilinear_image(inst.product, inst.full_A(), inst.full_A()).is_zero():
-        return SimplicityVerdict("L", "not_gr_simple", "AA = 0")
-    if bilinear_image(inst.action, inst.full_A(), inst.full_L()).is_zero():
-        return SimplicityVerdict("L", "not_gr_simple", "AL = 0")
-    kernel = ker_anchor(inst)
-    allowed = [GradedSubspace.zero(f, inst.L), kernel, inst.full_L()]
-    seeds, exhaustive = _homogeneous_seeds(inst, inst.L, cap)
+    basis = inst.L if side == "L" else inst.A
+    seeds, exhaustive = _homogeneous_seeds(inst, basis, cap)
     run = 0
     for g, coords in seeds:
-        seed = GradedSubspace.from_block_vectors(f, inst.L, [(g, coords)])
-        closure = ideal_closure_L(inst, seed)
+        seed = GradedSubspace.from_block_vectors(f, basis, [(g, coords)])
+        closure = closure_of(inst, seed)
         run += 1
         if closure not in allowed:
             return SimplicityVerdict(
-                "L",
+                side,
                 "not_gr_simple",
-                f"closure of a homogeneous element at grade {format_grade(g)} "
-                "is a proper graded ideal distinct from Ker rho",
+                f"closure of a homogeneous element at grade {format_grade(g)} {proper}",
                 closure,
                 run,
             )
     if exhaustive:
-        return SimplicityVerdict(
-            "L", "gr_simple", "every homogeneous closure lies in {Ker rho, L}", None, run
-        )
-    return SimplicityVerdict("L", "undecided", _undecided_reason(f, cap), None, run)
+        return SimplicityVerdict(side, "gr_simple", clean, None, run)
+    return SimplicityVerdict(side, "undecided", _undecided_reason(f, cap), None, run)
+
+
+def gr_simple_L(inst: AlgebraInstance, cap: int = CLOSURE_CAP) -> SimplicityVerdict:
+    for rule, reason in ((inst.bracket, "[L, L] = 0"), (inst.product, "AA = 0"), (inst.action, "AL = 0")):
+        if bilinear_image(rule, _full(inst, rule.left), _full(inst, rule.right)).is_zero():
+            return SimplicityVerdict("L", "not_gr_simple", reason)
+    allowed = [GradedSubspace.zero(inst.field, inst.L), ker_anchor(inst), inst.full_L()]
+    return _closure_scan(
+        inst,
+        "L",
+        ideal_closure_L,
+        allowed,
+        cap,
+        "is a proper graded ideal distinct from Ker rho",
+        "every homogeneous closure lies in {Ker rho, L}",
+    )
 
 
 def gr_simple_A(inst: AlgebraInstance, cap: int = CLOSURE_CAP) -> SimplicityVerdict:
-    f = inst.field
     if bilinear_image(inst.product, inst.full_A(), inst.full_A()).is_zero():
         return SimplicityVerdict("A", "not_gr_simple", "AA = 0")
-    allowed = [GradedSubspace.zero(f, inst.A), inst.full_A()]
-    seeds, exhaustive = _homogeneous_seeds(inst, inst.A, cap)
-    run = 0
-    for g, coords in seeds:
-        seed = GradedSubspace.from_block_vectors(f, inst.A, [(g, coords)])
-        closure = ideal_closure_A(inst, seed)
-        run += 1
-        if closure not in allowed:
-            return SimplicityVerdict(
-                "A",
-                "not_gr_simple",
-                f"closure of a homogeneous element at grade {format_grade(g)} is a proper graded ideal",
-                closure,
-                run,
-            )
-    if exhaustive:
-        return SimplicityVerdict("A", "gr_simple", "every homogeneous closure is 0 or A", None, run)
-    return SimplicityVerdict("A", "undecided", _undecided_reason(f, cap), None, run)
+    allowed = [GradedSubspace.zero(inst.field, inst.A), inst.full_A()]
+    return _closure_scan(
+        inst, "A", ideal_closure_A, allowed, cap, "is a proper graded ideal", "every homogeneous closure is 0 or A"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +332,8 @@ def split_case_b(inst: AlgebraInstance, I: GradedSubspace) -> tuple[GradedSubspa
     I_prime = GradedSubspace.zero(f, inst.L)
     for g in sorted(sigma_I_inv):
         if inst.group.inv(g) in sup.lam:
-            I_prime = subspace_sum(
-                I_prime,
-                bilinear_image(inst.action, _block(inst, "A", inst.group.inv(g)), _block(inst, "L", g)),
-            )
-        I_prime = subspace_sum(I_prime, _block(inst, "L", g))
+            I_prime = subspace_sum(I_prime, _term(inst, inst.action, g))
+        I_prime = subspace_sum(I_prime, _block(inst, inst.L, [g]))
 
     ok, witness = is_graded_ideal_L(inst, I_prime)
     if not ok:
@@ -422,24 +401,19 @@ def fine_decompose(inst: AlgebraInstance) -> FineReport:
 
     L_rep = decompose_L(inst)
     A_rep = decompose_A(inst)
-    tight = check_tight(inst)
-    pairing = pair_ideals(inst, L_rep, A_rep, tight.tight)
+    pairing = pair_ideals(inst, L_rep, A_rep, hyp.conditions["tight"])
     summands: list[FineSummand] = []
 
-    a_by_label = {tuple(a.label): a for a in A_rep.ideals}
-    paired_label: dict[tuple, tuple | None] = {}
-    for entry, ideal in zip(pairing.pairs, L_rep.ideals):
-        label = tuple(ideal.label)
-        paired_label[label] = (
-            tuple(tuple(int(c) for c in g.split(",")) for g in entry["A_classes"][0])
-            if entry["A_classes"]
-            else None
-        )
+    # the first A ideal acting on each L ideal; the hypotheses include
+    # tightness, under which it is the only one
+    a_by_label = {tuple(a.label_json()): a for a in A_rep.ideals}
+    partners = [
+        a_by_label[tuple(entry["A_classes"][0])] if entry["A_classes"] else None
+        for entry in pairing.pairs
+    ]
 
-    for ideal in L_rep.ideals:
-        partner = paired_label.get(tuple(ideal.label))
-        partner_ideal = a_by_label.get(partner) if partner else None
-        A_part = partner_ideal.total if partner_ideal else GradedSubspace.zero(inst.field, inst.A)
+    for ideal, partner in zip(L_rep.ideals, partners):
+        A_part = partner.total if partner else GradedSubspace.zero(inst.field, inst.A)
         sub = restrict_instance(inst, ideal.total, A_part, f"{inst.name}|L{ideal.label_json()}")
         verified = verify_all(sub).passed
         verdict = gr_simple_L(sub)
@@ -454,7 +428,7 @@ def fine_decompose(inst: AlgebraInstance) -> FineReport:
                 "L",
                 ideal.label_json(),
                 ideal.total,
-                [[format_grade(g) for g in partner]] if partner else None,
+                [partner.label_json()] if partner else None,
                 verdict,
                 split,
                 verified,
@@ -462,11 +436,7 @@ def fine_decompose(inst: AlgebraInstance) -> FineReport:
         )
 
     for a_ideal in A_rep.ideals:
-        lovers = [
-            ideal
-            for ideal, entry in zip(L_rep.ideals, pairing.pairs)
-            if entry["A_classes"] and tuple(entry["A_classes"][0]) == tuple(a_ideal.label_json())
-        ]
+        lovers = [ideal for ideal, partner in zip(L_rep.ideals, partners) if partner is a_ideal]
         L_part = GradedSubspace.zero(inst.field, inst.L)
         for ideal in lovers:
             L_part = subspace_sum(L_part, ideal.total)
