@@ -84,8 +84,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "command": "verify",
         "instance": inst.name,
         "field": inst.field.label,
-        "passed": report.passed,
-        "checks": [c.to_json() for c in report.checks],
+        **report.to_json(),
     }
     _emit(data, args.json)
     return OK if report.passed else MATH_FAIL

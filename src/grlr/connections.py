@@ -16,6 +16,7 @@ literally by :func:`validate_connection_path`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .groups import Grade, GroupSpec, format_grade
 from .model import AlgebraInstance
@@ -145,25 +146,28 @@ class ConnectionPartition:
         return [[format_grade(g) for g in cls] for cls in self.classes]
 
 
-def _classes(sup: Supports, side: str) -> ConnectionPartition:
+def _class_walks(sup: Supports, side: str) -> Iterator[tuple[Grade, dict, dict]]:
+    """Yield (g, BFS paths from g, {member h: witness}) per class, g its least member.
+
+    Connection is an equivalence relation, so one BFS from g finds the class.
+    """
     base = sorted(sup.base(side))
     seen: set[Grade] = set()
-    classes: list[tuple[Grade, ...]] = []
-    witness: dict[tuple[Grade, Grade], list[Grade]] = {}
     for g in base:
         if g in seen:
             continue
-        # one BFS per class: connection is an equivalence relation, so the
-        # class of its first member g is everything reached from g
         paths = _reach(sup, g, side)
-        members = []
-        for h in base:
-            path = _witness(sup, paths, g, h)
-            if path is not None:
-                members.append(h)
-                witness[(g, h)] = path
-        seen.update(members)
-        classes.append(tuple(sorted(members)))
+        found = {h: w for h in base if (w := _witness(sup, paths, g, h)) is not None}
+        seen.update(found)
+        yield g, paths, found
+
+
+def _classes(sup: Supports, side: str) -> ConnectionPartition:
+    classes: list[tuple[Grade, ...]] = []
+    witness: dict[tuple[Grade, Grade], list[Grade]] = {}
+    for g, _, found in _class_walks(sup, side):
+        classes.append(tuple(found))
+        witness.update(((g, h), w) for h, w in found.items())
     return ConnectionPartition(side, classes, witness)
 
 
@@ -180,17 +184,14 @@ def lambda_classes(sup: Supports) -> ConnectionPartition:
 
 def connection_graph_dot(sup: Supports, side: str) -> str:
     """Graphviz digraph of BFS discovery edges, one cluster per class."""
-    partition = _classes(sup, side)
     lines = [f'digraph {side}_connections {{']
     lines.append('  rankdir=LR;')
-    for ci, cls in enumerate(partition.classes):
+    for ci, (rep, reach, found) in enumerate(_class_walks(sup, side)):
         lines.append(f'  subgraph cluster_{ci} {{')
         lines.append(f'    label="class {ci}";')
-        for g in cls:
+        for g in found:
             lines.append(f'    "{format_grade(g)}";')
-        rep = cls[0]
         edges = set()
-        reach = _reach(sup, rep, side)
         for state, path in sorted(reach.items()):
             acc = rep
             for m in path:

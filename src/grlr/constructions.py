@@ -30,21 +30,18 @@ def direct_sum(a: AlgebraInstance, b: AlgebraInstance, name: str | None = None) 
     L = merged_basis(a.L, b.L)
     A = merged_basis(a.A, b.A)
 
-    def merged_rule(rname: str, ra: BilinearRule, rb: BilinearRule, left, right, out,
-                    loff_a: int, roff_a: int, ooff_a: int,
-                    loff_b: int, roff_b: int, ooff_b: int) -> BilinearRule:
-        table: dict[tuple[int, int], Sparse] = {}
-        for (i, j), img in ra.table.items():
-            table[(i + loff_a, j + roff_a)] = {p + ooff_a: x for p, x in img.items()}
+    def merged_rule(rname: str, ra: BilinearRule, rb: BilinearRule, left, right, out) -> BilinearRule:
+        # a's positions come first in each merged basis, so b's shift by a's dimensions
+        table: dict[tuple[int, int], Sparse] = dict(ra.table)
+        dl, dr, do = ra.left.dim, ra.right.dim, ra.out.dim
         for (i, j), img in rb.table.items():
-            table[(i + loff_b, j + roff_b)] = {p + ooff_b: x for p, x in img.items()}
+            table[(i + dl, j + dr)] = {p + do: x for p, x in img.items()}
         return BilinearRule(rname, f, group, left, right, out, table)
 
-    nl, na = a.L.dim, a.A.dim
-    bracket = merged_rule("bracket", a.bracket, b.bracket, L, L, L, 0, 0, 0, nl, nl, nl)
-    product = merged_rule("product", a.product, b.product, A, A, A, 0, 0, 0, na, na, na)
-    action = merged_rule("action", a.action, b.action, A, L, L, 0, 0, 0, na, nl, nl)
-    anchor = merged_rule("anchor", a.anchor, b.anchor, L, A, A, 0, 0, 0, nl, na, na)
+    bracket = merged_rule("bracket", a.bracket, b.bracket, L, L, L)
+    product = merged_rule("product", a.product, b.product, A, A, A)
+    action = merged_rule("action", a.action, b.action, A, L, L)
+    anchor = merged_rule("anchor", a.anchor, b.anchor, L, A, A)
     return AlgebraInstance(name or f"{a.name}+{b.name}", f, group, L, A, bracket, product, action, anchor)
 
 

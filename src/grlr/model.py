@@ -8,15 +8,22 @@ algebra L and the commutative algebra A, and four bilinear rules:
 * ``action``   .     : A x L -> L   (A-module structure on L)
 * ``anchor``   rho   : L x A -> A   (rho(v) acting as a derivation of A)
 
-Verifiers check the axioms exhaustively on basis triples and report the
-first counterexample of each law.  They work on absolute positions, so
+``verify_all`` checks the axioms exhaustively on basis tuples and reports
+the first counterexample of each law.  It works on absolute positions, so
 even instances whose tables break the grading law can be loaded and
 then failed by ``verify_grading`` with a precise witness.
+
+The ten algebra laws are the rows of ``LAWS``: (check name, basis of each
+argument, basis of the discrepancy, discrepancy).  The argument string,
+e.g. ``"LAA"``, fixes the order of everything: the discrepancy takes its
+positions in that order, the tuples are scanned in lexicographic order
+of that tuple, and the witness lists the basis names in that order.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 from .errors import ToolkitError
 from .fields import Field, Scalar
@@ -31,7 +38,6 @@ from .linear import (
     nullspace,
     sparse_add,
     sparse_is_zero,
-    sparse_scale,
     sparse_sub,
 )
 
@@ -119,211 +125,8 @@ class VerificationReport:
     def failed_checks(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
 
-    def merge(self, other: "VerificationReport") -> "VerificationReport":
-        return VerificationReport(self.checks + other.checks)
-
     def to_json(self) -> dict:
         return {"passed": self.passed, "checks": [c.to_json() for c in self.checks]}
-
-
-def _law_check(
-    name: str,
-    tuples: Iterable[tuple],
-    discrepancy: Callable[..., Sparse],
-    describe: Callable[..., dict],
-) -> CheckResult:
-    """Scan tuples in order; report the first nonzero discrepancy."""
-    for args in tuples:
-        diff = discrepancy(*args)
-        if not sparse_is_zero(diff):
-            return CheckResult(name, False, describe(*args, diff))
-    return CheckResult(name, True)
-
-
-def _names(basis: GradedBasis, positions: Iterable[int]) -> list[str]:
-    return [basis.name_of(p) for p in positions]
-
-
-# ---------------------------------------------------------------------------
-# the five verifier families
-
-
-def verify_lie(inst: AlgebraInstance) -> VerificationReport:
-    """[v,v] = 0, antisymmetry and the Jacobi identity on basis tuples."""
-    f, br = inst.field, inst.bracket
-    n = inst.L.dim
-
-    def alt(i):
-        return br.on_basis(i, i)
-
-    def anti(i, j):
-        return sparse_add(f, br.on_basis(i, j), br.on_basis(j, i))
-
-    def jacobi(i, j, k):
-        total: Sparse = {}
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = br.on_basis(a, b)
-            total = sparse_add(f, total, br.apply_sparse(inner, {c: f.one}))
-        return total
-
-    checks = [
-        _law_check(
-            "lie.alternating",
-            ((i,) for i in range(n)),
-            alt,
-            lambda i, d: {"args": _names(inst.L, [i]), "value": inst.describe_L(d)},
-        ),
-        _law_check(
-            "lie.antisymmetry",
-            ((i, j) for i in range(n) for j in range(n)),
-            anti,
-            lambda i, j, d: {"args": _names(inst.L, [i, j]), "value": inst.describe_L(d)},
-        ),
-        _law_check(
-            "lie.jacobi",
-            ((i, j, k) for i in range(n) for j in range(n) for k in range(n)),
-            jacobi,
-            lambda i, j, k, d: {"args": _names(inst.L, [i, j, k]), "value": inst.describe_L(d)},
-        ),
-    ]
-    return VerificationReport(checks)
-
-
-def verify_assoc_comm(inst: AlgebraInstance) -> VerificationReport:
-    """Commutativity and associativity of the product of A."""
-    f, pr = inst.field, inst.product
-    n = inst.A.dim
-
-    def comm(i, j):
-        return sparse_sub(f, pr.on_basis(i, j), pr.on_basis(j, i))
-
-    def assoc(i, j, k):
-        lhs = pr.apply_sparse(pr.on_basis(i, j), {k: f.one})
-        rhs = pr.apply_sparse({i: f.one}, pr.on_basis(j, k))
-        return sparse_sub(f, lhs, rhs)
-
-    checks = [
-        _law_check(
-            "assoc.commutativity",
-            ((i, j) for i in range(n) for j in range(n)),
-            comm,
-            lambda i, j, d: {"args": _names(inst.A, [i, j]), "value": inst.describe_A(d)},
-        ),
-        _law_check(
-            "assoc.associativity",
-            ((i, j, k) for i in range(n) for j in range(n) for k in range(n)),
-            assoc,
-            lambda i, j, k, d: {"args": _names(inst.A, [i, j, k]), "value": inst.describe_A(d)},
-        ),
-    ]
-    return VerificationReport(checks)
-
-
-def verify_module(inst: AlgebraInstance) -> VerificationReport:
-    """(ab).v = a.(b.v) for the action of A on L."""
-    f, pr, ac = inst.field, inst.product, inst.action
-    nA, nL = inst.A.dim, inst.L.dim
-
-    def law(i, j, k):
-        lhs = ac.apply_sparse(pr.on_basis(i, j), {k: f.one})
-        rhs = ac.apply_sparse({i: f.one}, ac.on_basis(j, k))
-        return sparse_sub(f, lhs, rhs)
-
-    check = _law_check(
-        "module.associative_action",
-        ((i, j, k) for i in range(nA) for j in range(nA) for k in range(nL)),
-        law,
-        lambda i, j, k, d: {
-            "args": _names(inst.A, [i, j]) + _names(inst.L, [k]),
-            "value": inst.describe_L(d),
-        },
-    )
-    return VerificationReport([check])
-
-
-def verify_anchor(inst: AlgebraInstance) -> VerificationReport:
-    """The four anchor laws.
-
-    (i)   rho(v)(ab) = rho(v)(a)b + a rho(v)(b)      (derivation)
-    (ii)  rho([v,w]) = rho(v)rho(w) - rho(w)rho(v)   (Lie homomorphism)
-    (iii) rho(a.v)(b) = a rho(v)(b)                  (A-linearity)
-    (iv)  [v, a.w] = a.[v,w] + rho(v)(a).w           (compatibility)
-    """
-    f = inst.field
-    br, pr, ac, rho = inst.bracket, inst.product, inst.action, inst.anchor
-    nA, nL = inst.A.dim, inst.L.dim
-
-    def derivation(v, a, b):
-        lhs = rho.apply_sparse({v: f.one}, pr.on_basis(a, b))
-        rhs = sparse_add(
-            f,
-            pr.apply_sparse(rho.on_basis(v, a), {b: f.one}),
-            pr.apply_sparse({a: f.one}, rho.on_basis(v, b)),
-        )
-        return sparse_sub(f, lhs, rhs)
-
-    def homomorphism(v, w, a):
-        lhs = rho.apply_sparse(br.on_basis(v, w), {a: f.one})
-        rhs = sparse_sub(
-            f,
-            rho.apply_sparse({v: f.one}, rho.on_basis(w, a)),
-            rho.apply_sparse({w: f.one}, rho.on_basis(v, a)),
-        )
-        return sparse_sub(f, lhs, rhs)
-
-    def linearity(a, v, b):
-        lhs = rho.apply_sparse(ac.on_basis(a, v), {b: f.one})
-        rhs = pr.apply_sparse({a: f.one}, rho.on_basis(v, b))
-        return sparse_sub(f, lhs, rhs)
-
-    def compatibility(v, a, w):
-        lhs = br.apply_sparse({v: f.one}, ac.on_basis(a, w))
-        rhs = sparse_add(
-            f,
-            ac.apply_sparse({a: f.one}, br.on_basis(v, w)),
-            ac.apply_sparse(rho.on_basis(v, a), {w: f.one}),
-        )
-        return sparse_sub(f, lhs, rhs)
-
-    checks = [
-        _law_check(
-            "anchor.derivation",
-            ((v, a, b) for v in range(nL) for a in range(nA) for b in range(nA)),
-            derivation,
-            lambda v, a, b, d: {
-                "args": _names(inst.L, [v]) + _names(inst.A, [a, b]),
-                "value": inst.describe_A(d),
-            },
-        ),
-        _law_check(
-            "anchor.homomorphism",
-            ((v, w, a) for v in range(nL) for w in range(nL) for a in range(nA)),
-            homomorphism,
-            lambda v, w, a, d: {
-                "args": _names(inst.L, [v, w]) + _names(inst.A, [a]),
-                "value": inst.describe_A(d),
-            },
-        ),
-        _law_check(
-            "anchor.linearity",
-            ((a, v, b) for a in range(nA) for v in range(nL) for b in range(nA)),
-            linearity,
-            lambda a, v, b, d: {
-                "args": [inst.A.name_of(a), inst.L.name_of(v), inst.A.name_of(b)],
-                "value": inst.describe_A(d),
-            },
-        ),
-        _law_check(
-            "anchor.compatibility",
-            ((v, a, w) for v in range(nL) for a in range(nA) for w in range(nL)),
-            compatibility,
-            lambda v, a, w, d: {
-                "args": [inst.L.name_of(v), inst.A.name_of(a), inst.L.name_of(w)],
-                "value": inst.describe_L(d),
-            },
-        ),
-    ]
-    return VerificationReport(checks)
 
 
 def verify_grading(inst: AlgebraInstance) -> VerificationReport:
@@ -342,11 +145,109 @@ def verify_grading(inst: AlgebraInstance) -> VerificationReport:
     return VerificationReport(checks)
 
 
+# ---------------------------------------------------------------------------
+# the ten laws, as discrepancies lhs - rhs on basis positions
+
+
+def _alternating(inst: AlgebraInstance, i: int) -> Sparse:
+    return inst.bracket.on_basis(i, i)
+
+
+def _antisymmetry(inst: AlgebraInstance, i: int, j: int) -> Sparse:
+    br = inst.bracket
+    return sparse_add(inst.field, br.on_basis(i, j), br.on_basis(j, i))
+
+
+def _jacobi(inst: AlgebraInstance, i: int, j: int, k: int) -> Sparse:
+    f, br = inst.field, inst.bracket
+    total: Sparse = {}
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        total = sparse_add(f, total, br.apply_sparse(br.on_basis(a, b), {c: f.one}))
+    return total
+
+
+def _commutativity(inst: AlgebraInstance, i: int, j: int) -> Sparse:
+    pr = inst.product
+    return sparse_sub(inst.field, pr.on_basis(i, j), pr.on_basis(j, i))
+
+
+def _associativity(inst: AlgebraInstance, i: int, j: int, k: int) -> Sparse:
+    f, pr = inst.field, inst.product
+    lhs = pr.apply_sparse(pr.on_basis(i, j), {k: f.one})
+    return sparse_sub(f, lhs, pr.apply_sparse({i: f.one}, pr.on_basis(j, k)))
+
+
+def _module(inst: AlgebraInstance, i: int, j: int, k: int) -> Sparse:
+    f, ac = inst.field, inst.action
+    lhs = ac.apply_sparse(inst.product.on_basis(i, j), {k: f.one})
+    return sparse_sub(f, lhs, ac.apply_sparse({i: f.one}, ac.on_basis(j, k)))
+
+
+def _derivation(inst: AlgebraInstance, v: int, a: int, b: int) -> Sparse:
+    f, pr, rho = inst.field, inst.product, inst.anchor
+    lhs = rho.apply_sparse({v: f.one}, pr.on_basis(a, b))
+    rhs = sparse_add(f, pr.apply_sparse(rho.on_basis(v, a), {b: f.one}),
+                     pr.apply_sparse({a: f.one}, rho.on_basis(v, b)))
+    return sparse_sub(f, lhs, rhs)
+
+
+def _homomorphism(inst: AlgebraInstance, v: int, w: int, a: int) -> Sparse:
+    f, rho = inst.field, inst.anchor
+    lhs = rho.apply_sparse(inst.bracket.on_basis(v, w), {a: f.one})
+    rhs = sparse_sub(f, rho.apply_sparse({v: f.one}, rho.on_basis(w, a)),
+                     rho.apply_sparse({w: f.one}, rho.on_basis(v, a)))
+    return sparse_sub(f, lhs, rhs)
+
+
+def _linearity(inst: AlgebraInstance, a: int, v: int, b: int) -> Sparse:
+    f, rho = inst.field, inst.anchor
+    lhs = rho.apply_sparse(inst.action.on_basis(a, v), {b: f.one})
+    return sparse_sub(f, lhs, inst.product.apply_sparse({a: f.one}, rho.on_basis(v, b)))
+
+
+def _compatibility(inst: AlgebraInstance, v: int, a: int, w: int) -> Sparse:
+    f, br, ac = inst.field, inst.bracket, inst.action
+    lhs = br.apply_sparse({v: f.one}, ac.on_basis(a, w))
+    rhs = sparse_add(f, ac.apply_sparse({a: f.one}, br.on_basis(v, w)),
+                     ac.apply_sparse(inst.anchor.on_basis(v, a), {w: f.one}))
+    return sparse_sub(f, lhs, rhs)
+
+
+# (check name, basis of each argument, basis of the discrepancy, discrepancy)
+LAWS: tuple[tuple[str, str, str, Callable[..., Sparse]], ...] = (
+    ("lie.alternating", "L", "L", _alternating),                 # [v,v] = 0
+    ("lie.antisymmetry", "LL", "L", _antisymmetry),              # [u,v] = -[v,u]
+    ("lie.jacobi", "LLL", "L", _jacobi),                         # [[u,v],w] + cyclic = 0
+    ("assoc.commutativity", "AA", "A", _commutativity),          # ab = ba
+    ("assoc.associativity", "AAA", "A", _associativity),         # (ab)c = a(bc)
+    ("module.associative_action", "AAL", "L", _module),          # (ab).v = a.(b.v)
+    ("anchor.derivation", "LAA", "A", _derivation),              # rho(v)(ab) = rho(v)(a)b + a rho(v)(b)
+    ("anchor.homomorphism", "LLA", "A", _homomorphism),          # rho([v,w]) = [rho(v), rho(w)]
+    ("anchor.linearity", "ALA", "A", _linearity),                # rho(a.v)(b) = a rho(v)(b)
+    ("anchor.compatibility", "LAL", "L", _compatibility),        # [v,a.w] = a.[v,w] + rho(v)(a).w
+)
+
+
+def _law_check(
+    inst: AlgebraInstance, name: str, args: str, out: str, discrepancy: Callable[..., Sparse]
+) -> CheckResult:
+    """Scan basis tuples in lexicographic order; report the first nonzero discrepancy."""
+    bases = [getattr(inst, b) for b in args]
+    for positions in itertools.product(*(range(b.dim) for b in bases)):
+        diff = discrepancy(inst, *positions)
+        if not sparse_is_zero(diff):
+            return CheckResult(name, False, {
+                "args": [b.name_of(p) for b, p in zip(bases, positions)],
+                "value": getattr(inst, out).describe_sparse(diff, inst.field),
+            })
+    return CheckResult(name, True)
+
+
 def verify_all(inst: AlgebraInstance) -> VerificationReport:
-    report = VerificationReport()
-    for fn in (verify_grading, verify_lie, verify_assoc_comm, verify_module, verify_anchor):
-        report = report.merge(fn(inst))
-    return report
+    """The four grading checks, then one check per row of ``LAWS``."""
+    checks = verify_grading(inst).checks
+    checks += [_law_check(inst, *law) for law in LAWS]
+    return VerificationReport(checks)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,8 @@ GOLDEN = Path(__file__).with_name("cli_golden.json")
 
 FIELDS = ([], ["--field", "gf3"])
 VARIANTS = (
+    ["verify"],
+    ["verify", "--json"],
     ["classes"],
     ["classes", "--json"],
     ["dot", "--side", "L"],

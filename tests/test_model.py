@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from grlr import (
@@ -19,7 +22,7 @@ from grlr import (
 )
 from grlr.decompose import decompose_A, decompose_L
 from grlr.errors import ToolkitError
-from grlr.model import verify_grading, verify_lie
+from grlr.model import verify_grading
 
 from helpers import abelian_pair_instance, cached, mutate_instance
 
@@ -53,10 +56,28 @@ def test_e1_bracket_mutation_fails_jacobi_with_pinned_witness():
     bad = BilinearRule("bracket", f, e1.group, e1.L, e1.L, e1.L, table)
     from grlr.model import AlgebraInstance
     mutated = AlgebraInstance("e1-mut", f, e1.group, e1.L, e1.A, bad, e1.product, e1.action, e1.anchor)
-    report = verify_lie(mutated)
+    report = verify_all(mutated)
     failed = {c.name: c for c in report.failed_checks()}
     assert "lie.jacobi" in failed
     assert failed["lie.jacobi"].witness["args"] == ["e", "f", "h"]
+
+
+# sha256 of the check JSON of verify_all on 312 instances: each catalog
+# entry at its default field and at gf3, and 25 mutants of each.  It pins
+# the check names, their order, the verdicts and every witness.
+VERIFY_DIGEST = "7a26052c3c172fa9654d0effdf79435d730fcbe0f441245f9e545b169edceb05"
+
+
+def test_verify_checks_match_recorded_digest():
+    records = []
+    for name in CATALOG_NAMES:
+        for field_label in (None, "gf3"):
+            base = cached(name, field_label)
+            mutants = [mutate_instance(base, seed)[0] for seed in range(25)]
+            records += [[c.to_json() for c in verify_all(m).checks] for m in [base, *mutants]]
+    assert len(records) == 312
+    blob = json.dumps(records, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == VERIFY_DIGEST
 
 
 def test_twenty_seeded_mutations_of_e2_each_fail():
