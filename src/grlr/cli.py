@@ -323,6 +323,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "oracle" and args.what != "search" and args.instance is None:
         print("error: an instance is required unless --what search", file=sys.stderr)
         return PARSE_FAIL
+    if args.command == "oracle" and args.budget is not None and args.budget < 0:
+        print(f"error: --budget must be at least 0, got {args.budget}", file=sys.stderr)
+        return PARSE_FAIL
     try:
         return args.func(args)
     except InstanceFormatError as exc:

@@ -186,18 +186,13 @@ def connection_graph_dot(sup: Supports, side: str) -> str:
     """Graphviz digraph of BFS discovery edges, one cluster per class."""
     lines = [f'digraph {side}_connections {{']
     lines.append('  rankdir=LR;')
-    for ci, (rep, reach, found) in enumerate(_class_walks(sup, side)):
+    for ci, (_, reach, found) in enumerate(_class_walks(sup, side)):
         lines.append(f'  subgraph cluster_{ci} {{')
         lines.append(f'    label="class {ci}";')
         for g in found:
             lines.append(f'    "{format_grade(g)}";')
-        edges = set()
-        for state, path in sorted(reach.items()):
-            acc = rep
-            for m in path:
-                nxt = sup.group.mul(acc, m)
-                edges.add((acc, nxt, m))
-                acc = nxt
+        # a state whose path ends in m was discovered from state * m^-1
+        edges = ((sup.group.mul(s, sup.group.inv(p[-1])), s, p[-1]) for s, p in reach.items() if p)
         for src, dst, m in sorted(edges):
             lines.append(
                 f'    "{format_grade(src)}" -> "{format_grade(dst)}" [label="{format_grade(m)}"];'

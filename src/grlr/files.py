@@ -32,9 +32,10 @@ from .errors import InstanceFormatError, ScalarParseError
 from .fields import Field, field_from_json, parse_field_label
 from .groups import GroupSpec
 from .linear import BilinearRule, GradedBasis, Sparse
-from .model import AlgebraInstance
+from .model import RULES, AlgebraInstance
 
-RULE_NAMES = ("bracket", "product", "action", "anchor")
+# rules stored in one orientation, with the sign of the mirror entry
+_MIRROR_SIGN = {"bracket": -1, "product": 1}
 
 
 def _parse_basis(field: Field, group: GroupSpec, raw: Any, what: str) -> GradedBasis:
@@ -120,8 +121,8 @@ def _parse_rule(
             raise InstanceFormatError(f"{rule}: duplicate entry for ({lname}, {rname})")
         table[(i, j)] = _parse_image(field, out, img_raw, f"{rule}({lname}, {rname})")
 
-    if rule in ("bracket", "product"):
-        sign = -1 if rule == "bracket" else 1
+    if rule in _MIRROR_SIGN:
+        sign = _MIRROR_SIGN[rule]
         for (i, j) in sorted(table):
             if i == j:
                 continue
@@ -140,7 +141,7 @@ def _parse_rule(
 def instance_from_json(data: Any) -> AlgebraInstance:
     if not isinstance(data, Mapping):
         raise InstanceFormatError("instance file must be a JSON object")
-    unknown = set(data) - {"name", "field", "group", "L", "A", *RULE_NAMES}
+    unknown = set(data) - {"name", "field", "group", "L", "A", *(rname for rname, _ in RULES)}
     if unknown:
         raise InstanceFormatError(f"unknown top-level keys: {sorted(unknown)}")
     for key in ("field", "group", "L", "A"):
@@ -157,14 +158,12 @@ def instance_from_json(data: Any) -> AlgebraInstance:
         raise InstanceFormatError(f"bad group: {exc}") from None
     L = _parse_basis(field, group, data["L"], "L")
     A = _parse_basis(field, group, data["A"], "A")
-    bracket = _parse_rule("bracket", field, group, L, L, L, data.get("bracket"))
-    product = _parse_rule("product", field, group, A, A, A, data.get("product"))
-    action = _parse_rule("action", field, group, A, L, L, data.get("action"))
-    anchor = _parse_rule("anchor", field, group, L, A, A, data.get("anchor"))
+    bases = {"L": L, "A": A}
+    rules = [_parse_rule(r, field, group, *(bases[b] for b in dom), data.get(r)) for r, dom in RULES]
     name = data.get("name", "instance")
     if not isinstance(name, str):
         raise InstanceFormatError("name must be a string")
-    return AlgebraInstance(name, field, group, L, A, bracket, product, action, anchor)
+    return AlgebraInstance(name, field, group, L, A, *rules)
 
 
 def _dump_basis(basis: GradedBasis) -> list:
@@ -189,10 +188,7 @@ def instance_to_json(inst: AlgebraInstance) -> dict:
         "group": inst.group.to_json(),
         "L": _dump_basis(inst.L),
         "A": _dump_basis(inst.A),
-        "bracket": _dump_rule(inst.bracket, one_sided=True),
-        "product": _dump_rule(inst.product, one_sided=True),
-        "action": _dump_rule(inst.action, one_sided=False),
-        "anchor": _dump_rule(inst.anchor, one_sided=False),
+        **{rname: _dump_rule(getattr(inst, rname), rname in _MIRROR_SIGN) for rname, _ in RULES},
     }
 
 

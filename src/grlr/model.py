@@ -18,12 +18,24 @@ argument, basis of the discrepancy, discrepancy).  The argument string,
 e.g. ``"LAA"``, fixes the order of everything: the discrepancy takes its
 positions in that order, the tuples are scanned in lexicographic order
 of that tuple, and the witness lists the basis names in that order.
+
+``RULES`` is the one list of rule domains, in the same letters: each row
+is (rule name, bases of the left argument, the right argument and the
+output), e.g. ``("action", "ALL")`` for A x L -> L.  Every construction
+that makes a new instance reads it, through ``rebuild_instance``.
+
+``transport`` rebuilds an instance on new homogeneous bases.  At grade g
+the new basis vectors are the rows of ``L_rows[g]`` (``A_rows[g]``), given
+in the old block coordinates; row k is the new vector at the k-th
+position of ``L.positions_at(g)``, so the row order within a block is
+the new position order.  Each image of an old rule on new vectors is
+expressed block by block in those rows.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from typing import Callable
+from typing import Callable, Mapping, Sequence
 
 from .errors import ToolkitError
 from .fields import Field, Scalar
@@ -40,6 +52,10 @@ from .linear import (
     sparse_is_zero,
     sparse_sub,
 )
+
+
+# (rule name, bases of the left argument, the right argument and the output)
+RULES = (("bracket", "LLL"), ("product", "AAA"), ("action", "ALL"), ("anchor", "LAA"))
 
 
 class AlgebraInstance:
@@ -66,13 +82,9 @@ class AlgebraInstance:
         self.product = product
         self.action = action
         self.anchor = anchor
-        for rule, (lt, rt, ot) in (
-            (bracket, (L, L, L)),
-            (product, (A, A, A)),
-            (action, (A, L, L)),
-            (anchor, (L, A, A)),
-        ):
-            if rule.left != lt or rule.right != rt or rule.out != ot:
+        bases = {"L": L, "A": A}
+        for rule, (_, dom) in zip((bracket, product, action, anchor), RULES):
+            if (rule.left, rule.right, rule.out) != tuple(bases[b] for b in dom):
                 raise ValueError(f"rule {rule.name!r} has wrong domain or codomain")
         self._full_L: GradedSubspace | None = None
         self._full_A: GradedSubspace | None = None
@@ -430,7 +442,56 @@ def compute_derivations(
 
 
 # ---------------------------------------------------------------------------
-# restriction to a subpair
+# rebuilding on new bases
+
+
+def rebuild_instance(
+    inst: AlgebraInstance, name: str, field: Field, group: GroupSpec, L: GradedBasis, A: GradedBasis,
+    make_rule: Callable[[BilinearRule, str], dict[tuple[int, int], Sparse]],
+) -> AlgebraInstance:
+    """An instance on L and A; each ``RULES`` row's table is ``make_rule(inst's rule, row letters)``."""
+    bases = {"L": L, "A": A}
+    rules = [BilinearRule(r, field, group, *(bases[b] for b in dom), make_rule(getattr(inst, r), dom))
+             for r, dom in RULES]
+    return AlgebraInstance(name, field, group, L, A, *rules)
+
+
+def transport(
+    inst: AlgebraInstance, name: str,
+    L: GradedBasis, L_rows: Mapping[Grade, Sequence[Sequence[Scalar]]],
+    A: GradedBasis, A_rows: Mapping[Grade, Sequence[Sequence[Scalar]]],
+) -> AlgebraInstance:
+    """The rules of ``inst`` on new bases L and A (module docstring); ToolkitError if not closed."""
+    f = inst.field
+    new = {"L": (L, inst.L, L_rows), "A": (A, inst.A, A_rows)}
+    vectors: dict[str, list[Sparse]] = {}
+    for side, (basis, old, rows) in new.items():
+        vectors[side] = [{} for _ in range(basis.dim)]
+        for g, block in rows.items():
+            for pos, row in zip(basis.positions_at(g), block):
+                vectors[side][pos] = old.block_vector(g, row, f)
+
+    def express(side: str, img: Sparse, what: str) -> Sparse:
+        basis, old, rows = new[side]
+        out: Sparse = {}
+        for g, coords in old.split_sparse(img, f).items():
+            combo = linear_combination(f, rows.get(g, ()), coords)
+            if combo is None:
+                raise ToolkitError(f"restriction is not closed: {what} escapes the subspace")
+            out.update((p, c) for p, c in zip(basis.positions_at(g), combo) if not f.is_zero(c))
+        return out
+
+    def make_rule(rule: BilinearRule, dom: str) -> dict[tuple[int, int], Sparse]:
+        table, left = {}, new[dom[0]][0]
+        for i, u in enumerate(vectors[dom[0]]):
+            what = f"{rule.name}({left.name_of(i)}, ...)"
+            for j, v in enumerate(vectors[dom[1]]):
+                img = rule.apply_sparse(u, v)
+                if img:
+                    table[(i, j)] = express(dom[2], img, what)
+        return table
+
+    return rebuild_instance(inst, name, f, inst.group, L, A, make_rule)
 
 
 def restrict_instance(
@@ -441,60 +502,12 @@ def restrict_instance(
     Both subspaces must be closed under all four rules (with outputs
     landing back inside); otherwise a ToolkitError reports the escaping
     product.  Basis names are regenerated deterministically from the
-    grade blocks.
+    grade blocks.  A subspace of the wrong space raises ValueError.
     """
-    f = inst.field
+    if L_sub.ambient != inst.L or A_sub.ambient != inst.A:
+        raise ValueError("subpair is not inside (L, A)")
 
-    def make_basis(sub: GradedSubspace, prefix: str) -> tuple[GradedBasis, list[Sparse]]:
-        entries = []
-        vectors = []
-        k = 0
-        for g in sub.grades():
-            for row in sub.blocks[g]:
-                entries.append((f"{prefix}{k}", g))
-                vectors.append(sub.ambient.block_vector(g, row, f))
-                k += 1
-        return GradedBasis(entries), vectors
+    def basis(sub: GradedSubspace, prefix: str) -> GradedBasis:
+        return GradedBasis((f"{prefix}{k}", g) for k, (g, _) in enumerate(sub.block_vectors()))
 
-    newL, vecL = make_basis(L_sub, "l")
-    newA, vecA = make_basis(A_sub, "a")
-
-    def dense_of(basis: GradedBasis, v: Sparse) -> list[Scalar]:
-        out = [f.zero] * basis.dim
-        for pos, x in v.items():
-            out[pos] = x
-        return out
-
-    def express(sub_vecs: list[Sparse], ambient: GradedBasis, img: Sparse, what: str) -> Sparse:
-        if sparse_is_zero(img):
-            return {}
-        rows = [dense_of(ambient, v) for v in sub_vecs]
-        coords = linear_combination(f, rows, dense_of(ambient, img))
-        if coords is None:
-            raise ToolkitError(f"restriction is not closed: {what} escapes the subspace")
-        return {i: c for i, c in enumerate(coords) if not f.is_zero(c)}
-
-    domains = {
-        "bracket": (newL, newL, newL),
-        "product": (newA, newA, newA),
-        "action": (newA, newL, newL),
-        "anchor": (newL, newA, newA),
-    }
-
-    def build_rule(rule: BilinearRule, left_vecs, right_vecs, out_vecs, rname) -> BilinearRule:
-        table = {}
-        for i, u in enumerate(left_vecs):
-            for j, v in enumerate(right_vecs):
-                img = rule.apply_sparse(u, v)
-                left_b, _, _ = domains[rname]
-                what = f"{rname}({left_b.name_of(i)}, ...)"
-                coords = express(out_vecs, rule.out, img, what)
-                if coords:
-                    table[(i, j)] = coords
-        return BilinearRule(rname, f, inst.group, *domains[rname], table)
-
-    bracket = build_rule(inst.bracket, vecL, vecL, vecL, "bracket")
-    product = build_rule(inst.product, vecA, vecA, vecA, "product")
-    action = build_rule(inst.action, vecA, vecL, vecL, "action")
-    anchor = build_rule(inst.anchor, vecL, vecA, vecA, "anchor")
-    return AlgebraInstance(name, f, inst.group, newL, newA, bracket, product, action, anchor)
+    return transport(inst, name, basis(L_sub, "l"), L_sub.blocks, basis(A_sub, "a"), A_sub.blocks)

@@ -218,6 +218,8 @@ def hypothesis_search(
     """Split a recipe space into instances satisfying every structural
     hypothesis needed for the fine decomposition, and rejections tagged
     with the first failing condition (or the build error)."""
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     if space is None:
         space = default_recipe_space()
     if budget is not None:

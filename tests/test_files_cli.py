@@ -231,6 +231,14 @@ def test_cli_oracle_search(capsys):
     assert {r["label"] for r in data["rejections"]} >= {"e1@q", "e1@gf3"}
 
 
+def test_cli_oracle_search_refuses_negative_budget(capsys):
+    assert main(["oracle", "--what", "search", "--budget", "-198", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--budget must be at least 0" in captured.err
+    assert main(["oracle", "--what", "search", "--budget", "0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["examined"] == 0
+
+
 def test_cli_oracle_requires_instance_except_search(capsys):
     assert main(["oracle", "--what", "ideals"]) == 2
     assert "instance is required" in capsys.readouterr().err

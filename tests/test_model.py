@@ -211,8 +211,19 @@ def test_restrict_rejects_nonclosed_subspaces():
     f = e1.field
     # [e, f] = h escapes the span of e and f
     span_ef = GradedSubspace.from_sparse_vectors(f, e1.L, [{0: f.one}, {1: f.one}])
-    with pytest.raises(ToolkitError):
+    with pytest.raises(ToolkitError) as err:
         restrict_instance(e1, span_ef, e1.full_A(), "bad")
+    assert str(err.value) == "restriction is not closed: bracket(l0, ...) escapes the subspace"
+
+
+def test_restrict_rejects_subspaces_of_the_wrong_space():
+    ga2 = cached("ga2")
+    # ga2's L is 0, so its A must not pass for a subspace of L
+    with pytest.raises(ValueError):
+        restrict_instance(ga2, ga2.full_A(), ga2.full_A(), "x")
+    e1 = cached("e1")
+    with pytest.raises(ValueError):
+        restrict_instance(e1, e1.full_L(), e1.full_L(), "x")
 
 
 def test_instance_rejects_mismatched_rule_domains():

@@ -164,3 +164,9 @@ def test_search_respects_budget_and_empty_space():
     assert rep.survivors == [] and rep.rejections == []
     rep2 = hypothesis_search(budget=5)
     assert rep2.to_json()["examined"] == 5
+
+
+def test_search_rejects_negative_budget():
+    with pytest.raises(ValueError):
+        hypothesis_search(budget=-1)
+    assert hypothesis_search(budget=0).to_json()["examined"] == 0
