@@ -17,7 +17,7 @@ from .constructions import direct_sum
 from .errors import CharacteristicError, InstanceFormatError
 from .fields import RATIONALS, Field, prime_field
 from .groups import GroupSpec
-from .linear import BilinearRule, GradedBasis, Sparse, linear_combination, rule_from_names
+from .linear import BilinearRule, GradedBasis, Sparse, coordinate_reader, rule_from_names
 from .model import AlgebraInstance, compute_derivations
 
 
@@ -90,10 +90,10 @@ def derivation_instance(
     def flat(mat):
         return [x for row in mat for x in row]
 
-    flat_basis = [flat(m) for m in matrices]
+    coordinates = coordinate_reader(field, [flat(m) for m in matrices])
 
     def express(mat, what: str) -> Sparse:
-        combo = linear_combination(field, flat_basis, flat(mat))
+        combo = coordinates(flat(mat))
         if combo is None:
             raise CharacteristicError(f"{what} is not a combination of homogeneous derivations")
         return {i: c for i, c in enumerate(combo) if not field.is_zero(c)}

@@ -64,18 +64,20 @@ def base_change(inst: AlgebraInstance, seed: int, name: str | None = None) -> Al
 
 
 def to_field(inst: AlgebraInstance, field: Field, name: str | None = None) -> AlgebraInstance:
-    """Reduce a rational instance modulo p (or retag over the rationals).
+    """Reduce a rational instance modulo p (or, given a name, rename it over the rationals).
 
     Refuses when a denominator in the tables vanishes mod p."""
     if inst.field.kind != "rational":
         raise CharacteristicError(
             f"field change starts from rational tables, not {inst.field.label}"
         )
-    if field.kind == "rational":
+    if field.kind == "rational" and name is None:
         return inst
 
     def move(x: Scalar) -> Scalar:
         assert isinstance(x, Fraction)
+        if field.kind == "rational":
+            return x
         if x.denominator % field.p == 0:  # type: ignore[operator]
             raise CharacteristicError(
                 f"denominator {x.denominator} vanishes in GF({field.p})"

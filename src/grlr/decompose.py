@@ -47,8 +47,7 @@ def _full(inst: AlgebraInstance, basis: GradedBasis) -> GradedSubspace:
 
 def _block(inst: AlgebraInstance, basis: GradedBasis, grades: Iterable[Grade]) -> GradedSubspace:
     """The blocks of ``basis`` (L or A) at ``grades``, as one subspace."""
-    full = _full(inst, basis)
-    return GradedSubspace(inst.field, basis, {g: full.blocks[g] for g in grades if g in full.blocks})
+    return _full(inst, basis).at_grades(grades)
 
 
 def identity_block_L(inst: AlgebraInstance) -> GradedSubspace:

@@ -6,9 +6,12 @@ through a :class:`Field`.
 
 Scalars are validated once, where they enter the program: ``parse`` and
 ``from_int`` produce canonical values, and ``check`` guards the entry
-points that take scalars from outside (``BilinearRule`` tables, the
-inputs of ``rref``, ``reduce_against`` and ``coordinates_in_rref``, and
-``GradedBasis.block_vector``).  The arithmetic kernels ``add``, ``neg``,
+points that take scalars from outside: ``BilinearRule`` tables and
+``GradedBasis.checked_row``, which serves ``GradedBasis.block_vector``,
+the public ``GradedSubspace`` constructors and its membership methods
+``contains_block_vector``, ``contains_sparse`` and ``block_coordinates``.
+``format`` checks what it prints.  The matrix kernels of ``linear``
+(``rref`` and the rest) and the arithmetic kernels ``add``, ``neg``,
 ``sub``, ``mul``, ``inv`` and ``is_zero`` assume canonical values of this
 field and do not check them; ``inv`` still refuses zero.
 """

@@ -4,6 +4,15 @@ Subspaces are stored per grade as reduced row echelon bases; RREF is the
 canonical form throughout, so two subspaces are equal iff their block
 dictionaries are equal.  Sparse vectors over a graded basis are dicts
 mapping absolute basis position -> nonzero scalar.
+
+Rows from a caller are checked and reduced in one place: the public
+constructors ``GradedSubspace(...)``, ``from_block_vectors`` and
+``from_sparse_vectors`` check each row's length and scalars, then run
+``rref``.  Every subspace derived from existing ones (``zero``, ``full``,
+``at_grades``, sums, intersections, complements, kernels and bilinear
+images) is built from blocks already in RREF together with their pivots,
+through ``GradedSubspace._from_rref``, and so is never reduced again.
+The matrix kernels below take canonical scalars unchecked.
 """
 from __future__ import annotations
 
@@ -15,24 +24,21 @@ from .groups import Grade, GroupSpec, format_grade
 
 Row = tuple[Scalar, ...]
 Sparse = dict[int, Scalar]
+Echelon = tuple[tuple[Row, ...], tuple[int, ...]]  # RREF rows and their pivot columns
 
 
 # ---------------------------------------------------------------------------
 # plain matrix kernels
 
 
-def rref(field: Field, rows: Iterable[Sequence[Scalar]]) -> tuple[tuple[Row, ...], tuple[int, ...]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    mat = [[field.check(x) for x in row] for row in rows]
+def rref(field: Field, rows: Iterable[Sequence[Scalar]]) -> Echelon:
+    """Reduced row echelon form of rows of equal length; returns (nonzero rows, pivot columns)."""
+    mat = [list(row) for row in rows]
     if not mat:
         return (), ()
-    ncols = len(mat[0])
-    for row in mat:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(mat[0])):
         pivot_row = next((i for i in range(r, len(mat)) if not field.is_zero(mat[i][c])), None)
         if pivot_row is None:
             continue
@@ -50,76 +56,68 @@ def rref(field: Field, rows: Iterable[Sequence[Scalar]]) -> tuple[tuple[Row, ...
     return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
 
 
-def reduce_against(field: Field, rows: Sequence[Row], pivots: Sequence[int], v: Sequence[Scalar]) -> list[Scalar]:
-    """Remainder of ``v`` after elimination against an RREF basis."""
-    rem = [field.check(x) for x in v]
-    for row, p in zip(rows, pivots):
-        if not field.is_zero(rem[p]):
-            factor = rem[p]
-            rem = [field.sub(x, field.mul(factor, y)) for x, y in zip(rem, row)]
-    return rem
-
-
-def in_span(field: Field, rows: Sequence[Row], pivots: Sequence[int], v: Sequence[Scalar]) -> bool:
-    return all(field.is_zero(x) for x in reduce_against(field, rows, pivots, v))
-
-
 def coordinates_in_rref(field: Field, rows: Sequence[Row], pivots: Sequence[int], v: Sequence[Scalar]) -> list[Scalar] | None:
-    """Coordinates of ``v`` in an RREF basis (pivot-column extraction)."""
-    coords = [field.check(v[p]) for p in pivots]
+    """Coordinates of ``v`` in an RREF basis (pivot-column extraction), or None outside its span."""
+    coords = [v[p] for p in pivots]
     residual = list(v)
     for coef, row in zip(coords, rows):
-        residual = [field.sub(x, field.mul(coef, y)) for x, y in zip(residual, row)]
+        if not field.is_zero(coef):
+            residual = [field.sub(x, field.mul(coef, y)) for x, y in zip(residual, row)]
     if any(not field.is_zero(x) for x in residual):
         return None
     return coords
 
 
-def nullspace(field: Field, rows: Iterable[Sequence[Scalar]], ncols: int) -> tuple[Row, ...]:
-    """Canonical (RREF) basis of the right kernel {v : M v = 0}."""
-    ech, pivots = rref(field, rows)
-    free = [c for c in range(ncols) if c not in pivots]
+def in_span(field: Field, rows: Sequence[Row], pivots: Sequence[int], v: Sequence[Scalar]) -> bool:
+    return coordinates_in_rref(field, rows, pivots, v) is not None
+
+
+def _identity(field: Field, n: int) -> Echelon:
+    rows = tuple(tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n))
+    return rows, tuple(range(n))
+
+
+def coordinate_reader(
+    field: Field, rows: Sequence[Sequence[Scalar]]
+) -> Callable[[Sequence[Scalar]], list[Scalar] | None]:
+    """Reader of coordinates in the span of ``rows``: v -> x with sum_i x_i rows[i] = v, or None.
+
+    One elimination of [rows | I] gives the RREF basis E of the span (the
+    reduced rows with a pivot among the first n columns) and the matrix T
+    beside it, with T rows = E; each v is then read off E's pivots (c with
+    c E = v) and mapped to x = c T.  For independent rows x is unique.
+    """
+    n = len(rows[0]) if rows else 0
+    ech, pivots = rref(field, [tuple(row) + e for row, e in zip(rows, _identity(field, len(rows))[0])])
+    r = sum(p < n for p in pivots)
+    basis, to_rows = [row[:n] for row in ech[:r]], [row[n:] for row in ech[:r]]
+
+    def read(v: Sequence[Scalar]) -> list[Scalar] | None:
+        coords = coordinates_in_rref(field, basis, pivots[:r], v)
+        if coords is None:
+            return None
+        x = [field.zero] * len(rows)
+        for c, t in zip(coords, to_rows):
+            if not field.is_zero(c):
+                x = [field.add(a, field.mul(c, b)) for a, b in zip(x, t)]
+        return x
+
+    return read
+
+
+def nullspace(field: Field, rows: Sequence[Sequence[Scalar]], ncols: int) -> Echelon:
+    """Canonical (RREF) basis of the right kernel {v : M v = 0}, with its pivots."""
+    ech, pivots = rref(field, rows) if rows else ((), ())
+    if not pivots:
+        return _identity(field, ncols)
     basis = []
-    for f in free:
+    for f in (c for c in range(ncols) if c not in pivots):
         v = [field.zero] * ncols
         v[f] = field.one
         for r, p in enumerate(pivots):
             v[p] = field.neg(ech[r][f])
         basis.append(v)
-    reduced, _ = rref(field, basis)
-    return reduced
-
-
-def transpose(rows: Sequence[Sequence[Scalar]], ncols: int, field: Field) -> list[list[Scalar]]:
-    return [[row[c] for row in rows] for c in range(ncols)]
-
-
-def left_nullspace(field: Field, rows: Sequence[Sequence[Scalar]], ncols: int) -> tuple[Row, ...]:
-    """Canonical basis of {c : sum_i c_i rows[i] = 0}."""
-    return nullspace(field, transpose(rows, ncols, field), len(rows))
-
-
-def solve_system(field: Field, eq_rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> list[Scalar] | None:
-    """One solution of the linear system (free unknowns set to zero)."""
-    if not eq_rows:
-        return []
-    n = len(eq_rows[0])
-    augmented = [list(row) + [field.check(b)] for row, b in zip(eq_rows, rhs)]
-    ech, pivots = rref(field, augmented)
-    sol = [field.zero] * n
-    for row, p in zip(ech, pivots):
-        if p == n:
-            return None  # row (0 ... 0 | 1): inconsistent
-        sol[p] = row[n]
-    return sol
-
-
-def linear_combination(field: Field, basis_rows: Sequence[Sequence[Scalar]], target: Sequence[Scalar]) -> list[Scalar] | None:
-    """Coefficients x with sum_i x_i basis_rows[i] = target, if any."""
-    if not basis_rows:
-        return [] if all(field.is_zero(x) for x in target) else None
-    eqs = transpose(basis_rows, len(target), field)
-    return solve_system(field, eqs, list(target))
+    return rref(field, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +143,6 @@ def sparse_scale(field: Field, c: Scalar, v: Sparse) -> Sparse:
 
 def sparse_sub(field: Field, a: Sparse, b: Sparse) -> Sparse:
     return sparse_add(field, a, sparse_scale(field, field.neg(field.one), b))
-
-
-def sparse_is_zero(v: Sparse) -> bool:
-    return not v
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +203,18 @@ class GradedBasis:
             raise KeyError(f"unknown basis name {name!r}")
         return self._pos[name]
 
+    def checked_row(self, g: Grade, coords: Sequence[Scalar], field: Field) -> Row:
+        """``coords`` as a row of the block at g: ValueError unless it has the
+        block's length, and ``field.check`` on every scalar."""
+        n = self.block_dim(g)
+        if len(coords) != n:
+            raise ValueError(f"expected {n} coordinates at grade {format_grade(g)}, got {len(coords)}")
+        return tuple(field.check(x) for x in coords)
+
     def block_vector(self, g: Grade, coords: Sequence[Scalar], field: Field) -> Sparse:
         """Sparse absolute vector from dense block coordinates at grade g."""
-        positions = self.positions_at(g)
-        if len(coords) != len(positions):
-            raise ValueError(f"expected {len(positions)} coordinates at grade {format_grade(g)}")
-        return {p: field.check(c) for p, c in zip(positions, coords) if not field.is_zero(c)}
+        row = self.checked_row(g, coords, field)
+        return {p: c for p, c in zip(self.positions_at(g), row) if not field.is_zero(c)}
 
     def split_sparse(self, v: Sparse, field: Field) -> dict[Grade, list[Scalar]]:
         """Dense block coordinates of the homogeneous components of ``v``."""
@@ -240,38 +240,40 @@ class GradedBasis:
 class GradedSubspace:
     """Per-grade RREF blocks inside a graded ambient basis."""
 
-    def __init__(self, field: Field, ambient: GradedBasis, blocks: Mapping[Grade, Sequence[Row]]):
-        self.field = field
-        self.ambient = ambient
-        canon: dict[Grade, tuple[Row, ...]] = {}
-        pivots: dict[Grade, tuple[int, ...]] = {}
+    def __init__(self, field: Field, ambient: GradedBasis, blocks: Mapping[Grade, Sequence[Sequence[Scalar]]]):
+        """Check the caller's rows against the ambient blocks, then reduce each block."""
+        echelon = {}
         for g, rows in blocks.items():
             g = tuple(g)
-            if ambient.block_dim(g) == 0 and rows:
-                raise ValueError(f"no ambient block at grade {format_grade(g)}")
-            reduced, cols = rref(field, rows)
-            if reduced:
-                canon[g] = reduced
-                pivots[g] = cols
-        self.blocks: dict[Grade, tuple[Row, ...]] = canon
+            echelon[g] = rref(field, [ambient.checked_row(g, row, field) for row in rows])
+        self._adopt(field, ambient, echelon)
+
+    @classmethod
+    def _from_rref(cls, field: Field, ambient: GradedBasis, echelon: Mapping[Grade, Echelon]) -> "GradedSubspace":
+        """A subspace from blocks already in RREF, each with its pivots; nothing is checked or reduced."""
+        sub = cls.__new__(cls)
+        sub._adopt(field, ambient, echelon)
+        return sub
+
+    def _adopt(self, field: Field, ambient: GradedBasis, echelon: Mapping[Grade, Echelon]) -> None:
+        self.field = field
+        self.ambient = ambient
+        self.blocks: dict[Grade, tuple[Row, ...]] = {g: rows for g, (rows, _) in echelon.items() if rows}
         # pivot columns of each block; blocks never change after construction
-        self.pivots: dict[Grade, tuple[int, ...]] = pivots
+        self.pivots: dict[Grade, tuple[int, ...]] = {g: cols for g, (rows, cols) in echelon.items() if rows}
+
+    def _echelon(self, g: Grade) -> Echelon:
+        return self.blocks.get(g, ()), self.pivots.get(g, ())
 
     # construction ------------------------------------------------------
 
     @classmethod
     def zero(cls, field: Field, ambient: GradedBasis) -> "GradedSubspace":
-        return cls(field, ambient, {})
+        return cls._from_rref(field, ambient, {})
 
     @classmethod
     def full(cls, field: Field, ambient: GradedBasis) -> "GradedSubspace":
-        blocks = {}
-        for g in ambient.grades():
-            n = ambient.block_dim(g)
-            blocks[g] = [
-                tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n)
-            ]
-        return cls(field, ambient, blocks)
+        return cls._from_rref(field, ambient, {g: _identity(field, ambient.block_dim(g)) for g in ambient.grades()})
 
     @classmethod
     def from_block_vectors(
@@ -289,6 +291,10 @@ class GradedSubspace:
             for g, coords in ambient.split_sparse(v, field).items():
                 homog.append((g, coords))
         return cls.from_block_vectors(field, ambient, homog)
+
+    def at_grades(self, grades: Iterable[Grade]) -> "GradedSubspace":
+        """The blocks of this subspace at ``grades``, as one subspace."""
+        return self._from_rref(self.field, self.ambient, {g: self._echelon(g) for g in grades})
 
     # basics --------------------------------------------------------------
 
@@ -316,17 +322,20 @@ class GradedSubspace:
     def block_vectors(self) -> list[tuple[Grade, Row]]:
         return [(g, row) for g in self.grades() for row in self.blocks[g]]
 
+    def _homogeneous(self) -> list[tuple[Grade, Sparse]]:
+        """(grade, sparse ambient vector) of each basis row, in ``block_vectors`` order."""
+        f = self.field
+        return [(g, {p: x for p, x in zip(self.ambient.positions_at(g), row) if not f.is_zero(x)})
+                for g, row in self.block_vectors()]
+
     def sparse_vectors(self) -> list[Sparse]:
-        return [self.ambient.block_vector(g, row, self.field) for g, row in self.block_vectors()]
+        return [v for _, v in self._homogeneous()]
 
     # membership ----------------------------------------------------------
 
     def contains_block_vector(self, g: Grade, coords: Sequence[Scalar]) -> bool:
         g = tuple(g)
-        rows = self.blocks.get(g, ())
-        if not rows:
-            return all(self.field.is_zero(x) for x in coords)
-        return in_span(self.field, rows, self.pivots[g], coords)
+        return in_span(self.field, *self._echelon(g), self.ambient.checked_row(g, coords, self.field))
 
     def contains_sparse(self, v: Sparse) -> bool:
         return all(
@@ -334,16 +343,10 @@ class GradedSubspace:
             for g, coords in self.ambient.split_sparse(v, self.field).items()
         )
 
-    def contains_subspace(self, other: "GradedSubspace") -> bool:
-        return all(self.contains_block_vector(g, row) for g, row in other.block_vectors())
-
     def block_coordinates(self, g: Grade, coords: Sequence[Scalar]) -> list[Scalar] | None:
         """Coordinates of a block vector in this subspace's RREF basis."""
         g = tuple(g)
-        rows = self.blocks.get(g, ())
-        if not rows:
-            return [] if all(self.field.is_zero(x) for x in coords) else None
-        return coordinates_in_rref(self.field, rows, self.pivots[g], coords)
+        return coordinates_in_rref(self.field, *self._echelon(g), self.ambient.checked_row(g, coords, self.field))
 
     def to_json(self) -> dict:
         return {
@@ -354,41 +357,40 @@ class GradedSubspace:
     def describe(self) -> str:
         if self.is_zero():
             return "0"
-        names = []
-        for g, row in self.block_vectors():
-            names.append(self.ambient.describe_sparse(self.ambient.block_vector(g, row, self.field), self.field))
-        return " , ".join(names)
+        return " , ".join(self.ambient.describe_sparse(v, self.field) for v in self.sparse_vectors())
+
+
+def _same_space(a: GradedSubspace, b: GradedSubspace, what: str) -> None:
+    if a.ambient != b.ambient or a.field != b.field:
+        raise ValueError(f"subspace {what} across different ambients")
 
 
 def subspace_sum(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
-    if a.ambient != b.ambient or a.field != b.field:
-        raise ValueError("subspace sum across different ambients")
-    blocks: dict[Grade, list[Row]] = {}
-    for sub in (a, b):
-        for g, rows in sub.blocks.items():
-            blocks.setdefault(g, []).extend(rows)
-    return GradedSubspace(a.field, a.ambient, blocks)
+    """Sum per grade; only grades that both summands hold are reduced."""
+    _same_space(a, b, "sum")
+    echelon = {g: a._echelon(g) for g in a.blocks}
+    for g, rows in b.blocks.items():
+        echelon[g] = rref(a.field, a.blocks[g] + rows) if g in a.blocks else b._echelon(g)
+    return GradedSubspace._from_rref(a.field, a.ambient, echelon)
 
 
 def subspace_intersect(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
-    """Intersection per grade, via the left kernel of the stacked bases."""
-    if a.ambient != b.ambient or a.field != b.field:
-        raise ValueError("subspace intersection across different ambients")
+    """Intersection per grade, by one Zassenhaus elimination of [[a, a], [b, 0]].
+
+    A reduced row with its pivot past the first n columns has a zero left
+    half, so its right half x a = -y b lies in both spaces; these right
+    halves are a basis of the intersection, already in RREF.
+    """
+    _same_space(a, b, "intersection")
     field = a.field
-    blocks: dict[Grade, list[Row]] = {}
-    for g in set(a.blocks) & set(b.blocks):
-        rows_a, rows_b = a.blocks[g], b.blocks[g]
-        stacked = list(rows_a) + list(rows_b)
-        ncols = len(stacked[0])
-        vectors = []
-        for c in left_nullspace(field, stacked, ncols):
-            v = [field.zero] * ncols
-            for coef, row in zip(c[: len(rows_a)], rows_a):
-                v = [field.add(x, field.mul(coef, y)) for x, y in zip(v, row)]
-            vectors.append(v)
-        if vectors:
-            blocks[g] = [tuple(v) for v in vectors]
-    return GradedSubspace(field, a.ambient, blocks)
+    echelon = {}
+    for g in a.blocks.keys() & b.blocks.keys():
+        n = a.ambient.block_dim(g)
+        zeros = (field.zero,) * n
+        ech, pivots = rref(field, [row + row for row in a.blocks[g]] + [row + zeros for row in b.blocks[g]])
+        k = next((i for i, p in enumerate(pivots) if p >= n), len(pivots))
+        echelon[g] = tuple(row[n:] for row in ech[k:]), tuple(p - n for p in pivots[k:])
+    return GradedSubspace._from_rref(field, a.ambient, echelon)
 
 
 def complement_in(inner: GradedSubspace, outer: GradedSubspace) -> GradedSubspace:
@@ -397,42 +399,21 @@ def complement_in(inner: GradedSubspace, outer: GradedSubspace) -> GradedSubspac
     Rule: express ``inner`` in coordinates relative to ``outer``'s RREF
     basis, then keep the outer basis rows whose relative coordinate is
     not a pivot, lowest index first.  For ``outer`` a full block this is
-    exactly "ambient coordinates not used as pivots".
+    exactly "ambient coordinates not used as pivots".  The kept rows are
+    rows of an RREF block, so they are in RREF with the matching pivots.
     """
-    if not outer.contains_subspace(inner):
+    if any(g not in outer.blocks for g in inner.blocks):
         raise ValueError("complement_in requires inner <= outer")
     field = outer.field
-    blocks: dict[Grade, list[Row]] = {}
+    echelon = {}
     for g, outer_rows in outer.blocks.items():
-        inner_rows = inner.blocks.get(g, ())
-        if not inner_rows:
-            blocks[g] = list(outer_rows)
-            continue
-        rel = []
-        for row in inner_rows:
-            coords = outer.block_coordinates(g, row)
-            if coords is None:  # unreachable given the containment check
-                raise ValueError("inner vector escapes outer")
-            rel.append(coords)
-        _, pivots = rref(field, rel)
-        keep = [outer_rows[i] for i in range(len(outer_rows)) if i not in pivots]
-        if keep:
-            blocks[g] = keep
-    return GradedSubspace(field, outer.ambient, blocks)
-
-
-def solve_linear_conditions(
-    field: Field, ambient: GradedBasis, conditions: Mapping[Grade, Sequence[Sequence[Scalar]]]
-) -> GradedSubspace:
-    """Largest graded subspace whose block at g kills every condition row."""
-    blocks: dict[Grade, tuple[Row, ...]] = {}
-    for g in ambient.grades():
-        n = ambient.block_dim(g)
-        rows = list(conditions.get(g, ()))
-        kernel = nullspace(field, rows, n) if rows else GradedSubspace.full(field, ambient).blocks.get(g, ())
-        if kernel:
-            blocks[g] = tuple(kernel)
-    return GradedSubspace(field, ambient, blocks)
+        rel = [coordinates_in_rref(field, outer_rows, outer.pivots[g], row) for row in inner.blocks.get(g, ())]
+        if None in rel:
+            raise ValueError("complement_in requires inner <= outer")
+        used = rref(field, rel)[1] if rel else ()
+        keep = [i for i in range(len(outer_rows)) if i not in used]
+        echelon[g] = tuple(outer_rows[i] for i in keep), tuple(outer.pivots[g][i] for i in keep)
+    return GradedSubspace._from_rref(field, outer.ambient, echelon)
 
 
 # ---------------------------------------------------------------------------
@@ -529,37 +510,32 @@ def rule_from_names(
 
 
 def bilinear_image(rule: BilinearRule, U: GradedSubspace, V: GradedSubspace) -> GradedSubspace:
-    """Span of rule(u, v) over basis vectors of U and V.
+    """Span of rule(u, v) over basis vectors of U and V, one elimination per output block.
 
     Raises on table entries that break the grade-shift law, naming the
     offending pair; run the grading verifier first for a full report.
     """
     if U.ambient != rule.left or V.ambient != rule.right:
         raise ValueError(f"subspace ambient does not match rule {rule.name!r}")
-    field = rule.field
-    vectors: list[tuple[Grade, Sequence[Scalar]]] = []
-    for gu, row_u in U.block_vectors():
-        for gv, row_v in V.block_vectors():
+    field, out = rule.field, rule.out
+    right = V._homogeneous()
+    images: dict[Grade, list[list[Scalar]]] = {}
+    for gu, u in U._homogeneous():
+        for gv, v in right:
             target = rule.group.mul(gu, gv)
-            image = rule.apply_sparse(
-                U.ambient.block_vector(gu, row_u, field), V.ambient.block_vector(gv, row_v, field)
-            )
+            image = rule.apply_sparse(u, v)
             for pos in image:
-                got = rule.out.grade_of(pos)
+                got = out.grade_of(pos)
                 if got != target:
                     raise ToolkitError(
                         f"rule {rule.name!r} violates the grade-shift law on "
                         f"({format_grade(gu)}, {format_grade(gv)}): component "
-                        f"{rule.out.name_of(pos)} at grade {format_grade(got)}, "
+                        f"{out.name_of(pos)} at grade {format_grade(got)}, "
                         f"expected {format_grade(target)}"
                     )
-            dense = [field.zero] * rule.out.block_dim(target)
-            positions = rule.out.positions_at(target)
-            for pos, x in image.items():
-                dense[positions.index(pos)] = x
-            if any(not field.is_zero(x) for x in dense):
-                vectors.append((target, dense))
-    return GradedSubspace.from_block_vectors(field, rule.out, vectors)
+            if image:
+                images.setdefault(target, []).append(out.split_sparse(image, field)[target])
+    return GradedSubspace._from_rref(field, out, {g: rref(field, rows) for g, rows in images.items()})
 
 
 def map_kernel(
@@ -571,15 +547,13 @@ def map_kernel(
     image vectors under each defining map.  The kernel block at grade g
     is cut out by one linear condition per (map, output coordinate).
     """
-    conditions: dict[Grade, list[list[Scalar]]] = {}
+    echelon = {}
     for g in ambient.grades():
-        positions = ambient.positions_at(g)
-        per_basis = [images(p) for p in positions]
-        nmaps = len(per_basis[0]) if per_basis else 0
-        rows: list[list[Scalar]] = []
-        for m in range(nmaps):
-            touched = sorted({pos for imgs in per_basis for pos in imgs[m]})
-            for c in touched:
-                rows.append([imgs[m].get(c, field.zero) for imgs in per_basis])
-        conditions[g] = rows
-    return solve_linear_conditions(field, ambient, conditions)
+        per_basis = [images(p) for p in ambient.positions_at(g)]
+        rows = [
+            [imgs[m].get(c, field.zero) for imgs in per_basis]
+            for m in range(len(per_basis[0]))
+            for c in sorted({pos for imgs in per_basis for pos in imgs[m]})
+        ]
+        echelon[g] = nullspace(field, rows, len(per_basis))
+    return GradedSubspace._from_rref(field, ambient, echelon)

@@ -45,11 +45,10 @@ from .linear import (
     GradedBasis,
     GradedSubspace,
     Sparse,
-    linear_combination,
+    coordinate_reader,
     map_kernel,
     nullspace,
     sparse_add,
-    sparse_is_zero,
     sparse_sub,
 )
 
@@ -247,7 +246,7 @@ def _law_check(
     bases = [getattr(inst, b) for b in args]
     for positions in itertools.product(*(range(b.dim) for b in bases)):
         diff = discrepancy(inst, *positions)
-        if not sparse_is_zero(diff):
+        if diff:
             return CheckResult(name, False, {
                 "args": [b.name_of(p) for b, p in zip(bases, positions)],
                 "value": getattr(inst, out).describe_sparse(diff, inst.field),
@@ -429,7 +428,7 @@ def compute_derivations(
                             row[idx] = field.sub(row[idx], coeff)
                     if any(not field.is_zero(x) for x in row):
                         equations.append(row)
-        basis_vectors = nullspace(field, equations, len(slots))
+        basis_vectors, _ = nullspace(field, equations, len(slots))
         matrices = []
         for vec in basis_vectors:
             mat = [[field.zero] * dimA for _ in range(dimA)]
@@ -471,11 +470,15 @@ def transport(
             for pos, row in zip(basis.positions_at(g), block):
                 vectors[side][pos] = old.block_vector(g, row, f)
 
+    # one coordinate reader per new block, for every image that lands there
+    readers = {side: {g: coordinate_reader(f, block) for g, block in rows.items()}
+               for side, (_, _, rows) in new.items()}
+
     def express(side: str, img: Sparse, what: str) -> Sparse:
-        basis, old, rows = new[side]
+        basis, old, _ = new[side]
         out: Sparse = {}
         for g, coords in old.split_sparse(img, f).items():
-            combo = linear_combination(f, rows.get(g, ()), coords)
+            combo = readers[side][g](coords) if g in readers[side] else None
             if combo is None:
                 raise ToolkitError(f"restriction is not closed: {what} escapes the subspace")
             out.update((p, c) for p, c in zip(basis.positions_at(g), combo) if not f.is_zero(c))

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+
+import grlr.linear
 
 from grlr.errors import ToolkitError
 from grlr.fields import RATIONALS, prime_field
@@ -13,14 +16,13 @@ from grlr.linear import (
     GradedSubspace,
     bilinear_image,
     complement_in,
+    coordinate_reader,
     coordinates_in_rref,
     in_span,
-    linear_combination,
     map_kernel,
     nullspace,
     rref,
     rule_from_names,
-    solve_system,
     subspace_intersect,
     subspace_sum,
 )
@@ -30,6 +32,14 @@ FIELDS = [RATIONALS, prime_field(2), prime_field(3), prime_field(7)]
 
 def rand_matrix(rng, f, rows, cols):
     return [[f.from_int(rng.randint(-4, 4)) for _ in range(cols)] for _ in range(rows)]
+
+
+def combination(f, x, rows):
+    """sum_i x_i rows[i]"""
+    out = [f.zero] * len(rows[0])
+    for c, row in zip(x, rows):
+        out = [f.add(a, f.mul(c, b)) for a, b in zip(out, row)]
+    return out
 
 
 def test_rref_known_case():
@@ -63,9 +73,9 @@ def test_rref_preserves_row_space():
             rows, pivots = rref(f, m)
             for original in m:
                 assert in_span(f, rows, pivots, original)
+            read = coordinate_reader(f, m)
             for reduced in rows:
-                combo = linear_combination(f, m, list(reduced))
-                assert combo is not None
+                assert combination(f, read(reduced), m) == list(reduced)
 
 
 def test_rank_nullity():
@@ -75,7 +85,7 @@ def test_rank_nullity():
             cols = rng.randint(1, 6)
             m = rand_matrix(rng, f, rng.randint(0, 5), cols)
             rank = len(rref(f, m)[0])
-            kernel = nullspace(f, m, cols)
+            kernel, _ = nullspace(f, m, cols)
             assert rank + len(kernel) == cols
             for v in kernel:
                 for row in m:
@@ -94,12 +104,13 @@ def test_coordinates_in_rref():
     assert coordinates_in_rref(f, rows, pivots, [0, 0, 1]) is None
 
 
-def test_solve_system():
+def test_coordinate_reader_solves_systems():
+    # x (rows) = v is the system whose equations are the columns of rows
     f = RATIONALS
     two = f.from_int(2)
-    sol = solve_system(f, [[f.one, f.one], [f.one, f.neg(f.one)]], [two, f.zero])
-    assert sol == [f.one, f.one]
-    assert solve_system(f, [[f.one, f.one], [f.one, f.one]], [f.zero, f.one]) is None
+    assert coordinate_reader(f, [[f.one, f.one], [f.one, f.neg(f.one)]])([two, f.zero]) == [f.one, f.one]
+    assert coordinate_reader(f, [[f.one, f.one], [f.one, f.one]])([f.zero, f.one]) is None
+    assert coordinate_reader(f, [])([]) == []
 
 
 GRADES = GroupSpec(0, (2,))
@@ -261,3 +272,132 @@ def test_subspace_json_describes_blocks():
     data = sub.to_json()
     assert set(data) == {"0", "1"}
     assert sub.dim == 2 and sub.dim_at((1,)) == 1
+
+
+# ---------------------------------------------------------------------------
+# trusted paths: derived subspaces are built from RREF blocks unreduced
+
+
+REF_FIELDS = [prime_field(2), prime_field(3), RATIONALS]
+WIDE = GradedBasis([(f"x{i}", (0,)) for i in range(4)] + [(f"y{i}", (1,)) for i in range(3)])
+
+
+def assert_canonical(sub):
+    """The trusted result equals its rebuild through the checking constructor."""
+    again = GradedSubspace(sub.field, sub.ambient, sub.blocks)
+    assert again == sub and again.pivots == sub.pivots
+
+
+def rand_product_rule(rng, f, B):
+    table = {}
+    for i in range(B.dim):
+        for j in range(B.dim):
+            img = {k: f.from_int(rng.randint(-1, 1)) for k in B.positions_at(GRADES.mul(B.grade_of(i), B.grade_of(j)))}
+            img = {k: c for k, c in img.items() if not f.is_zero(c)}
+            if img and rng.random() < 0.5:
+                table[(i, j)] = img
+    return BilinearRule("product", f, GRADES, B, B, B, table)
+
+
+def test_trusted_results_equal_checked_rebuilds():
+    rng = random.Random(83)
+    for f in REF_FIELDS:
+        rule = rand_product_rule(rng, f, WIDE)
+        for _ in range(40):
+            U, W = rand_subspace(rng, f, WIDE), rand_subspace(rng, f, WIDE)
+            total = subspace_sum(U, W)
+            assert total == GradedSubspace.from_sparse_vectors(f, WIDE, U.sparse_vectors() + W.sparse_vectors())
+            meet = subspace_intersect(U, W)
+            comp = complement_in(U, total)
+            image = bilinear_image(rule, U, W)
+            products = [rule.apply_sparse(u, w) for u in U.sparse_vectors() for w in W.sparse_vectors()]
+            assert image == GradedSubspace.from_sparse_vectors(f, WIDE, products)
+            for sub in (total, meet, comp, image, U.at_grades([(1,)]), GradedSubspace.full(f, WIDE)):
+                assert_canonical(sub)
+
+
+def test_intersection_matches_bruteforce():
+    rng = random.Random(89)
+    for f in REF_FIELDS[:2]:
+        for _ in range(30):
+            U, W = rand_subspace(rng, f, WIDE), rand_subspace(rng, f, WIDE)
+            common = [
+                (g, v)
+                for g in WIDE.grades()
+                for v in itertools.product(list(f.elements()), repeat=WIDE.block_dim(g))
+                if U.contains_block_vector(g, v) and W.contains_block_vector(g, v)
+            ]
+            meet = subspace_intersect(U, W)
+            assert meet == GradedSubspace.from_block_vectors(f, WIDE, common)
+            assert sum(f.p ** meet.dim_at(g) for g in WIDE.grades()) == len(common)
+
+
+def test_coordinate_reader_round_trips():
+    rng = random.Random(97)
+    for f in FIELDS:
+        for _ in range(30):
+            n = rng.randint(1, 5)
+            echelon, pivots = rref(f, rand_matrix(rng, f, rng.randint(1, n), n))
+            while True:
+                invertible = rand_matrix(rng, f, n, n)
+                if len(rref(f, invertible)[1]) == n:
+                    break
+            for basis in (list(echelon), invertible):
+                if not basis:
+                    continue
+                read = coordinate_reader(f, basis)
+                x = [f.from_int(rng.randint(-3, 3)) for _ in basis]
+                assert read(combination(f, x, basis)) == x
+            outside = next((c for c in range(n) if c not in pivots), None)
+            if outside is not None:
+                unit = [f.one if c == outside else f.zero for c in range(n)]
+                assert coordinate_reader(f, list(echelon))(unit) is None
+
+
+@pytest.mark.parametrize("f, bad", [(prime_field(3), 4), (prime_field(3), -1), (RATIONALS, 1), (RATIONALS, 0.5)])
+def test_public_entry_points_reject_noncanonical_scalars(f, bad):
+    sub = GradedSubspace.full(f, BASIS)
+    row = (bad, f.zero)
+    for call in (
+        lambda: GradedSubspace(f, BASIS, {(0,): [row]}),
+        lambda: GradedSubspace.from_block_vectors(f, BASIS, [((0,), row)]),
+        lambda: GradedSubspace.from_sparse_vectors(f, BASIS, [{0: bad}]),
+        lambda: sub.contains_block_vector((0,), row),
+        lambda: sub.contains_sparse({0: bad}),
+        lambda: sub.block_coordinates((0,), row),
+        lambda: BASIS.block_vector((0,), row, f),
+    ):
+        with pytest.raises((TypeError, ValueError)):
+            call()
+
+
+@pytest.mark.parametrize("row", [(1,), (1, 0, 0)])
+def test_rows_of_the_wrong_length_are_refused(row):
+    f = RATIONALS
+    row = tuple(f.from_int(x) for x in row)
+    sub = GradedSubspace.full(f, BASIS)  # the block at grade 0 has dimension 2
+    for call in (
+        lambda: GradedSubspace(f, BASIS, {(0,): [row]}),
+        lambda: GradedSubspace.from_block_vectors(f, BASIS, [((0,), row)]),
+        lambda: sub.contains_block_vector((0,), row),
+        lambda: sub.block_coordinates((0,), row),
+        lambda: GradedSubspace.zero(f, BASIS).contains_block_vector((0,), row),
+    ):
+        with pytest.raises(ValueError, match="expected 2 coordinates"):
+            call()
+
+
+def test_derived_subspaces_are_not_reduced_again(monkeypatch):
+    calls = []
+    real = grlr.linear.rref
+    monkeypatch.setattr(grlr.linear, "rref", lambda *args: calls.append(args) or real(*args))
+    f = prime_field(3)
+    U = GradedSubspace.from_sparse_vectors(f, BASIS, [{0: 1, 1: 2}])
+    W = GradedSubspace.from_sparse_vectors(f, BASIS, [{2: 1}, {3: 1, 4: 1}])
+    calls.clear()
+    full = GradedSubspace.full(f, BASIS)
+    GradedSubspace.zero(f, BASIS)
+    part = full.at_grades([(1,)])
+    total = subspace_sum(U, W)
+    assert calls == []
+    assert part.dim == 3 and total.dim == 3 and total.pivots == {(0,): (0,), (1,): (0, 1)}

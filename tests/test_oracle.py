@@ -18,7 +18,10 @@ from grlr import (
     supports,
     verify_all,
 )
+from grlr.constructions import to_field
 from grlr.errors import GuardError, ToolkitError
+from grlr.fields import RATIONALS
+from grlr.files import instance_to_json
 
 from helpers import cached, ideal_oracle_A, ideal_oracle_L
 
@@ -114,6 +117,16 @@ def test_field_carry_step():
     assert moved.field.label == "gf5"
     assert verify_all(moved).passed
     assert [s.dim for s in enumerate_graded_ideals_L(moved)] == [0, 3]
+
+
+def test_rational_field_move_keeps_a_given_name():
+    base = cached("e1")
+    assert to_field(base, RATIONALS) is base
+    renamed = to_field(base, RATIONALS, "renamed")
+    assert renamed.name == "renamed" and renamed.field == RATIONALS
+    assert {k: v for k, v in instance_to_json(renamed).items() if k != "name"} == {
+        k: v for k, v in instance_to_json(base).items() if k != "name"
+    }
 
 
 def test_unknown_step_is_rejected():
