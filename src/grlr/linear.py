@@ -72,9 +72,14 @@ def in_span(field: Field, rows: Sequence[Row], pivots: Sequence[int], v: Sequenc
     return coordinates_in_rref(field, rows, pivots, v) is not None
 
 
+def _units(field: Field, n: int, cols: Sequence[int]) -> Echelon:
+    """The unit rows of length n at ``cols`` (increasing), an RREF basis pivoted there."""
+    rows = tuple(tuple(field.one if i == j else field.zero for j in range(n)) for i in cols)
+    return rows, tuple(cols)
+
+
 def _identity(field: Field, n: int) -> Echelon:
-    rows = tuple(tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n))
-    return rows, tuple(range(n))
+    return _units(field, n, range(n))
 
 
 def coordinate_reader(
@@ -108,10 +113,12 @@ def coordinate_reader(
 def nullspace(field: Field, rows: Sequence[Sequence[Scalar]], ncols: int) -> Echelon:
     """Canonical (RREF) basis of the right kernel {v : M v = 0}, with its pivots."""
     ech, pivots = rref(field, rows) if rows else ((), ())
-    if not pivots:
-        return _identity(field, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    if all(field.is_zero(row[f]) for row in ech for f in free):
+        # each kernel vector e_f - sum_r ech[r][f] e_{p_r} is the unit vector e_f
+        return _units(field, ncols, free)
     basis = []
-    for f in (c for c in range(ncols) if c not in pivots):
+    for f in free:
         v = [field.zero] * ncols
         v[f] = field.one
         for r, p in enumerate(pivots):
@@ -366,11 +373,15 @@ def _same_space(a: GradedSubspace, b: GradedSubspace, what: str) -> None:
 
 
 def subspace_sum(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
-    """Sum per grade; only grades that both summands hold are reduced."""
+    """Sum per grade; a grade is reduced only when both summands hold it
+    and b's rows there do not already lie in a's span."""
     _same_space(a, b, "sum")
     echelon = {g: a._echelon(g) for g in a.blocks}
     for g, rows in b.blocks.items():
-        echelon[g] = rref(a.field, a.blocks[g] + rows) if g in a.blocks else b._echelon(g)
+        if g not in a.blocks:
+            echelon[g] = b._echelon(g)
+        elif not all(in_span(a.field, *a._echelon(g), row) for row in rows):
+            echelon[g] = rref(a.field, a.blocks[g] + rows)
     return GradedSubspace._from_rref(a.field, a.ambient, echelon)
 
 

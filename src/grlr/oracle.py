@@ -5,6 +5,15 @@ by enumerating every graded subspace of a small instance over a prime
 field, and connection paths by literal depth-first search over
 multiplier sequences.  The fast code paths elsewhere are expected to
 agree with these answers exactly.
+
+The path search indexes its grades once per call: the allowed states
+(sorted), then the targets outside them, and one step-table row per
+state holding (multiplier, index of the product or -1).  The table is
+built with ``group.mul`` and then read by the walk; the connection BFS
+multiplies on its own, so the two stay independent.  Before listing
+anything, a dynamic program over depth counts the products the search
+would make from the table, and a search above ``MAX_DFS_STEPS`` is
+refused with ``GuardError``.
 """
 from __future__ import annotations
 
@@ -17,7 +26,7 @@ from .connections import Supports
 from .constructions import base_change, direct_sum, to_field
 from .errors import GuardError, ToolkitError
 from .fields import Field, parse_field_label
-from .groups import Grade
+from .groups import Grade, format_grade
 from .linear import GradedBasis, GradedSubspace, Row
 from .model import AlgebraInstance, is_graded_ideal_A, is_graded_ideal_L
 from .simplicity import Hypotheses5, check_hypotheses5
@@ -26,6 +35,10 @@ from .simplicity import Hypotheses5, check_hypotheses5
 # worst admissible case around 10^5 candidate subspaces
 MAX_DIM_SMALL_P = 6
 MAX_DIM_LARGE_P = 4
+# the connection-path search makes one product per multiplier at each
+# allowed state it enters; the largest search of the acceptance suite
+# makes 20,465 and its whole 443-pair set 1.94 million
+MAX_DFS_STEPS = 2_000_000
 
 
 def _guard_enumeration(field: Field, dim: int, what: str) -> None:
@@ -91,6 +104,32 @@ def enumerate_graded_ideals_A(inst: AlgebraInstance) -> list[GradedSubspace]:
     return found
 
 
+def _dfs_steps(table: list[list[tuple[Grade, int]]], root: int, max_len: int) -> int:
+    """Products the path search makes: one per multiplier at each state
+    node of its search tree whose path is shorter than ``max_len``.
+
+    Counted level by level from the number of tree nodes at each state;
+    stops early once the count passes ``MAX_DFS_STEPS``.
+    """
+    n = len(table)
+    nodes = [0] * n
+    nodes[root] = 1
+    steps = 0
+    for _ in range(max_len - 1):
+        entered = sum(nodes)
+        if not entered or steps > MAX_DFS_STEPS:
+            break
+        steps += entered * len(table[root])
+        below = [0] * n
+        for i, count in enumerate(nodes):
+            if count:
+                for _, j in table[i]:
+                    if 0 <= j < n:
+                        below[j] += count
+        nodes = below
+    return steps
+
+
 def enumerate_connections(
     sup: Supports, g1: Grade, g2: Grade, side: str = "sigma", max_len: int | None = None
 ) -> list[list[Grade]]:
@@ -99,29 +138,52 @@ def enumerate_connections(
     A sequence starts at g1 and appends multipliers one at a time; every
     strict partial product must stay inside the allowed intermediate set
     for the side, and the full product must land on g2 or its inverse.
+    Sequences are listed in depth-first pre-order, multipliers in sorted
+    order.  Raises GuardError when the search would take more than
+    ``MAX_DFS_STEPS`` products.
     """
     base = sup.base(side)
     if g1 not in base:
         raise ValueError(f"{g1} is not in the {side} support")
-    states = sup.states(side)
     mults = sup.multipliers()
     if max_len is None:
         max_len = 2 * max(1, len(mults))
     group = sup.group
     targets = {group.check(g2), group.inv(g2)}
-    paths: list[list[Grade]] = []
-
-    def walk(current: Grade, path: list[Grade]) -> None:
-        if current in targets:
-            paths.append(list(path))
-        if len(path) >= max_len or current not in states:
-            return
-        for m in mults:
+    states = sorted(sup.states(side))
+    grades = states + sorted(targets.difference(states))
+    index = {g: i for i, g in enumerate(grades)}
+    table = [[(m, index.get(group.mul(s, m), -1)) for m in mults] for s in states]
+    start = group.reduce(g1)
+    root = index[start]
+    steps = _dfs_steps(table, root, max_len)
+    if steps > MAX_DFS_STEPS:
+        raise GuardError(
+            f"connection path enumeration refused: more than {MAX_DFS_STEPS} "
+            f"search steps from {format_grade(g1)} ({side}, up to {max_len} terms)"
+        )
+    n = len(states)
+    hit = [g in targets for g in grades]
+    path = [start]
+    paths = [list(path)] if hit[root] else []
+    # each frame iterates one state's row; a target is listed on arrival,
+    # before its state is entered, which keeps the pre-order of a
+    # recursive search
+    stack = [iter(table[root])] if max_len > 1 else []
+    while stack:
+        for m, j in stack[-1]:
+            if j < 0:
+                continue
             path.append(m)
-            walk(group.mul(current, m), path)
+            if hit[j]:
+                paths.append(path[:])
+            if j < n and len(path) < max_len:
+                stack.append(iter(table[j]))
+                break
             path.pop()
-
-    walk(group.reduce(g1), [group.reduce(g1)])
+        else:
+            stack.pop()
+            path.pop()
     return paths
 
 

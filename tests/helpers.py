@@ -2,10 +2,24 @@
 mutations, and brute-force re-statements of predicates used as oracles."""
 from __future__ import annotations
 
+import functools
 import random
 
-from grlr import AlgebraInstance, GradedBasis, GradedSubspace, GroupSpec, RATIONALS, build
+from grlr import (
+    RATIONALS,
+    AlgebraInstance,
+    GradedBasis,
+    GradedSubspace,
+    GroupSpec,
+    Supports,
+    build,
+    default_recipe_space,
+    generate_instance,
+    supports,
+)
+from grlr.errors import ToolkitError
 from grlr.fields import Field, parse_field_label
+from grlr.groups import Grade
 from grlr.linear import BilinearRule, Sparse, rule_from_names
 
 _cache: dict[tuple[str, str | None], AlgebraInstance] = {}
@@ -17,6 +31,53 @@ def cached(name: str, field_label: str | None = None, purpose: str = "display") 
         fld = parse_field_label(field_label) if field_label else None
         _cache[key] = build(name, fld, purpose)
     return _cache[key]
+
+
+@functools.cache
+def criterion_2_instances() -> tuple[tuple[str, AlgebraInstance], ...]:
+    """The criterion-2 set: the six catalog entries, then the first 50
+    generated recipes with at most six multipliers."""
+    instances = [(n, cached(n)) for n in ["e1", "e2", "e3", "ga2", "ga3", "sl2_ga2"]]
+    for recipe in default_recipe_space():
+        if len(instances) >= 6 + 50:
+            break
+        try:
+            inst = generate_instance(recipe)
+        except ToolkitError:
+            continue
+        if len(supports(inst).multipliers()) <= 6:
+            instances.append((recipe.label, inst))
+    return tuple(instances)
+
+
+def reference_connections(
+    sup: Supports, g1: Grade, g2: Grade, side: str, max_len: int | None = None
+) -> tuple[list[list[Grade]], int]:
+    """Connection paths by literal recursive search, multiplying with
+    ``group.mul`` at every step: (paths in pre-order, number of products)."""
+    states = sup.states(side)
+    mults = sup.multipliers()
+    if max_len is None:
+        max_len = 2 * max(1, len(mults))
+    group = sup.group
+    targets = {group.check(g2), group.inv(g2)}
+    paths: list[list[Grade]] = []
+    products = 0
+
+    def walk(current: Grade, path: list[Grade]) -> None:
+        nonlocal products
+        if current in targets:
+            paths.append(list(path))
+        if len(path) >= max_len or current not in states:
+            return
+        for m in mults:
+            path.append(m)
+            products += 1
+            walk(group.mul(current, m), path)
+            path.pop()
+
+    walk(group.reduce(g1), [group.reduce(g1)])
+    return paths, products
 
 
 def _rule_slots(inst: AlgebraInstance, rule: BilinearRule) -> list[tuple[int, int, int]]:

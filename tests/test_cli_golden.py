@@ -36,6 +36,7 @@ VARIANTS = (
     ["decompose", "--json"],
     ["decompose", "--fine", "--json"],
     ["decompose", "--fine"],
+    ["oracle", "--what", "paths", "--json"],
 )
 
 

@@ -12,40 +12,22 @@ from __future__ import annotations
 import pytest
 
 from grlr import (
-    default_recipe_space,
-    generate_instance,
     lambda_classes,
     lambda_connected,
     sigma_classes,
     sigma_connected,
     supports,
 )
-from grlr.errors import ToolkitError
 
-from helpers import cached
+from helpers import criterion_2_instances
 
-CATALOG_NAMES = ["e1", "e2", "e3", "ga2", "ga3", "sl2_ga2"]
 SIDES = {
     "sigma": (sigma_connected, sigma_classes, lambda sup: sup.sigma),
     "lambda": (lambda_connected, lambda_classes, lambda sup: sup.lam),
 }
 
 
-def _criterion_2_instances() -> list[tuple[str, object]]:
-    instances = [(n, cached(n)) for n in CATALOG_NAMES]
-    for recipe in default_recipe_space():
-        if len(instances) >= 6 + 50:
-            break
-        try:
-            inst = generate_instance(recipe)
-        except ToolkitError:
-            continue
-        if len(supports(inst).multipliers()) <= 6:
-            instances.append((recipe.label, inst))
-    return instances
-
-
-INSTANCES = _criterion_2_instances()
+INSTANCES = criterion_2_instances()
 
 
 def test_criterion_2_instance_count():

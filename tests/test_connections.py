@@ -16,8 +16,10 @@ from grlr import (
     supports,
     validate_connection_path,
 )
+import grlr.oracle
+from grlr.errors import GuardError
 
-from helpers import cached
+from helpers import cached, criterion_2_instances, reference_connections
 
 # pinned class counts: (sigma classes, lambda classes)
 CLASS_COUNTS = {
@@ -112,6 +114,34 @@ def test_enumeration_output_paths_all_validate():
         for h in sorted(sup.lam):
             for path in enumerate_connections(sup, g, h, "lambda", max_len=4):
                 assert validate_connection_path(sup, "lambda", path, g, h)
+
+
+@pytest.mark.parametrize("max_len", [None, 1, 3])
+def test_enumeration_matches_literal_reference(monkeypatch, max_len):
+    # the step table must list the same paths in the same order as a search
+    # that multiplies at every step, and the guard's count must equal that
+    # search's number of products: a bound of exactly that count passes,
+    # one less refuses
+    for label, inst in criterion_2_instances():
+        sup = supports(inst)
+        for side in ("sigma", "lambda"):
+            base = sorted(sup.base(side))
+            for g in base:
+                for h in base:
+                    expected, products = reference_connections(sup, g, h, side, max_len)
+                    monkeypatch.setattr(grlr.oracle, "MAX_DFS_STEPS", products)
+                    assert enumerate_connections(sup, g, h, side, max_len) == expected, (label, side, g, h)
+                    monkeypatch.setattr(grlr.oracle, "MAX_DFS_STEPS", products - 1)
+                    with pytest.raises(GuardError):
+                        enumerate_connections(sup, g, h, side, max_len)
+
+
+def test_enumeration_reaches_targets_outside_the_states():
+    sup = supports(cached("e1"))
+    # (2,) and (-2,) are not allowed states; (1,) * (1,) lands on (2,)
+    assert (2,) not in sup.states("sigma")
+    listed = enumerate_connections(sup, (1,), (2,), "sigma")
+    assert listed == reference_connections(sup, (1,), (2,), "sigma")[0] == [[(1,), (1,)]]
 
 
 def test_search_agrees_with_enumeration_on_random_supports():

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from grlr import (
+    TemplateRecipe,
     dump_instance,
+    generate_instance,
     instance_from_json,
     instance_to_json,
     load_instance,
@@ -222,6 +225,17 @@ def test_cli_oracle_paths(capsys):
     assert main(["oracle", "e3", "--what", "paths", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["agreement"] is True
+
+
+def test_cli_oracle_paths_refuses_an_oversized_search(tmp_path, capsys):
+    # the first sigma pair alone would take 319,466,010 search steps
+    path = tmp_path / "sl2_ga2_twice.json"
+    dump_instance(generate_instance(TemplateRecipe("double", "sl2_ga2", "gf3", (("sum", "sl2_ga2"),))), path)
+    start = time.perf_counter()
+    assert main(["oracle", str(path), "--what", "paths"]) == 3
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and "refused:" in captured.err
 
 
 def test_cli_oracle_search(capsys):

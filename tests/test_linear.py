@@ -401,3 +401,58 @@ def test_derived_subspaces_are_not_reduced_again(monkeypatch):
     total = subspace_sum(U, W)
     assert calls == []
     assert part.dim == 3 and total.dim == 3 and total.pivots == {(0,): (0,), (1,): (0, 1)}
+
+
+def test_sum_reduces_only_grades_where_b_leaves_a(monkeypatch):
+    calls = []
+    real = grlr.linear.rref
+    monkeypatch.setattr(grlr.linear, "rref", lambda *args: calls.append(args) or real(*args))
+    f = prime_field(3)
+    a = GradedSubspace.from_sparse_vectors(f, BASIS, [{0: 1}, {2: 1, 3: 1}])
+    inside = GradedSubspace.from_sparse_vectors(f, BASIS, [{0: 2}, {2: 2, 3: 2}])
+    mixed = GradedSubspace.from_sparse_vectors(f, BASIS, [{0: 1}, {4: 1}])
+    calls.clear()
+    assert subspace_sum(a, inside) == a
+    assert calls == []
+    total = subspace_sum(a, mixed)
+    assert len(calls) == 1  # grade (1,) only: mixed's grade-(0,) row already lies in a
+    assert total.pivots == {(0,): (0,), (1,): (0, 2)}
+
+
+def _kernel_basis(f, m, cols):
+    """e_f - sum_r ech[r][f] e_{p_r} for each free column f, unreduced."""
+    ech, pivots = rref(f, m)
+    basis = []
+    for free in (c for c in range(cols) if c not in pivots):
+        v = [f.zero] * cols
+        v[free] = f.one
+        for row, p in zip(ech, pivots):
+            v[p] = f.neg(row[free])
+        basis.append(v)
+    return basis
+
+
+@pytest.mark.parametrize("f", [RATIONALS, prime_field(3)], ids=["q", "gf3"])
+def test_nullspace_equals_reduced_kernel_basis(monkeypatch, f):
+    # columns are zeroed at random, so some kernels are coordinate
+    # subspaces (returned without a second elimination) and some are not
+    rng = random.Random(41)
+    calls = []
+    real = grlr.linear.rref
+    monkeypatch.setattr(grlr.linear, "rref", lambda *args: calls.append(args) or real(*args))
+    shortcuts = 0
+    for _ in range(200):
+        cols = rng.randint(1, 6)
+        m = rand_matrix(rng, f, rng.randint(1, 4), cols)
+        for c in range(cols):
+            if rng.random() < 0.5:
+                for row in m:
+                    row[c] = f.zero
+        basis = _kernel_basis(f, m, cols)
+        calls.clear()
+        kernel = nullspace(f, m, cols)
+        assert kernel == real(f, basis)
+        if len(calls) == 1:
+            shortcuts += 1
+            assert all(sum(not f.is_zero(x) for x in v) == 1 for v in basis)
+    assert 0 < shortcuts < 200
