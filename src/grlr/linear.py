@@ -148,10 +148,6 @@ def sparse_scale(field: Field, c: Scalar, v: Sparse) -> Sparse:
     return {pos: field.mul(c, x) for pos, x in v.items()}
 
 
-def sparse_sub(field: Field, a: Sparse, b: Sparse) -> Sparse:
-    return sparse_add(field, a, sparse_scale(field, field.neg(field.one), b))
-
-
 # ---------------------------------------------------------------------------
 # graded bases
 

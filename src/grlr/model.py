@@ -8,16 +8,30 @@ algebra L and the commutative algebra A, and four bilinear rules:
 * ``action``   .     : A x L -> L   (A-module structure on L)
 * ``anchor``   rho   : L x A -> A   (rho(v) acting as a derivation of A)
 
-``verify_all`` checks the axioms exhaustively on basis tuples and reports
-the first counterexample of each law.  It works on absolute positions, so
-even instances whose tables break the grading law can be loaded and
-then failed by ``verify_grading`` with a precise witness.
+``verify_all`` runs the four grading checks, then the ten algebra laws,
+and reports the first counterexample of each.  It works on absolute
+positions, so even instances whose tables break the grading law can be
+loaded and then failed by ``verify_grading`` with a precise witness.
 
 The ten algebra laws are the rows of ``LAWS``: (check name, basis of each
-argument, basis of the discrepancy, discrepancy).  The argument string,
-e.g. ``"LAA"``, fixes the order of everything: the discrepancy takes its
-positions in that order, the tuples are scanned in lexicographic order
-of that tuple, and the witness lists the basis names in that order.
+argument, basis of the discrepancy, terms).  The discrepancy lhs - rhs
+of a law on a tuple of basis positions is the sum of its terms.  A term
+(sign, inner, x, y, outer, inner_on_left, z) is sign * inner(x, y) when
+outer is None, and otherwise sign * outer(inner(x, y), z) when
+inner_on_left, sign * outer(z, inner(x, y)) when not; x, y and z index
+the law's arguments.  The argument string, e.g. ``"LAA"``, fixes the
+order of everything: tuples are compared lexicographically in that
+order, and the witness lists the basis names in that order.
+
+Every term is a bilinear product of table entries, so a tuple that no
+term reaches through nonzero entries has discrepancy exactly zero,
+whether or not the grading checks pass.  ``_law_check`` therefore walks
+the tables, not the tuples: for each inner entry (p, q) -> {o: c} it
+pairs o with every outer entry that has o on the inner side and adds
+the signed product into the sum of the tuple it reaches.  The witness
+is the least tuple whose sum is nonzero, the same tuple a scan of all
+basis tuples in lexicographic order finds first, and the cost grows
+with the number of nonzero products of structure constants.
 
 ``RULES`` is the one list of rule domains, in the same letters: each row
 is (rule name, bases of the left argument, the right argument and the
@@ -33,7 +47,6 @@ expressed block by block in those rows.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Mapping, Sequence
 
@@ -48,8 +61,6 @@ from .linear import (
     coordinate_reader,
     map_kernel,
     nullspace,
-    sparse_add,
-    sparse_sub,
 )
 
 
@@ -157,101 +168,83 @@ def verify_grading(inst: AlgebraInstance) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# the ten laws, as discrepancies lhs - rhs on basis positions
+# the ten laws, as sums of signed products on basis positions
 
 
-def _alternating(inst: AlgebraInstance, i: int) -> Sparse:
-    return inst.bracket.on_basis(i, i)
+# (sign, inner rule, x, y, outer rule or None, inner_on_left, z); module docstring
+Term = tuple[int, str, int, int, str | None, bool, int | None]
 
-
-def _antisymmetry(inst: AlgebraInstance, i: int, j: int) -> Sparse:
-    br = inst.bracket
-    return sparse_add(inst.field, br.on_basis(i, j), br.on_basis(j, i))
-
-
-def _jacobi(inst: AlgebraInstance, i: int, j: int, k: int) -> Sparse:
-    f, br = inst.field, inst.bracket
-    total: Sparse = {}
-    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-        total = sparse_add(f, total, br.apply_sparse(br.on_basis(a, b), {c: f.one}))
-    return total
-
-
-def _commutativity(inst: AlgebraInstance, i: int, j: int) -> Sparse:
-    pr = inst.product
-    return sparse_sub(inst.field, pr.on_basis(i, j), pr.on_basis(j, i))
-
-
-def _associativity(inst: AlgebraInstance, i: int, j: int, k: int) -> Sparse:
-    f, pr = inst.field, inst.product
-    lhs = pr.apply_sparse(pr.on_basis(i, j), {k: f.one})
-    return sparse_sub(f, lhs, pr.apply_sparse({i: f.one}, pr.on_basis(j, k)))
-
-
-def _module(inst: AlgebraInstance, i: int, j: int, k: int) -> Sparse:
-    f, ac = inst.field, inst.action
-    lhs = ac.apply_sparse(inst.product.on_basis(i, j), {k: f.one})
-    return sparse_sub(f, lhs, ac.apply_sparse({i: f.one}, ac.on_basis(j, k)))
-
-
-def _derivation(inst: AlgebraInstance, v: int, a: int, b: int) -> Sparse:
-    f, pr, rho = inst.field, inst.product, inst.anchor
-    lhs = rho.apply_sparse({v: f.one}, pr.on_basis(a, b))
-    rhs = sparse_add(f, pr.apply_sparse(rho.on_basis(v, a), {b: f.one}),
-                     pr.apply_sparse({a: f.one}, rho.on_basis(v, b)))
-    return sparse_sub(f, lhs, rhs)
-
-
-def _homomorphism(inst: AlgebraInstance, v: int, w: int, a: int) -> Sparse:
-    f, rho = inst.field, inst.anchor
-    lhs = rho.apply_sparse(inst.bracket.on_basis(v, w), {a: f.one})
-    rhs = sparse_sub(f, rho.apply_sparse({v: f.one}, rho.on_basis(w, a)),
-                     rho.apply_sparse({w: f.one}, rho.on_basis(v, a)))
-    return sparse_sub(f, lhs, rhs)
-
-
-def _linearity(inst: AlgebraInstance, a: int, v: int, b: int) -> Sparse:
-    f, rho = inst.field, inst.anchor
-    lhs = rho.apply_sparse(inst.action.on_basis(a, v), {b: f.one})
-    return sparse_sub(f, lhs, inst.product.apply_sparse({a: f.one}, rho.on_basis(v, b)))
-
-
-def _compatibility(inst: AlgebraInstance, v: int, a: int, w: int) -> Sparse:
-    f, br, ac = inst.field, inst.bracket, inst.action
-    lhs = br.apply_sparse({v: f.one}, ac.on_basis(a, w))
-    rhs = sparse_add(f, ac.apply_sparse({a: f.one}, br.on_basis(v, w)),
-                     ac.apply_sparse(inst.anchor.on_basis(v, a), {w: f.one}))
-    return sparse_sub(f, lhs, rhs)
-
-
-# (check name, basis of each argument, basis of the discrepancy, discrepancy)
-LAWS: tuple[tuple[str, str, str, Callable[..., Sparse]], ...] = (
-    ("lie.alternating", "L", "L", _alternating),                 # [v,v] = 0
-    ("lie.antisymmetry", "LL", "L", _antisymmetry),              # [u,v] = -[v,u]
-    ("lie.jacobi", "LLL", "L", _jacobi),                         # [[u,v],w] + cyclic = 0
-    ("assoc.commutativity", "AA", "A", _commutativity),          # ab = ba
-    ("assoc.associativity", "AAA", "A", _associativity),         # (ab)c = a(bc)
-    ("module.associative_action", "AAL", "L", _module),          # (ab).v = a.(b.v)
-    ("anchor.derivation", "LAA", "A", _derivation),              # rho(v)(ab) = rho(v)(a)b + a rho(v)(b)
-    ("anchor.homomorphism", "LLA", "A", _homomorphism),          # rho([v,w]) = [rho(v), rho(w)]
-    ("anchor.linearity", "ALA", "A", _linearity),                # rho(a.v)(b) = a rho(v)(b)
-    ("anchor.compatibility", "LAL", "L", _compatibility),        # [v,a.w] = a.[v,w] + rho(v)(a).w
+# (check name, basis of each argument, basis of the discrepancy, terms)
+LAWS: tuple[tuple[str, str, str, tuple[Term, ...]], ...] = (
+    ("lie.alternating", "L", "L",                                # [v,v] = 0
+     ((1, "bracket", 0, 0, None, True, None),)),
+    ("lie.antisymmetry", "LL", "L",                              # [u,v] = -[v,u]
+     ((1, "bracket", 0, 1, None, True, None), (1, "bracket", 1, 0, None, True, None))),
+    ("lie.jacobi", "LLL", "L",                                   # [[u,v],w] + cyclic = 0
+     ((1, "bracket", 0, 1, "bracket", True, 2), (1, "bracket", 1, 2, "bracket", True, 0),
+      (1, "bracket", 2, 0, "bracket", True, 1))),
+    ("assoc.commutativity", "AA", "A",                           # ab = ba
+     ((1, "product", 0, 1, None, True, None), (-1, "product", 1, 0, None, True, None))),
+    ("assoc.associativity", "AAA", "A",                          # (ab)c = a(bc)
+     ((1, "product", 0, 1, "product", True, 2), (-1, "product", 1, 2, "product", False, 0))),
+    ("module.associative_action", "AAL", "L",                    # (ab).v = a.(b.v)
+     ((1, "product", 0, 1, "action", True, 2), (-1, "action", 1, 2, "action", False, 0))),
+    ("anchor.derivation", "LAA", "A",                            # rho(v)(ab) = rho(v)(a)b + a rho(v)(b)
+     ((1, "product", 1, 2, "anchor", False, 0), (-1, "anchor", 0, 1, "product", True, 2),
+      (-1, "anchor", 0, 2, "product", False, 1))),
+    ("anchor.homomorphism", "LLA", "A",                          # rho([v,w]) = [rho(v), rho(w)]
+     ((1, "bracket", 0, 1, "anchor", True, 2), (-1, "anchor", 1, 2, "anchor", False, 0),
+      (1, "anchor", 0, 2, "anchor", False, 1))),
+    ("anchor.linearity", "ALA", "A",                             # rho(a.v)(b) = a rho(v)(b)
+     ((1, "action", 0, 1, "anchor", True, 2), (-1, "anchor", 1, 2, "product", False, 0))),
+    ("anchor.compatibility", "LAL", "L",                         # [v,a.w] = a.[v,w] + rho(v)(a).w
+     ((1, "action", 1, 2, "bracket", False, 0), (-1, "bracket", 0, 2, "action", False, 1),
+      (-1, "anchor", 0, 1, "action", True, 2))),
 )
 
 
 def _law_check(
-    inst: AlgebraInstance, name: str, args: str, out: str, discrepancy: Callable[..., Sparse]
+    inst: AlgebraInstance, name: str, args: str, out: str, terms: tuple[Term, ...]
 ) -> CheckResult:
-    """Scan basis tuples in lexicographic order; report the first nonzero discrepancy."""
-    bases = [getattr(inst, b) for b in args]
-    for positions in itertools.product(*(range(b.dim) for b in bases)):
-        diff = discrepancy(inst, *positions)
-        if diff:
-            return CheckResult(name, False, {
-                "args": [b.name_of(p) for b, p in zip(bases, positions)],
-                "value": getattr(inst, out).describe_sparse(diff, inst.field),
-            })
-    return CheckResult(name, True)
+    """Sum every term's nonzero table products per argument tuple; report
+    the lexicographically least tuple whose sum is nonzero."""
+    f = inst.field
+    sums: dict[tuple[int, ...], dict[int, Scalar]] = {}
+
+    def add(key: list[int], c: Scalar, image: Sparse) -> None:
+        acc = sums.setdefault(tuple(key), {})
+        for pos, x in image.items():
+            acc[pos] = f.add(acc.get(pos, f.zero), f.mul(c, x))
+
+    key = [0] * len(args)
+    for sign, inner, x, y, outer, inner_on_left, z in terms:
+        c0 = f.one if sign > 0 else f.neg(f.one)
+        partners: dict[int, list[tuple[int, Sparse]]] = {}
+        if outer is not None:
+            for (i, j), image in getattr(inst, outer).table.items():
+                o, r = (i, j) if inner_on_left else (j, i)
+                partners.setdefault(o, []).append((r, image))
+        for (p, q), inner_image in getattr(inst, inner).table.items():
+            if x == y and p != q:
+                continue
+            key[x], key[y] = p, q
+            if outer is None:
+                add(key, c0, inner_image)
+                continue
+            for o, c in inner_image.items():
+                for r, image in partners.get(o, ()):
+                    key[z] = r
+                    add(key, f.mul(c0, c), image)
+
+    nonzero = [t for t, v in sums.items() if any(not f.is_zero(c) for c in v.values())]
+    if not nonzero:
+        return CheckResult(name, True)
+    first = min(nonzero)
+    diff = {pos: c for pos, c in sums[first].items() if not f.is_zero(c)}
+    return CheckResult(name, False, {
+        "args": [getattr(inst, b).name_of(p) for b, p in zip(args, first)],
+        "value": getattr(inst, out).describe_sparse(diff, f),
+    })
 
 
 def verify_all(inst: AlgebraInstance) -> VerificationReport:

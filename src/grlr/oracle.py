@@ -12,8 +12,9 @@ state holding (multiplier, index of the product or -1).  The table is
 built with ``group.mul`` and then read by the walk; the connection BFS
 multiplies on its own, so the two stay independent.  Before listing
 anything, a dynamic program over depth counts the products the search
-would make from the table, and a search above ``MAX_DFS_STEPS`` is
-refused with ``GuardError``.
+would make from the table and the entries of the paths it would list;
+a search where either count is above ``MAX_DFS_STEPS`` is refused with
+``GuardError``.
 """
 from __future__ import annotations
 
@@ -37,7 +38,9 @@ MAX_DIM_SMALL_P = 6
 MAX_DIM_LARGE_P = 4
 # the connection-path search makes one product per multiplier at each
 # allowed state it enters; the largest search of the acceptance suite
-# makes 20,465 and its whole 443-pair set 1.94 million
+# makes 20,465 and its whole 443-pair set 1.94 million.  The same bound
+# caps the entries of the listed paths: at most 35,532 for one pair of
+# that suite
 MAX_DFS_STEPS = 2_000_000
 
 
@@ -104,30 +107,36 @@ def enumerate_graded_ideals_A(inst: AlgebraInstance) -> list[GradedSubspace]:
     return found
 
 
-def _dfs_steps(table: list[list[tuple[Grade, int]]], root: int, max_len: int) -> int:
-    """Products the path search makes: one per multiplier at each state
-    node of its search tree whose path is shorter than ``max_len``.
+def _search_size(
+    table: list[list[tuple[Grade, int]]], hit: list[bool], root: int, max_len: int
+) -> tuple[int, int]:
+    """(products, listed entries) of the path search: one product per
+    multiplier at each state node of its search tree whose path is
+    shorter than ``max_len``, and the length of every path it lists.
 
     Counted level by level from the number of tree nodes at each state;
-    stops early once the count passes ``MAX_DFS_STEPS``.
+    stops early once either count passes ``MAX_DFS_STEPS``.
     """
     n = len(table)
     nodes = [0] * n
     nodes[root] = 1
     steps = 0
-    for _ in range(max_len - 1):
+    entries = 1 if hit[root] else 0
+    for length in range(2, max_len + 1):
         entered = sum(nodes)
-        if not entered or steps > MAX_DFS_STEPS:
+        if not entered or steps > MAX_DFS_STEPS or entries > MAX_DFS_STEPS:
             break
         steps += entered * len(table[root])
         below = [0] * n
         for i, count in enumerate(nodes):
             if count:
                 for _, j in table[i]:
+                    if j >= 0 and hit[j]:
+                        entries += count * length
                     if 0 <= j < n:
                         below[j] += count
         nodes = below
-    return steps
+    return steps, entries
 
 
 def enumerate_connections(
@@ -140,7 +149,7 @@ def enumerate_connections(
     for the side, and the full product must land on g2 or its inverse.
     Sequences are listed in depth-first pre-order, multipliers in sorted
     order.  Raises GuardError when the search would take more than
-    ``MAX_DFS_STEPS`` products.
+    ``MAX_DFS_STEPS`` products or list more than that many entries.
     """
     base = sup.base(side)
     if g1 not in base:
@@ -154,16 +163,17 @@ def enumerate_connections(
     grades = states + sorted(targets.difference(states))
     index = {g: i for i, g in enumerate(grades)}
     table = [[(m, index.get(group.mul(s, m), -1)) for m in mults] for s in states]
+    hit = [g in targets for g in grades]
     start = group.reduce(g1)
     root = index[start]
-    steps = _dfs_steps(table, root, max_len)
-    if steps > MAX_DFS_STEPS:
-        raise GuardError(
-            f"connection path enumeration refused: more than {MAX_DFS_STEPS} "
-            f"search steps from {format_grade(g1)} ({side}, up to {max_len} terms)"
-        )
+    steps, entries = _search_size(table, hit, root, max_len)
+    for count, what in ((steps, "search steps"), (entries, "listed path entries")):
+        if count > MAX_DFS_STEPS:
+            raise GuardError(
+                f"connection path enumeration refused: more than {MAX_DFS_STEPS} "
+                f"{what} from {format_grade(g1)} ({side}, up to {max_len} terms)"
+            )
     n = len(states)
-    hit = [g in targets for g in grades]
     path = [start]
     paths = [list(path)] if hit[root] else []
     # each frame iterates one state's row; a target is listed on arrival,

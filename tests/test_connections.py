@@ -119,9 +119,10 @@ def test_enumeration_output_paths_all_validate():
 @pytest.mark.parametrize("max_len", [None, 1, 3])
 def test_enumeration_matches_literal_reference(monkeypatch, max_len):
     # the step table must list the same paths in the same order as a search
-    # that multiplies at every step, and the guard's count must equal that
-    # search's number of products: a bound of exactly that count passes,
-    # one less refuses
+    # that multiplies at every step, and the guard's counts must equal that
+    # search's number of products and of listed entries: a bound of exactly
+    # the larger count passes, one less refuses, naming that count (either
+    # one on a tie)
     for label, inst in criterion_2_instances():
         sup = supports(inst)
         for side in ("sigma", "lambda"):
@@ -129,11 +130,23 @@ def test_enumeration_matches_literal_reference(monkeypatch, max_len):
             for g in base:
                 for h in base:
                     expected, products = reference_connections(sup, g, h, side, max_len)
-                    monkeypatch.setattr(grlr.oracle, "MAX_DFS_STEPS", products)
+                    entries = sum(len(path) for path in expected)
+                    bound = max(products, entries)
+                    monkeypatch.setattr(grlr.oracle, "MAX_DFS_STEPS", bound)
                     assert enumerate_connections(sup, g, h, side, max_len) == expected, (label, side, g, h)
-                    monkeypatch.setattr(grlr.oracle, "MAX_DFS_STEPS", products - 1)
-                    with pytest.raises(GuardError):
+                    monkeypatch.setattr(grlr.oracle, "MAX_DFS_STEPS", bound - 1)
+                    counts = {"search steps": products, "listed path entries": entries}
+                    larger = "|".join(what for what, count in counts.items() if count == bound)
+                    with pytest.raises(GuardError, match=larger):
                         enumerate_connections(sup, g, h, side, max_len)
+
+
+def test_enumeration_refuses_a_long_listing():
+    # 3,998 products, but 2,000 paths of lengths 1 to 2,000
+    sup = supports(cached("e2"))
+    with pytest.raises(GuardError, match="listed path entries"):
+        enumerate_connections(sup, (1,), (2,), "sigma", max_len=2000)
+    assert len(enumerate_connections(sup, (1,), (2,), "sigma", max_len=20)) == 20
 
 
 def test_enumeration_reaches_targets_outside_the_states():

@@ -6,6 +6,10 @@ import time
 import pytest
 
 from grlr import (
+    RATIONALS,
+    AlgebraInstance,
+    GradedBasis,
+    GroupSpec,
     TemplateRecipe,
     dump_instance,
     generate_instance,
@@ -17,6 +21,7 @@ from grlr import (
 )
 from grlr.cli import main
 from grlr.errors import InstanceFormatError
+from grlr.linear import rule_from_names
 
 from helpers import cached, mutate_instance
 
@@ -236,6 +241,29 @@ def test_cli_oracle_paths_refuses_an_oversized_search(tmp_path, capsys):
     assert time.perf_counter() - start < 2.0
     captured = capsys.readouterr()
     assert captured.out == "" and "refused:" in captured.err
+
+
+def test_cli_verify_of_a_wide_abelian_L_is_fast(tmp_path, capsys):
+    # 3,000 basis elements of L at one grade, no bracket, A = F acting by
+    # identity: 2.7*10^10 Jacobi triples, but only 6,002 nested products
+    # of table entries
+    f, G = RATIONALS, GroupSpec(1)
+    names = [f"v{k}" for k in range(3000)]
+    L = GradedBasis((n, (0,)) for n in names)
+    A = GradedBasis([("one", (0,))])
+    inst = AlgebraInstance(
+        "wide", f, G, L, A,
+        rule_from_names("bracket", f, G, L, L, L, {}),
+        rule_from_names("product", f, G, A, A, A, {("one", "one"): {"one": f.one}}),
+        rule_from_names("action", f, G, A, L, L, {("one", n): {n: f.one} for n in names}),
+        rule_from_names("anchor", f, G, L, A, A, {}),
+    )
+    path = tmp_path / "wide.json"
+    dump_instance(inst, path)
+    start = time.perf_counter()
+    assert main(["verify", str(path)]) == 0
+    assert time.perf_counter() - start < 3.0
+    capsys.readouterr()
 
 
 def test_cli_oracle_search(capsys):
