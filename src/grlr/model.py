@@ -28,10 +28,13 @@ term reaches through nonzero entries has discrepancy exactly zero,
 whether or not the grading checks pass.  ``_law_check`` therefore walks
 the tables, not the tuples: for each inner entry (p, q) -> {o: c} it
 pairs o with every outer entry that has o on the inner side and adds
-the signed product into the sum of the tuple it reaches.  The witness
-is the least tuple whose sum is nonzero, the same tuple a scan of all
-basis tuples in lexicographic order finds first, and the cost grows
-with the number of nonzero products of structure constants.
+the signed product into the sum of the tuple it reaches.  It does so
+one value of the first argument at a time, in increasing order, and
+stops at the first value with a nonzero sum: the witness is the least
+tuple whose sum is nonzero there, the same tuple a scan of all basis
+tuples in lexicographic order finds first.  The cost grows with the
+number of nonzero products of structure constants, and the sums held at
+once with the products of one value of the first argument.
 
 ``RULES`` is the one list of rule domains, in the same letters: each row
 is (rule name, bases of the left argument, the right argument and the
@@ -48,7 +51,7 @@ expressed block by block in those rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import ToolkitError
 from .fields import Field, Scalar
@@ -203,48 +206,84 @@ LAWS: tuple[tuple[str, str, str, tuple[Term, ...]], ...] = (
 )
 
 
+def _term_products(
+    inst: AlgebraInstance, arity: int, term: Term
+) -> tuple[set[int], Callable[[int], Iterator[tuple[tuple[int, ...], Scalar, Sparse]]]]:
+    """Index one term's nonzero table products by the value of the law's
+    first argument: the values it takes, and a function listing the
+    products (argument tuple, coefficient, image) at one of them."""
+    sign, inner, x, y, outer, inner_on_left, z = term
+    f = inst.field
+    c0 = f.one if sign > 0 else f.neg(f.one)
+    first_inner = z != 0
+    by_first: dict[int, list] = {}
+    partners: dict[int, list[tuple[int, Sparse]]] = {}
+    if outer is not None:
+        for (i, j), image in getattr(inst, outer).table.items():
+            o, r = (i, j) if inner_on_left else (j, i)
+            if first_inner:
+                partners.setdefault(o, []).append((r, image))
+            else:
+                by_first.setdefault(r, []).append((o, image))
+    by_output: dict[int, list[tuple[int, int, Scalar]]] = {}
+    if not first_inner:
+        # the first argument sits on the outer side: inner entries are
+        # looked up by output, keeping only outputs some outer entry takes
+        by_output = {o: [] for entries in by_first.values() for o, _ in entries}
+    for (p, q), image in getattr(inst, inner).table.items():
+        if x == y and p != q:
+            continue
+        if first_inner:
+            by_first.setdefault(p if x == 0 else q, []).append((p, q, image))
+            continue
+        for o, c in image.items():
+            if o in by_output:
+                by_output[o].append((p, q, c))
+    key = [0] * arity
+
+    def products(v: int):
+        if not first_inner:
+            key[z] = v
+            for o, image in by_first.get(v, ()):
+                for key[x], key[y], c in by_output.get(o, ()):
+                    yield tuple(key), f.mul(c0, c), image
+            return
+        for key[x], key[y], inner_image in by_first.get(v, ()):
+            if outer is None:
+                yield tuple(key), c0, inner_image
+                continue
+            for o, c in inner_image.items():
+                c = f.mul(c0, c)
+                for key[z], image in partners.get(o, ()):
+                    yield tuple(key), c, image
+
+    return set(by_first), products
+
+
 def _law_check(
     inst: AlgebraInstance, name: str, args: str, out: str, terms: tuple[Term, ...]
 ) -> CheckResult:
-    """Sum every term's nonzero table products per argument tuple; report
-    the lexicographically least tuple whose sum is nonzero."""
+    """Sum every term's nonzero table products per argument tuple, one
+    value of the first argument at a time in increasing order; report the
+    lexicographically least tuple whose sum is nonzero."""
     f = inst.field
-    sums: dict[tuple[int, ...], dict[int, Scalar]] = {}
-
-    def add(key: list[int], c: Scalar, image: Sparse) -> None:
-        acc = sums.setdefault(tuple(key), {})
-        for pos, x in image.items():
-            acc[pos] = f.add(acc.get(pos, f.zero), f.mul(c, x))
-
-    key = [0] * len(args)
-    for sign, inner, x, y, outer, inner_on_left, z in terms:
-        c0 = f.one if sign > 0 else f.neg(f.one)
-        partners: dict[int, list[tuple[int, Sparse]]] = {}
-        if outer is not None:
-            for (i, j), image in getattr(inst, outer).table.items():
-                o, r = (i, j) if inner_on_left else (j, i)
-                partners.setdefault(o, []).append((r, image))
-        for (p, q), inner_image in getattr(inst, inner).table.items():
-            if x == y and p != q:
-                continue
-            key[x], key[y] = p, q
-            if outer is None:
-                add(key, c0, inner_image)
-                continue
-            for o, c in inner_image.items():
-                for r, image in partners.get(o, ()):
-                    key[z] = r
-                    add(key, f.mul(c0, c), image)
-
-    nonzero = [t for t, v in sums.items() if any(not f.is_zero(c) for c in v.values())]
-    if not nonzero:
-        return CheckResult(name, True)
-    first = min(nonzero)
-    diff = {pos: c for pos, c in sums[first].items() if not f.is_zero(c)}
-    return CheckResult(name, False, {
-        "args": [getattr(inst, b).name_of(p) for b, p in zip(args, first)],
-        "value": getattr(inst, out).describe_sparse(diff, f),
-    })
+    walks = [_term_products(inst, len(args), term) for term in terms]
+    for v in sorted(set().union(*(values for values, _ in walks))):
+        sums: dict[tuple[int, ...], dict[int, Scalar]] = {}
+        for _, products in walks:
+            for key, c, image in products(v):
+                acc = sums.setdefault(key, {})
+                for pos, e in image.items():
+                    acc[pos] = f.add(acc.get(pos, f.zero), f.mul(c, e))
+        nonzero = [t for t, s in sums.items() if any(not f.is_zero(c) for c in s.values())]
+        if nonzero:
+            first = min(nonzero)
+            diff = {pos: c for pos, c in sums[first].items() if not f.is_zero(c)}
+            return CheckResult(name, False, {
+                "args": [getattr(inst, b).name_of(p) for b, p in zip(args, first)],
+                "value": getattr(inst, out).describe_sparse(diff, f),
+            })
+    return CheckResult(name, True)
 
 
 def verify_all(inst: AlgebraInstance) -> VerificationReport:

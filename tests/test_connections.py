@@ -120,25 +120,37 @@ def test_enumeration_output_paths_all_validate():
 def test_enumeration_matches_literal_reference(monkeypatch, max_len):
     # the step table must list the same paths in the same order as a search
     # that multiplies at every step, and the guard's counts must equal that
-    # search's number of products and of listed entries: a bound of exactly
-    # the larger count passes, one less refuses, naming that count (either
-    # one on a tie)
+    # search's number of products and of listed entries.  A bound of the
+    # larger count passes; a bound one below either count refuses, naming
+    # a count that is above it (the counter stops at the first one over)
+    counted = []
+
+    def spy(*args):
+        counted.append(search_size(*args))
+        return counted[-1]
+
+    search_size = grlr.oracle._search_size
+    monkeypatch.setattr(grlr.oracle, "_search_size", spy)
     for label, inst in criterion_2_instances():
         sup = supports(inst)
         for side in ("sigma", "lambda"):
             base = sorted(sup.base(side))
             for g in base:
                 for h in base:
+                    where = (label, side, g, h)
                     expected, products = reference_connections(sup, g, h, side, max_len)
                     entries = sum(len(path) for path in expected)
                     bound = max(products, entries)
                     monkeypatch.setattr(grlr.oracle, "MAX_DFS_STEPS", bound)
-                    assert enumerate_connections(sup, g, h, side, max_len) == expected, (label, side, g, h)
-                    monkeypatch.setattr(grlr.oracle, "MAX_DFS_STEPS", bound - 1)
+                    counted.clear()
+                    assert enumerate_connections(sup, g, h, side, max_len) == expected, where
+                    assert counted == [(products, entries)], where
                     counts = {"search steps": products, "listed path entries": entries}
-                    larger = "|".join(what for what, count in counts.items() if count == bound)
-                    with pytest.raises(GuardError, match=larger):
-                        enumerate_connections(sup, g, h, side, max_len)
+                    for below in {products - 1, entries - 1}:
+                        monkeypatch.setattr(grlr.oracle, "MAX_DFS_STEPS", below)
+                        over = "|".join(what for what, count in counts.items() if count > below)
+                        with pytest.raises(GuardError, match=over):
+                            enumerate_connections(sup, g, h, side, max_len)
 
 
 def test_enumeration_refuses_a_long_listing():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 import time
 
 import pytest
@@ -21,9 +22,10 @@ from grlr import (
 )
 from grlr.cli import main
 from grlr.errors import InstanceFormatError
+from grlr.fields import prime_field
 from grlr.linear import rule_from_names
 
-from helpers import cached, mutate_instance
+from helpers import cached, mutate_instance, reference_verify
 
 CATALOG_NAMES = ["e1", "e2", "e3", "ga2", "ga3", "sl2_ga2"]
 
@@ -264,6 +266,39 @@ def test_cli_verify_of_a_wide_abelian_L_is_fast(tmp_path, capsys):
     assert main(["verify", str(path)]) == 0
     assert time.perf_counter() - start < 3.0
     capsys.readouterr()
+
+
+def test_cli_verify_of_a_dense_failing_bracket_stops_early(tmp_path, capsys):
+    # 24 basis elements of L at one grade with every bracket coefficient
+    # nonzero: Jacobi fails at the first triple.  The laws are summed one
+    # value of the first argument at a time, so verify stops in the first
+    # block instead of summing all 914,112 nested Jacobi products
+    f, G = prime_field(7), GroupSpec(1)
+    rng = random.Random(24)
+    names = [f"v{k}" for k in range(24)]
+    L = GradedBasis((n, (0,)) for n in names)
+    A = GradedBasis([("one", (0,))])
+    bracket = {}
+    for i, u in enumerate(names):
+        for w in names[i + 1:]:
+            image = {n: rng.randrange(1, 7) for n in names}
+            bracket[(u, w)] = image
+            bracket[(w, u)] = {n: 7 - c for n, c in image.items()}
+    inst = AlgebraInstance(
+        "dense", f, G, L, A,
+        rule_from_names("bracket", f, G, L, L, L, bracket),
+        rule_from_names("product", f, G, A, A, A, {("one", "one"): {"one": f.one}}),
+        rule_from_names("action", f, G, A, L, L, {("one", n): {n: f.one} for n in names}),
+        rule_from_names("anchor", f, G, L, A, A, {}),
+    )
+    path = tmp_path / "dense.json"
+    dump_instance(inst, path)
+    start = time.perf_counter()
+    assert main(["verify", str(path)]) == 1
+    assert time.perf_counter() - start < 5.0
+    capsys.readouterr()
+    assert [c.to_json() for c in verify_all(inst).checks] == reference_verify(inst)
+    assert [c.name for c in verify_all(inst).failed_checks()] == ["lie.jacobi"]
 
 
 def test_cli_oracle_search(capsys):
