@@ -37,6 +37,12 @@ VARIANTS = (
     ["decompose", "--fine", "--json"],
     ["decompose", "--fine"],
     ["oracle", "--what", "paths", "--json"],
+    ["oracle", "--what", "ideals", "--json"],
+    ["oracle", "--what", "ideals", "--side", "A"],
+    ["classes", "--side", "L", "--json"],
+    ["classes", "--side", "A"],
+    ["decompose", "--side", "L", "--json"],
+    ["decompose", "--side", "A", "--fine", "--json"],
 )
 
 

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from grlr import (
@@ -12,7 +15,8 @@ from grlr import (
     split_case_b,
     verify_all,
 )
-from grlr.errors import DecompositionError
+from grlr.errors import DecompositionError, ToolkitError
+from grlr.oracle import default_recipe_space, generate_instance
 
 from helpers import abelian_pair_instance, cached
 
@@ -162,3 +166,31 @@ def test_verdict_json_round_trip_fields():
 
 def test_abelian_pair_verifies():
     assert verify_all(abelian_pair_instance()).passed
+
+
+# sha256 of the verdict JSON on the 126 buildable prime-field recipes of
+# default_recipe_space(): per recipe its label, gr_simple_L, gr_simple_A,
+# fine_decompose and check_hypotheses5.  It pins every status, reason
+# text, certificate and closures_run count beyond the catalog.
+VERDICT_DIGEST = "ff1500c9be9cb1ecc74be58a2fc3591c714c21875fedcc7868a2490f22dacbb1"
+
+
+def test_prime_field_verdicts_match_recorded_digest():
+    records = []
+    for recipe in default_recipe_space():
+        try:
+            inst = generate_instance(recipe)
+        except ToolkitError:
+            continue
+        if inst.field.kind != "prime":
+            continue
+        records.append([
+            recipe.label,
+            gr_simple_L(inst).to_json(),
+            gr_simple_A(inst).to_json(),
+            fine_decompose(inst).to_json(),
+            check_hypotheses5(inst).to_json(),
+        ])
+    assert len(records) == 126
+    blob = json.dumps(records, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == VERDICT_DIGEST
