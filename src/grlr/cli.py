@@ -21,9 +21,9 @@ from . import simplicity as simp
 from .catalog import catalog_names
 from .errors import GuardError, InstanceFormatError, ToolkitError
 from .files import resolve_instance
-from .model import AlgebraInstance, ker_anchor, verify_all
+from .model import AlgebraInstance, verify_all
 from .groups import format_grade
-from .linear import GradedSubspace, bilinear_image
+from .linear import bilinear_image
 
 OK, MATH_FAIL, PARSE_FAIL, GUARD_FAIL = 0, 1, 2, 3
 
@@ -109,6 +109,11 @@ def _partition_json(sup: conn.Supports, side: str) -> dict:
     }
 
 
+def _sides(args: argparse.Namespace) -> list[str]:
+    """The sides "L" and "A" that ``--side`` selects, in that order."""
+    return [side for side in ("L", "A") if args.side in (side, "both")]
+
+
 def cmd_classes(args: argparse.Namespace) -> int:
     inst = _load(args)
     _verified(inst)
@@ -122,10 +127,9 @@ def cmd_classes(args: argparse.Namespace) -> int:
             "lambda": [format_grade(g) for g in sorted(sup.lam)],
         },
     }
-    if args.side in ("L", "both"):
-        data["sigma_partition"] = _partition_json(sup, "sigma")
-    if args.side in ("A", "both"):
-        data["lambda_partition"] = _partition_json(sup, "lambda")
+    for side in _sides(args):
+        name = "sigma" if side == "L" else "lambda"
+        data[f"{name}_partition"] = _partition_json(sup, name)
     _emit(data, args.json)
     return OK
 
@@ -140,15 +144,12 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         "field": inst.field.label,
         "tightness": tightness.to_json(),
     }
-    rep_L = rep_A = None
-    if args.side in ("L", "both"):
-        rep_L = dec.decompose_L(inst)
-        data["L"] = rep_L.to_json()
-    if args.side in ("A", "both"):
-        rep_A = dec.decompose_A(inst)
-        data["A"] = rep_A.to_json()
-    if rep_L is not None and rep_A is not None:
-        data["pairing"] = dec.pair_ideals(inst, rep_L, rep_A, tightness.tight).to_json()
+    reports = {}
+    for side in _sides(args):
+        reports[side] = dec.decompose_L(inst) if side == "L" else dec.decompose_A(inst)
+        data[side] = reports[side].to_json()
+    if len(reports) == 2:
+        data["pairing"] = dec.pair_ideals(inst, reports["L"], reports["A"], tightness.tight).to_json()
     if args.fine:
         data["fine"] = simp.fine_decompose(inst).to_json()
     _emit(data, args.json)
@@ -167,35 +168,16 @@ def _lattice_report(inst: AlgebraInstance, side: str) -> dict:
     from .oracle import enumerate_graded_ideals_A, enumerate_graded_ideals_L
 
     if side == "L":
-        lattice = enumerate_graded_ideals_L(inst)
-        rep = dec.decompose_L(inst)
-        verdict = simp.gr_simple_L(inst)
-        trivial: list[tuple[str, GradedSubspace]] = [
-            ("zero", GradedSubspace.zero(inst.field, inst.L)),
-            ("full", inst.full_L()),
-            ("ker_anchor", ker_anchor(inst)),
-        ]
-        products = (
-            (inst.bracket, inst.full_L(), inst.full_L()),
-            (inst.product, inst.full_A(), inst.full_A()),
-            (inst.action, inst.full_A(), inst.full_L()),
-        )
+        lattice, rep, verdict = enumerate_graded_ideals_L(inst), dec.decompose_L(inst), simp.gr_simple_L(inst)
     else:
-        lattice = enumerate_graded_ideals_A(inst)
-        rep = dec.decompose_A(inst)
-        verdict = simp.gr_simple_A(inst)
-        trivial = [("zero", GradedSubspace.zero(inst.field, inst.A)), ("full", inst.full_A())]
-        products = ((inst.product, inst.full_A(), inst.full_A()),)
+        lattice, rep, verdict = enumerate_graded_ideals_A(inst), dec.decompose_A(inst), simp.gr_simple_A(inst)
+    trivial = simp._trivial_ideals(inst, side)
     fast = trivial + [("ideal " + "/".join(ci.label_json()), ci.total) for ci in rep.ideals]
-    nontrivial = [s for s in lattice if s not in [sub for _, sub in trivial]]
-    products_ok = all(not bilinear_image(rule, U, V).is_zero() for rule, U, V in products)
-
     missing = [label for label, sub in fast if sub not in lattice]
-    lattice_simple = products_ok and not nontrivial
-    simplicity_agreement = (
-        verdict.status == "undecided"
-        or (verdict.status == "gr_simple") == lattice_simple
-    )
+    rules = [getattr(inst, name) for name, _ in simp._PRODUCTS[side]]
+    products_ok = all(not bilinear_image(r, dec._full(inst, r.left), dec._full(inst, r.right)).is_zero() for r in rules)
+    lattice_simple = products_ok and all(s in [sub for _, sub in trivial] for s in lattice)
+    simplicity_agreement = verdict.status == "undecided" or (verdict.status == "gr_simple") == lattice_simple
     return {
         "side": side,
         "count": len(lattice),
@@ -254,12 +236,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     }
     if args.what == "ideals":
         agreement = True
-        if args.side in ("L", "both"):
-            data["L"] = _lattice_report(inst, "L")
-            agreement = agreement and data["L"]["agreement"]
-        if args.side in ("A", "both"):
-            data["A"] = _lattice_report(inst, "A")
-            agreement = agreement and data["A"]["agreement"]
+        for side in _sides(args):
+            data[side] = _lattice_report(inst, side)
+            agreement = agreement and data[side]["agreement"]
         data["agreement"] = agreement
     else:
         paths = _paths_report(inst)

@@ -91,20 +91,21 @@ def _sort_key(sub: GradedSubspace):
     return (sub.dim, json.dumps(sub.to_json(), sort_keys=True))
 
 
+def _enumerate_graded_ideals(inst: AlgebraInstance, side: str) -> list[GradedSubspace]:
+    basis = getattr(inst, side)
+    _guard_enumeration(inst.field, basis.dim, "graded ideal")
+    is_ideal = is_graded_ideal_L if side == "L" else is_graded_ideal_A
+    return sorted((s for s in _graded_subspaces(inst.field, basis) if is_ideal(inst, s)[0]), key=_sort_key)
+
+
 def enumerate_graded_ideals_L(inst: AlgebraInstance) -> list[GradedSubspace]:
     """All graded ideals of L, by exhausting every graded subspace."""
-    _guard_enumeration(inst.field, inst.L.dim, "graded ideal")
-    found = [s for s in _graded_subspaces(inst.field, inst.L) if is_graded_ideal_L(inst, s)[0]]
-    found.sort(key=_sort_key)
-    return found
+    return _enumerate_graded_ideals(inst, "L")
 
 
 def enumerate_graded_ideals_A(inst: AlgebraInstance) -> list[GradedSubspace]:
     """All graded ideals of A, by exhausting every graded subspace."""
-    _guard_enumeration(inst.field, inst.A.dim, "graded ideal")
-    found = [s for s in _graded_subspaces(inst.field, inst.A) if is_graded_ideal_A(inst, s)[0]]
-    found.sort(key=_sort_key)
-    return found
+    return _enumerate_graded_ideals(inst, "A")
 
 
 def _search_size(

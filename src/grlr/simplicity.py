@@ -12,16 +12,23 @@ commutative side.  Over a finite field the homogeneous elements can be
 enumerated projectively, which makes the criterion exact; over the
 rationals only sampled seeds are tried, so a clean scan downgrades to
 "undecided" while a found counterexample is still conclusive.
+
+Both sides run one scan, read off per-side data (``_PRODUCTS``,
+``_trivial_ideals``, ``_VERDICT_TEXT``):
+
+    side  nonzero products  trivial ideals  closure adds, one fixpoint loop
+    L     [L,L], AA, AL     0, Ker rho, L   [L,I], A.I, rho(I)(A)L
+    A     AA                0, A            A.J
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
 from typing import Callable, Iterator
 
 from .connections import Supports, lambda_classes, sigma_classes, supports
 from .decompose import (
-    DecompositionReport,
     _block,
     _full,
     _term,
@@ -36,7 +43,6 @@ from .groups import Grade, format_grade
 from .linear import GradedSubspace, bilinear_image, subspace_intersect, subspace_sum
 from .model import (
     AlgebraInstance,
-    is_graded_ideal_A,
     is_graded_ideal_L,
     ker_anchor,
     restrict_instance,
@@ -44,6 +50,15 @@ from .model import (
 )
 
 CLOSURE_CAP = 20000
+
+# per side: the rules whose full products must be nonzero, in the order
+# they are checked, each with the reason given when it is zero; then the
+# texts for a closure outside the trivial ideals and for a clean scan
+_PRODUCTS = {"L": (("bracket", "[L, L] = 0"), ("product", "AA = 0"), ("action", "AL = 0")), "A": (("product", "AA = 0"),)}
+_VERDICT_TEXT = {
+    "L": ("is a proper graded ideal distinct from Ker rho", "every homogeneous closure lies in {Ker rho, L}"),
+    "A": ("is a proper graded ideal", "every homogeneous closure is 0 or A"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -128,27 +143,28 @@ def _g_mult_witness(inst: AlgebraInstance, sup: Supports) -> str | None:
 # ideal closures
 
 
-def ideal_closure_L(inst: AlgebraInstance, seed: GradedSubspace) -> GradedSubspace:
-    """Smallest graded ideal of L containing the seed subspace."""
+def _fixpoint(seed: GradedSubspace, images: Callable[[GradedSubspace], tuple]) -> GradedSubspace:
+    """Add ``images(current)`` to ``current`` until nothing new comes in."""
     current = seed
     while True:
-        grown = subspace_sum(current, bilinear_image(inst.bracket, inst.full_L(), current))
-        grown = subspace_sum(grown, bilinear_image(inst.action, inst.full_A(), current))
-        rho_image = bilinear_image(inst.anchor, current, inst.full_A())
-        grown = subspace_sum(grown, bilinear_image(inst.action, rho_image, inst.full_L()))
+        grown = reduce(subspace_sum, images(current), current)
         if grown == current:
             return current
         current = grown
+
+
+def ideal_closure_L(inst: AlgebraInstance, seed: GradedSubspace) -> GradedSubspace:
+    """Smallest graded ideal of L containing the seed subspace."""
+    return _fixpoint(seed, lambda I: (
+        bilinear_image(inst.bracket, inst.full_L(), I),
+        bilinear_image(inst.action, inst.full_A(), I),
+        bilinear_image(inst.action, bilinear_image(inst.anchor, I, inst.full_A()), inst.full_L()),
+    ))
 
 
 def ideal_closure_A(inst: AlgebraInstance, seed: GradedSubspace) -> GradedSubspace:
     """Smallest graded ideal of A containing the seed subspace."""
-    current = seed
-    while True:
-        grown = subspace_sum(current, bilinear_image(inst.product, inst.full_A(), current))
-        if grown == current:
-            return current
-        current = grown
+    return _fixpoint(seed, lambda J: (bilinear_image(inst.product, inst.full_A(), J),))
 
 
 # ---------------------------------------------------------------------------
@@ -240,62 +256,45 @@ def _undecided_reason(f: Field, cap: int) -> str:
     return "rational scalars: sampled closures found no counterexample, enumeration is not exhaustive"
 
 
-def _closure_scan(
-    inst: AlgebraInstance,
-    side: str,
-    closure_of: Callable[[AlgebraInstance, GradedSubspace], GradedSubspace],
-    allowed: list[GradedSubspace],
-    cap: int,
-    proper: str,
-    clean: str,
-) -> SimplicityVerdict:
-    """Close every homogeneous seed of one side; the first closure outside
-    ``allowed`` certifies "not gr-simple", otherwise the scan's coverage
-    decides between "gr_simple" and "undecided"."""
+def _trivial_ideals(inst: AlgebraInstance, side: str) -> list[tuple[str, GradedSubspace]]:
+    """The named graded ideals a gr-simple side may have: 0, the whole side, and Ker rho on L."""
+    basis = getattr(inst, side)
+    trivial = [("zero", GradedSubspace.zero(inst.field, basis)), ("full", _full(inst, basis))]
+    if side == "L":
+        trivial.append(("ker_anchor", ker_anchor(inst)))
+    return trivial
+
+
+def _gr_simple(inst: AlgebraInstance, side: str, cap: int) -> SimplicityVerdict:
+    """The product pre-checks, then one closure per homogeneous seed; the
+    first closure outside the trivial ideals certifies "not gr-simple",
+    otherwise the scan's coverage decides "gr_simple" or "undecided"."""
+    for name, reason in _PRODUCTS[side]:
+        rule = getattr(inst, name)
+        if bilinear_image(rule, _full(inst, rule.left), _full(inst, rule.right)).is_zero():
+            return SimplicityVerdict(side, "not_gr_simple", reason)
+    allowed = [sub for _, sub in _trivial_ideals(inst, side)]
+    closure_of = ideal_closure_L if side == "L" else ideal_closure_A
+    proper, clean = _VERDICT_TEXT[side]
     f = inst.field
-    basis = inst.L if side == "L" else inst.A
+    basis = getattr(inst, side)
     seeds, exhaustive = _homogeneous_seeds(inst, basis, cap)
-    run = 0
-    for g, coords in seeds:
-        seed = GradedSubspace.from_block_vectors(f, basis, [(g, coords)])
-        closure = closure_of(inst, seed)
-        run += 1
+    for run, (g, coords) in enumerate(seeds, 1):
+        closure = closure_of(inst, GradedSubspace.from_block_vectors(f, basis, [(g, coords)]))
         if closure not in allowed:
-            return SimplicityVerdict(
-                side,
-                "not_gr_simple",
-                f"closure of a homogeneous element at grade {format_grade(g)} {proper}",
-                closure,
-                run,
-            )
+            reason = f"closure of a homogeneous element at grade {format_grade(g)} {proper}"
+            return SimplicityVerdict(side, "not_gr_simple", reason, closure, run)
     if exhaustive:
-        return SimplicityVerdict(side, "gr_simple", clean, None, run)
-    return SimplicityVerdict(side, "undecided", _undecided_reason(f, cap), None, run)
+        return SimplicityVerdict(side, "gr_simple", clean, None, len(seeds))
+    return SimplicityVerdict(side, "undecided", _undecided_reason(f, cap), None, len(seeds))
 
 
 def gr_simple_L(inst: AlgebraInstance, cap: int = CLOSURE_CAP) -> SimplicityVerdict:
-    for rule, reason in ((inst.bracket, "[L, L] = 0"), (inst.product, "AA = 0"), (inst.action, "AL = 0")):
-        if bilinear_image(rule, _full(inst, rule.left), _full(inst, rule.right)).is_zero():
-            return SimplicityVerdict("L", "not_gr_simple", reason)
-    allowed = [GradedSubspace.zero(inst.field, inst.L), ker_anchor(inst), inst.full_L()]
-    return _closure_scan(
-        inst,
-        "L",
-        ideal_closure_L,
-        allowed,
-        cap,
-        "is a proper graded ideal distinct from Ker rho",
-        "every homogeneous closure lies in {Ker rho, L}",
-    )
+    return _gr_simple(inst, "L", cap)
 
 
 def gr_simple_A(inst: AlgebraInstance, cap: int = CLOSURE_CAP) -> SimplicityVerdict:
-    if bilinear_image(inst.product, inst.full_A(), inst.full_A()).is_zero():
-        return SimplicityVerdict("A", "not_gr_simple", "AA = 0")
-    allowed = [GradedSubspace.zero(inst.field, inst.A), inst.full_A()]
-    return _closure_scan(
-        inst, "A", ideal_closure_A, allowed, cap, "is a proper graded ideal", "every homogeneous closure is 0 or A"
-    )
+    return _gr_simple(inst, "A", cap)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +401,6 @@ def fine_decompose(inst: AlgebraInstance) -> FineReport:
     L_rep = decompose_L(inst)
     A_rep = decompose_A(inst)
     pairing = pair_ideals(inst, L_rep, A_rep, hyp.conditions["tight"])
-    summands: list[FineSummand] = []
 
     # the first A ideal acting on each L ideal; the hypotheses include
     # tightness, under which it is the only one
@@ -412,46 +410,27 @@ def fine_decompose(inst: AlgebraInstance) -> FineReport:
         for entry in pairing.pairs
     ]
 
-    for ideal, partner in zip(L_rep.ideals, partners):
-        A_part = partner.total if partner else GradedSubspace.zero(inst.field, inst.A)
-        sub = restrict_instance(inst, ideal.total, A_part, f"{inst.name}|L{ideal.label_json()}")
+    # (side, class ideal, L part, A part, partner ideals) of every summand
+    zero_L, zero_A = GradedSubspace.zero(inst.field, inst.L), GradedSubspace.zero(inst.field, inst.A)
+    parts = [
+        ("L", ideal, ideal.total, partner.total if partner else zero_A, [partner] if partner else [])
+        for ideal, partner in zip(L_rep.ideals, partners)
+    ]
+    for a_ideal in A_rep.ideals:
+        lovers = [ideal for ideal, partner in zip(L_rep.ideals, partners) if partner is a_ideal]
+        parts.append(("A", a_ideal, reduce(subspace_sum, [i.total for i in lovers], zero_L), a_ideal.total, lovers))
+
+    summands: list[FineSummand] = []
+    for side, ideal, L_part, A_part, others in parts:
+        sub = restrict_instance(inst, L_part, A_part, f"{inst.name}|{side}{ideal.label_json()}")
         verified = verify_all(sub).passed
-        verdict = gr_simple_L(sub)
+        verdict = gr_simple_L(sub) if side == "L" else gr_simple_A(sub)
         split = None
-        if verdict.status == "not_gr_simple" and verdict.certificate is not None:
+        if side == "L" and verdict.status == "not_gr_simple" and verdict.certificate is not None:
             one = inst.group.identity()
             sig = {g for g in verdict.certificate.grades() if g != one}
             if sig and not (sig & {sub.group.inv(g) for g in sig}):
                 split = split_case_b(sub, verdict.certificate)
-        summands.append(
-            FineSummand(
-                "L",
-                ideal.label_json(),
-                ideal.total,
-                [partner.label_json()] if partner else None,
-                verdict,
-                split,
-                verified,
-            )
-        )
-
-    for a_ideal in A_rep.ideals:
-        lovers = [ideal for ideal, partner in zip(L_rep.ideals, partners) if partner is a_ideal]
-        L_part = GradedSubspace.zero(inst.field, inst.L)
-        for ideal in lovers:
-            L_part = subspace_sum(L_part, ideal.total)
-        sub = restrict_instance(inst, L_part, a_ideal.total, f"{inst.name}|A{a_ideal.label_json()}")
-        verified = verify_all(sub).passed
-        verdict = gr_simple_A(sub)
-        summands.append(
-            FineSummand(
-                "A",
-                a_ideal.label_json(),
-                a_ideal.total,
-                [ideal.label_json() for ideal in lovers] or None,
-                verdict,
-                None,
-                verified,
-            )
-        )
+        labels = [other.label_json() for other in others] or None
+        summands.append(FineSummand(side, ideal.label_json(), ideal.total, labels, verdict, split, verified))
     return FineReport(hyp, True, summands, "")
