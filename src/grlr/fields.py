@@ -204,8 +204,11 @@ def field_from_json(data: dict) -> Field:
     if kind == "rational":
         return RATIONALS
     if kind == "prime":
+        p = data.get("p")
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise ScalarParseError(f"bad prime field spec {data!r}: p must be an integer, got {p!r}")
         try:
-            return prime_field(int(data["p"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            return prime_field(p)
+        except ValueError as exc:
             raise ScalarParseError(f"bad prime field spec {data!r}: {exc}") from None
     raise ScalarParseError(f"unknown field spec {data!r}")

@@ -78,7 +78,14 @@ class GroupSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "GroupSpec":
-        return cls(int(data["free_rank"]), tuple(int(m) for m in data.get("torsion", ())))
+        """``{"free_rank": r, "torsion": [m1, ...]}`` with JSON integers only."""
+        rank, torsion = data["free_rank"], data.get("torsion", [])
+        if not isinstance(torsion, list):
+            raise ValueError(f"torsion must be a list, got {torsion!r}")
+        for x in (rank, *torsion):
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise ValueError(f"free_rank and torsion moduli must be integers, got {x!r}")
+        return cls(rank, tuple(torsion))
 
 
 def format_grade(g: Grade) -> str:

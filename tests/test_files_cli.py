@@ -109,6 +109,14 @@ def test_inconsistent_orientations_are_rejected():
     (lambda d: d["product"][0].update(value=[["one", "1"], ["one", "2"]]), "listed twice"),
     (lambda d: d.update(field="gf4"), "not prime"),
     (lambda d: d.update(group={"free_rank": -1, "torsion": []}), "bad group"),
+    # numbers must be JSON integers: no floats, bools or digit strings
+    (lambda d: d.update(group={"free_rank": 1.5, "torsion": []}), "must be integers, got 1.5"),
+    (lambda d: d.update(group={"free_rank": True, "torsion": []}), "must be integers, got True"),
+    (lambda d: d.update(group={"free_rank": "1", "torsion": []}), "must be integers, got '1'"),
+    (lambda d: d.update(group={"free_rank": 1, "torsion": "35"}), "torsion must be a list"),
+    (lambda d: d.update(group={"free_rank": 1, "torsion": [2.0]}), "must be integers, got 2.0"),
+    (lambda d: d.update(field={"kind": "prime", "p": 5.9}), "p must be an integer, got 5.9"),
+    (lambda d: d.update(field={"kind": "prime", "p": True}), "p must be an integer, got True"),
 ])
 def test_malformed_documents_are_rejected(mangle, needle):
     doc = _minimal_doc()
@@ -116,6 +124,24 @@ def test_malformed_documents_are_rejected(mangle, needle):
     with pytest.raises(InstanceFormatError) as err:
         instance_from_json(doc)
     assert needle.lower() in str(err.value).lower()
+
+
+def test_unreadable_files_are_refused(tmp_path, monkeypatch, capsys):
+    assert main(["verify", str(tmp_path)]) == 2  # a directory
+    assert "unreadable" in capsys.readouterr().err
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe" + json.dumps(_minimal_doc()).encode("utf-16-le"))
+    assert main(["verify", str(utf16)]) == 2
+    assert "unreadable" in capsys.readouterr().err
+    locked = tmp_path / "locked.json"
+    locked.write_text(json.dumps(_minimal_doc()), encoding="utf-8")
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(type(locked), "read_text", refuse)
+    with pytest.raises(InstanceFormatError, match="Permission denied"):
+        load_instance(locked)
 
 
 def test_resolve_instance_prefers_catalog_then_file(tmp_path):
