@@ -197,10 +197,12 @@ def load_instance(path: str | Path) -> AlgebraInstance:
     if not p.exists():
         raise InstanceFormatError(f"no such file: {p}")
     try:
-        data = json.loads(p.read_text(encoding="utf-8"))
+        text = p.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InstanceFormatError(f"{p}: unreadable: {exc}") from None
-    except json.JSONDecodeError as exc:
+    try:
+        data = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InstanceFormatError(f"{p}: invalid JSON: {exc}") from None
     return instance_from_json(data)
 

@@ -144,6 +144,13 @@ def test_unreadable_files_are_refused(tmp_path, monkeypatch, capsys):
         load_instance(locked)
 
 
+def test_deeply_nested_json_is_refused(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main(["verify", str(path)]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
+
+
 def test_resolve_instance_prefers_catalog_then_file(tmp_path):
     byname = resolve_instance("e2")
     assert byname.name == "e2"
