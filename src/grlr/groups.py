@@ -26,9 +26,14 @@ class GroupSpec:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.torsion, (tuple, list)):
+            raise ValueError(f"torsion must be a tuple of moduli, got {self.torsion!r}")
+        object.__setattr__(self, "torsion", tuple(self.torsion))
+        for x in (self.free_rank, *self.torsion):
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise ValueError(f"free_rank and torsion moduli must be integers, got {x!r}")
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        object.__setattr__(self, "torsion", tuple(int(m) for m in self.torsion))
         for m in self.torsion:
             if m < 2:
                 raise ValueError(f"torsion modulus {m} must be >= 2")
@@ -82,9 +87,6 @@ class GroupSpec:
         rank, torsion = data["free_rank"], data.get("torsion", [])
         if not isinstance(torsion, list):
             raise ValueError(f"torsion must be a list, got {torsion!r}")
-        for x in (rank, *torsion):
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise ValueError(f"free_rank and torsion moduli must be integers, got {x!r}")
         return cls(rank, tuple(torsion))
 
 

@@ -21,7 +21,15 @@ from grlr import (
 from grlr.errors import ToolkitError
 from grlr.fields import Field, parse_field_label
 from grlr.groups import Grade
-from grlr.linear import BilinearRule, Sparse, rule_from_names, sparse_add, sparse_scale
+from grlr.linear import (
+    BilinearRule,
+    Sparse,
+    bilinear_image,
+    rule_from_names,
+    sparse_add,
+    sparse_scale,
+    subspace_sum,
+)
 from grlr.model import verify_grading
 
 _cache: dict[tuple[str, str | None], AlgebraInstance] = {}
@@ -294,6 +302,26 @@ def ideal_oracle_A(inst: AlgebraInstance, J: GradedSubspace) -> bool:
             if not J.contains_sparse(inst.product.apply_sparse({a: inst.field.one}, v)):
                 return False
     return True
+
+
+def plain_closure(inst: AlgebraInstance, seed: GradedSubspace, side: str) -> GradedSubspace:
+    """Ideal closure on ``side`` by the plain fixpoint loop: add the images
+    until a round brings nothing new, with no early stop."""
+    def images(current: GradedSubspace) -> list[GradedSubspace]:
+        if side == "A":
+            return [bilinear_image(inst.product, inst.full_A(), current)]
+        return [
+            bilinear_image(inst.bracket, inst.full_L(), current),
+            bilinear_image(inst.action, inst.full_A(), current),
+            bilinear_image(inst.action, bilinear_image(inst.anchor, current, inst.full_A()), inst.full_L()),
+        ]
+
+    current = seed
+    while True:
+        grown = functools.reduce(subspace_sum, images(current), current)
+        if grown == current:
+            return current
+        current = grown
 
 
 def random_sparse(rng: random.Random, field: Field, dim: int) -> Sparse:

@@ -61,6 +61,24 @@ def test_invalid_specs():
         GroupSpec(0, (1,))
 
 
+@pytest.mark.parametrize("args, bad", [
+    ((1, (2.7,)), "2.7"),
+    ((True,), "True"),
+    ((1.5,), "1.5"),
+    ((1, (2, False)), "False"),
+    (("1",), "'1'"),
+])
+def test_non_integer_specs_are_refused(args, bad):
+    with pytest.raises(ValueError, match=f"must be integers, got {bad}"):
+        GroupSpec(*args)
+
+
+def test_torsion_must_be_a_sequence_of_moduli():
+    with pytest.raises(ValueError, match="torsion must be a tuple"):
+        GroupSpec(1, 3)
+    assert GroupSpec(1, [2, 3]).torsion == (2, 3)
+
+
 def test_grade_formatting_round_trip():
     G2 = GroupSpec(2)
     assert format_grade((1, -2)) == "1,-2"

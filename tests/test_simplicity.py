@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -15,10 +16,12 @@ from grlr import (
     split_case_b,
     verify_all,
 )
+import grlr.simplicity
 from grlr.errors import DecompositionError, ToolkitError
 from grlr.oracle import default_recipe_space, generate_instance
+from grlr.simplicity import CLOSURE_CAP, _homogeneous_seeds, ideal_closure_A, ideal_closure_L
 
-from helpers import abelian_pair_instance, cached
+from helpers import abelian_pair_instance, cached, plain_closure
 
 HYPOTHESIS_NAMES = ["tight", "maximal_length", "g_multiplicative", "sigma_symmetric",
                     "lambda_symmetric", "sigma_all_connected", "lambda_all_connected"]
@@ -194,3 +197,79 @@ def test_prime_field_verdicts_match_recorded_digest():
     assert len(records) == 126
     blob = json.dumps(records, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == VERDICT_DIGEST
+
+
+# sha256 of the verdict JSON on the 20 buildable rational recipes of
+# default_recipe_space(): per recipe its label, gr_simple_L, gr_simple_A
+# and fine_decompose.  It pins the sampled closure scans over Q, their
+# reasons and closures_run counts, which no golden file holds.
+RATIONAL_VERDICT_DIGEST = "3c3eb61305a604545c228a038c1fc78f4393f6e480c79888f5f762b9c714df2f"
+
+
+def _rational_recipes():
+    """(label, instance) for each buildable rational recipe of default_recipe_space()."""
+    for recipe in default_recipe_space():
+        try:
+            inst = generate_instance(recipe)
+        except ToolkitError:
+            continue
+        if inst.field.kind != "prime":
+            yield recipe.label, inst
+
+
+def test_rational_verdicts_match_recorded_digest():
+    records = []
+    for label, inst in _rational_recipes():
+        records.append([
+            label,
+            gr_simple_L(inst).to_json(),
+            gr_simple_A(inst).to_json(),
+            fine_decompose(inst).to_json(),
+        ])
+    assert len(records) == 20
+    blob = json.dumps(records, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == RATIONAL_VERDICT_DIGEST
+
+
+def _closure_cases():
+    """The catalog entries at GF(3), then the first three buildable rational recipes."""
+    cases = [pytest.param(cached(name, "gf3"), id=name) for name in ("e1", "e2", "e3", "ga2", "ga3", "sl2_ga2")]
+    rational = itertools.islice(_rational_recipes(), 3)
+    return cases + [pytest.param(inst, id=label) for label, inst in rational]
+
+
+@pytest.mark.parametrize("inst", _closure_cases())
+def test_closures_equal_the_plain_fixpoint_loop(inst):
+    name = inst.name
+    checked = 0
+    for side, closure_of in (("L", ideal_closure_L), ("A", ideal_closure_A)):
+        basis = getattr(inst, side)  # L is zero on ga2 and ga3
+        seeds, _ = _homogeneous_seeds(inst, basis, CLOSURE_CAP)
+        for g, coords in seeds:
+            seed = GradedSubspace.from_block_vectors(inst.field, basis, [(g, coords)])
+            assert closure_of(inst, seed) == plain_closure(inst, seed, side), (name, side, g, coords)
+        checked += len(seeds)
+    assert checked > 0
+
+
+def test_each_seed_line_is_closed_once(monkeypatch):
+    inst = cached("sl2_ga2")  # rational scalars, so the sampled seeds repeat lines
+    f = inst.field
+    seeds, _ = _homogeneous_seeds(inst, inst.L, CLOSURE_CAP)
+    lines = set()
+    for g, coords in seeds:
+        lead = next(x for x in coords if not f.is_zero(x))
+        lines.add((g, tuple(f.div(x, lead) for x in coords)))
+    assert len(lines) < len(seeds)
+
+    calls = []
+
+    def counting(inst_arg, seed):
+        calls.append(seed)
+        return ideal_closure_L(inst_arg, seed)
+
+    monkeypatch.setattr(grlr.simplicity, "ideal_closure_L", counting)
+    verdict = grlr.simplicity.gr_simple_L(inst)
+    assert verdict.status == "undecided"
+    assert len(calls) == len(lines)
+    assert verdict.closures_run == len(seeds)
