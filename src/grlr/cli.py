@@ -5,15 +5,32 @@ classes (support partitions with witness paths), decompose (class
 ideals, tightness, pairing, optional fine pipeline), dot (connection
 graph export) and oracle (brute-force cross-checks).
 
-Exit codes: 0 success, 1 mathematical failure (axioms or cross-check),
-2 unreadable input, 3 refused guard.
+Each command is one row of ``COMMANDS``: help text; handler, taking
+``(args, inst)`` and returning the exit code and the report (a dict,
+rendered as text or ``--json``, or DOT text); own flags, the instance
+argument included; load ``purpose`` (``display`` or ``oracle``, see
+``catalog.build``); whether to run ``verify_all`` first; and the flags
+the header echoes.  ``--field`` and ``--json`` are added to every row in
+one loop, and the parser is built once, at import.  ``main`` is the one
+runner: it parses, makes the two ``oracle`` checks argparse cannot
+express, loads and verifies the instance as the row says, calls the
+handler and prints the report behind its ``{command, instance, field}``
+header.  It maps errors to exit codes: 0 success, 1 mathematical
+failure (axioms, cross-check, or any other ``ToolkitError``: ``failed:``),
+2 unreadable input (``InstanceFormatError`` or a bad argument:
+``error:``), 3 refused guard (``GuardError``: ``refused:``).
+
+Handlers call the library through attribute lookups at call time
+(``conn.sigma_classes``, ``dec.decompose_L``) and the table holds only
+this module's handlers, so a tool that replaces module bindings, such
+as the benchmark's tracer, sees every call.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from . import connections as conn
 from . import decompose as dec
@@ -26,6 +43,8 @@ from .groups import format_grade
 from .linear import bilinear_image
 
 OK, MATH_FAIL, PARSE_FAIL, GUARD_FAIL = 0, 1, 2, 3
+# side -> the name of its connection relation and support in ``connections``
+RELATION = {"L": "sigma", "A": "lambda"}
 
 
 def _render(obj: Any, indent: int = 0, out=None) -> None:
@@ -59,17 +78,6 @@ def _scalar_text(val: Any) -> str:
     return str(val)
 
 
-def _emit(report: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        _render(report)
-
-
-def _load(args: argparse.Namespace, purpose: str = "display") -> AlgebraInstance:
-    return resolve_instance(args.instance, args.field, purpose)
-
-
 def _verified(inst: AlgebraInstance) -> None:
     report = verify_all(inst)
     if not report.passed:
@@ -77,30 +85,25 @@ def _verified(inst: AlgebraInstance) -> None:
         raise ToolkitError(f"instance fails verification: {first.name} (witness {first.witness})")
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    inst = _load(args)
-    report = verify_all(inst)
-    data = {
-        "command": "verify",
-        "instance": inst.name,
-        "field": inst.field.label,
-        **report.to_json(),
-    }
-    _emit(data, args.json)
-    return OK if report.passed else MATH_FAIL
+def _sides(args: argparse.Namespace) -> list[str]:
+    """The sides "L" and "A" that ``--side`` selects, in that order."""
+    return [side for side in ("L", "A") if args.side in (side, "both")]
+
+
+def _partition(sup: conn.Supports, side: str) -> conn.ConnectionPartition:
+    return conn.sigma_classes(sup) if side == "L" else conn.lambda_classes(sup)
 
 
 def _partition_json(sup: conn.Supports, side: str) -> dict:
-    part = conn.sigma_classes(sup) if side == "sigma" else conn.lambda_classes(sup)
+    part = _partition(sup, side)
     witnesses = []
     for (g, h) in sorted(part.witness):
         path = part.witness[(g, h)]
-        ok = conn.validate_connection_path(sup, side, path, g, h)
         witnesses.append({
             "from": format_grade(g),
             "to": format_grade(h),
             "path": [format_grade(x) for x in path],
-            "valid": ok,
+            "valid": conn.validate_connection_path(sup, RELATION[side], path, g, h),
         })
     return {
         "classes": part.to_json(),
@@ -109,41 +112,23 @@ def _partition_json(sup: conn.Supports, side: str) -> dict:
     }
 
 
-def _sides(args: argparse.Namespace) -> list[str]:
-    """The sides "L" and "A" that ``--side`` selects, in that order."""
-    return [side for side in ("L", "A") if args.side in (side, "both")]
+def cmd_verify(args: argparse.Namespace, inst: AlgebraInstance) -> tuple[int, dict]:
+    report = verify_all(inst)
+    return (OK if report.passed else MATH_FAIL), report.to_json()
 
 
-def cmd_classes(args: argparse.Namespace) -> int:
-    inst = _load(args)
-    _verified(inst)
+def cmd_classes(args: argparse.Namespace, inst: AlgebraInstance) -> tuple[int, dict]:
     sup = conn.supports(inst)
-    data: dict = {
-        "command": "classes",
-        "instance": inst.name,
-        "field": inst.field.label,
-        "supports": {
-            "sigma": [format_grade(g) for g in sorted(sup.sigma)],
-            "lambda": [format_grade(g) for g in sorted(sup.lam)],
-        },
-    }
+    supports = {name: [format_grade(g) for g in sorted(sup.base(name))] for name in RELATION.values()}
+    data: dict = {"supports": supports}
     for side in _sides(args):
-        name = "sigma" if side == "L" else "lambda"
-        data[f"{name}_partition"] = _partition_json(sup, name)
-    _emit(data, args.json)
-    return OK
+        data[f"{RELATION[side]}_partition"] = _partition_json(sup, side)
+    return OK, data
 
 
-def cmd_decompose(args: argparse.Namespace) -> int:
-    inst = _load(args)
-    _verified(inst)
+def cmd_decompose(args: argparse.Namespace, inst: AlgebraInstance) -> tuple[int, dict]:
     tightness = dec.check_tight(inst)
-    data: dict = {
-        "command": "decompose",
-        "instance": inst.name,
-        "field": inst.field.label,
-        "tightness": tightness.to_json(),
-    }
+    data: dict = {"tightness": tightness.to_json()}
     reports = {}
     for side in _sides(args):
         reports[side] = dec.decompose_L(inst) if side == "L" else dec.decompose_A(inst)
@@ -152,16 +137,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         data["pairing"] = dec.pair_ideals(inst, reports["L"], reports["A"], tightness.tight).to_json()
     if args.fine:
         data["fine"] = simp.fine_decompose(inst).to_json()
-    _emit(data, args.json)
-    return OK
+    return OK, data
 
 
-def cmd_dot(args: argparse.Namespace) -> int:
-    inst = _load(args)
-    _verified(inst)
-    side = "sigma" if args.side == "L" else "lambda"
-    print(conn.connection_graph_dot(conn.supports(inst), side))
-    return OK
+def cmd_dot(args: argparse.Namespace, inst: AlgebraInstance) -> tuple[int, str]:
+    return OK, conn.connection_graph_dot(conn.supports(inst), RELATION[args.side])
 
 
 def _lattice_report(inst: AlgebraInstance, side: str) -> dict:
@@ -196,15 +176,14 @@ def _paths_report(inst: AlgebraInstance) -> dict:
 
     sup = conn.supports(inst)
     sides = {}
-    agreement = True
-    for side in ("sigma", "lambda"):
-        part = conn.sigma_classes(sup) if side == "sigma" else conn.lambda_classes(sup)
-        base = sorted(sup.base(side))
+    for side, name in RELATION.items():
+        part = _partition(sup, side)
+        base = sorted(sup.base(name))
         pairs = []
         for g in base:
             for h in base:
                 bfs = part.class_of(g) == part.class_of(h)
-                found = bool(enumerate_connections(sup, g, h, side))
+                found = bool(enumerate_connections(sup, g, h, name))
                 pairs.append({
                     "from": format_grade(g),
                     "to": format_grade(h),
@@ -212,40 +191,55 @@ def _paths_report(inst: AlgebraInstance) -> dict:
                     "enumeration_connected": found,
                     "agree": bfs == found,
                 })
-                agreement = agreement and bfs == found
-        sides[side] = {"pairs": pairs, "classes": part.to_json()}
-    return {"sides": sides, "agreement": agreement}
+        sides[name] = {"pairs": pairs, "classes": part.to_json()}
+    return {"sides": sides, "agreement": all(pair["agree"] for s in sides.values() for pair in s["pairs"])}
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
+def cmd_oracle(args: argparse.Namespace, inst: AlgebraInstance | None) -> tuple[int, dict]:
     if args.what == "search":
         from .oracle import default_recipe_space, hypothesis_search
 
-        report = hypothesis_search(default_recipe_space(), args.budget)
-        data = {"command": "oracle", "what": "search", **report.to_json()}
-        _emit(data, args.json)
-        return OK
-
-    inst = _load(args, purpose="oracle")
-    _verified(inst)
-    data = {
-        "command": "oracle",
-        "what": args.what,
-        "instance": inst.name,
-        "field": inst.field.label,
-    }
+        return OK, hypothesis_search(default_recipe_space(), args.budget).to_json()
     if args.what == "ideals":
-        agreement = True
-        for side in _sides(args):
-            data[side] = _lattice_report(inst, side)
-            agreement = agreement and data[side]["agreement"]
-        data["agreement"] = agreement
+        data = {side: _lattice_report(inst, side) for side in _sides(args)}
+        data["agreement"] = all(report["agreement"] for report in data.values())
     else:
-        paths = _paths_report(inst)
-        data.update(paths)
-        agreement = paths["agreement"]
-    _emit(data, args.json)
-    return OK if agreement else MATH_FAIL
+        data = _paths_report(inst)
+    return (OK if data["agreement"] else MATH_FAIL), data
+
+
+class Command(NamedTuple):
+    help: str
+    handler: Callable[[argparse.Namespace, AlgebraInstance | None], tuple[int, dict | str]]
+    flags: tuple[tuple[tuple[str, ...], dict], ...]
+    purpose: str = "display"
+    verify: bool = True
+    echo: tuple[str, ...] = ()
+
+
+def _flag(*names: str, **options: Any) -> tuple[tuple[str, ...], dict]:
+    return names, options
+
+
+_INSTANCE = _flag("instance", help=f"catalog name ({', '.join(catalog_names())}) or path to a JSON instance file")
+_SIDES = _flag("--side", choices=("L", "A", "both"), default="both")
+
+COMMANDS = {
+    "verify": Command("check every defining axiom", cmd_verify, (_INSTANCE,), verify=False),
+    "classes": Command("support partitions into connection classes", cmd_classes, (_INSTANCE, _SIDES)),
+    "decompose": Command("class ideals, tightness, pairing", cmd_decompose, (
+        _INSTANCE, _SIDES, _flag("--fine", action="store_true", help="refine into gr-simple summands"),
+    )),
+    "dot": Command("connection graph in DOT format", cmd_dot, (
+        _INSTANCE, _flag("--side", choices=("L", "A"), default="L"),
+    )),
+    "oracle": Command("brute-force cross-checks", cmd_oracle, (
+        _flag("instance", nargs="?", default=None, help="catalog name or JSON path (unused for --what search)"),
+        _flag("--what", choices=("ideals", "paths", "search"), default="ideals"),
+        _SIDES,
+        _flag("--budget", type=int, default=None, help="recipe budget for --what search"),
+    ), purpose="oracle", echo=("what",)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,68 +248,56 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact toolkit for graded Lie-Rinehart algebra instances",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, instance: bool = True) -> None:
-        if instance:
-            p.add_argument(
-                "instance",
-                help=f"catalog name ({', '.join(catalog_names())}) or path to a JSON instance file",
-            )
+    for name, row in COMMANDS.items():
+        p = sub.add_parser(name, help=row.help)
         p.add_argument("--field", help="field override, e.g. q or gf5", default=None)
         p.add_argument("--json", action="store_true", help="machine-readable output")
-
-    p = sub.add_parser("verify", help="check every defining axiom")
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("classes", help="support partitions into connection classes")
-    common(p)
-    p.add_argument("--side", choices=("L", "A", "both"), default="both")
-    p.set_defaults(func=cmd_classes)
-
-    p = sub.add_parser("decompose", help="class ideals, tightness, pairing")
-    common(p)
-    p.add_argument("--side", choices=("L", "A", "both"), default="both")
-    p.add_argument("--fine", action="store_true", help="refine into gr-simple summands")
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("dot", help="connection graph in DOT format")
-    common(p)
-    p.add_argument("--side", choices=("L", "A"), default="L")
-    p.set_defaults(func=cmd_dot)
-
-    p = sub.add_parser("oracle", help="brute-force cross-checks")
-    p.add_argument("instance", nargs="?", default=None,
-                   help="catalog name or JSON path (unused for --what search)")
-    p.add_argument("--field", help="field override, e.g. gf5", default=None)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--what", choices=("ideals", "paths", "search"), default="ideals")
-    p.add_argument("--side", choices=("L", "A", "both"), default="both")
-    p.add_argument("--budget", type=int, default=None, help="recipe budget for --what search")
-    p.set_defaults(func=cmd_oracle)
+        for names, options in row.flags:
+            p.add_argument(*names, **options)
     return parser
 
 
+PARSER = build_parser()
+
+
+def _fail(prefix: str, message: Any, code: int) -> int:
+    print(f"{prefix}: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "oracle" and args.what != "search" and args.instance is None:
-        print("error: an instance is required unless --what search", file=sys.stderr)
-        return PARSE_FAIL
-    if args.command == "oracle" and args.budget is not None and args.budget < 0:
-        print(f"error: --budget must be at least 0, got {args.budget}", file=sys.stderr)
-        return PARSE_FAIL
+    args = PARSER.parse_args(argv)
+    row = COMMANDS[args.command]
+    if args.command == "oracle":
+        if args.what == "search":
+            args.instance = None  # the recipe search reads no instance
+        elif args.instance is None:
+            return _fail("error", "an instance is required unless --what search", PARSE_FAIL)
+        if args.budget is not None and args.budget < 0:
+            return _fail("error", f"--budget must be at least 0, got {args.budget}", PARSE_FAIL)
     try:
-        return args.func(args)
+        inst = None if args.instance is None else resolve_instance(args.instance, args.field, row.purpose)
+        if inst is not None and row.verify:
+            _verified(inst)
+        code, report = row.handler(args, inst)
     except InstanceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return PARSE_FAIL
+        return _fail("error", exc, PARSE_FAIL)
     except GuardError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return GUARD_FAIL
+        return _fail("refused", exc, GUARD_FAIL)
     except ToolkitError as exc:
-        print(f"failed: {exc}", file=sys.stderr)
-        return MATH_FAIL
+        return _fail("failed", exc, MATH_FAIL)
+    if isinstance(report, str):
+        print(report)
+        return code
+    head = {"command": args.command, **{flag: vars(args)[flag] for flag in row.echo}}
+    if inst is not None:
+        head.update(instance=inst.name, field=inst.field.label)
+    report = {**head, **report}
+    if args.json:
+        print(json.dumps(report, indent=2, sort_keys=True))
+    else:
+        _render(report)
+    return code
 
 
 def entrypoint() -> None:

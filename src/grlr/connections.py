@@ -48,6 +48,9 @@ class Supports:
         raise ValueError(f"unknown side {side!r}")
 
     def base(self, side: str) -> frozenset[Grade]:
+        """The support a relation connects: Sigma or Lambda."""
+        if side not in ("sigma", "lambda"):
+            raise ValueError(f"unknown side {side!r}")
         return self.sigma if side == "sigma" else self.lam
 
 
@@ -63,10 +66,8 @@ def supports(inst: AlgebraInstance) -> Supports:
 
 
 def _reach(sup: Supports, g: Grade, side: str) -> dict[Grade, list[Grade]]:
-    """BFS over partial products; maps reached state -> multiplier path."""
-    base = sup.base(side)
-    if g not in base:
-        raise ValueError(f"{format_grade(g)} is not in the {side} support")
+    """BFS over partial products from g, a grade of the side's support
+    (checked by the callers); maps reached state -> multiplier path."""
     allowed = sup.states(side)
     mults = sup.multipliers()
     paths: dict[Grade, list[Grade]] = {g: []}

@@ -219,26 +219,20 @@ def resolve_instance(arg: str, field_label: str | None = None, purpose: str = "d
 
     Catalog names resolve through the catalog (with its per-entry field
     defaults and characteristic guards); anything else is read as a path
-    to a JSON file.  A field override on a file triggers a carry into
-    that field, which only works from rational structure constants.
+    to a JSON file.  The field label is checked first, for both.  A field
+    override on a file triggers a carry into that field, which only works
+    from rational structure constants.
     """
     from .catalog import CATALOG, build
     from .constructions import to_field
 
-    if arg in CATALOG:
-        fld = None
-        if field_label is not None:
-            try:
-                fld = parse_field_label(field_label)
-            except ValueError as exc:
-                raise InstanceFormatError(str(exc)) from None
-        return build(arg, fld, purpose)
-    inst = load_instance(arg)
+    fld = None
     if field_label is not None:
         try:
             fld = parse_field_label(field_label)
         except ValueError as exc:
             raise InstanceFormatError(str(exc)) from None
-        if fld != inst.field:
-            inst = to_field(inst, fld)
-    return inst
+    if arg in CATALOG:
+        return build(arg, fld, purpose)
+    inst = load_instance(arg)
+    return inst if fld is None or fld == inst.field else to_field(inst, fld)

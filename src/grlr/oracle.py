@@ -149,15 +149,17 @@ def enumerate_connections(
     strict partial product must stay inside the allowed intermediate set
     for the side, and the full product must land on g2 or its inverse.
     Sequences are listed in depth-first pre-order, multipliers in sorted
-    order.  Raises GuardError when the search would take more than
-    ``MAX_DFS_STEPS`` products or list more than that many entries.
+    order.  Raises ValueError for a ``max_len`` below 1, and GuardError
+    when the search would take more than ``MAX_DFS_STEPS`` products or
+    list more than that many entries.
     """
-    base = sup.base(side)
-    if g1 not in base:
-        raise ValueError(f"{g1} is not in the {side} support")
+    if g1 not in sup.base(side):
+        raise ValueError(f"{format_grade(g1)} is not in the {side} support")
     mults = sup.multipliers()
     if max_len is None:
         max_len = 2 * max(1, len(mults))
+    if max_len < 1:
+        raise ValueError(f"max_len must be at least 1, got {max_len}")
     group = sup.group
     targets = {group.check(g2), group.inv(g2)}
     states = sorted(sup.states(side))

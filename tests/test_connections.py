@@ -16,6 +16,7 @@ from grlr import (
     supports,
     validate_connection_path,
 )
+import grlr.connections
 import grlr.oracle
 from grlr.errors import GuardError
 
@@ -102,6 +103,39 @@ def test_enumeration_pinned_examples():
         assert [g] in enumerate_connections(sup3, g, g, "sigma")
     with pytest.raises(ValueError):
         enumerate_connections(sup, (0,), (1,), "sigma")
+
+
+@pytest.mark.parametrize("max_len", [0, -1])
+def test_enumeration_refuses_a_bound_below_one_term(max_len):
+    # every listed sequence has at least its start term, so no bound below 1 can hold
+    sup = supports(cached("e1"))
+    with pytest.raises(ValueError, match=f"max_len must be at least 1, got {max_len}"):
+        enumerate_connections(sup, (1,), (1,), "sigma", max_len=max_len)
+
+
+@pytest.mark.parametrize("name,g", [("e1", (1,)), ("e2", (2,))])
+def test_unknown_side_is_refused(name, g):
+    # e1 has an empty Lambda, e2 has (2,) in Lambda: neither may pass for a side
+    sup = supports(cached(name))
+    calls = (
+        lambda: sup.base("tau"),
+        lambda: grlr.connections._classes(sup, "tau"),
+        lambda: connection_graph_dot(sup, "tau"),
+        lambda: enumerate_connections(sup, g, g, "tau"),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="^unknown side 'tau'$"):
+            call()
+
+
+@pytest.mark.parametrize("name,g", [("e1", (1,)), ("e2", (3,))])
+def test_support_errors_name_the_grade_alike(name, g):
+    sup = supports(cached(name))
+    with pytest.raises(ValueError) as bfs:
+        lambda_connected(sup, g, g)
+    with pytest.raises(ValueError) as dfs:
+        enumerate_connections(sup, g, g, "lambda")
+    assert str(dfs.value) == str(bfs.value) == f"{g[0]} is not in the lambda support"
 
 
 def test_enumeration_output_paths_all_validate():

@@ -195,6 +195,15 @@ def test_cli_parse_error_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("label", ["gf4", "r"])
+def test_cli_bad_field_label_exits_two_for_catalog_and_file(tmp_path, capsys, label):
+    path = tmp_path / "e2.json"
+    dump_instance(cached("e2"), path)
+    for instance in ("e2", str(path)):
+        assert main(["verify", instance, "--field", label]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_guard_exits_three(capsys):
     assert main(["verify", "e2", "--field", "gf5"]) == 3
     assert "refused:" in capsys.readouterr().err
