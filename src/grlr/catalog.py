@@ -15,26 +15,19 @@ from typing import Callable
 
 from .constructions import direct_sum
 from .errors import CharacteristicError, InstanceFormatError
-from .fields import RATIONALS, Field, prime_field
+from .fields import RATIONALS, Field, Scalar, prime_field
 from .groups import GroupSpec
-from .linear import BilinearRule, GradedBasis, Sparse, coordinate_reader, rule_from_names
+from .linear import BilinearRule, GradedBasis, Sparse, coordinate_reader, rule_from_names, sparse_add
 from .model import AlgebraInstance, compute_derivations
 
 
-def _skew_close(entries: dict[tuple[str, str], dict[str, int]]) -> dict[tuple[str, str], dict[str, int]]:
-    """Fill the reversed orientation of a bracket table with negated values."""
+def _mirror(entries: dict[tuple[str, str], dict[str, int]], sign: int) -> dict[tuple[str, str], dict[str, int]]:
+    """Fill the reversed orientation of a table with its values times ``sign``:
+    -1 for a bracket, 1 for a commutative product."""
     out = dict(entries)
     for (i, j), img in entries.items():
         if i != j and (j, i) not in entries:
-            out[(j, i)] = {k: -x for k, x in img.items()}
-    return out
-
-
-def _sym_close(entries: dict[tuple[str, str], dict[str, int]]) -> dict[tuple[str, str], dict[str, int]]:
-    out = dict(entries)
-    for (i, j), img in entries.items():
-        if i != j and (j, i) not in entries:
-            out[(j, i)] = dict(img)
+            out[(j, i)] = {k: sign * x for k, x in img.items()}
     return out
 
 
@@ -52,11 +45,11 @@ def _build_e1(field: Field) -> AlgebraInstance:
     A = GradedBasis([("one", (0,))])
     bracket = rule_from_names(
         "bracket", field, group, L, L, L,
-        _scalars(field, _skew_close({
+        _scalars(field, _mirror({
             ("e", "f"): {"h": 1},
             ("h", "e"): {"e": 2},
             ("h", "f"): {"f": -2},
-        })),
+        }, -1)),
     )
     product = rule_from_names("product", field, group, A, A, A, _scalars(field, {("one", "one"): {"one": 1}}))
     action = rule_from_names(
@@ -72,89 +65,69 @@ def derivation_instance(
 ) -> AlgebraInstance:
     """(Der(A), A) with the identity anchor and the evaluation action.
 
-    L is the direct sum of the homogeneous derivation spaces of A; the
-    bracket is the commutator, the action is pointwise multiplication.
+    L is the direct sum of the homogeneous derivation spaces of A, each
+    derivation held as the sparse map b -> D(b) (``compute_derivations``).
+    The anchor reads D(b); the bracket is the commutator
+    [Di, Dj](b) = Di(Dj(b)) - Dj(Di(b)), each composition one
+    ``anchor.apply_sparse``; the action is (a.D)(b) = a D(b), by
+    ``product.apply_sparse``.  Brackets and actions are read back in the
+    derivation basis by one coordinate reader; one that is not a
+    combination of the basis derivations raises CharacteristicError.
     """
-    ders = compute_derivations(field, group, A, product)
-    entries = []
-    matrices = []
-    k = 0
-    for shift, mats in ders:
+    f = field
+    entries, ders = [], []
+    for shift, mats in compute_derivations(field, group, A, product):
         for mat in mats:
-            entries.append((f"l{k}", shift))
-            matrices.append(mat)
-            k += 1
+            entries.append((f"l{len(ders)}", shift))
+            ders.append([{t: x for t, x in enumerate(row) if not f.is_zero(x)} for row in mat])
     L = GradedBasis(entries)
-    dimA = A.dim
+    anchor = BilinearRule("anchor", f, group, L, A, A,
+                          {(i, b): img for i, D in enumerate(ders) for b, img in enumerate(D)})
 
-    def flat(mat):
-        return [x for row in mat for x in row]
+    def flat(D: list[Sparse]) -> list[Scalar]:
+        return [img.get(t, f.zero) for img in D for t in range(A.dim)]
 
-    coordinates = coordinate_reader(field, [flat(m) for m in matrices])
+    coordinates = coordinate_reader(f, [flat(D) for D in ders])
 
-    def express(mat, what: str) -> Sparse:
-        combo = coordinates(flat(mat))
+    def express(D: list[Sparse], what: str) -> Sparse:
+        combo = coordinates(flat(D))
         if combo is None:
             raise CharacteristicError(f"{what} is not a combination of homogeneous derivations")
-        return {i: c for i, c in enumerate(combo) if not field.is_zero(c)}
-
-    def apply_der(mat, vec: list) -> list:
-        out = [field.zero] * dimA
-        for j, c in enumerate(vec):
-            if not field.is_zero(c):
-                for t in range(dimA):
-                    out[t] = field.add(out[t], field.mul(c, mat[j][t]))
-        return out
+        return {i: c for i, c in enumerate(combo) if not f.is_zero(c)}
 
     bracket_table: dict[tuple[int, int], Sparse] = {}
-    for i, Mi in enumerate(matrices):
-        for j, Mj in enumerate(matrices):
+    for i, Di in enumerate(ders):
+        for j, Dj in enumerate(ders):
             if i == j:
                 continue
-            comm = []
-            for b in range(dimA):
-                first = apply_der(Mi, list(Mj[b]))
-                second = apply_der(Mj, list(Mi[b]))
-                comm.append([field.sub(x, y) for x, y in zip(first, second)])
-            if any(not field.is_zero(x) for row in comm for x in row):
+            # Di(Dj(b)) - Dj(Di(b)); anchor.apply_sparse({i: c}, v) is c Di(v)
+            comm = [sparse_add(f, anchor.apply_sparse({i: f.one}, Dj[b]),
+                               anchor.apply_sparse({j: f.neg(f.one)}, Di[b])) for b in range(A.dim)]
+            if any(comm):
                 bracket_table[(i, j)] = express(comm, f"[{L.name_of(i)}, {L.name_of(j)}]")
 
     action_table: dict[tuple[int, int], Sparse] = {}
-    for a in range(dimA):
-        for i, Mi in enumerate(matrices):
-            scaled = []
-            for b in range(dimA):
-                img = product.apply_sparse({a: field.one}, {t: x for t, x in enumerate(Mi[b]) if not field.is_zero(x)})
-                dense = [field.zero] * dimA
-                for t, x in img.items():
-                    dense[t] = x
-                scaled.append(dense)
-            if any(not field.is_zero(x) for row in scaled for x in row):
+    for a in range(A.dim):
+        for i, D in enumerate(ders):
+            scaled = [product.apply_sparse({a: f.one}, img) for img in D]
+            if any(scaled):
                 action_table[(a, i)] = express(scaled, f"{A.name_of(a)}*{L.name_of(i)}")
 
-    anchor_table: dict[tuple[int, int], Sparse] = {}
-    for i, Mi in enumerate(matrices):
-        for b in range(dimA):
-            img = {t: x for t, x in enumerate(Mi[b]) if not field.is_zero(x)}
-            if img:
-                anchor_table[(i, b)] = img
-
-    bracket = BilinearRule("bracket", field, group, L, L, L, bracket_table)
-    action = BilinearRule("action", field, group, A, L, L, action_table)
-    anchor = BilinearRule("anchor", field, group, L, A, A, anchor_table)
-    return AlgebraInstance(name, field, group, L, A, bracket, product, action, anchor)
+    bracket = BilinearRule("bracket", f, group, L, L, L, bracket_table)
+    action = BilinearRule("action", f, group, A, L, L, action_table)
+    return AlgebraInstance(name, f, group, L, A, bracket, product, action, anchor)
 
 
 def _truncated_poly_algebra(field: Field) -> tuple[GroupSpec, GradedBasis, BilinearRule]:
     """F[x]/(x^3) graded by Z/3 with deg x = 1."""
     group = GroupSpec(0, (3,))
     A = GradedBasis([("a0", (0,)), ("a1", (1,)), ("a2", (2,))])
-    entries = _sym_close({
+    entries = _mirror({
         ("a0", "a0"): {"a0": 1},
         ("a0", "a1"): {"a1": 1},
         ("a0", "a2"): {"a2": 1},
         ("a1", "a1"): {"a2": 1},
-    })
+    }, 1)
     product = rule_from_names("product", field, group, A, A, A, _scalars(field, entries))
     return group, A, product
 
@@ -206,11 +179,11 @@ def _build_sl2_ga2(field: Field) -> AlgebraInstance:
                 out = {names[(z, twist[(p, q)])]: c for z, c in img.items()}
                 bracket_entries[(names[(x, p)], names[(y, q)])] = out
     bracket = rule_from_names(
-        "bracket", field, group, L, L, L, _scalars(field, _skew_close(bracket_entries))
+        "bracket", field, group, L, L, L, _scalars(field, _mirror(bracket_entries, -1))
     )
     product = rule_from_names(
         "product", field, group, A, A, A,
-        _scalars(field, _sym_close({("one", "one"): {"one": 1}, ("one", "u"): {"u": 1}, ("u", "u"): {"one": 1}})),
+        _scalars(field, _mirror({("one", "one"): {"one": 1}, ("one", "u"): {"u": 1}, ("u", "u"): {"one": 1}}, 1)),
     )
     action_entries = {("one", n): {n: 1} for n in names.values()}
     for x in ("e", "f", "h"):

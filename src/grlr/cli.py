@@ -7,18 +7,23 @@ graph export) and oracle (brute-force cross-checks).
 
 Each command is one row of ``COMMANDS``: help text; handler, taking
 ``(args, inst)`` and returning the exit code and the report (a dict,
-rendered as text or ``--json``, or DOT text); own flags, the instance
-argument included; load ``purpose`` (``display`` or ``oracle``, see
-``catalog.build``); whether to run ``verify_all`` first; and the flags
-the header echoes.  ``--field`` and ``--json`` are added to every row in
-one loop, and the parser is built once, at import.  ``main`` is the one
-runner: it parses, makes the two ``oracle`` checks argparse cannot
-express, loads and verifies the instance as the row says, calls the
-handler and prints the report behind its ``{command, instance, field}``
-header.  It maps errors to exit codes: 0 success, 1 mathematical
-failure (axioms, cross-check, or any other ``ToolkitError``: ``failed:``),
-2 unreadable input (``InstanceFormatError`` or a bad argument:
-``error:``), 3 refused guard (``GuardError``: ``refused:``).
+rendered as text or ``--json``, or DOT text, which ``dot --json`` puts
+under a ``dot`` key); own flags, the instance argument included; load
+``purpose`` (``display`` or ``oracle``, see ``catalog.build``); whether
+to run ``verify_all`` first; and the flags the header echoes.
+``--field`` and ``--json`` are added to every row in one loop, and the
+parser is built once, at import.  ``main`` is the one runner: it
+parses, makes the ``oracle`` checks argparse cannot express (an
+instance unless ``--what search``, which takes no instance, ``--field``
+or ``--side``; ``--budget`` only with search, and at least 0), loads and
+verifies the instance as the row says, calls the handler and prints the
+report behind its ``{command, instance, field}`` header.  It maps
+errors to exit codes: 0 success, 1 mathematical failure (axioms,
+cross-check, or any other ``ToolkitError``: ``failed:``), 2 unreadable
+input (``InstanceFormatError`` or a bad argument: ``error:``), 3 refused
+guard (``GuardError``: ``refused:``).  If the reader closes stdout
+early, the rest of the output is dropped without a message and the exit
+code is the command's own.
 
 Handlers call the library through attribute lookups at call time
 (``conn.sigma_classes``, ``dec.decompose_L``) and the table holds only
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any, Callable, NamedTuple
 
@@ -140,8 +146,9 @@ def cmd_decompose(args: argparse.Namespace, inst: AlgebraInstance) -> tuple[int,
     return OK, data
 
 
-def cmd_dot(args: argparse.Namespace, inst: AlgebraInstance) -> tuple[int, str]:
-    return OK, conn.connection_graph_dot(conn.supports(inst), RELATION[args.side])
+def cmd_dot(args: argparse.Namespace, inst: AlgebraInstance) -> tuple[int, dict | str]:
+    dot = conn.connection_graph_dot(conn.supports(inst), RELATION[args.side])
+    return OK, ({"dot": dot} if args.json else dot)
 
 
 def _lattice_report(inst: AlgebraInstance, side: str) -> dict:
@@ -234,7 +241,7 @@ COMMANDS = {
         _INSTANCE, _flag("--side", choices=("L", "A"), default="L"),
     )),
     "oracle": Command("brute-force cross-checks", cmd_oracle, (
-        _flag("instance", nargs="?", default=None, help="catalog name or JSON path (unused for --what search)"),
+        _flag("instance", nargs="?", default=None, help="catalog name or JSON path (none for --what search)"),
         _flag("--what", choices=("ideals", "paths", "search"), default="ideals"),
         _SIDES,
         _flag("--budget", type=int, default=None, help="recipe budget for --what search"),
@@ -270,9 +277,15 @@ def main(argv: list[str] | None = None) -> int:
     row = COMMANDS[args.command]
     if args.command == "oracle":
         if args.what == "search":
-            args.instance = None  # the recipe search reads no instance
+            unused = [flag for flag, given in (("an instance", args.instance is not None),
+                                               ("--field", args.field is not None),
+                                               ("--side", args.side != "both")) if given]
+            if unused:
+                return _fail("error", f"--what search does not take {', '.join(unused)}", PARSE_FAIL)
         elif args.instance is None:
             return _fail("error", "an instance is required unless --what search", PARSE_FAIL)
+        elif args.budget is not None:
+            return _fail("error", "--budget applies only to --what search", PARSE_FAIL)
         if args.budget is not None and args.budget < 0:
             return _fail("error", f"--budget must be at least 0, got {args.budget}", PARSE_FAIL)
     try:
@@ -286,17 +299,24 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("refused", exc, GUARD_FAIL)
     except ToolkitError as exc:
         return _fail("failed", exc, MATH_FAIL)
-    if isinstance(report, str):
-        print(report)
-        return code
-    head = {"command": args.command, **{flag: vars(args)[flag] for flag in row.echo}}
-    if inst is not None:
-        head.update(instance=inst.name, field=inst.field.label)
-    report = {**head, **report}
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        _render(report)
+    try:
+        if isinstance(report, str):
+            print(report)
+        else:
+            head = {"command": args.command, **{flag: vars(args)[flag] for flag in row.echo}}
+            if inst is not None:
+                head.update(instance=inst.name, field=inst.field.label)
+            report = {**head, **report}
+            if args.json:
+                print(json.dumps(report, indent=2, sort_keys=True))
+            else:
+                _render(report)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left, and the flush at exit, to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -9,7 +9,7 @@ Scalars are validated once, where they enter the program: ``parse`` and
 points that take scalars from outside: ``BilinearRule`` tables and
 ``GradedBasis.checked_row``, which serves ``GradedBasis.block_vector``,
 the public ``GradedSubspace`` constructors and its membership methods
-``contains_block_vector``, ``contains_sparse`` and ``block_coordinates``.
+``contains_block_vector`` and ``contains_sparse``.
 ``format`` checks what it prints.  The matrix kernels of ``linear``
 (``rref`` and the rest) and the arithmetic kernels ``add``, ``neg``,
 ``sub``, ``mul``, ``inv`` and ``is_zero`` assume canonical values of this

@@ -75,9 +75,6 @@ class GroupSpec:
         r = self.free_rank
         return n[:r] + tuple(map(mod, n[r:], self.torsion))
 
-    def is_identity(self, a: Grade) -> bool:
-        return self.check(a) == self.identity()
-
     def to_json(self) -> dict:
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
 

@@ -346,11 +346,6 @@ class GradedSubspace:
             for g, coords in self.ambient.split_sparse(v, self.field).items()
         )
 
-    def block_coordinates(self, g: Grade, coords: Sequence[Scalar]) -> list[Scalar] | None:
-        """Coordinates of a block vector in this subspace's RREF basis."""
-        g = tuple(g)
-        return coordinates_in_rref(self.field, *self._echelon(g), self.ambient.checked_row(g, coords, self.field))
-
     def to_json(self) -> dict:
         return {
             format_grade(g): [[self.field.format(x) for x in row] for row in self.blocks[g]]

@@ -411,62 +411,56 @@ def compute_derivations(
     """Homogeneous derivation spaces of a graded commutative algebra.
 
     For each candidate shift d (a difference of basis grades; any other
-    shift only carries the zero derivation) solve the Leibniz system
-    D(bc) = D(b)c + bD(c) over the unknown images D(basis_j), which are
-    constrained to live in the block at grade(basis_j)*d.  Returns a
-    sorted list of (shift, basis matrices); each matrix M is dense with
-    M[j] the image of basis vector j in absolute A-coordinates.
+    shift only carries the zero derivation) the unknowns are the
+    coordinates D(b_j)[t], t in the block at grade(b_j)*d, indexed once in
+    (j, t) order.  The Leibniz system D(b_i b_j) - D(b_i)b_j - b_i D(b_j) = 0
+    has one equation per (i, j, output coordinate), written straight from
+    the nonzero entries of ``product.table``: an entry b_p b_q -> x b_k
+    adds x D(b_k) to equation (p, q, .), and, read as b_t b_q with t = p or
+    as b_p b_t with t = q, subtracts x from the unknowns D(b_i)[p] of
+    equation (i, q, k) and D(b_j)[q] of equation (p, j, k).  ``nullspace``
+    returns the RREF kernel basis, which does not depend on the order of
+    the equations.  Returns a sorted list of (shift, basis matrices); each
+    matrix M is dense with M[j] the image of basis vector j in absolute
+    A-coordinates.
     """
-    dimA = A.dim
-    shifts = sorted(
-        {group.mul(group.inv(A.grade_of(i)), A.grade_of(j)) for i in range(dimA) for j in range(dimA)}
-    )
+    f = field
+    grades = A.grades()
     results: list[tuple[Grade, list[tuple[tuple[Scalar, ...], ...]]]] = []
-    for d in shifts:
-        # unknown layout: one slot per (source basis j, target position)
-        slots: list[tuple[int, int]] = []
-        for j in range(dimA):
-            target = group.mul(A.grade_of(j), d)
-            slots.extend((j, pos) for pos in A.positions_at(target))
-        if not slots:
+    for d in sorted({group.mul(group.inv(g), h) for g in grades for h in grades}):
+        unknown: dict[tuple[int, int], int] = {}  # (j, t) -> column of D(b_j)[t]
+        targets: dict[int, tuple[int, ...]] = {}  # j -> the t of its unknowns
+        sources: dict[int, list[int]] = {}  # t -> the j with an unknown D(b_j)[t]
+        for j in range(A.dim):
+            targets[j] = A.positions_at(group.mul(A.grade_of(j), d))
+            for t in targets[j]:
+                unknown[(j, t)] = len(unknown)
+                sources.setdefault(t, []).append(j)
+        if not unknown:
             continue
-        slot_index = {s: k for k, s in enumerate(slots)}
+        equations: dict[tuple[int, int, int], Sparse] = {}
 
-        def image_row(j: int, out_pos: int) -> list[Scalar]:
-            """Coefficient row of D(b_j)[out_pos] as a functional in the unknowns."""
-            row = [field.zero] * len(slots)
-            key = (j, out_pos)
-            if key in slot_index:
-                row[slot_index[key]] = field.one
-            return row
+        def add(i: int, j: int, c: int, col: int, x: Scalar) -> None:
+            row = equations.setdefault((i, j, c), {})
+            row[col] = f.add(row.get(col, f.zero), x)
 
-        equations: list[list[Scalar]] = []
-        for i in range(dimA):
-            for j in range(dimA):
-                prod_ij = product.on_basis(i, j)
-                # D(b_i b_j) - D(b_i) b_j - b_i D(b_j) = 0, one equation per coordinate
-                for c in range(dimA):
-                    row = [field.zero] * len(slots)
-                    for k, coef in prod_ij.items():
-                        for idx, val in enumerate(image_row(k, c)):
-                            row[idx] = field.add(row[idx], field.mul(coef, val))
-                    # subtract D(b_i) b_j: sum over target positions t of x[i,t] * (b_t b_j)[c]
-                    for (src, t), idx in slot_index.items():
-                        if src == i:
-                            coeff = product.on_basis(t, j).get(c, field.zero)
-                            row[idx] = field.sub(row[idx], coeff)
-                        if src == j:
-                            coeff = product.on_basis(i, t).get(c, field.zero)
-                            row[idx] = field.sub(row[idx], coeff)
-                    if any(not field.is_zero(x) for x in row):
-                        equations.append(row)
-        basis_vectors, _ = nullspace(field, equations, len(slots))
+        for (p, q), image in product.table.items():
+            for k, x in image.items():
+                for c in targets[k]:
+                    add(p, q, c, unknown[(k, c)], x)
+                for i in sources.get(p, ()):
+                    add(i, q, k, unknown[(i, p)], f.neg(x))
+                for j in sources.get(q, ()):
+                    add(p, j, k, unknown[(j, q)], f.neg(x))
+        n = len(unknown)
+        rows = [[row.get(col, f.zero) for col in range(n)]
+                for row in equations.values() if any(not f.is_zero(x) for x in row.values())]
         matrices = []
-        for vec in basis_vectors:
-            mat = [[field.zero] * dimA for _ in range(dimA)]
-            for (j, pos), idx in slot_index.items():
-                mat[j][pos] = vec[idx]
-            matrices.append(tuple(tuple(r) for r in mat))
+        for vec in nullspace(f, rows, n)[0]:
+            mat = [[f.zero] * A.dim for _ in range(A.dim)]
+            for (j, t), col in unknown.items():
+                mat[j][t] = vec[col]
+            matrices.append(tuple(map(tuple, mat)))
         if matrices:
             results.append((d, matrices))
     return results

@@ -18,8 +18,9 @@ from grlr import (
     generate_instance,
     supports,
 )
+from grlr.catalog import derivation_instance
 from grlr.errors import ToolkitError
-from grlr.fields import Field, parse_field_label
+from grlr.fields import Field, parse_field_label, prime_field
 from grlr.groups import Grade
 from grlr.linear import (
     BilinearRule,
@@ -348,3 +349,14 @@ def abelian_pair_instance() -> AlgebraInstance:
     )
     anchor = rule_from_names("anchor", f, G, L, A, A, {})
     return AlgebraInstance("abelian_pair", f, G, L, A, bracket, product, action, anchor)
+
+
+def truncated_poly_derivations(p: int) -> AlgebraInstance:
+    """(Der(A), A) for A = F[x]/(x^p) over GF(p), graded by Z/p with deg x = 1:
+    the Witt algebra W(1;1), built by ``catalog.derivation_instance``."""
+    f = prime_field(p)
+    G = GroupSpec(0, (p,))
+    A = GradedBasis([(f"a{i}", (i,)) for i in range(p)])
+    product = BilinearRule("product", f, G, A, A, A,
+                           {(i, j): {i + j: f.one} for i in range(p) for j in range(p) if i + j < p})
+    return derivation_instance(f"W(1;1)@gf{p}", f, G, A, product)

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -263,6 +266,45 @@ def test_cli_dot(capsys):
     assert capsys.readouterr().out.startswith("digraph lambda_connections")
 
 
+@pytest.mark.parametrize("side", ["L", "A"])
+def test_cli_dot_json_puts_the_graph_under_a_dot_key(side, capsys):
+    assert main(["dot", "e3", "--side", side]) == 0
+    text = capsys.readouterr().out
+    assert main(["dot", "e3", "--side", side, "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data == {"command": "dot", "instance": "e3", "field": "gf3", "dot": text.removesuffix("\n")}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["oracle", "e1", "--what", "paths", "--json"], 0),
+    (["dot", "e3"], 0),
+    (["verify", "{broken}"], 1),
+])
+def test_cli_exits_quietly_when_stdout_is_closed(argv, code, tmp_path):
+    # the read end of stdout's pipe is closed before the command writes
+    broken, _ = mutate_instance(cached("e2"), 0)
+    dump_instance(broken, tmp_path / "broken.json")
+    argv = [arg.replace("{broken}", str(tmp_path / "broken.json")) for arg in argv]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "grlr", *argv], stdout=write, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, b"")
+
+
+def test_cli_exits_quietly_when_the_reader_stops_early():
+    # as `grlr oracle e1 --what paths --json | head -c 100`
+    proc = subprocess.Popen([sys.executable, "-m", "grlr", "oracle", "e1", "--what", "paths", "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 def test_cli_oracle_ideals(capsys):
     assert main(["oracle", "e2", "--what", "ideals", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -361,6 +403,21 @@ def test_cli_oracle_search_refuses_negative_budget(capsys):
 def test_cli_oracle_requires_instance_except_search(capsys):
     assert main(["oracle", "--what", "ideals"]) == 2
     assert "instance is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, refused", [
+    (["oracle", "nosuchfile", "--what", "search", "--budget", "1", "--field", "bogus", "--side", "A"],
+     "--what search does not take an instance, --field, --side"),
+    (["oracle", "e1", "--what", "search"], "--what search does not take an instance"),
+    (["oracle", "--what", "search", "--field", "gf3"], "--what search does not take --field"),
+    (["oracle", "--what", "search", "--side", "L"], "--what search does not take --side"),
+    (["oracle", "e1", "--budget", "3"], "--budget applies only to --what search"),
+    (["oracle", "e1", "--what", "paths", "--budget", "0"], "--budget applies only to --what search"),
+])
+def test_cli_oracle_refuses_flags_its_mode_ignores(argv, refused, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {refused}\n"
 
 
 def test_cli_oracle_resolves_catalog_over_enumeration_field(capsys):

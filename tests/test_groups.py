@@ -20,7 +20,6 @@ def test_torsion_reduction():
     assert G.reduce((5,)) == (2,)
     assert G.mul((2,), (2,)) == (1,)
     assert G.inv((1,)) == (2,)
-    assert G.is_identity((0,))
 
 
 def test_mixed_group():

@@ -364,7 +364,6 @@ def test_public_entry_points_reject_noncanonical_scalars(f, bad):
         lambda: GradedSubspace.from_sparse_vectors(f, BASIS, [{0: bad}]),
         lambda: sub.contains_block_vector((0,), row),
         lambda: sub.contains_sparse({0: bad}),
-        lambda: sub.block_coordinates((0,), row),
         lambda: BASIS.block_vector((0,), row, f),
     ):
         with pytest.raises((TypeError, ValueError)):
@@ -380,7 +379,6 @@ def test_rows_of_the_wrong_length_are_refused(row):
         lambda: GradedSubspace(f, BASIS, {(0,): [row]}),
         lambda: GradedSubspace.from_block_vectors(f, BASIS, [((0,), row)]),
         lambda: sub.contains_block_vector((0,), row),
-        lambda: sub.block_coordinates((0,), row),
         lambda: GradedSubspace.zero(f, BASIS).contains_block_vector((0,), row),
     ):
         with pytest.raises(ValueError, match="expected 2 coordinates"):

@@ -25,8 +25,16 @@ from grlr import (
 from grlr.decompose import decompose_A, decompose_L
 from grlr.errors import ToolkitError
 from grlr.model import verify_grading
+from grlr.simplicity import gr_simple_A, gr_simple_L
 
-from helpers import abelian_pair_instance, cached, mutate_instance, reference_verify, wild_mutant
+from helpers import (
+    abelian_pair_instance,
+    cached,
+    mutate_instance,
+    reference_verify,
+    truncated_poly_derivations,
+    wild_mutant,
+)
 
 CATALOG_NAMES = ["e1", "e2", "e3", "ga2", "ga3", "sl2_ga2"]
 
@@ -222,6 +230,19 @@ def test_derivations_of_truncated_polynomials():
         ders = compute_derivations(field, group, A, product)
         dims = {shift: len(mats) for shift, mats in ders if mats}
         assert dims == expect, (field.label, dims)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_witt_algebra_from_truncated_polynomials(p):
+    # Der(F[x]/(x^p)) over GF(p) is W(1;1), spanned by x^(k+1) d/dx at grade
+    # k mod p: one derivation per grade, simple for p > 2; A has the ideal (x)
+    inst = truncated_poly_derivations(p)
+    assert inst.L.dim == p
+    assert all(inst.L.block_dim((g,)) == 1 for g in range(p))
+    report = verify_all(inst)
+    assert report.passed, [c.to_json() for c in report.failed_checks()]
+    assert gr_simple_L(inst).status == "gr_simple"
+    assert gr_simple_A(inst).status == "not_gr_simple"
 
 
 def test_derivations_of_semisimple_group_algebra_vanish():
