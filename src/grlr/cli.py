@@ -178,12 +178,13 @@ def _lattice_report(inst: AlgebraInstance, side: str) -> dict:
     }
 
 
-def _paths_report(inst: AlgebraInstance) -> dict:
+def _paths_report(inst: AlgebraInstance, sides: list[str]) -> dict:
     from .oracle import enumerate_connections
 
     sup = conn.supports(inst)
-    sides = {}
-    for side, name in RELATION.items():
+    listed = {}
+    for side in sides:
+        name = RELATION[side]
         part = _partition(sup, side)
         base = sorted(sup.base(name))
         pairs = []
@@ -198,8 +199,8 @@ def _paths_report(inst: AlgebraInstance) -> dict:
                     "enumeration_connected": found,
                     "agree": bfs == found,
                 })
-        sides[name] = {"pairs": pairs, "classes": part.to_json()}
-    return {"sides": sides, "agreement": all(pair["agree"] for s in sides.values() for pair in s["pairs"])}
+        listed[name] = {"pairs": pairs, "classes": part.to_json()}
+    return {"sides": listed, "agreement": all(pair["agree"] for s in listed.values() for pair in s["pairs"])}
 
 
 def cmd_oracle(args: argparse.Namespace, inst: AlgebraInstance | None) -> tuple[int, dict]:
@@ -211,7 +212,7 @@ def cmd_oracle(args: argparse.Namespace, inst: AlgebraInstance | None) -> tuple[
         data = {side: _lattice_report(inst, side) for side in _sides(args)}
         data["agreement"] = all(report["agreement"] for report in data.values())
     else:
-        data = _paths_report(inst)
+        data = _paths_report(inst, _sides(args))
     return (OK if data["agreement"] else MATH_FAIL), data
 
 

@@ -15,7 +15,7 @@ literally by :func:`validate_connection_path`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .groups import Grade, GroupSpec, format_grade
@@ -24,27 +24,44 @@ from .model import AlgebraInstance
 
 @dataclass(frozen=True)
 class Supports:
+    """The supports Sigma and Lambda of one instance, over its grade group.
+
+    The sets the relations read are derived once, at construction:
+    ``sigma_pm`` and ``lam_pm`` (each support with its inverses), the
+    sorted multipliers and the allowed states of each relation.  They
+    take no part in equality or hashing, which depend on
+    ``(group, sigma, lam)`` alone.
+    """
+
     group: GroupSpec
     sigma: frozenset[Grade]
     lam: frozenset[Grade]
+    sigma_pm: frozenset[Grade] = field(init=False, compare=False, repr=False)
+    lam_pm: frozenset[Grade] = field(init=False, compare=False, repr=False)
+    _multipliers: tuple[Grade, ...] = field(init=False, compare=False, repr=False)
+    _lambda_states: frozenset[Grade] = field(init=False, compare=False, repr=False)
 
-    @property
-    def sigma_pm(self) -> frozenset[Grade]:
-        return self.sigma | {self.group.inv(g) for g in self.sigma}
-
-    @property
-    def lam_pm(self) -> frozenset[Grade]:
-        return self.lam | {self.group.inv(g) for g in self.lam}
+    def __post_init__(self) -> None:
+        inv = self.group.inv
+        sigma_pm = frozenset(self.sigma | {inv(g) for g in self.sigma})
+        lam_pm = frozenset(self.lam | {inv(g) for g in self.lam})
+        for name, value in (
+            ("sigma_pm", sigma_pm),
+            ("lam_pm", lam_pm),
+            ("_multipliers", tuple(sorted(sigma_pm | lam_pm))),
+            ("_lambda_states", lam_pm | sigma_pm),
+        ):
+            object.__setattr__(self, name, value)
 
     def multipliers(self) -> list[Grade]:
-        return sorted(self.sigma_pm | self.lam_pm)
+        return list(self._multipliers)
 
     def states(self, side: str) -> frozenset[Grade]:
         """Allowed intermediate partial products for one relation."""
         if side == "sigma":
             return self.sigma_pm
         if side == "lambda":
-            return self.lam_pm | self.sigma_pm
+            return self._lambda_states
         raise ValueError(f"unknown side {side!r}")
 
     def base(self, side: str) -> frozenset[Grade]:

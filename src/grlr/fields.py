@@ -8,8 +8,11 @@ Scalars are validated once, where they enter the program: ``parse`` and
 ``from_int`` produce canonical values, and ``check`` guards the entry
 points that take scalars from outside: ``BilinearRule`` tables and
 ``GradedBasis.checked_row``, which serves ``GradedBasis.block_vector``,
-the public ``GradedSubspace`` constructors and its membership methods
-``contains_block_vector`` and ``contains_sparse``.
+the public ``GradedSubspace`` constructors and its membership method
+``contains_block_vector``.  The public ``contains_sparse`` checks each
+scalar of its vector and then runs the unchecked private
+``GradedSubspace._contains``, which the graded-ideal predicates of
+``model`` call directly on the images they compute from checked tables.
 ``format`` checks what it prints.  The matrix kernels of ``linear``
 (``rref`` and the rest) and the arithmetic kernels ``add``, ``neg``,
 ``sub``, ``mul``, ``inv`` and ``is_zero`` assume canonical values of this

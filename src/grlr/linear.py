@@ -12,7 +12,8 @@ constructors ``GradedSubspace(...)``, ``from_block_vectors`` and
 ``at_grades``, sums, intersections, complements, kernels and bilinear
 images) is built from blocks already in RREF together with their pivots,
 through ``GradedSubspace._from_rref``, and so is never reduced again.
-The matrix kernels below take canonical scalars unchecked.
+The public membership tests check their scalars; ``_contains`` serves
+them and takes canonical scalars unchecked, as do the matrix kernels.
 """
 from __future__ import annotations
 
@@ -162,8 +163,12 @@ class GradedBasis:
             raise ValueError("duplicate basis names")
         self._pos: dict[str, int] = {n: i for i, (n, _) in enumerate(self.entries)}
         self._blocks: dict[Grade, list[int]] = {}
+        # _offset[pos]: the index of pos within its grade's block
+        self._offset: list[int] = []
         for i, (_, g) in enumerate(self.entries):
-            self._blocks.setdefault(g, []).append(i)
+            block = self._blocks.setdefault(g, [])
+            self._offset.append(len(block))
+            block.append(i)
         self._checked: set[GroupSpec] = set()
 
     def __eq__(self, other: object) -> bool:
@@ -225,7 +230,7 @@ class GradedBasis:
         for pos, x in v.items():
             g = self.grade_of(pos)
             block = out.setdefault(g, [field.zero] * self.block_dim(g))
-            block[self.positions_at(g).index(pos)] = x
+            block[self._offset[pos]] = x
         return out
 
     def describe_sparse(self, v: Sparse, field: Field) -> str:
@@ -341,8 +346,14 @@ class GradedSubspace:
         return in_span(self.field, *self._echelon(g), self.ambient.checked_row(g, coords, self.field))
 
     def contains_sparse(self, v: Sparse) -> bool:
+        for x in v.values():
+            self.field.check(x)
+        return self._contains(v)
+
+    def _contains(self, v: Sparse) -> bool:
+        """Membership of a sparse vector of canonical scalars, unchecked."""
         return all(
-            self.contains_block_vector(g, coords)
+            in_span(self.field, *self._echelon(g), coords)
             for g, coords in self.ambient.split_sparse(v, self.field).items()
         )
 
@@ -463,13 +474,22 @@ class BilinearRule:
         return dict(self.table.get((i, j), {}))
 
     def apply_sparse(self, u: Sparse, v: Sparse) -> Sparse:
+        # the steps of sparse_add(out, sparse_scale(a*b, entry)), in place
         field = self.field
         out: Sparse = {}
         for i, a in u.items():
             for j, b in v.items():
                 entry = self.table.get((i, j))
                 if entry:
-                    out = sparse_add(field, out, sparse_scale(field, field.mul(a, b), entry))
+                    c = field.mul(a, b)
+                    if field.is_zero(c):
+                        continue
+                    for pos, x in entry.items():
+                        s = field.add(out.get(pos, field.zero), field.mul(c, x))
+                        if field.is_zero(s):
+                            out.pop(pos, None)
+                        else:
+                            out[pos] = s
         return out
 
     def grading_violations(self) -> list[dict]:

@@ -355,7 +355,7 @@ def is_graded_ideal_L(inst: AlgebraInstance, I: GradedSubspace) -> tuple[bool, d
     for u in full_L_vecs:
         for w in ideal_vecs:
             img = inst.bracket.apply_sparse(u, w)
-            if not I.contains_sparse(img):
+            if not I._contains(img):
                 return False, {
                     "law": "[L, I] <= I",
                     "args": [inst.describe_L(u), inst.describe_L(w)],
@@ -364,7 +364,7 @@ def is_graded_ideal_L(inst: AlgebraInstance, I: GradedSubspace) -> tuple[bool, d
     for a in full_A_vecs:
         for w in ideal_vecs:
             img = inst.action.apply_sparse(a, w)
-            if not I.contains_sparse(img):
+            if not I._contains(img):
                 return False, {
                     "law": "A.I <= I",
                     "args": [inst.describe_A(a), inst.describe_L(w)],
@@ -375,7 +375,7 @@ def is_graded_ideal_L(inst: AlgebraInstance, I: GradedSubspace) -> tuple[bool, d
             da = inst.anchor.apply_sparse(w, a)
             for u in full_L_vecs:
                 img = inst.action.apply_sparse(da, u)
-                if not I.contains_sparse(img):
+                if not I._contains(img):
                     return False, {
                         "law": "rho(I)(A)L <= I",
                         "args": [inst.describe_L(w), inst.describe_A(a), inst.describe_L(u)],
@@ -389,10 +389,11 @@ def is_graded_ideal_A(inst: AlgebraInstance, J: GradedSubspace) -> tuple[bool, d
     if J.ambient != inst.A:
         raise ValueError("subspace is not inside A")
     f = inst.field
+    ideal_vecs = J.sparse_vectors()
     for a in range(inst.A.dim):
-        for w in J.sparse_vectors():
+        for w in ideal_vecs:
             img = inst.product.apply_sparse({a: f.one}, w)
-            if not J.contains_sparse(img):
+            if not J._contains(img):
                 return False, {
                     "law": "A.J <= J",
                     "args": [inst.A.name_of(a), inst.describe_A(w)],

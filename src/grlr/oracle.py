@@ -15,6 +15,23 @@ anything, a dynamic program over depth counts the products the search
 would make from the table and the entries of the paths it would list;
 a search where either count is above ``MAX_DFS_STEPS`` is refused with
 ``GuardError``.
+
+The walk enters only the states that leave more than two terms to
+append.  A state reached with one or two terms left is listed, not
+entered: each of its tails of up to that many terms that ends on a
+target is appended to the current path (``path + tail``, a fresh list).
+The tails of a state come from per-call tables, read off the step table
+the first time the walk needs them and kept in pre-order, so the listing
+equals that of a search that enters every state.  The walk still lists
+every path explicitly and prunes nothing by reachability: it reads no
+BFS data, so a wrong BFS verdict cannot hide a path from it, and the
+guard's counts stay those of the full search.
+
+The ideal lattice takes its candidates from ``all_subspaces``, listed
+once per block dimension.  They are already canonical RREF bases of
+canonical scalars, so each graded candidate is adopted as it is, with
+each row's first nonzero entry as its pivot, and is never reduced or
+checked again.
 """
 from __future__ import annotations
 
@@ -80,11 +97,18 @@ def all_subspaces(field: Field, dim: int) -> list[tuple[Row, ...]]:
 
 
 def _graded_subspaces(field: Field, basis: GradedBasis):
+    """Every graded subspace of ``basis``, adopted from the RREF bases of
+    ``all_subspaces`` (listed once per block dimension) without reduction."""
     grades = sorted(basis.grades())
-    per_block = [all_subspaces(field, basis.block_dim(g)) for g in grades]
+    echelons = {}
+    for dim in {basis.block_dim(g) for g in grades}:
+        echelons[dim] = [
+            (rows, tuple(next(c for c, x in enumerate(row) if not field.is_zero(x)) for row in rows))
+            for rows in all_subspaces(field, dim)
+        ]
+    per_block = [echelons[basis.block_dim(g)] for g in grades]
     for combo in itertools.product(*per_block):
-        blocks = {g: rows for g, rows in zip(grades, combo) if rows}
-        yield GradedSubspace(field, basis, blocks)
+        yield GradedSubspace._from_rref(field, basis, dict(zip(grades, combo)))
 
 
 def _sort_key(sub: GradedSubspace):
@@ -177,12 +201,35 @@ def enumerate_connections(
                 f"{what} from {format_grade(g1)} ({side}, up to {max_len} terms)"
             )
     n = len(states)
+    # tails[r][i]: the tails of one to r terms from state i that end on a
+    # target, in pre-order; filled from the step table when first needed
+    tails: dict[int, list[list[list[Grade]] | None]] = {1: [None] * n, 2: [None] * n}
+
+    def tails_of(i: int, r: int) -> list[list[Grade]]:
+        found = tails[r][i]
+        if found is None:
+            found = []
+            for m, j in table[i]:
+                if j >= 0:
+                    if hit[j]:
+                        found.append([m])
+                    if r == 2 and j < n:
+                        found.extend([m] + tail for tail in tails_of(j, 1))
+            tails[r][i] = found
+        return found
+
     path = [start]
     paths = [list(path)] if hit[root] else []
+    if max_len <= 3:
+        if max_len > 1:
+            paths.extend(path + tail for tail in tails_of(root, max_len - 1))
+        return paths
     # each frame iterates one state's row; a target is listed on arrival,
     # before its state is entered, which keeps the pre-order of a
-    # recursive search
-    stack = [iter(table[root])] if max_len > 1 else []
+    # recursive search.  A state reached with two terms left is not
+    # entered: its tails are listed in its place
+    last = max_len - 2
+    stack = [iter(table[root])]
     while stack:
         for m, j in stack[-1]:
             if j < 0:
@@ -190,9 +237,11 @@ def enumerate_connections(
             path.append(m)
             if hit[j]:
                 paths.append(path[:])
-            if j < n and len(path) < max_len:
-                stack.append(iter(table[j]))
-                break
+            if j < n:
+                if len(path) < last:
+                    stack.append(iter(table[j]))
+                    break
+                paths.extend(path + tail for tail in tails_of(j, 2))
             path.pop()
         else:
             stack.pop()

@@ -150,7 +150,7 @@ def test_enumeration_output_paths_all_validate():
                 assert validate_connection_path(sup, "lambda", path, g, h)
 
 
-@pytest.mark.parametrize("max_len", [None, 1, 3])
+@pytest.mark.parametrize("max_len", [None, 1, 2, 3, 4])
 def test_enumeration_matches_literal_reference(monkeypatch, max_len):
     # the step table must list the same paths in the same order as a search
     # that multiplies at every step, and the guard's counts must equal that
@@ -187,6 +187,25 @@ def test_enumeration_matches_literal_reference(monkeypatch, max_len):
                             enumerate_connections(sup, g, h, side, max_len)
 
 
+@pytest.mark.parametrize("max_len", [2, 3, 4, None])
+def test_listed_paths_are_fresh_lists(max_len):
+    # the last two levels are listed as path + tail from tail tables the
+    # listed paths share: no listed path may share its list with another,
+    # and changing them must not change a second call's listing
+    sup = supports(cached("sl2_ga2"))
+    base = sorted(sup.sigma)
+    multi_term = 0
+    for h in base:
+        listed = enumerate_connections(sup, base[0], h, "sigma", max_len)
+        expected = [list(path) for path in listed]
+        for k, path in enumerate(listed):
+            path.append(k)
+        assert listed == [path + [k] for k, path in enumerate(expected)], (h, max_len)
+        assert enumerate_connections(sup, base[0], h, "sigma", max_len) == expected, (h, max_len)
+        multi_term += sum(len(path) > 1 for path in expected)
+    assert multi_term > 1
+
+
 def test_enumeration_refuses_a_long_listing():
     # 3,998 products, but 2,000 paths of lengths 1 to 2,000
     sup = supports(cached("e2"))
@@ -221,6 +240,31 @@ def test_search_agrees_with_enumeration_on_random_supports():
                     ok, _ = connect(sup, g, h)
                     listed = enumerate_connections(sup, g, h, side)
                     assert ok == bool(listed), (trial, side, g, h)
+
+
+def test_supports_derive_their_sets_at_construction():
+    rng = random.Random(20261018)
+    for trial in range(40):
+        n = rng.choice([2, 3, 4, 5, 6])
+        group = GroupSpec(0, (n,))
+        universe = [(k,) for k in range(n)]
+        sig = frozenset(g for g in universe if g != (0,) and rng.random() < 0.5)
+        lam = frozenset(g for g in universe if g != (0,) and rng.random() < 0.5)
+        sup = Supports(group, sig, lam)
+        sigma_pm = sig | {group.inv(g) for g in sig}
+        lam_pm = lam | {group.inv(g) for g in lam}
+        assert (sup.sigma_pm, sup.lam_pm) == (sigma_pm, lam_pm), trial
+        assert sup.multipliers() == sorted(sigma_pm | lam_pm), trial
+        assert sup.states("sigma") == sigma_pm and sup.states("lambda") == lam_pm | sigma_pm, trial
+        twin = Supports(group, frozenset(sorted(sig)), frozenset(lam))
+        assert twin is not sup and twin == sup and hash(twin) == hash(sup), trial
+        assert sup != Supports(group, lam, sig) or sig == lam, trial
+        mults = sup.multipliers()
+        mults.append((n,))
+        mults.reverse()
+        assert sup.multipliers() == sorted(sigma_pm | lam_pm), trial
+        with pytest.raises(ValueError, match="unknown side"):
+            sup.states("tau")
 
 
 def test_dot_output_mentions_every_support_grade():

@@ -23,6 +23,7 @@ from grlr import (
     resolve_instance,
     verify_all,
 )
+import grlr.oracle
 from grlr.cli import main
 from grlr.errors import InstanceFormatError
 from grlr.fields import prime_field
@@ -316,6 +317,24 @@ def test_cli_oracle_paths(capsys):
     assert main(["oracle", "e3", "--what", "paths", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["agreement"] is True
+
+
+@pytest.mark.parametrize("side, listed", [("L", ["sigma"]), ("A", ["lambda"]), ("both", ["lambda", "sigma"])])
+def test_cli_oracle_paths_lists_the_chosen_sides(side, listed, capsys):
+    assert main(["oracle", "e3", "--what", "paths", "--side", side, "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert sorted(data["sides"]) == listed and data["agreement"] is True
+
+
+def test_cli_oracle_paths_agreement_covers_the_listed_sides_only(monkeypatch, capsys):
+    # an enumeration that finds nothing on the lambda side disagrees there only
+    real = grlr.oracle.enumerate_connections
+    monkeypatch.setattr(grlr.oracle, "enumerate_connections",
+                        lambda sup, g, h, side: [] if side == "lambda" else real(sup, g, h, side))
+    assert main(["oracle", "e3", "--what", "paths", "--side", "L", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["agreement"] is True
+    assert main(["oracle", "e3", "--what", "paths", "--side", "A", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["agreement"] is False
 
 
 def test_cli_oracle_paths_refuses_an_oversized_search(tmp_path, capsys):

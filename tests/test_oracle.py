@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import json
+import math
+
 import pytest
 
+import grlr.oracle
 from grlr import (
+    GradedBasis,
+    GradedSubspace,
     TemplateRecipe,
     all_subspaces,
     decompose_A,
@@ -40,6 +46,21 @@ def test_all_subspaces_rows_are_canonical_rref():
     for rows in all_subspaces(f, 3):
         reduced, _ = rref(f, [list(r) for r in rows])
         assert reduced == rows
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("dims", [(), (1,), (2,), (3,), (3, 1), (1, 2, 3)])
+def test_lattice_candidates_equal_the_checked_constructor(p, dims):
+    # candidates are adopted from all_subspaces unreduced: each must equal,
+    # pivots included, the subspace the checked constructor builds from it
+    f = prime_field(p)
+    basis = GradedBasis((f"b{g}_{i}", (g,)) for g, dim in enumerate(dims) for i in range(dim))
+    candidates = list(grlr.oracle._graded_subspaces(f, basis))
+    for sub in candidates:
+        checked = GradedSubspace(f, basis, sub.blocks)
+        assert sub == checked and sub.pivots == checked.pivots
+    assert len(candidates) == math.prod(len(all_subspaces(f, dim)) for dim in dims)
+    assert len({json.dumps(sub.to_json(), sort_keys=True) for sub in candidates}) == len(candidates)
 
 
 def test_frozen_ideal_lattices():
