@@ -31,6 +31,10 @@ Scalar = Union[int, Fraction]
 
 _SCALAR_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
 
+# a Fraction is immutable, so the rationals' zero and one are built once
+_Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
+
 
 # Miller-Rabin with the first 13 prime bases is exact below this bound
 # (Sorenson and Webster 2015); larger moduli are refused, not guessed.
@@ -109,11 +113,11 @@ class Field:
 
     @property
     def zero(self) -> Scalar:
-        return Fraction(0) if self.kind == "rational" else 0
+        return _Q_ZERO if self.kind == "rational" else 0
 
     @property
     def one(self) -> Scalar:
-        return Fraction(1) if self.kind == "rational" else 1
+        return _Q_ONE if self.kind == "rational" else 1
 
     def from_int(self, n: int) -> Scalar:
         return Fraction(n) if self.kind == "rational" else n % self.p  # type: ignore[operator]

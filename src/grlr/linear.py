@@ -14,6 +14,12 @@ images) is built from blocks already in RREF together with their pivots,
 through ``GradedSubspace._from_rref``, and so is never reduced again.
 The public membership tests check their scalars; ``_contains`` serves
 them and takes canonical scalars unchecked, as do the matrix kernels.
+
+Products of subspaces run block pair by block pair.  Each
+``BilinearRule`` groups its table by (left grade, right grade) on first
+use (``block_pairs``), and ``bilinear_image`` visits only the block pairs
+of U x V that have table entries.  It checks the grade-shift law once
+per block pair it uses, not once per image component.
 """
 from __future__ import annotations
 
@@ -26,6 +32,8 @@ from .groups import Grade, GroupSpec, format_grade
 Row = tuple[Scalar, ...]
 Sparse = dict[int, Scalar]
 Echelon = tuple[tuple[Row, ...], tuple[int, ...]]  # RREF rows and their pivot columns
+# output grades reached, and (left block offset, right block offset, entry) triples
+BlockPair = tuple[set[Grade], list[tuple[int, int, Sparse]]]
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +450,13 @@ class BilinearRule:
     collected by :meth:`grading_violations` rather than rejected at
     construction time, so that hand-edited files can be loaded and then
     failed by the grading verifier with a witness.
+
+    :meth:`block_pairs` is the table grouped by block pair, derived on
+    first use.  Rules are built far more often than multiplied (every
+    restriction, base change and recipe builds four), so construction
+    does no work for it.  Its fill calls no ``Field`` or ``GroupSpec``
+    method, so the kernel calls of a product are the same whether or not
+    the rule was used before.
     """
 
     def __init__(
@@ -469,6 +484,27 @@ class BilinearRule:
             if vec:
                 canon[(int(i), int(j))] = vec
         self.table = canon
+        self._block_pairs: dict[tuple[Grade, Grade], BlockPair] | None = None
+
+    def block_pairs(self) -> dict[tuple[Grade, Grade], BlockPair]:
+        """The table grouped by block pair, built on the first call.
+
+        Maps (left grade, right grade) to the set of output grades its
+        entries reach and the triples (left block offset, right block
+        offset, entry), each entry the table's own sparse vector.  Block
+        pairs with no entry are absent.  The table never changes after
+        construction.  The fill reads only the table and the bases: it
+        makes no ``Field`` or ``GroupSpec`` call.
+        """
+        if self._block_pairs is None:
+            left, right, out = self.left, self.right, self.out
+            index: dict[tuple[Grade, Grade], BlockPair] = {}
+            for (i, j), entry in self.table.items():
+                grades, triples = index.setdefault((left.grade_of(i), right.grade_of(j)), (set(), []))
+                grades.update(out.grade_of(pos) for pos in entry)
+                triples.append((left._offset[i], right._offset[j], entry))
+            self._block_pairs = index
+        return self._block_pairs
 
     def on_basis(self, i: int, j: int) -> Sparse:
         return dict(self.table.get((i, j), {}))
@@ -534,30 +570,68 @@ def rule_from_names(
 def bilinear_image(rule: BilinearRule, U: GradedSubspace, V: GradedSubspace) -> GradedSubspace:
     """Span of rule(u, v) over basis vectors of U and V, one elimination per output block.
 
-    Raises on table entries that break the grade-shift law, naming the
-    offending pair; run the grading verifier first for a full report.
+    Works block pair by block pair, in sorted grade order, over the pairs
+    of ``rule.block_pairs()``; a pair with no table entry adds nothing.
+    Each used pair must send all its entries to the block at
+    grade(u)*grade(v), or this raises naming the pair and its first
+    off-grade component, whatever the coefficients of U and V on it.
+    Run the grading verifier first for a full report.
     """
     if U.ambient != rule.left or V.ambient != rule.right:
         raise ValueError(f"subspace ambient does not match rule {rule.name!r}")
-    field, out = rule.field, rule.out
-    right = V._homogeneous()
+    field, out, index = rule.field, rule.out, rule.block_pairs()
+    offset, mul, add, is_zero = out._offset, field.mul, field.add, field.is_zero
     images: dict[Grade, list[list[Scalar]]] = {}
-    for gu, u in U._homogeneous():
-        for gv, v in right:
+    right = sorted(V.blocks.items())
+    for gu, u_rows in sorted(U.blocks.items()):
+        for gv, v_rows in right:
+            pair = index.get((gu, gv))
+            if pair is None:
+                continue
+            grades, triples = pair
             target = rule.group.mul(gu, gv)
-            image = rule.apply_sparse(u, v)
-            for pos in image:
-                got = out.grade_of(pos)
-                if got != target:
-                    raise ToolkitError(
-                        f"rule {rule.name!r} violates the grade-shift law on "
-                        f"({format_grade(gu)}, {format_grade(gv)}): component "
-                        f"{out.name_of(pos)} at grade {format_grade(got)}, "
-                        f"expected {format_grade(target)}"
-                    )
-            if image:
-                images.setdefault(target, []).append(out.split_sparse(image, field)[target])
-    return GradedSubspace._from_rref(field, out, {g: rref(field, rows) for g, rows in images.items()})
+            if grades != {target}:
+                pos = _off_grade(rule, gu, gv, target)
+                raise ToolkitError(
+                    f"rule {rule.name!r} violates the grade-shift law on "
+                    f"({format_grade(gu)}, {format_grade(gv)}): component "
+                    f"{out.name_of(pos)} at grade {format_grade(out.grade_of(pos))}, "
+                    f"expected {format_grade(target)}"
+                )
+            zero_row = [field.zero] * out.block_dim(target)
+            rows = images.setdefault(target, [])
+            for u in u_rows:
+                # the triples on which this row of U is nonzero, with its coefficient
+                live = [(x, b, entry) for a, b, entry in triples if not is_zero(x := u[a])]
+                if not live:
+                    continue
+                for v in v_rows:
+                    row = None
+                    for x, b, entry in live:
+                        y = v[b]
+                        if is_zero(y):
+                            continue
+                        if row is None:
+                            row = zero_row.copy()
+                        c = mul(x, y)
+                        for pos, e in entry.items():
+                            k = offset[pos]
+                            row[k] = add(row[k], mul(c, e))
+                    if row is not None and not all(map(is_zero, row)):
+                        rows.append(row)
+    return GradedSubspace._from_rref(field, out, {g: rref(field, rows) for g, rows in images.items() if rows})
+
+
+def _off_grade(rule: BilinearRule, gu: Grade, gv: Grade, target: Grade) -> int:
+    """The first output position, in table order, that an entry of the
+    block pair (gu, gv) sends outside the block at ``target``."""
+    return next(
+        pos
+        for (i, j), entry in sorted(rule.table.items())
+        if rule.left.grade_of(i) == gu and rule.right.grade_of(j) == gv
+        for pos in sorted(entry)
+        if rule.out.grade_of(pos) != target
+    )
 
 
 def map_kernel(

@@ -305,6 +305,63 @@ def ideal_oracle_A(inst: AlgebraInstance, J: GradedSubspace) -> bool:
     return True
 
 
+def literal_ideal_test_L(inst: AlgebraInstance, I: GradedSubspace) -> tuple[bool, dict | None]:
+    """``is_graded_ideal_L`` as three literal loops over every product of a
+    basis vector and a row of I, with no skipping: the reference for its
+    verdicts and witnesses."""
+    f = inst.field
+    full_L_vecs = [{p: f.one} for p in range(inst.L.dim)]
+    full_A_vecs = [{p: f.one} for p in range(inst.A.dim)]
+    ideal_vecs = I.sparse_vectors()
+
+    for u in full_L_vecs:
+        for w in ideal_vecs:
+            img = inst.bracket.apply_sparse(u, w)
+            if not I._contains(img):
+                return False, {
+                    "law": "[L, I] <= I",
+                    "args": [inst.describe_L(u), inst.describe_L(w)],
+                    "value": inst.describe_L(img),
+                }
+    for a in full_A_vecs:
+        for w in ideal_vecs:
+            img = inst.action.apply_sparse(a, w)
+            if not I._contains(img):
+                return False, {
+                    "law": "A.I <= I",
+                    "args": [inst.describe_A(a), inst.describe_L(w)],
+                    "value": inst.describe_L(img),
+                }
+    for w in ideal_vecs:
+        for a in full_A_vecs:
+            da = inst.anchor.apply_sparse(w, a)
+            for u in full_L_vecs:
+                img = inst.action.apply_sparse(da, u)
+                if not I._contains(img):
+                    return False, {
+                        "law": "rho(I)(A)L <= I",
+                        "args": [inst.describe_L(w), inst.describe_A(a), inst.describe_L(u)],
+                        "value": inst.describe_L(img),
+                    }
+    return True, None
+
+
+def literal_ideal_test_A(inst: AlgebraInstance, J: GradedSubspace) -> tuple[bool, dict | None]:
+    """``is_graded_ideal_A`` as one literal loop, with no skipping."""
+    f = inst.field
+    ideal_vecs = J.sparse_vectors()
+    for a in range(inst.A.dim):
+        for w in ideal_vecs:
+            img = inst.product.apply_sparse({a: f.one}, w)
+            if not J._contains(img):
+                return False, {
+                    "law": "A.J <= J",
+                    "args": [inst.A.name_of(a), inst.describe_A(w)],
+                    "value": inst.describe_A(img),
+                }
+    return True, None
+
+
 def plain_closure(inst: AlgebraInstance, seed: GradedSubspace, side: str) -> GradedSubspace:
     """Ideal closure on ``side`` by the plain fixpoint loop: add the images
     until a round brings nothing new, with no early stop."""

@@ -7,8 +7,9 @@ import pytest
 
 import grlr.linear
 
+from grlr.catalog import build
 from grlr.errors import ToolkitError
-from grlr.fields import RATIONALS, prime_field
+from grlr.fields import RATIONALS, Field, prime_field
 from grlr.groups import GroupSpec
 from grlr.linear import (
     BilinearRule,
@@ -26,6 +27,7 @@ from grlr.linear import (
     subspace_intersect,
     subspace_sum,
 )
+from grlr.model import AlgebraInstance, verify_grading
 
 FIELDS = [RATIONALS, prime_field(2), prime_field(3), prime_field(7)]
 
@@ -222,6 +224,48 @@ def test_bilinear_image_matches_pairwise_products():
         oracle = GradedSubspace.from_sparse_vectors(f, B, products)
         assert image == oracle
 
+    # rules with different left, right and output bases, over Q, GF(2) and
+    # GF(3), with one block pair left empty on purpose
+    touched_empty = 0
+    for f in (RATIONALS, prime_field(2), prime_field(3)):
+        for dom in ("ALL", "LAA"):
+            left, right, out = (MIXED[c] for c in dom)
+            empty = (left.grades()[0], right.grades()[-1])
+            rule = rand_graded_rule(rng, f, dom, left, right, out, skip={empty})
+            assert empty not in rule.block_pairs()
+            zero_left, zero_right = GradedSubspace.zero(f, left), GradedSubspace.zero(f, right)
+            assert bilinear_image(rule, zero_left, GradedSubspace.full(f, right)).is_zero()
+            assert bilinear_image(rule, GradedSubspace.full(f, left), zero_right).is_zero()
+            for _ in range(25):
+                U, V = rand_subspace(rng, f, left), rand_subspace(rng, f, right)
+                touched_empty += U.dim_at(empty[0]) > 0 and V.dim_at(empty[1]) > 0
+                products = [rule.apply_sparse(u, v) for u in U.sparse_vectors() for v in V.sparse_vectors()]
+                assert bilinear_image(rule, U, V) == GradedSubspace.from_sparse_vectors(f, out, products)
+    assert touched_empty > 0
+
+
+# bases of different sizes and grades for A x L -> L and L x A -> A rules
+MIXED_GROUP = GroupSpec(0, (3,))
+MIXED = {
+    "L": GradedBasis([("x0", (0,)), ("x1", (1,)), ("y1", (1,)), ("z2", (2,))]),
+    "A": GradedBasis([("a0", (0,)), ("b0", (0,)), ("c2", (2,))]),
+}
+
+
+def rand_graded_rule(rng, f, name, left, right, out, skip=()):
+    """A random table that keeps the grade-shift law; block pairs in ``skip`` get no entry."""
+    table = {}
+    for i in range(left.dim):
+        for j in range(right.dim):
+            grades = (left.grade_of(i), right.grade_of(j))
+            if grades in skip:
+                continue
+            img = {k: f.from_int(rng.randint(-2, 2)) for k in out.positions_at(MIXED_GROUP.mul(*grades))}
+            img = {k: c for k, c in img.items() if not f.is_zero(c)}
+            if img:
+                table[(i, j)] = img
+    return BilinearRule(name, f, MIXED_GROUP, left, right, out, table)
+
 
 def test_bilinear_image_rejects_grade_violating_rule():
     f = RATIONALS
@@ -230,6 +274,101 @@ def test_bilinear_image_rejects_grade_violating_rule():
     bad = rule_from_names("product", f, G, B, B, B, {("p", "p"): {"q": f.one}})
     with pytest.raises(ToolkitError):
         bilinear_image(bad, GradedSubspace.full(f, B), GradedSubspace.full(f, B))
+
+
+def test_grade_shift_law_checked_per_block_pair():
+    f = RATIONALS
+    G = GroupSpec(0, (2,))
+    B = GradedBasis([("p0", (0,)), ("p1", (0,)), ("q", (1,))])
+    # p0*p0 should land at grade 0; its q component breaks the law
+    bad = rule_from_names("product", f, G, B, B, B, {
+        ("p0", "p0"): {"p1": f.one, "q": f.one},
+        ("p1", "p1"): {"p0": f.one},
+        ("p1", "q"): {"q": f.one},
+        ("q", "q"): {"p1": f.one},
+    })
+    message = r"rule 'product' violates the grade-shift law on \(0, 0\): component q at grade 1, expected 0"
+    full = GradedSubspace.full(f, B)
+    with pytest.raises(ToolkitError, match=message):
+        bilinear_image(bad, full, full)
+    # rows at grade 0 whose coefficient on p0 is 0 still use the bad block pair
+    p1 = GradedSubspace.from_sparse_vectors(f, B, [{1: f.one}])
+    assert bad.apply_sparse({1: f.one}, {1: f.one}) == {0: f.one}
+    with pytest.raises(ToolkitError, match=message):
+        bilinear_image(bad, p1, p1)
+    # an untouched bad pair: the image is the ordinary one
+    q = GradedSubspace.from_sparse_vectors(f, B, [{2: f.one}])
+    for U, V in ((q, full), (full, q), (p1, q), (q, q)):
+        products = [bad.apply_sparse(u, v) for u in U.sparse_vectors() for v in V.sparse_vectors()]
+        assert bilinear_image(bad, U, V) == GradedSubspace.from_sparse_vectors(f, B, products)
+    assert bilinear_image(bad, q, q).sparse_vectors() == [{1: f.one}]
+    # the grading verifier still reports the entry with its witness
+    L = GradedBasis([])
+    inst = AlgebraInstance(
+        "bad_product", f, G, L, B,
+        rule_from_names("bracket", f, G, L, L, L, {}), bad,
+        rule_from_names("action", f, G, B, L, L, {}), rule_from_names("anchor", f, G, L, B, B, {}),
+    )
+    failed = verify_grading(inst).failed_checks()
+    assert [c.to_json() for c in failed] == [{"check": "grading.product", "passed": False, "witness": {
+        "rule": "product", "left": "p0", "right": "p0", "component": "q",
+        "expected_grade": "0", "got_grade": "1", "violations": 1,
+    }}]
+
+
+def test_block_pair_index_is_lazy_and_calls_no_kernel(monkeypatch):
+    e3 = build("e3")
+    fresh = [
+        BilinearRule(r.name, r.field, r.group, r.left, r.right, r.out, r.table)
+        for r in (e3.bracket, e3.product, e3.action, e3.anchor)
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the block-pair index called a field or group kernel")
+
+    for op in ("check", "from_int", "add", "neg", "sub", "mul", "inv", "div", "is_zero", "parse", "format"):
+        monkeypatch.setattr(Field, op, refuse)
+    for prop in ("zero", "one"):
+        monkeypatch.setattr(Field, prop, property(refuse))
+    for op in ("mul", "inv", "reduce", "check"):
+        monkeypatch.setattr(GroupSpec, op, refuse)
+    for rule in fresh:
+        assert rule._block_pairs is None
+        index = rule.block_pairs()
+        assert rule.block_pairs() is index
+        triples = [t for _, ts in index.values() for t in ts]
+        assert len(triples) == len(rule.table)
+        for (gu, gv), (grades, ts) in index.items():
+            for a, b, entry in ts:
+                i, j = rule.left.positions_at(gu)[a], rule.right.positions_at(gv)[b]
+                assert entry is rule.table[(i, j)]
+                assert grades >= {rule.out.grade_of(pos) for pos in entry}
+
+
+def test_bilinear_image_multiplies_grades_once_per_block_pair(monkeypatch):
+    f = prime_field(3)
+    G = GroupSpec(0, (2,))
+    # gl_2 at one grade: a single 4-dimensional block
+    B = GradedBasis([(n, (0,)) for n in ("h", "z", "e", "f")])
+    bracket = rule_from_names("bracket", f, G, B, B, B, {
+        ("h", "e"): {"e": 2}, ("e", "h"): {"e": 1},
+        ("h", "f"): {"f": 1}, ("f", "h"): {"f": 2},
+        ("e", "f"): {"h": 1}, ("f", "e"): {"h": 2},
+    })
+    calls = []
+    group_mul = GroupSpec.mul
+    monkeypatch.setattr(GroupSpec, "mul", lambda self, a, b: calls.append((a, b)) or group_mul(self, a, b))
+    full = GradedSubspace.full(f, B)
+    image = bilinear_image(bracket, full, full)
+    assert calls == [((0,), (0,))]  # one block pair, not 16 row pairs
+    assert image.dim == 3
+    # a product on BASIS with entries on three of its four block pairs
+    product = rule_from_names("product", f, GRADES, BASIS, BASIS, BASIS, {
+        ("x0", "x0"): {"x1": 1}, ("x1", "y0"): {"y2": 2}, ("y1", "y2"): {"x0": 1},
+    })
+    calls.clear()
+    bilinear_image(product, GradedSubspace.full(f, BASIS), GradedSubspace.full(f, BASIS))
+    assert sorted(calls) == sorted(product.block_pairs()) == [((0,), (0,)), ((0,), (1,)), ((1,), (1,))]
 
 
 def test_map_kernel_matches_bruteforce():

@@ -6,7 +6,10 @@ import json
 import pytest
 
 from grlr import (
+    AlgebraInstance,
+    GradedBasis,
     GradedSubspace,
+    GroupSpec,
     RATIONALS,
     ann_A,
     ann_L_of_A,
@@ -23,13 +26,17 @@ from grlr import (
     verify_all,
 )
 from grlr.decompose import decompose_A, decompose_L
-from grlr.errors import ToolkitError
+from grlr.errors import GuardError, ToolkitError
+from grlr.linear import rule_from_names
 from grlr.model import verify_grading
+from grlr.oracle import _graded_subspaces, _guard_enumeration
 from grlr.simplicity import gr_simple_A, gr_simple_L
 
 from helpers import (
     abelian_pair_instance,
     cached,
+    literal_ideal_test_A,
+    literal_ideal_test_L,
     mutate_instance,
     reference_verify,
     truncated_poly_derivations,
@@ -205,6 +212,58 @@ def test_ideal_predicates_with_witnesses():
     assert is_graded_ideal_A(e2, GradedSubspace.from_sparse_vectors(f2, e2.A, [x, x2]))[0]
     ok, wit = is_graded_ideal_A(e2, GradedSubspace.from_sparse_vectors(f2, e2.A, [x]))
     assert not ok and wit["law"] == "A.J <= J"
+
+
+def _lattice_admitted(inst) -> bool:
+    try:
+        for side in ("L", "A"):
+            _guard_enumeration(inst.field, getattr(inst, side).dim, "graded ideal")
+    except GuardError:
+        return False
+    return True
+
+
+def test_ideal_predicates_match_literal_loops():
+    # the predicates skip products on empty block pairs and rho(w)(a) = 0;
+    # verdicts and witnesses must equal those of the unskipped loops
+    chosen = [cached(name, "gf3") for name in ("e1", "e2", "e3")]
+    for recipe in default_recipe_space():
+        if len(chosen) == 3 + 10:
+            break
+        try:
+            inst = generate_instance(recipe)
+        except ToolkitError:
+            continue
+        if _lattice_admitted(inst):
+            chosen.append(inst)
+    assert len(chosen) == 13
+    # none of those fails a law after [L, I] <= I.  In this graded but
+    # otherwise lawless instance (abelian L, a one-sided product) span{w}
+    # fails A.I <= I, span{v} fails rho(I)(A)L <= I and span{b} fails
+    # A.J <= J only through c.b, not b.c
+    f, G = prime_field(3), GroupSpec(1)
+    L = GradedBasis([("v", (1,)), ("w", (-1,))])
+    A = GradedBasis([("one", (0,)), ("b", (-1,)), ("c", (1,)), ("t", (2,))])
+    product = {("one", x): {x: 1} for x in ("one", "b", "c", "t")}
+    chosen.append(AlgebraInstance(
+        "action_and_anchor_witnesses", f, G, L, A,
+        rule_from_names("bracket", f, G, L, L, L, {}),
+        rule_from_names("product", f, G, A, A, A, {**product, ("c", "b"): {"one": 1}}),
+        rule_from_names("action", f, G, A, L, L, {("one", "v"): {"v": 1}, ("one", "w"): {"w": 1}, ("t", "w"): {"v": 1}}),
+        rule_from_names("anchor", f, G, L, A, A, {("v", "b"): {"one": 1}}),
+    ))
+    verdicts = set()
+    for inst in chosen:
+        for side, fast, literal in (
+            ("L", is_graded_ideal_L, literal_ideal_test_L),
+            ("A", is_graded_ideal_A, literal_ideal_test_A),
+        ):
+            for sub in _graded_subspaces(inst.field, getattr(inst, side)):
+                got = fast(inst, sub)
+                assert got == literal(inst, sub), (inst.name, side, sub.to_json())
+                verdicts.add((side, got[1]["law"] if got[1] else None))
+    assert verdicts == {("L", None), ("L", "[L, I] <= I"), ("L", "A.I <= I"), ("L", "rho(I)(A)L <= I"),
+                        ("A", None), ("A", "A.J <= J")}
 
 
 def test_class_ideals_pass_predicates():
