@@ -27,26 +27,48 @@ every path explicitly and prunes nothing by reachability: it reads no
 BFS data, so a wrong BFS verdict cannot hide a path from it, and the
 guard's counts stay those of the full search.
 
-The ideal lattice takes its candidates from ``all_subspaces``, listed
+The ideal lattice works block by block.  A graded subspace is an ideal
+when a finite set of homogeneous maps sends it into itself: on L,
+w -> [u, w], w -> a.w and w -> rho(w)(a).u for basis vectors u of L and
+a of A; on A, w -> a.w.  The lattice first reads the images of each
+block's basis vectors under every defining map, one ``apply_sparse`` per
+product on the rule tables and none made twice, splits them by target
+grade and keeps the distinct nonzero block matrices g -> k.  A multiple
+of the identity from a block to itself keeps every subspace and is left
+out.  The candidates of each block come from ``all_subspaces``, listed
 once per block dimension.  They are already canonical RREF bases of
-canonical scalars, so each graded candidate is adopted as it is, with
-each row's first nonzero entry as its pivot, and is never reduced or
-checked again.
+canonical scalars, so each is adopted as it is, with each row's first
+nonzero entry as its pivot, and is never reduced or checked again.
+
+A candidate S_g fits a candidate S_k when every row of S_g, times each
+matrix g -> k, lies in S_k.  The test runs only when asked and stops at
+the first row that fails; the images of a row are kept for the call,
+since the same rows recur across candidates.  Each candidate is tested
+against itself once.  The combinations are then extended one grade at a
+time, in sorted order, and a combination is kept exactly when every pair
+of blocks joined by a map fits; each such pair's test is memoised for the
+call.  The survivors are sorted by ``_sort_key``, so the listing equals
+that of testing every graded subspace against the definition.  The
+lattice judges the closure scan of ``simplicity``, so it reads nothing
+but the rule tables: it calls no ``bilinear_image``, no closure and no
+graded-ideal predicate of ``model``, and a fault in those can neither
+hide an ideal from it nor invent one.
 """
 from __future__ import annotations
 
 import itertools
 import json
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from .catalog import build, catalog_names
 from .connections import Supports
 from .constructions import base_change, direct_sum, to_field
 from .errors import GuardError, ToolkitError
-from .fields import Field, parse_field_label
+from .fields import Field, Scalar, parse_field_label
 from .groups import Grade, format_grade
-from .linear import GradedBasis, GradedSubspace, Row
-from .model import AlgebraInstance, is_graded_ideal_A, is_graded_ideal_L
+from .linear import Echelon, GradedBasis, GradedSubspace, Row, Sparse, in_span
+from .model import AlgebraInstance
 from .simplicity import Hypotheses5, check_hypotheses5
 
 # enumeration over GF(p)^d explodes as p^(d^2/4); these bounds keep the
@@ -96,16 +118,23 @@ def all_subspaces(field: Field, dim: int) -> list[tuple[Row, ...]]:
     return out
 
 
+def _block_echelons(field: Field, dims: Iterable[int]) -> dict[int, list[Echelon]]:
+    """Every subspace of F^dim with its pivots, each row's first nonzero
+    entry, listed by ``all_subspaces`` once per dimension in ``dims``."""
+    return {
+        dim: [
+            (rows, tuple(next(c for c, x in enumerate(row) if not field.is_zero(x)) for row in rows))
+            for rows in all_subspaces(field, dim)
+        ]
+        for dim in set(dims)
+    }
+
+
 def _graded_subspaces(field: Field, basis: GradedBasis):
     """Every graded subspace of ``basis``, adopted from the RREF bases of
     ``all_subspaces`` (listed once per block dimension) without reduction."""
     grades = sorted(basis.grades())
-    echelons = {}
-    for dim in {basis.block_dim(g) for g in grades}:
-        echelons[dim] = [
-            (rows, tuple(next(c for c, x in enumerate(row) if not field.is_zero(x)) for row in rows))
-            for rows in all_subspaces(field, dim)
-        ]
+    echelons = _block_echelons(field, (basis.block_dim(g) for g in grades))
     per_block = [echelons[basis.block_dim(g)] for g in grades]
     for combo in itertools.product(*per_block):
         yield GradedSubspace._from_rref(field, basis, dict(zip(grades, combo)))
@@ -115,11 +144,143 @@ def _sort_key(sub: GradedSubspace):
     return (sub.dim, json.dumps(sub.to_json(), sort_keys=True))
 
 
-def _enumerate_graded_ideals(inst: AlgebraInstance, side: str) -> list[GradedSubspace]:
+def _defining_images(inst: AlgebraInstance, side: str) -> Callable[[int], list[Sparse]]:
+    """The images of one basis vector w of the side under every defining
+    map, in a fixed order: on L, [u, w] for each u of L, a.w for each a
+    of A, then rho(w)(a).u for each (a, u); on A, a.w for each a.
+
+    Each product is one ``apply_sparse`` on the rule tables, skipped (as
+    0) where its block pairs have no entry.  The action's products are
+    kept by their arguments, so a rho(w)(a) met twice, or equal to a
+    basis vector of A, is not multiplied again.
+    """
+    one = inst.field.one
+    L, A = inst.L, inst.A
+    if side == "A":
+        product, pairs = inst.product, inst.product.block_pairs()
+        return lambda p: [
+            product.apply_sparse({a: one}, {p: one}) if (A.grade_of(a), A.grade_of(p)) in pairs else {}
+            for a in range(A.dim)
+        ]
+    bracket, action, anchor = inst.bracket, inst.action, inst.anchor
+    bracket_pairs, action_pairs, anchor_pairs = (r.block_pairs() for r in (bracket, action, anchor))
+    acted: dict[tuple[tuple[tuple[int, Scalar], ...], int], Sparse] = {}
+
+    def act(x: Sparse, u: int) -> Sparse:
+        key = (tuple(sorted(x.items())), u)
+        if key not in acted:
+            gu = L.grade_of(u)
+            acted[key] = (action.apply_sparse(x, {u: one})
+                          if any((A.grade_of(q), gu) in action_pairs for q in x) else {})
+        return acted[key]
+
+    def images(p: int) -> list[Sparse]:
+        w, gw = {p: one}, L.grade_of(p)
+        out = [bracket.apply_sparse({u: one}, w) if (L.grade_of(u), gw) in bracket_pairs else {}
+               for u in range(L.dim)]
+        out += [act({a: one}, p) for a in range(A.dim)]
+        for a in range(A.dim):
+            da = anchor.apply_sparse(w, {a: one}) if (gw, A.grade_of(a)) in anchor_pairs else {}
+            out += [act(da, u) for u in range(L.dim)] if da else [{}] * L.dim
+        return out
+
+    return images
+
+
+def _block_maps(inst: AlgebraInstance, side: str) -> dict[tuple[int, int], list[tuple[Row, ...]]]:
+    """(t, s) -> the distinct nonzero matrices by which the defining maps
+    send the block at the t-th grade of the side to the block at the s-th.
+
+    Row i of a matrix is the s-th block component of the image of the
+    block's i-th basis vector.  A multiple of the identity from a block to
+    itself keeps every subspace, so it is left out.
+    """
+    f = inst.field
     basis = getattr(inst, side)
-    _guard_enumeration(inst.field, basis.dim, "graded ideal")
-    is_ideal = is_graded_ideal_L if side == "L" else is_graded_ideal_A
-    return sorted((s for s in _graded_subspaces(inst.field, basis) if is_ideal(inst, s)[0]), key=_sort_key)
+    index = {g: t for t, g in enumerate(basis.grades())}
+    images = _defining_images(inst, side)
+    maps: dict[tuple[int, int], dict[tuple[Row, ...], None]] = {}
+    for g, t in index.items():
+        n = basis.block_dim(g)
+        # one column per defining map, one entry per basis vector of the block
+        for column in zip(*(images(p) for p in basis.positions_at(g))):
+            if not any(column):
+                continue
+            blocks: dict[Grade, list[Row]] = {}
+            for i, img in enumerate(column):
+                for k, coords in basis.split_sparse(img, f).items():
+                    if k not in blocks:
+                        blocks[k] = [(f.zero,) * len(coords)] * n
+                    blocks[k][i] = tuple(coords)
+            for k, rows in blocks.items():
+                c = rows[0][0]
+                if k == g and all(x == (c if i == j else f.zero) for i, row in enumerate(rows) for j, x in enumerate(row)):
+                    continue
+                maps.setdefault((t, index[k]), {})[tuple(rows)] = None
+    return {pair: list(found) for pair, found in maps.items()}
+
+
+def _enumerate_graded_ideals(inst: AlgebraInstance, side: str) -> list[GradedSubspace]:
+    f = inst.field
+    basis = getattr(inst, side)
+    _guard_enumeration(f, basis.dim, "graded ideal")
+    grades = basis.grades()
+    n = len(grades)
+    echelons = _block_echelons(f, (basis.block_dim(g) for g in grades))
+    candidates = [echelons[basis.block_dim(g)] for g in grades]
+    maps = _block_maps(inst, side)
+    # (t, s) -> {row of a block-t candidate: its nonzero images under the maps t -> s}
+    row_images: dict[tuple[int, int], dict[Row, list[Row]]] = {pair: {} for pair in maps}
+    mul, add, is_zero = f.mul, f.add, f.is_zero
+
+    def fits(t: int, i: int, s: int, j: int) -> bool:
+        """Every row of candidate i at grade t, sent by each map t -> s,
+        lies in candidate j at grade s; stops at the first that does not."""
+        target = candidates[s][j]
+        known = row_images[(t, s)]
+        for r in candidates[t][i][0]:
+            images = known.get(r)
+            if images is None:
+                images = known[r] = []
+                for matrix in maps[(t, s)]:
+                    v = [f.zero] * len(matrix[0])
+                    for x, m_row in zip(r, matrix):
+                        if not is_zero(x):
+                            v = [add(y, mul(x, m)) for y, m in zip(v, m_row)]
+                    if not all(map(is_zero, v)):
+                        images.append(tuple(v))
+            if not all(in_span(f, *target, v) for v in images):
+                return False
+        return True
+
+    # each candidate against itself, once; then each pair of grades in
+    # both directions, memoised, as the combinations are extended
+    alive = [[i for i in range(len(candidates[t])) if (t, t) not in maps or fits(t, i, t, i)]
+             for t in range(n)]
+    memo: dict[tuple[int, int, int, int], bool] = {}
+
+    def cross(t: int, i: int, s: int, j: int) -> bool:
+        key = (t, i, s, j)
+        if key not in memo:
+            memo[key] = ((t, s) not in maps or fits(t, i, s, j)) and ((s, t) not in maps or fits(s, j, t, i))
+        return memo[key]
+
+    linked = [[t for t in range(s) if (t, s) in maps or (s, t) in maps] for s in range(n)]
+    chosen = [0] * n
+    found: list[GradedSubspace] = []
+
+    def extend(s: int) -> None:
+        if s == n:
+            found.append(GradedSubspace._from_rref(
+                f, basis, {g: candidates[t][i] for t, (g, i) in enumerate(zip(grades, chosen))}))
+            return
+        for j in alive[s]:
+            if all(cross(t, chosen[t], s, j) for t in linked[s]):
+                chosen[s] = j
+                extend(s + 1)
+
+    extend(0)
+    return sorted(found, key=_sort_key)
 
 
 def enumerate_graded_ideals_L(inst: AlgebraInstance) -> list[GradedSubspace]:

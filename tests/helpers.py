@@ -417,3 +417,31 @@ def truncated_poly_derivations(p: int) -> AlgebraInstance:
     product = BilinearRule("product", f, G, A, A, A,
                            {(i, j): {i + j: f.one} for i in range(p) for j in range(p) if i + j < p})
     return derivation_instance(f"W(1;1)@gf{p}", f, G, A, product)
+
+
+def truncated_poly_one_block(p: int, n: int) -> AlgebraInstance:
+    """(Der(A), A) for A = F[x]/(x^n) over GF(p) with every basis vector at
+    grade 0, so each side is one block; built by ``catalog.derivation_instance``."""
+    f = prime_field(p)
+    G = GroupSpec(1)
+    A = GradedBasis([(f"x{i}", (0,)) for i in range(n)])
+    product = BilinearRule("product", f, G, A, A, A,
+                           {(i, j): {i + j: f.one} for i in range(n) for j in range(n) if i + j < n})
+    return derivation_instance(f"Der(F[x]/(x^{n}))@gf{p}", f, G, A, product)
+
+
+def action_and_anchor_witnesses() -> AlgebraInstance:
+    """A graded but otherwise lawless instance over GF(3) (abelian L, a
+    one-sided product) in which span{w} fails A.I <= I, span{v} fails
+    rho(I)(A)L <= I, and span{b} fails A.J <= J only through c.b, not b.c."""
+    f, G = prime_field(3), GroupSpec(1)
+    L = GradedBasis([("v", (1,)), ("w", (-1,))])
+    A = GradedBasis([("one", (0,)), ("b", (-1,)), ("c", (1,)), ("t", (2,))])
+    product = {("one", x): {x: 1} for x in ("one", "b", "c", "t")}
+    return AlgebraInstance(
+        "action_and_anchor_witnesses", f, G, L, A,
+        rule_from_names("bracket", f, G, L, L, L, {}),
+        rule_from_names("product", f, G, A, A, A, {**product, ("c", "b"): {"one": 1}}),
+        rule_from_names("action", f, G, A, L, L, {("one", "v"): {"v": 1}, ("one", "w"): {"w": 1}, ("t", "w"): {"v": 1}}),
+        rule_from_names("anchor", f, G, L, A, A, {("v", "b"): {"one": 1}}),
+    )

@@ -35,6 +35,7 @@ from grlr import (
     supports,
     verify_all,
 )
+from grlr import oracle
 from grlr.errors import ToolkitError
 from grlr.linear import bilinear_image
 
@@ -208,7 +209,7 @@ def test_criterion_6_tightness_and_pairing(capsys):
 def _admissible_for_enumeration(inst) -> bool:
     if inst.field.kind != "prime":
         return False
-    bound = 6 if inst.field.p <= 3 else 4
+    bound = oracle.MAX_DIM_SMALL_P if inst.field.p <= 3 else oracle.MAX_DIM_LARGE_P
     return inst.L.dim <= bound and inst.A.dim <= bound
 
 

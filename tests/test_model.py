@@ -6,10 +6,7 @@ import json
 import pytest
 
 from grlr import (
-    AlgebraInstance,
-    GradedBasis,
     GradedSubspace,
-    GroupSpec,
     RATIONALS,
     ann_A,
     ann_L_of_A,
@@ -27,13 +24,13 @@ from grlr import (
 )
 from grlr.decompose import decompose_A, decompose_L
 from grlr.errors import GuardError, ToolkitError
-from grlr.linear import rule_from_names
 from grlr.model import verify_grading
 from grlr.oracle import _graded_subspaces, _guard_enumeration
 from grlr.simplicity import gr_simple_A, gr_simple_L
 
 from helpers import (
     abelian_pair_instance,
+    action_and_anchor_witnesses,
     cached,
     literal_ideal_test_A,
     literal_ideal_test_L,
@@ -237,21 +234,8 @@ def test_ideal_predicates_match_literal_loops():
         if _lattice_admitted(inst):
             chosen.append(inst)
     assert len(chosen) == 13
-    # none of those fails a law after [L, I] <= I.  In this graded but
-    # otherwise lawless instance (abelian L, a one-sided product) span{w}
-    # fails A.I <= I, span{v} fails rho(I)(A)L <= I and span{b} fails
-    # A.J <= J only through c.b, not b.c
-    f, G = prime_field(3), GroupSpec(1)
-    L = GradedBasis([("v", (1,)), ("w", (-1,))])
-    A = GradedBasis([("one", (0,)), ("b", (-1,)), ("c", (1,)), ("t", (2,))])
-    product = {("one", x): {x: 1} for x in ("one", "b", "c", "t")}
-    chosen.append(AlgebraInstance(
-        "action_and_anchor_witnesses", f, G, L, A,
-        rule_from_names("bracket", f, G, L, L, L, {}),
-        rule_from_names("product", f, G, A, A, A, {**product, ("c", "b"): {"one": 1}}),
-        rule_from_names("action", f, G, A, L, L, {("one", "v"): {"v": 1}, ("one", "w"): {"w": 1}, ("t", "w"): {"v": 1}}),
-        rule_from_names("anchor", f, G, L, A, A, {("v", "b"): {"one": 1}}),
-    ))
+    # none of those fails a law after [L, I] <= I; this one does
+    chosen.append(action_and_anchor_witnesses())
     verdicts = set()
     for inst in chosen:
         for side, fast, literal in (

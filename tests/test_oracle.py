@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,12 +26,23 @@ from grlr import (
     supports,
     verify_all,
 )
+from grlr.catalog import build, catalog_names
 from grlr.constructions import to_field
 from grlr.errors import GuardError, ToolkitError
-from grlr.fields import RATIONALS
+from grlr.fields import RATIONALS, parse_field_label
 from grlr.files import instance_to_json
+from grlr.linear import BilinearRule
 
-from helpers import cached, ideal_oracle_A, ideal_oracle_L
+from helpers import (
+    action_and_anchor_witnesses,
+    cached,
+    ideal_oracle_A,
+    ideal_oracle_L,
+    literal_ideal_test_A,
+    literal_ideal_test_L,
+    truncated_poly_one_block,
+    wild_mutant,
+)
 
 
 def test_all_subspaces_counts_match_gaussian_binomials():
@@ -75,6 +88,118 @@ def test_frozen_ideal_lattices():
     sg = cached("sl2_ga2", purpose="oracle")
     assert [s.dim for s in enumerate_graded_ideals_L(sg)] == [0, 6]
     assert [s.dim for s in enumerate_graded_ideals_A(sg)] == [0, 2]
+
+
+def _admitted(inst, side: str) -> bool:
+    """The enumeration guard's verdict on one side, asked instead of caught."""
+    if inst.field.kind != "prime":
+        return False
+    bound = grlr.oracle.MAX_DIM_SMALL_P if inst.field.p <= 3 else grlr.oracle.MAX_DIM_LARGE_P
+    return getattr(inst, side).dim <= bound
+
+
+def _literal_lattice(inst, side: str) -> list[GradedSubspace]:
+    """The graded ideals by definition: every candidate of the lattice,
+    kept when the literal loops of ``helpers`` find no escaping product."""
+    literal = literal_ideal_test_L if side == "L" else literal_ideal_test_A
+    candidates = grlr.oracle._graded_subspaces(inst.field, getattr(inst, side))
+    return sorted((s for s in candidates if literal(inst, s)[0]), key=grlr.oracle._sort_key)
+
+
+def _lattice_equality_instances() -> list[tuple[str, object]]:
+    """Every buildable prime recipe and every catalog entry at gf2, gf3, gf5
+    and gf7 that builds, with either side admitted; then 60 wild mutants
+    of those, taken in turn; then a graded instance where A.I <= I and
+    rho(I)(A)L <= I decide on their own."""
+    chosen = []
+    for recipe in default_recipe_space():
+        try:
+            inst = generate_instance(recipe)
+        except ToolkitError:
+            continue
+        chosen.append((recipe.label, inst))
+    for name in catalog_names():
+        for label in ("gf2", "gf3", "gf5", "gf7"):
+            try:
+                chosen.append((f"{name}@{label}", build(name, parse_field_label(label))))
+            except ToolkitError:
+                continue
+    chosen = [(label, inst) for label, inst in chosen if _admitted(inst, "L") or _admitted(inst, "A")]
+    mutants = []
+    for seed in range(60):
+        label, inst = chosen[(7 * seed) % len(chosen)]
+        mutant, where = wild_mutant(inst, seed)
+        mutants.append((f"{label}~{where}", mutant))
+    return chosen + mutants + [("action_and_anchor_witnesses", action_and_anchor_witnesses())]
+
+
+def test_lattices_equal_the_literal_definition():
+    instances = _lattice_equality_instances()
+    spanning = 0
+    for label, inst in instances:
+        rules = (inst.bracket, inst.product, inst.action, inst.anchor)
+        # a table entry with components in two grades breaks the grade-shift
+        # law and sends one block to several
+        spanning += any(len({r.out.grade_of(pos) for pos in entry}) > 1 for r in rules for entry in r.table.values())
+        for side, enumerate_ideals in (("L", enumerate_graded_ideals_L), ("A", enumerate_graded_ideals_A)):
+            if not _admitted(inst, side):
+                continue
+            got = enumerate_ideals(inst)
+            want = _literal_lattice(inst, side)
+            assert [(s.blocks, s.pivots) for s in got] == [(s.blocks, s.pivots) for s in want], (label, side)
+    assert len(instances) > 150 and spanning >= 30
+
+
+def test_one_block_truncated_polynomials_known_lattices():
+    # A = GF(3)[x]/(x^6) with every basis vector at grade 0: one 6-dimensional
+    # block on each side, the largest the enumeration guard admits
+    inst = truncated_poly_one_block(3, 6)
+    f = inst.field
+    powers = [
+        GradedSubspace.from_sparse_vectors(f, inst.A, [{i: f.one} for i in range(k, 6)]) for k in range(7)
+    ]
+    assert enumerate_graded_ideals_A(inst) == sorted(powers, key=grlr.oracle._sort_key)
+    assert [s.dim for s in enumerate_graded_ideals_L(inst)] == [0, 3, 6]
+
+
+@pytest.mark.parametrize("name", ["e3", "sl2_ga2"])
+@pytest.mark.parametrize("side", ["L", "A"])
+def test_lattice_makes_each_product_once(monkeypatch, name, side):
+    inst = cached(name, field_label="gf3")
+    seen: list[tuple] = []
+    apply_sparse = BilinearRule.apply_sparse
+
+    def counted(rule, u, v):
+        seen.append((rule.name, tuple(sorted(u.items())), tuple(sorted(v.items()))))
+        return apply_sparse(rule, u, v)
+
+    monkeypatch.setattr(BilinearRule, "apply_sparse", counted)
+    lattice = (enumerate_graded_ideals_L if side == "L" else enumerate_graded_ideals_A)(inst)
+    assert len(lattice) >= 2 and seen
+    assert len(set(seen)) == len(seen)
+
+
+def test_lattice_stays_independent_of_the_fast_paths():
+    # the lattice judges the closure scan, so it may not run it, nor the
+    # subspace products or the graded-ideal predicates the scan relies on
+    called: set[tuple[str, str]] = set()
+
+    def watch(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            called.add((Path(code.co_filename).name, code.co_name))
+
+    inst = cached("e3", field_label="gf3")
+    sys.setprofile(watch)
+    try:
+        enumerate_graded_ideals_L(inst)
+        enumerate_graded_ideals_A(inst)
+    finally:
+        sys.setprofile(None)
+    assert ("oracle.py", "_enumerate_graded_ideals") in called
+    assert not {(f, c) for f, c in called if f == "simplicity.py"}
+    forbidden = {"bilinear_image", "is_graded_ideal_L", "is_graded_ideal_A"}
+    assert not {c for f, c in called if c in forbidden}
 
 
 def test_lattice_members_satisfy_the_slow_restatement():
