@@ -20,6 +20,16 @@ Products of subspaces run block pair by block pair.  Each
 use (``block_pairs``), and ``bilinear_image`` visits only the block pairs
 of U x V that have table entries.  It checks the grade-shift law once
 per block pair it uses, not once per image component.
+
+A product of two whole blocks needs no multiplication at all: it is the
+span of that block pair's table entries.  ``entry_span`` and
+``joint_entry_span`` read such products straight off the index, with one
+elimination per output block.  They and ``bilinear_image`` refuse a
+block pair that breaks the grade-shift law through one check,
+``checked_block_pair``, so the refusal reads the same whichever of them
+meets the pair first.  ``entry_kernel`` cuts out the common kernel of
+maps v -> rule(v, .) and v -> rule(., v) with one condition per table
+entry component.
 """
 from __future__ import annotations
 
@@ -579,25 +589,16 @@ def bilinear_image(rule: BilinearRule, U: GradedSubspace, V: GradedSubspace) -> 
     """
     if U.ambient != rule.left or V.ambient != rule.right:
         raise ValueError(f"subspace ambient does not match rule {rule.name!r}")
-    field, out, index = rule.field, rule.out, rule.block_pairs()
+    field, out = rule.field, rule.out
     offset, mul, add, is_zero = out._offset, field.mul, field.add, field.is_zero
     images: dict[Grade, list[list[Scalar]]] = {}
     right = sorted(V.blocks.items())
     for gu, u_rows in sorted(U.blocks.items()):
         for gv, v_rows in right:
-            pair = index.get((gu, gv))
+            pair = checked_block_pair(rule, gu, gv)
             if pair is None:
                 continue
-            grades, triples = pair
-            target = rule.group.mul(gu, gv)
-            if grades != {target}:
-                pos = _off_grade(rule, gu, gv, target)
-                raise ToolkitError(
-                    f"rule {rule.name!r} violates the grade-shift law on "
-                    f"({format_grade(gu)}, {format_grade(gv)}): component "
-                    f"{out.name_of(pos)} at grade {format_grade(out.grade_of(pos))}, "
-                    f"expected {format_grade(target)}"
-                )
+            target, triples = pair
             zero_row = [field.zero] * out.block_dim(target)
             rows = images.setdefault(target, [])
             for u in u_rows:
@@ -622,6 +623,31 @@ def bilinear_image(rule: BilinearRule, U: GradedSubspace, V: GradedSubspace) -> 
     return GradedSubspace._from_rref(field, out, {g: rref(field, rows) for g, rows in images.items() if rows})
 
 
+def checked_block_pair(rule: BilinearRule, gu: Grade, gv: Grade) -> tuple[Grade, list[tuple[int, int, Sparse]]] | None:
+    """The block pair (gu, gv) of ``rule`` as (output grade, triples of
+    ``block_pairs``), or None when it has no table entry.
+
+    The output grade is grade(gu)*grade(gv); a pair with an entry outside
+    that block is refused, naming the pair and its first off-grade
+    component in table order.
+    """
+    pair = rule.block_pairs().get((gu, gv))
+    if pair is None:
+        return None
+    grades, triples = pair
+    target = rule.group.mul(gu, gv)
+    if grades != {target}:
+        out = rule.out
+        pos = _off_grade(rule, gu, gv, target)
+        raise ToolkitError(
+            f"rule {rule.name!r} violates the grade-shift law on "
+            f"({format_grade(gu)}, {format_grade(gv)}): component "
+            f"{out.name_of(pos)} at grade {format_grade(out.grade_of(pos))}, "
+            f"expected {format_grade(target)}"
+        )
+    return target, triples
+
+
 def _off_grade(rule: BilinearRule, gu: Grade, gv: Grade, target: Grade) -> int:
     """The first output position, in table order, that an entry of the
     block pair (gu, gv) sends outside the block at ``target``."""
@@ -634,22 +660,71 @@ def _off_grade(rule: BilinearRule, gu: Grade, gv: Grade, target: Grade) -> int:
     )
 
 
-def map_kernel(
-    field: Field, ambient: GradedBasis, images: Callable[[int], list[Sparse]]
+def joint_entry_span(
+    field: Field, out: GradedBasis, terms: Iterable[tuple[BilinearRule, tuple[Grade, Grade]]]
 ) -> GradedSubspace:
-    """Homogeneous kernel of v -> (list of sparse images of v).
+    """Span of the table entries of each (rule, block pair) of ``terms``:
+    the sum of the products rule(whole left block, whole right block).
 
-    ``images(pos)`` gives, for the ambient basis vector at ``pos``, the
-    image vectors under each defining map.  The kernel block at grade g
-    is cut out by one linear condition per (map, output coordinate).
+    Every rule must map into ``out``.  The pairs are checked in the order
+    given, so the first one that breaks the grade-shift law is refused;
+    a pair with no entry adds nothing.  One elimination per output block.
     """
-    echelon = {}
-    for g in ambient.grades():
-        per_basis = [images(p) for p in ambient.positions_at(g)]
-        rows = [
-            [imgs[m].get(c, field.zero) for imgs in per_basis]
-            for m in range(len(per_basis[0]))
-            for c in sorted({pos for imgs in per_basis for pos in imgs[m]})
-        ]
-        echelon[g] = nullspace(field, rows, len(per_basis))
-    return GradedSubspace._from_rref(field, ambient, echelon)
+    offset = out._offset
+    rows: dict[Grade, list[list[Scalar]]] = {}
+    for rule, (gu, gv) in terms:
+        if rule.out != out:
+            raise ValueError(f"rule {rule.name!r} does not map into the given basis")
+        pair = checked_block_pair(rule, gu, gv)
+        if pair is None:
+            continue
+        target, triples = pair
+        zero_row = [field.zero] * out.block_dim(target)
+        block = rows.setdefault(target, [])
+        for _, _, entry in triples:
+            row = zero_row.copy()
+            for pos, x in entry.items():
+                row[offset[pos]] = x
+            block.append(row)
+    return GradedSubspace._from_rref(field, out, {g: rref(field, block) for g, block in rows.items()})
+
+
+def entry_span(rule: BilinearRule, pairs: Iterable[tuple[Grade, Grade]] | None = None) -> GradedSubspace:
+    """Span of ``rule``'s table entries on the block pairs ``pairs``, in the
+    order given (all its block pairs, sorted, when None).
+
+    It equals ``bilinear_image`` of the whole blocks: with ``pairs=None``,
+    ``bilinear_image(rule, full left, full right)``, refusals included.
+    """
+    if pairs is None:
+        pairs = sorted(rule.block_pairs())
+    return joint_entry_span(rule.field, rule.out, ((rule, pair) for pair in pairs))
+
+
+def entry_kernel(field: Field, basis: GradedBasis, maps: Sequence[tuple[BilinearRule, bool]]) -> GradedSubspace:
+    """Homogeneous kernel of the maps v -> rule(v, .) (``v_left`` true) and
+    v -> rule(., v) (false), for each (rule, v_left) of ``maps``.
+
+    The block at grade g is cut out by one condition per (map, other
+    argument, output coordinate) that some table entry with its v
+    argument at grade g reaches; every other condition is 0 = 0.  The
+    kernel's RREF basis is canonical, so the order of the conditions
+    does not matter.
+    """
+    offset = basis._offset
+    conditions: dict[Grade, dict[tuple[int, int, int], list[Scalar]]] = {g: {} for g in basis.grades()}
+    for m, (rule, v_left) in enumerate(maps):
+        if (rule.left if v_left else rule.right) != basis:
+            raise ValueError(f"rule {rule.name!r} does not take its argument from the given basis")
+        for (i, j), entry in rule.table.items():
+            v, other = (i, j) if v_left else (j, i)
+            g = basis.grade_of(v)
+            rows = conditions[g]
+            for pos, x in entry.items():
+                row = rows.get((m, other, pos))
+                if row is None:
+                    row = rows[m, other, pos] = [field.zero] * basis.block_dim(g)
+                row[offset[v]] = x
+    return GradedSubspace._from_rref(field, basis, {
+        g: nullspace(field, list(rows.values()), basis.block_dim(g)) for g, rows in conditions.items()
+    })

@@ -41,6 +41,13 @@ is (rule name, bases of the left argument, the right argument and the
 output), e.g. ``("action", "ALL")`` for A x L -> L.  Every construction
 that makes a new instance reads it, through ``rebuild_instance``.
 
+The canonical invariant subspaces ``center``, ``ann_L_of_A``, ``ann_A``
+and ``ker_anchor`` are common kernels of maps such as v -> [v, .] and
+v -> rho(v).  ``linear.entry_kernel`` writes their conditions straight
+from the table entries, one row per (map, other argument, output
+coordinate) that an entry reaches, so the work grows with the number of
+entries, not with the square of the dimension.
+
 ``transport`` rebuilds an instance on new homogeneous bases.  At grade g
 the new basis vectors are the rows of ``L_rows[g]`` (``A_rows[g]``), given
 in the old block coordinates; row k is the new vector at the k-th
@@ -62,7 +69,7 @@ from .linear import (
     GradedSubspace,
     Sparse,
     coordinate_reader,
-    map_kernel,
+    entry_kernel,
     nullspace,
 )
 
@@ -300,40 +307,22 @@ def verify_all(inst: AlgebraInstance) -> VerificationReport:
 
 def center(inst: AlgebraInstance) -> GradedSubspace:
     """Z(L) = {v : [v, L] = 0 and rho(v) = 0}."""
-
-    def images(pos: int) -> list[Sparse]:
-        row = [inst.bracket.on_basis(pos, j) for j in range(inst.L.dim)]
-        row += [inst.anchor.on_basis(pos, j) for j in range(inst.A.dim)]
-        return row
-
-    return map_kernel(inst.field, inst.L, images)
+    return entry_kernel(inst.field, inst.L, ((inst.bracket, True), (inst.anchor, True)))
 
 
 def ann_L_of_A(inst: AlgebraInstance) -> GradedSubspace:
     """Ann_L(A) = {v in L : A.v = 0}."""
-
-    def images(pos: int) -> list[Sparse]:
-        return [inst.action.on_basis(a, pos) for a in range(inst.A.dim)]
-
-    return map_kernel(inst.field, inst.L, images)
+    return entry_kernel(inst.field, inst.L, ((inst.action, False),))
 
 
 def ann_A(inst: AlgebraInstance) -> GradedSubspace:
     """Ann(A) = {a in A : aA = 0}."""
-
-    def images(pos: int) -> list[Sparse]:
-        return [inst.product.on_basis(pos, b) for b in range(inst.A.dim)]
-
-    return map_kernel(inst.field, inst.A, images)
+    return entry_kernel(inst.field, inst.A, ((inst.product, True),))
 
 
 def ker_anchor(inst: AlgebraInstance) -> GradedSubspace:
     """Ker rho = {v in L : rho(v)(A) = 0}."""
-
-    def images(pos: int) -> list[Sparse]:
-        return [inst.anchor.on_basis(pos, a) for a in range(inst.A.dim)]
-
-    return map_kernel(inst.field, inst.L, images)
+    return entry_kernel(inst.field, inst.L, ((inst.anchor, True),))
 
 
 # ---------------------------------------------------------------------------

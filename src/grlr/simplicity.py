@@ -41,7 +41,6 @@ from .connections import Supports, lambda_classes, sigma_classes, supports
 from .decompose import (
     _block,
     _full,
-    _term,
     check_tight,
     decompose_A,
     decompose_L,
@@ -50,7 +49,14 @@ from .decompose import (
 from .errors import DecompositionError
 from .fields import Field, Scalar
 from .groups import Grade, format_grade
-from .linear import GradedSubspace, bilinear_image, subspace_intersect, subspace_sum
+from .linear import (
+    GradedSubspace,
+    bilinear_image,
+    checked_block_pair,
+    entry_span,
+    subspace_intersect,
+    subspace_sum,
+)
 from .model import (
     AlgebraInstance,
     is_graded_ideal_L,
@@ -134,7 +140,11 @@ def check_hypotheses5(inst: AlgebraInstance) -> Hypotheses5:
 
 def _g_mult_witness(inst: AlgebraInstance, sup: Supports) -> str | None:
     """The first product of two support blocks that is zero although the
-    product of their grades is supported, or None."""
+    product of their grades is supported, or None.
+
+    The product of two whole blocks is zero exactly when their block pair
+    has no table entry; a pair with entries must still obey the
+    grade-shift law, as in ``bilinear_image``."""
     for rule, left, right, target, text in (
         (inst.bracket, sup.sigma, sup.sigma, sup.sigma, "[L_{}, L_{}] = 0"),
         (inst.action, sup.lam, sup.sigma, sup.sigma, "A_{} L_{} = 0"),
@@ -144,7 +154,7 @@ def _g_mult_witness(inst: AlgebraInstance, sup: Supports) -> str | None:
             for h in sorted(right):
                 if inst.group.mul(g, h) not in target:
                     continue
-                if bilinear_image(rule, _block(inst, rule.left, [g]), _block(inst, rule.right, [h])).is_zero():
+                if checked_block_pair(rule, g, h) is None:
                     return text.format(format_grade(g), format_grade(h))
     return None
 
@@ -282,8 +292,7 @@ def _gr_simple(inst: AlgebraInstance, side: str, cap: int) -> SimplicityVerdict:
     first closure outside the trivial ideals certifies "not gr-simple",
     otherwise the scan's coverage decides "gr_simple" or "undecided"."""
     for name, reason in _PRODUCTS[side]:
-        rule = getattr(inst, name)
-        if bilinear_image(rule, _full(inst, rule.left), _full(inst, rule.right)).is_zero():
+        if entry_span(getattr(inst, name)).is_zero():
             return SimplicityVerdict(side, "not_gr_simple", reason)
     allowed = [sub for _, sub in _trivial_ideals(inst, side)]
     closure_of = ideal_closure_L if side == "L" else ideal_closure_A
@@ -345,12 +354,10 @@ def split_case_b(inst: AlgebraInstance, I: GradedSubspace) -> tuple[GradedSubspa
             f"Case a applies: {format_grade(sym)} and its inverse both support the ideal"
         )
 
-    f = inst.field
-    I_prime = GradedSubspace.zero(f, inst.L)
-    for g in sorted(sigma_I_inv):
-        if inst.group.inv(g) in sup.lam:
-            I_prime = subspace_sum(I_prime, _term(inst, inst.action, g))
-        I_prime = subspace_sum(I_prime, _block(inst, inst.L, [g]))
+    grades = sorted(sigma_I_inv)
+    pairs = [(inst.group.inv(g), g) for g in grades]
+    products = entry_span(inst.action, [pair for pair in pairs if pair[0] in sup.lam])
+    I_prime = subspace_sum(products, _block(inst, inst.L, grades))
 
     ok, witness = is_graded_ideal_L(inst, I_prime)
     if not ok:

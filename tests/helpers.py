@@ -14,6 +14,7 @@ from grlr import (
     GroupSpec,
     Supports,
     build,
+    catalog_names,
     default_recipe_space,
     generate_instance,
     supports,
@@ -26,6 +27,7 @@ from grlr.linear import (
     BilinearRule,
     Sparse,
     bilinear_image,
+    nullspace,
     rule_from_names,
     sparse_add,
     sparse_scale,
@@ -42,6 +44,40 @@ def cached(name: str, field_label: str | None = None, purpose: str = "display") 
         fld = parse_field_label(field_label) if field_label else None
         _cache[key] = build(name, fld, purpose)
     return _cache[key]
+
+
+@functools.cache
+def recipe_and_catalog_instances() -> tuple[tuple[str, AlgebraInstance], ...]:
+    """Every buildable recipe of ``default_recipe_space()``, then every
+    catalog entry at q, gf3 and gf5 that builds: 160 labelled instances."""
+    instances = []
+    for recipe in default_recipe_space():
+        try:
+            instances.append((recipe.label, generate_instance(recipe)))
+        except ToolkitError:
+            continue
+    for name in catalog_names():
+        for label in ("q", "gf3", "gf5"):
+            try:
+                instances.append((f"{name}@{label}", build(name, parse_field_label(label))))
+            except ToolkitError:  # e2 and e3 exist only in characteristic 3
+                continue
+    return tuple(instances)
+
+
+@functools.cache
+def recipe_and_catalog_wild_mutants() -> tuple[tuple[str, AlgebraInstance], ...]:
+    """Four mutants of each of ``recipe_and_catalog_instances()``: its
+    ``wild_mutant``s of seeds 0, 1 and 2, then the seed-2 mutant of its
+    seed-0 mutant, which may break the grade-shift law on two block pairs."""
+    out = []
+    for label, inst in recipe_and_catalog_instances():
+        singles = [wild_mutant(inst, seed) for seed in range(3)]
+        out += [(f"{label}~{where}", mutant) for mutant, where in singles]
+        first, where = singles[0]
+        both, where_2 = wild_mutant(first, 2)
+        out.append((f"{label}~{where}~{where_2}", both))
+    return tuple(out)
 
 
 @functools.cache
@@ -382,6 +418,38 @@ def plain_closure(inst: AlgebraInstance, seed: GradedSubspace, side: str) -> Gra
         current = grown
 
 
+def map_kernel(field: Field, ambient: GradedBasis, images) -> GradedSubspace:
+    """Homogeneous kernel of v -> (list of sparse images of v), literally.
+
+    ``images(pos)`` gives, for the ambient basis vector at ``pos``, the
+    image vectors under each defining map.  The kernel block at grade g
+    is cut out by one linear condition per (map, output coordinate).
+    """
+    blocks = {}
+    for g in ambient.grades():
+        per_basis = [images(p) for p in ambient.positions_at(g)]
+        rows = [
+            [imgs[m].get(c, field.zero) for imgs in per_basis]
+            for m in range(len(per_basis[0]))
+            for c in sorted({pos for imgs in per_basis for pos in imgs[m]})
+        ]
+        blocks[g] = nullspace(field, rows, len(per_basis))[0]
+    return GradedSubspace(field, ambient, blocks)
+
+
+def reference_kernels(inst: AlgebraInstance) -> dict[str, GradedSubspace]:
+    """Z(L), Ann_L(A), Ann(A) and Ker rho by ``map_kernel``, each basis
+    vector's images read one ``on_basis`` product at a time."""
+    L, A = range(inst.L.dim), range(inst.A.dim)
+    return {
+        "center": map_kernel(inst.field, inst.L, lambda p: (
+            [inst.bracket.on_basis(p, j) for j in L] + [inst.anchor.on_basis(p, a) for a in A])),
+        "ann_L_of_A": map_kernel(inst.field, inst.L, lambda p: [inst.action.on_basis(a, p) for a in A]),
+        "ann_A": map_kernel(inst.field, inst.A, lambda p: [inst.product.on_basis(p, b) for b in A]),
+        "ker_anchor": map_kernel(inst.field, inst.L, lambda p: [inst.anchor.on_basis(p, a) for a in A]),
+    }
+
+
 def random_sparse(rng: random.Random, field: Field, dim: int) -> Sparse:
     v: Sparse = {}
     for pos in range(dim):
@@ -445,3 +513,15 @@ def action_and_anchor_witnesses() -> AlgebraInstance:
         rule_from_names("action", f, G, A, L, L, {("one", "v"): {"v": 1}, ("one", "w"): {"w": 1}, ("t", "w"): {"v": 1}}),
         rule_from_names("anchor", f, G, L, A, A, {("v", "b"): {"one": 1}}),
     )
+
+
+# ---------------------------------------------------------------------------
+# outcomes of the tightness, decomposition, simplicity and kernel calls
+
+
+def outcome(call, inst: AlgebraInstance):
+    """``call(inst).to_json()``, or the refusal's exception type and message."""
+    try:
+        return call(inst).to_json()
+    except ToolkitError as exc:
+        return [type(exc).__name__, str(exc)]

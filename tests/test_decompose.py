@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+import json
+import re
+
 import pytest
 
 from grlr import (
+    AlgebraInstance,
     TemplateRecipe,
     check_tight,
     decompose_A,
@@ -13,9 +18,12 @@ from grlr import (
     pair_ideals,
 )
 from grlr.decompose import identity_block_A, identity_block_L
-from grlr.linear import bilinear_image, subspace_intersect
+from grlr.errors import ToolkitError
+from grlr.linear import BilinearRule, bilinear_image, subspace_intersect
+from grlr.model import ann_A, ann_L_of_A, center, ker_anchor
+from grlr.simplicity import check_hypotheses5, gr_simple_A, gr_simple_L
 
-from helpers import cached, ideal_oracle_A, ideal_oracle_L
+from helpers import cached, ideal_oracle_A, ideal_oracle_L, outcome, recipe_and_catalog_wild_mutants
 
 TIGHT_NAMES = ["center_zero", "ann_L_of_A_zero", "ann_A_zero", "AA_equals_A",
                "AL_equals_L", "L_identity_generated", "A_identity_generated"]
@@ -159,3 +167,67 @@ def test_span_holds_everywhere(name):
     inst = cached(name)
     assert decompose_L(inst).span_ok
     assert decompose_A(inst).span_ok
+
+
+# sha256 of the outcome JSON on the 640 mutants of
+# helpers.recipe_and_catalog_wild_mutants(): per mutant its label, then the
+# to_json() output, or the refusal's exception type and message, of each
+# call in MUTANT_CALLS.  About a fifth of the calls raise, most where a
+# product meets a block pair that breaks the grade-shift law; on the
+# double mutants, with two such pairs, the digest also pins which one is
+# refused first.
+MUTANT_OUTCOME_DIGEST = "abfa796057d5980fa3ba6360a355bb1763c809b8d7656d1c895dfd22a7234bd4"
+MUTANT_CALLS = (
+    check_tight,
+    check_hypotheses5,
+    decompose_L,
+    decompose_A,
+    lambda inst: gr_simple_L(inst, 20),
+    lambda inst: gr_simple_A(inst, 20),
+    center,
+    ann_L_of_A,
+    ann_A,
+    ker_anchor,
+)
+
+
+def test_wild_mutant_outcomes_match_recorded_digest():
+    records = [[label] + [outcome(call, inst) for call in MUTANT_CALLS]
+               for label, inst in recipe_and_catalog_wild_mutants()]
+    assert len(records) == 640
+    refusals = [o for rec in records for o in rec[1:] if isinstance(o, list)]
+    assert len(refusals) > 1000
+    assert any("violates the grade-shift law" in message for _, message in refusals)
+    blob = json.dumps(records, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == MUTANT_OUTCOME_DIGEST
+
+
+def _with_off_grade_entries(inst, entries):
+    """``inst`` with each (rule name, left, right, component) of ``entries``
+    added to its table with coefficient 1, ignoring the grade-shift law."""
+    f = inst.field
+    rules = {name: getattr(inst, name) for name in ("bracket", "product", "action", "anchor")}
+    tables = {name: {key: dict(img) for key, img in rule.table.items()} for name, rule in rules.items()}
+    for name, left, right, component in entries:
+        rule = rules[name]
+        key = (rule.left.position_of(left), rule.right.position_of(right))
+        tables[name].setdefault(key, {})[rule.out.position_of(component)] = f.one
+    parts = {name: BilinearRule(name, f, inst.group, rule.left, rule.right, rule.out, tables[name])
+             for name, rule in rules.items()}
+    return AlgebraInstance(f"{inst.name}~off", f, inst.group, inst.L, inst.A, **parts)
+
+
+def test_identity_part_refuses_terms_grade_by_grade_cross_first():
+    # e3 over GF(3): the L class {(1,0), (2,0)} is also in Lambda, so its
+    # identity part takes action(A_{g^-1}, L_g), then [L_{g^-1}, L_g], at
+    # g = (1,0) and then at g = (2,0)
+    e3 = cached("e3", "gf3")
+    bracket_at_1 = ("bracket", "l2_1", "l1_1", "l1_1")  # the pair ((2,0), (1,0))
+    action_at_1 = ("action", "a2_1", "l1_1", "l1_1")
+    action_at_2 = ("action", "a1_1", "l2_1", "l1_1")  # the pair ((1,0), (2,0))
+    # own term at (1,0) before the cross term at (2,0)
+    with pytest.raises(ToolkitError, match=re.escape("rule 'bracket' violates the grade-shift law on (2,0, 1,0)")):
+        decompose_L(_with_off_grade_entries(e3, [bracket_at_1, action_at_2]))
+    # cross term before own term at the same grade
+    with pytest.raises(ToolkitError, match=re.escape("rule 'action' violates the grade-shift law on (2,0, 1,0)")):
+        decompose_L(_with_off_grade_entries(e3, [bracket_at_1, action_at_1]))

@@ -19,8 +19,10 @@ from grlr.linear import (
     complement_in,
     coordinate_reader,
     coordinates_in_rref,
+    entry_kernel,
+    entry_span,
     in_span,
-    map_kernel,
+    joint_entry_span,
     nullspace,
     rref,
     rule_from_names,
@@ -28,6 +30,8 @@ from grlr.linear import (
     subspace_sum,
 )
 from grlr.model import AlgebraInstance, verify_grading
+
+from helpers import map_kernel, outcome, recipe_and_catalog_instances, recipe_and_catalog_wild_mutants
 
 FIELDS = [RATIONALS, prime_field(2), prime_field(3), prime_field(7)]
 
@@ -593,3 +597,54 @@ def test_nullspace_equals_reduced_kernel_basis(monkeypatch, f):
             shortcuts += 1
             assert all(sum(not f.is_zero(x) for x in v) == 1 for v in basis)
     assert 0 < shortcuts < 200
+
+
+def _whole_block_products(rule):
+    """(block pair or None for all pairs, entry_span, bilinear_image of the
+    same whole blocks) for every block pair of ``rule`` and for all at once."""
+    full_left = GradedSubspace.full(rule.field, rule.left)
+    full_right = GradedSubspace.full(rule.field, rule.right)
+    cases = [
+        ((gu, gv), lambda gu=gu, gv=gv: entry_span(rule, [(gu, gv)]),
+         lambda gu=gu, gv=gv: bilinear_image(rule, full_left.at_grades([gu]), full_right.at_grades([gv])))
+        for gu in rule.left.grades()
+        for gv in rule.right.grades()
+    ]
+    return cases + [(None, lambda: entry_span(rule), lambda: bilinear_image(rule, full_left, full_right))]
+
+
+def test_entry_span_equals_bilinear_image_of_whole_blocks():
+    nonzero = 0
+    for label, inst in recipe_and_catalog_instances():
+        for rule in (inst.bracket, inst.product, inst.action, inst.anchor):
+            for pair, fast, slow in _whole_block_products(rule):
+                got, want = fast(), slow()
+                assert (got.blocks, got.pivots) == (want.blocks, want.pivots), (label, rule.name, pair)
+                nonzero += not got.is_zero()
+        # terms of two rules into one basis: one elimination equals the sum of the products
+        for rules in ((inst.action, inst.bracket), (inst.anchor, inst.product)):
+            terms = [(rule, pair) for rule in rules for pair in sorted(rule.block_pairs())]
+            got = joint_entry_span(inst.field, rules[0].out, terms)
+            want = subspace_sum(*(bilinear_image(rule, GradedSubspace.full(inst.field, rule.left),
+                                                 GradedSubspace.full(inst.field, rule.right)) for rule in rules))
+            assert (got.blocks, got.pivots) == (want.blocks, want.pivots), label
+    assert nonzero > 1000
+
+
+def test_entry_span_refuses_off_grade_pairs_like_bilinear_image():
+    refused = 0
+    for label, inst in recipe_and_catalog_wild_mutants():
+        for rule in (inst.bracket, inst.product, inst.action, inst.anchor):
+            for pair, fast, slow in _whole_block_products(rule):
+                got, want = outcome(lambda _: fast(), inst), outcome(lambda _: slow(), inst)
+                assert got == want, (label, rule.name, pair)
+                refused += isinstance(got, list)
+    assert refused > 500
+
+
+def test_entry_helpers_refuse_a_rule_on_another_basis():
+    inst = build("e3")
+    with pytest.raises(ValueError, match="does not map into"):
+        joint_entry_span(inst.field, inst.L, [(inst.product, ((0, 0), (0, 0)))])
+    with pytest.raises(ValueError, match="does not take its argument from"):
+        entry_kernel(inst.field, inst.L, [(inst.product, True)])

@@ -35,6 +35,9 @@ from helpers import (
     literal_ideal_test_A,
     literal_ideal_test_L,
     mutate_instance,
+    recipe_and_catalog_instances,
+    recipe_and_catalog_wild_mutants,
+    reference_kernels,
     reference_verify,
     truncated_poly_derivations,
     wild_mutant,
@@ -348,3 +351,17 @@ def test_instance_rejects_mismatched_rule_domains():
     with pytest.raises(ValueError):
         AlgebraInstance("broken", e1.field, e1.group, e1.L, e1.A,
                         e1.product, e1.product, e1.action, e1.anchor)
+
+
+def test_kernels_match_the_reference_kernel():
+    kernels = {"center": center, "ann_L_of_A": ann_L_of_A, "ann_A": ann_A, "ker_anchor": ker_anchor}
+    nonzero = 0
+    # on the last instance L is abelian, so only rho(v) = 0 cuts the center down
+    witnesses = action_and_anchor_witnesses()
+    for label, inst in recipe_and_catalog_instances() + recipe_and_catalog_wild_mutants() + (("witnesses", witnesses),):
+        for name, want in reference_kernels(inst).items():
+            got = kernels[name](inst)
+            assert (got.blocks, got.pivots) == (want.blocks, want.pivots), (label, name)
+            nonzero += not got.is_zero()
+    assert nonzero > 300
+    assert center(witnesses).dim == 1 < witnesses.L.dim

@@ -21,7 +21,15 @@ from grlr.errors import DecompositionError, ToolkitError
 from grlr.oracle import default_recipe_space, generate_instance
 from grlr.simplicity import CLOSURE_CAP, _homogeneous_seeds, ideal_closure_A, ideal_closure_L
 
-from helpers import abelian_pair_instance, cached, plain_closure
+from helpers import (
+    abelian_pair_instance,
+    cached,
+    literal_ideal_test_A,
+    literal_ideal_test_L,
+    plain_closure,
+    recipe_and_catalog_instances,
+    reference_kernels,
+)
 
 HYPOTHESIS_NAMES = ["tight", "maximal_length", "g_multiplicative", "sigma_symmetric",
                     "lambda_symmetric", "sigma_all_connected", "lambda_all_connected"]
@@ -273,3 +281,30 @@ def test_each_seed_line_is_closed_once(monkeypatch):
     assert verdict.status == "undecided"
     assert len(calls) == len(lines)
     assert verdict.closures_run == len(seeds)
+
+
+# the rule whose whole product a pre-check verdict's reason says is zero
+PRE_CHECK_RULES = {"[L, L] = 0": "bracket", "AA = 0": "product", "AL = 0": "action"}
+
+
+def test_not_gr_simple_verdicts_recheck_from_the_tables():
+    certificates = {"L": 0, "A": 0}
+    pre_checks = 0
+    for label, inst in recipe_and_catalog_instances():
+        for side, verdict_of, literal in (("L", gr_simple_L, literal_ideal_test_L), ("A", gr_simple_A, literal_ideal_test_A)):
+            verdict = verdict_of(inst)
+            if verdict.status != "not_gr_simple":
+                continue
+            if verdict.certificate is None:
+                # a pre-check verdict: every product of two basis vectors is 0
+                rule = getattr(inst, PRE_CHECK_RULES[verdict.reason])
+                assert all(not rule.on_basis(i, j) for i in range(rule.left.dim) for j in range(rule.right.dim))
+                pre_checks += 1
+                continue
+            cert = verdict.certificate
+            assert literal(inst, cert) == (True, None), (label, side)
+            assert not cert.is_zero() and cert != getattr(inst, f"full_{side}")(), (label, side)
+            if side == "L":
+                assert cert != reference_kernels(inst)["ker_anchor"], label
+            certificates[side] += 1
+    assert certificates == {"L": 29, "A": 66} and pre_checks == 68
