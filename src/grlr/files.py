@@ -20,7 +20,7 @@ single orientation; the mirror entry is filled in with negated values.
 If both orientations are present they must agree up to sign.  The
 product is symmetrized the same way.  Files that violate the grading
 are loaded as-is so the verifier can report the violation rather than
-the parser.
+the parser.  A group of rank above ``MAX_GROUP_RANK`` is refused.
 """
 from __future__ import annotations
 
@@ -36,6 +36,8 @@ from .model import RULES, AlgebraInstance
 
 # rules stored in one orientation, with the sign of the mirror entry
 _MIRROR_SIGN = {"bracket": -1, "product": 1}
+# the largest free rank plus number of torsion factors a file may ask for
+MAX_GROUP_RANK = 64
 
 
 def _parse_basis(field: Field, group: GroupSpec, raw: Any, what: str) -> GradedBasis:
@@ -156,6 +158,8 @@ def instance_from_json(data: Any) -> AlgebraInstance:
         group = GroupSpec.from_json(data["group"])
     except (TypeError, ValueError, KeyError) as exc:
         raise InstanceFormatError(f"bad group: {exc}") from None
+    if group.rank > MAX_GROUP_RANK:
+        raise InstanceFormatError(f"bad group: rank {group.rank} exceeds the bound {MAX_GROUP_RANK}")
     L = _parse_basis(field, group, data["L"], "L")
     A = _parse_basis(field, group, data["A"], "A")
     bases = {"L": L, "A": A}

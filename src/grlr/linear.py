@@ -348,14 +348,11 @@ class GradedSubspace:
     def block_vectors(self) -> list[tuple[Grade, Row]]:
         return [(g, row) for g in self.grades() for row in self.blocks[g]]
 
-    def _homogeneous(self) -> list[tuple[Grade, Sparse]]:
-        """(grade, sparse ambient vector) of each basis row, in ``block_vectors`` order."""
-        f = self.field
-        return [(g, {p: x for p, x in zip(self.ambient.positions_at(g), row) if not f.is_zero(x)})
-                for g, row in self.block_vectors()]
-
     def sparse_vectors(self) -> list[Sparse]:
-        return [v for _, v in self._homogeneous()]
+        """The sparse ambient vector of each basis row, in ``block_vectors`` order."""
+        f = self.field
+        return [{p: x for p, x in zip(self.ambient.positions_at(g), row) if not f.is_zero(x)}
+                for g, row in self.block_vectors()]
 
     # membership ----------------------------------------------------------
 

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -72,9 +73,11 @@ from .model import AlgebraInstance
 from .simplicity import Hypotheses5, check_hypotheses5
 
 # enumeration over GF(p)^d explodes as p^(d^2/4); these bounds keep the
-# worst admissible case around 10^5 candidate subspaces
+# worst admissible case around 10^5 candidate subspaces, and a side whose
+# blocks together have more graded subspaces than MAX_SUBSPACES is refused
 MAX_DIM_SMALL_P = 6
 MAX_DIM_LARGE_P = 4
+MAX_SUBSPACES = 10**5
 # the connection-path search makes one product per multiplier at each
 # allowed state it enters; the largest search of the acceptance suite
 # makes 20,465 and its whole 443-pair set 1.94 million.  The same bound
@@ -97,10 +100,20 @@ def _guard_enumeration(field: Field, dim: int, what: str) -> None:
         )
 
 
+def _subspace_count(p: int, dim: int) -> int:
+    """The number of subspaces of GF(p)^dim: the sum over k of the
+    Gaussian binomials [dim, k]_p."""
+    total, binomial = 1, 1
+    for k in range(1, dim + 1):
+        binomial = binomial * (p ** (dim - k + 1) - 1) // (p ** k - 1)
+        total += binomial
+    return total
+
+
 def all_subspaces(field: Field, dim: int) -> list[tuple[Row, ...]]:
     """Every subspace of F^dim, each given once by its reduced basis."""
     out: list[tuple[Row, ...]] = [()]
-    elems = list(field.elements())
+    elems = list(field.elements()) if dim >= 2 else []  # the free entries; none below dim 2
     for k in range(1, dim + 1):
         for pivots in itertools.combinations(range(dim), k):
             free: list[tuple[int, int]] = []
@@ -225,6 +238,12 @@ def _enumerate_graded_ideals(inst: AlgebraInstance, side: str) -> list[GradedSub
     basis = getattr(inst, side)
     _guard_enumeration(f, basis.dim, "graded ideal")
     grades = basis.grades()
+    count = math.prod(_subspace_count(f.p, basis.block_dim(g)) for g in grades)
+    if count > MAX_SUBSPACES:
+        raise GuardError(
+            f"graded ideal enumeration refused: {count} graded subspaces over GF({f.p}) "
+            f"exceed the bound {MAX_SUBSPACES}"
+        )
     n = len(grades)
     echelons = _block_echelons(f, (basis.block_dim(g) for g in grades))
     candidates = [echelons[basis.block_dim(g)] for g in grades]

@@ -65,6 +65,7 @@ from .model import (
     verify_all,
 )
 
+# the most seeds one gr-simplicity scan closes over GF(p), read at call time
 CLOSURE_CAP = 20000
 
 # per side: the rules whose full products must be nonzero, in the order
@@ -219,8 +220,8 @@ def _homogeneous_seeds(
 ) -> tuple[list[tuple[Grade, tuple[Scalar, ...]]], bool]:
     """Homogeneous test vectors per grade block.
 
-    Finite field: all projective points (exhaustive), truncated at the
-    closure cap. Rationals: basis vectors, pairwise sums and 32 seeded
+    Finite field: all projective points (exhaustive), truncated at
+    ``cap`` seeds. Rationals: basis vectors, pairwise sums and 32 seeded
     random combinations per block, a sample only.
     """
     f = inst.field
@@ -287,10 +288,11 @@ def _trivial_ideals(inst: AlgebraInstance, side: str) -> list[tuple[str, GradedS
     return trivial
 
 
-def _gr_simple(inst: AlgebraInstance, side: str, cap: int) -> SimplicityVerdict:
-    """The product pre-checks, then one closure per homogeneous seed; the
-    first closure outside the trivial ideals certifies "not gr-simple",
-    otherwise the scan's coverage decides "gr_simple" or "undecided"."""
+def _gr_simple(inst: AlgebraInstance, side: str) -> SimplicityVerdict:
+    """The product pre-checks, then one closure per homogeneous seed, at
+    most ``CLOSURE_CAP``; the first closure outside the trivial ideals
+    certifies "not gr-simple", otherwise the scan's coverage decides
+    "gr_simple" or "undecided"."""
     for name, reason in _PRODUCTS[side]:
         if entry_span(getattr(inst, name)).is_zero():
             return SimplicityVerdict(side, "not_gr_simple", reason)
@@ -299,7 +301,7 @@ def _gr_simple(inst: AlgebraInstance, side: str, cap: int) -> SimplicityVerdict:
     proper, clean = _VERDICT_TEXT[side]
     f = inst.field
     basis = getattr(inst, side)
-    seeds, exhaustive = _homogeneous_seeds(inst, basis, cap)
+    seeds, exhaustive = _homogeneous_seeds(inst, basis, CLOSURE_CAP)
     closed_lines: set[tuple[Grade, tuple]] = set()
     for run, (g, coords) in enumerate(seeds, 1):
         seed = GradedSubspace.from_block_vectors(f, basis, [(g, coords)])
@@ -313,15 +315,15 @@ def _gr_simple(inst: AlgebraInstance, side: str, cap: int) -> SimplicityVerdict:
             return SimplicityVerdict(side, "not_gr_simple", reason, closure, run)
     if exhaustive:
         return SimplicityVerdict(side, "gr_simple", clean, None, len(seeds))
-    return SimplicityVerdict(side, "undecided", _undecided_reason(f, cap), None, len(seeds))
+    return SimplicityVerdict(side, "undecided", _undecided_reason(f, CLOSURE_CAP), None, len(seeds))
 
 
-def gr_simple_L(inst: AlgebraInstance, cap: int = CLOSURE_CAP) -> SimplicityVerdict:
-    return _gr_simple(inst, "L", cap)
+def gr_simple_L(inst: AlgebraInstance) -> SimplicityVerdict:
+    return _gr_simple(inst, "L")
 
 
-def gr_simple_A(inst: AlgebraInstance, cap: int = CLOSURE_CAP) -> SimplicityVerdict:
-    return _gr_simple(inst, "A", cap)
+def gr_simple_A(inst: AlgebraInstance) -> SimplicityVerdict:
+    return _gr_simple(inst, "A")
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from grlr import (
     is_graded_ideal_L,
     pair_ideals,
 )
+import grlr.simplicity
 from grlr.decompose import identity_block_A, identity_block_L
 from grlr.errors import ToolkitError
 from grlr.linear import BilinearRule, bilinear_image, subspace_intersect
@@ -172,18 +173,18 @@ def test_span_holds_everywhere(name):
 # sha256 of the outcome JSON on the 640 mutants of
 # helpers.recipe_and_catalog_wild_mutants(): per mutant its label, then the
 # to_json() output, or the refusal's exception type and message, of each
-# call in MUTANT_CALLS.  About a fifth of the calls raise, most where a
-# product meets a block pair that breaks the grade-shift law; on the
-# double mutants, with two such pairs, the digest also pins which one is
-# refused first.
+# call in MUTANT_CALLS, with the closure cap at 20.  About a fifth of the
+# calls raise, most where a product meets a block pair that breaks the
+# grade-shift law; on the double mutants, with two such pairs, the digest
+# also pins which one is refused first.
 MUTANT_OUTCOME_DIGEST = "abfa796057d5980fa3ba6360a355bb1763c809b8d7656d1c895dfd22a7234bd4"
 MUTANT_CALLS = (
     check_tight,
     check_hypotheses5,
     decompose_L,
     decompose_A,
-    lambda inst: gr_simple_L(inst, 20),
-    lambda inst: gr_simple_A(inst, 20),
+    gr_simple_L,
+    gr_simple_A,
     center,
     ann_L_of_A,
     ann_A,
@@ -191,7 +192,8 @@ MUTANT_CALLS = (
 )
 
 
-def test_wild_mutant_outcomes_match_recorded_digest():
+def test_wild_mutant_outcomes_match_recorded_digest(monkeypatch):
+    monkeypatch.setattr(grlr.simplicity, "CLOSURE_CAP", 20)
     records = [[label] + [outcome(call, inst) for call in MUTANT_CALLS]
                for label, inst in recipe_and_catalog_wild_mutants()]
     assert len(records) == 640

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grlr import (
     RATIONALS,
@@ -121,6 +127,11 @@ def test_inconsistent_orientations_are_rejected():
     (lambda d: d.update(group={"free_rank": 1, "torsion": [2.0]}), "must be integers, got 2.0"),
     (lambda d: d.update(field={"kind": "prime", "p": 5.9}), "p must be an integer, got 5.9"),
     (lambda d: d.update(field={"kind": "prime", "p": True}), "p must be an integer, got True"),
+    # every grade would be a tuple of a billion zeros
+    (lambda d: d.update(group={"free_rank": 10**9, "torsion": []}, L=[], A=[], bracket=[], product=[],
+                        action=[], anchor=[]), "rank 1000000000 exceeds the bound 64"),
+    (lambda d: d.update(group={"free_rank": 60, "torsion": [2] * 5}, L=[], A=[], bracket=[], product=[],
+                        action=[], anchor=[]), "rank 65 exceeds the bound 64"),
 ])
 def test_malformed_documents_are_rejected(mangle, needle):
     doc = _minimal_doc()
@@ -128,6 +139,24 @@ def test_malformed_documents_are_rejected(mangle, needle):
     with pytest.raises(InstanceFormatError) as err:
         instance_from_json(doc)
     assert needle.lower() in str(err.value).lower()
+
+
+def _limited_run(argv, cwd) -> subprocess.CompletedProcess:
+    """``python -m grlr argv`` with its address space limited to 1 GiB, so
+    that a command which would exhaust memory fails instead of the host."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run([sys.executable, "-m", "grlr", *argv], cwd=cwd, capture_output=True, text=True,
+                          preexec_fn=limit, timeout=120)
+
+
+def test_group_rank_is_refused_before_any_grade_is_built(tmp_path):
+    doc = {"field": "q", "group": {"free_rank": 10**9, "torsion": []}, "L": [], "A": []}
+    (tmp_path / "rank.json").write_text(json.dumps(doc))
+    proc = _limited_run(["classes", "rank.json"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 def test_unreadable_files_are_refused(tmp_path, monkeypatch, capsys):
@@ -447,8 +476,80 @@ def test_cli_oracle_resolves_catalog_over_enumeration_field(capsys):
     assert data["agreement"] is True
 
 
+def test_cli_oracle_ideals_over_a_large_prime_lists_no_field(tmp_path):
+    # e1's blocks all have dimension 1: two subspaces each, whatever p is
+    proc = _limited_run(["oracle", "e1", "--what", "ideals", "--field", "gf1000000007", "--json"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["agreement"] is True
+
+
+def test_cli_oracle_ideals_refuses_too_many_subspaces(tmp_path):
+    # one 2-dimensional block over GF(1000003) has 1,000,006 subspaces
+    doc = _minimal_doc()
+    doc["field"] = "gf1000003"
+    for entry in doc["L"]:
+        entry["grade"] = [0]
+    (tmp_path / "plane.json").write_text(json.dumps(doc))
+    assert main(["verify", str(tmp_path / "plane.json")]) == 0
+    proc = _limited_run(["oracle", "plane.json", "--what", "ideals"], tmp_path)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("refused: ") and "Traceback" not in proc.stderr
+    assert "1000006 graded subspaces over GF(1000003) exceed the bound 100000" in proc.stderr
+
+
 def test_cli_oracle_guard_on_rational_file(tmp_path, capsys):
     path = tmp_path / "e1q.json"
     dump_instance(cached("e1"), path)
     assert main(["oracle", str(path), "--what", "ideals"]) == 3
     assert "refused:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the loader and the CLI with one value of _minimal_doc() changed
+
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+FUZZ_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from([2**31, 10**9, -(10**18), 10**100])
+    | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _value_paths(node, prefix=()):
+    """The path of every key's value and list item below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _value_paths(child, prefix + (key,))
+
+
+@st.composite
+def fuzzed_docs(draw):
+    doc = _minimal_doc()
+    path = draw(st.sampled_from(list(_value_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(FUZZ_VALUES)
+    return doc
+
+
+@FUZZ
+@given(fuzzed_docs())
+def test_fuzzed_documents_load_or_are_refused(doc):
+    try:
+        assert isinstance(instance_from_json(doc), AlgebraInstance)
+    except InstanceFormatError:
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for command in ("verify", "classes", "dot"):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main([command, path])
+            assert code in (0, 1, 2, 3), (command, doc)

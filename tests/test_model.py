@@ -224,8 +224,7 @@ def _lattice_admitted(inst) -> bool:
 
 
 def test_ideal_predicates_match_literal_loops():
-    # the predicates skip products on empty block pairs and rho(w)(a) = 0;
-    # verdicts and witnesses must equal those of the unskipped loops
+    # verdicts and witnesses must equal those of the literal loops in helpers
     chosen = [cached(name, "gf3") for name in ("e1", "e2", "e3")]
     for recipe in default_recipe_space():
         if len(chosen) == 3 + 10:

@@ -97,9 +97,10 @@ def test_rational_scalars_stay_undecided():
     assert v.closures_run > 0
 
 
-def test_closure_cap_reports_undecided_with_cap():
+def test_closure_cap_reports_undecided_with_cap(monkeypatch):
     e1 = cached("e1", purpose="oracle")
-    v = gr_simple_L(e1, cap=2)
+    monkeypatch.setattr(grlr.simplicity, "CLOSURE_CAP", 2)
+    v = gr_simple_L(e1)
     assert v.status == "undecided"
     assert "capped at 2" in v.reason
     assert v.closures_run == 2
