@@ -1,8 +1,16 @@
 """Exact scalar arithmetic over the rationals and over prime fields GF(p).
 
 Scalars are plain values: ``fractions.Fraction`` for the rationals,
-canonical residues ``0..p-1`` (ints) for GF(p).  All arithmetic goes
-through a :class:`Field`.
+canonical residues ``0..p-1`` (ints) for GF(p).  Arithmetic goes
+through a :class:`Field`, except in two integer kernels that run on
+plain Python ints and reduce once, at the end.  ``model.verify_all``
+sums the ten algebra laws over integer tables: the residues themselves
+over GF(p), each entry times the lcm D of all the tables' denominators
+over Q; a sum is tested with ``% p`` or against 0, and only a witness is
+turned back into a scalar.  ``linear.rref`` over Q scales each row to
+integers, eliminates without fractions and divides by each pivot once,
+when it builds the canonical rows.  Both take canonical values of the
+field unchecked, like the kernels below.
 
 Scalars are validated once, where they enter the program: ``parse`` and
 ``from_int`` produce canonical values, and ``check`` guards the entry

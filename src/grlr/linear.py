@@ -5,6 +5,16 @@ canonical form throughout, so two subspaces are equal iff their block
 dictionaries are equal.  Sparse vectors over a graded basis are dicts
 mapping absolute basis position -> nonzero scalar.
 
+``rref`` over GF(p) eliminates with the field's operations.  Over Q it
+runs fraction-free on integers: each row is multiplied by the lcm of its
+denominators, a pivot row r clears column c from row i as
+``row_i = pivot * row_i - factor * row_r``, and each new row is divided
+by the gcd of its entries (where integer-preserving elimination, Bareiss
+1968, divides by the previous pivot).  The canonical ``Fraction`` rows are
+built once, at the end, by dividing each pivot row by its pivot; the
+reduced row echelon form is unique, so they equal what elimination on
+fractions gives.
+
 Rows from a caller are checked and reduced in one place: the public
 constructors ``GradedSubspace(...)``, ``from_block_vectors`` and
 ``from_sparse_vectors`` check each row's length and scalars, then run
@@ -33,6 +43,8 @@ entry component.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ToolkitError
@@ -52,6 +64,8 @@ BlockPair = tuple[set[Grade], list[tuple[int, int, Sparse]]]
 
 def rref(field: Field, rows: Iterable[Sequence[Scalar]]) -> Echelon:
     """Reduced row echelon form of rows of equal length; returns (nonzero rows, pivot columns)."""
+    if field.p is None:
+        return _rref_rational(field, rows)
     mat = [list(row) for row in rows]
     if not mat:
         return (), ()
@@ -73,6 +87,43 @@ def rref(field: Field, rows: Iterable[Sequence[Scalar]]) -> Echelon:
         if r == len(mat):
             break
     return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
+
+
+def _rref_rational(field: Field, rows: Iterable[Sequence[Scalar]]) -> Echelon:
+    """``rref`` over Q on integer rows (module docstring): each row is scaled
+    to integers, eliminated fraction-free and divided by the gcd of its
+    entries; the pivot rows become canonical Fraction rows at the end."""
+    mat = []
+    for row in rows:
+        scale = lcm(*(x.denominator for x in row))
+        mat.append([x.numerator * (scale // x.denominator) for x in row])
+    if not mat:
+        return (), ()
+    pivots: list[int] = []
+    r = 0
+    for c in range(len(mat[0])):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        top = mat[r]
+        pivot = top[c]
+        for i, row in enumerate(mat):
+            factor = row[c]
+            if i != r and factor:
+                new = [pivot * x - factor * y for x, y in zip(row, top)]
+                g = gcd(*new)
+                mat[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    zero, one = field.zero, field.one
+    reduced = tuple(
+        tuple(one if k == c else zero if not x else Fraction(x, row[c]) for k, x in enumerate(row))
+        for row, c in zip(mat, pivots)
+    )
+    return reduced, tuple(pivots)
 
 
 def coordinates_in_rref(field: Field, rows: Sequence[Row], pivots: Sequence[int], v: Sequence[Scalar]) -> list[Scalar] | None:

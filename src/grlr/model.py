@@ -36,6 +36,18 @@ tuples in lexicographic order finds first.  The cost grows with the
 number of nonzero products of structure constants, and the sums held at
 once with the products of one value of the first argument.
 
+The sums are plain Python ints, with no ``Field`` call.  ``verify_all``
+builds integer tables once per call (``_int_tables``): over GF(p) they
+are the residues as they are, and over Q each entry is multiplied by
+the scale D, the lcm of every denominator in the four tables.  A term's
+coefficient is its sign, +-1, times an inner entry when it has an outer
+rule.  Over GF(p) a sum is nonzero when ``s % p`` is; over Q when
+``s != 0``, exactly, since every sum is the true discrepancy times D**k.
+Every law is homogeneous in the entries: k = 1 for the laws whose terms
+have no outer rule and k = 2 for the others.  Only the witness tuple's
+sum is turned back into scalars, as ``s % p`` or ``Fraction(s, D**k)``.
+The tables live for one ``verify_all`` call.
+
 ``RULES`` is the one list of rule domains, in the same letters: each row
 is (rule name, bases of the left argument, the right argument and the
 output), e.g. ``("action", "ALL")`` for A x L -> L.  Every construction
@@ -58,6 +70,8 @@ expressed block by block in those rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import ToolkitError
@@ -213,31 +227,45 @@ LAWS: tuple[tuple[str, str, str, tuple[Term, ...]], ...] = (
 )
 
 
+IntTable = dict[tuple[int, int], dict[int, int]]
+
+
+def _int_tables(inst: AlgebraInstance) -> tuple[dict[str, IntTable], int]:
+    """The four rule tables on plain ints, and their scale D (module docstring):
+    over GF(p) the residues as they are and D = 1, over Q each entry times
+    the lcm D of all denominators."""
+    tables = {name: getattr(inst, name).table for name, _ in RULES}
+    if inst.field.p is not None:
+        return tables, 1
+    scale = lcm(*(c.denominator for t in tables.values() for image in t.values() for c in image.values()))
+    return {name: {key: {o: c.numerator * (scale // c.denominator) for o, c in image.items()}
+                   for key, image in t.items()}
+            for name, t in tables.items()}, scale
+
+
 def _term_products(
-    inst: AlgebraInstance, arity: int, term: Term
-) -> tuple[set[int], Callable[[int], Iterator[tuple[tuple[int, ...], Scalar, Sparse]]]]:
+    tables: Mapping[str, IntTable], arity: int, term: Term
+) -> tuple[set[int], Callable[[int], Iterator[tuple[tuple[int, ...], int, dict[int, int]]]]]:
     """Index one term's nonzero table products by the value of the law's
     first argument: the values it takes, and a function listing the
-    products (argument tuple, coefficient, image) at one of them."""
+    products (argument tuple, signed int coefficient, int image) at one of them."""
     sign, inner, x, y, outer, inner_on_left, z = term
-    f = inst.field
-    c0 = f.one if sign > 0 else f.neg(f.one)
     first_inner = z != 0
     by_first: dict[int, list] = {}
-    partners: dict[int, list[tuple[int, Sparse]]] = {}
+    partners: dict[int, list[tuple[int, dict[int, int]]]] = {}
     if outer is not None:
-        for (i, j), image in getattr(inst, outer).table.items():
+        for (i, j), image in tables[outer].items():
             o, r = (i, j) if inner_on_left else (j, i)
             if first_inner:
                 partners.setdefault(o, []).append((r, image))
             else:
                 by_first.setdefault(r, []).append((o, image))
-    by_output: dict[int, list[tuple[int, int, Scalar]]] = {}
+    by_output: dict[int, list[tuple[int, int, int]]] = {}
     if not first_inner:
         # the first argument sits on the outer side: inner entries are
         # looked up by output, keeping only outputs some outer entry takes
         by_output = {o: [] for entries in by_first.values() for o, _ in entries}
-    for (p, q), image in getattr(inst, inner).table.items():
+    for (p, q), image in tables[inner].items():
         if x == y and p != q:
             continue
         if first_inner:
@@ -245,7 +273,7 @@ def _term_products(
             continue
         for o, c in image.items():
             if o in by_output:
-                by_output[o].append((p, q, c))
+                by_output[o].append((p, q, sign * c))
     key = [0] * arity
 
     def products(v: int):
@@ -253,43 +281,50 @@ def _term_products(
             key[z] = v
             for o, image in by_first.get(v, ()):
                 for key[x], key[y], c in by_output.get(o, ()):
-                    yield tuple(key), c if sign > 0 else f.neg(c), image
+                    yield tuple(key), c, image
             return
         for key[x], key[y], inner_image in by_first.get(v, ()):
             if outer is None:
-                yield tuple(key), c0, inner_image
+                yield tuple(key), sign, inner_image
                 continue
             for o, c in inner_image.items():
-                if sign < 0:
-                    c = f.neg(c)
                 for key[z], image in partners.get(o, ()):
-                    yield tuple(key), c, image
+                    yield tuple(key), sign * c, image
 
     return set(by_first), products
 
 
 def _law_check(
-    inst: AlgebraInstance, name: str, args: str, out: str, terms: tuple[Term, ...]
+    inst: AlgebraInstance, tables: Mapping[str, IntTable], scale: int,
+    name: str, args: str, out: str, terms: tuple[Term, ...],
 ) -> CheckResult:
-    """Sum every term's nonzero table products per argument tuple, one
-    value of the first argument at a time in increasing order; report the
-    lexicographically least tuple whose sum is nonzero."""
-    f = inst.field
-    walks = [_term_products(inst, len(args), term) for term in terms]
+    """Sum every term's nonzero table products per argument tuple, on ints,
+    one value of the first argument at a time in increasing order; report
+    the lexicographically least tuple whose sum is nonzero in the field."""
+    p = inst.field.p
+    walks = [_term_products(tables, len(args), term) for term in terms]
     for v in sorted(set().union(*(values for values, _ in walks))):
-        sums: dict[tuple[int, ...], dict[int, Scalar]] = {}
+        sums: dict[tuple[int, ...], dict[int, int]] = {}
         for _, products in walks:
             for key, c, image in products(v):
                 acc = sums.setdefault(key, {})
                 for pos, e in image.items():
-                    acc[pos] = f.add(acc.get(pos, f.zero), f.mul(c, e))
-        nonzero = [t for t, s in sums.items() if any(not f.is_zero(c) for c in s.values())]
+                    acc[pos] = acc.get(pos, 0) + c * e
+        if p is not None:
+            nonzero = [t for t, s in sums.items() if any(x % p for x in s.values())]
+        else:
+            nonzero = [t for t, s in sums.items() if any(s.values())]
         if nonzero:
             first = min(nonzero)
-            diff = {pos: c for pos, c in sums[first].items() if not f.is_zero(c)}
+            if p is not None:
+                diff = {pos: x % p for pos, x in sums[first].items() if x % p}
+            else:
+                # a law's terms all have degree 1 in the entries, or all 2 (outer rule)
+                denominator = scale if terms[0][4] is None else scale * scale
+                diff = {pos: Fraction(x, denominator) for pos, x in sums[first].items() if x}
             return CheckResult(name, False, {
-                "args": [getattr(inst, b).name_of(p) for b, p in zip(args, first)],
-                "value": getattr(inst, out).describe_sparse(diff, f),
+                "args": [getattr(inst, b).name_of(i) for b, i in zip(args, first)],
+                "value": getattr(inst, out).describe_sparse(diff, inst.field),
             })
     return CheckResult(name, True)
 
@@ -297,7 +332,8 @@ def _law_check(
 def verify_all(inst: AlgebraInstance) -> VerificationReport:
     """The four grading checks, then one check per row of ``LAWS``."""
     checks = verify_grading(inst).checks
-    checks += [_law_check(inst, *law) for law in LAWS]
+    tables, scale = _int_tables(inst)
+    checks += [_law_check(inst, tables, scale, *law) for law in LAWS]
     return VerificationReport(checks)
 
 

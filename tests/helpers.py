@@ -208,6 +208,22 @@ def wild_mutant(inst: AlgebraInstance, seed: int) -> tuple[AlgebraInstance, str]
     return mutated, where
 
 
+def added_entries(inst: AlgebraInstance, changes) -> AlgebraInstance:
+    """``inst`` with each (rule, left name, right name, output name, delta
+    literal) added to one table entry, with no mirror entry: hand-made
+    mutants whose deltas may carry any denominator."""
+    f = inst.field
+    rules = {r: getattr(inst, r) for r in ("bracket", "product", "action", "anchor")}
+    for name, left, right, out, delta in changes:
+        rule = rules[name]
+        table = {key: dict(img) for key, img in rule.table.items()}
+        i, j, k = rule.left.position_of(left), rule.right.position_of(right), rule.out.position_of(out)
+        img = table.setdefault((i, j), {})
+        img[k] = f.add(img.get(k, f.zero), f.parse(delta))
+        rules[name] = BilinearRule(name, f, inst.group, rule.left, rule.right, rule.out, table)
+    return AlgebraInstance(f"{inst.name}~added", f, inst.group, inst.L, inst.A, **rules)
+
+
 # ---------------------------------------------------------------------------
 # the ten algebra laws restated as discrepancies lhs - rhs on basis
 # positions, scanned over every basis tuple: the oracle for verify_all
@@ -416,6 +432,33 @@ def plain_closure(inst: AlgebraInstance, seed: GradedSubspace, side: str) -> Gra
         if grown == current:
             return current
         current = grown
+
+
+def reference_rref(field: Field, rows) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
+    """Reduced row echelon form by the field-generic loop: scale each pivot
+    row to 1 and clear its column from every other row with the field's
+    operations.  The reference for ``linear.rref`` over every field."""
+    mat = [list(row) for row in rows]
+    if not mat:
+        return (), ()
+    pivots: list[int] = []
+    r = 0
+    for c in range(len(mat[0])):
+        pivot_row = next((i for i in range(r, len(mat)) if not field.is_zero(mat[i][c])), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = field.inv(mat[r][c])
+        mat[r] = [field.mul(inv, x) for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and not field.is_zero(mat[i][c]):
+                factor = mat[i][c]
+                mat[i] = [field.sub(x, field.mul(factor, y)) for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
 
 
 def map_kernel(field: Field, ambient: GradedBasis, images) -> GradedSubspace:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -31,7 +32,13 @@ from grlr.linear import (
 )
 from grlr.model import AlgebraInstance, verify_grading
 
-from helpers import map_kernel, outcome, recipe_and_catalog_instances, recipe_and_catalog_wild_mutants
+from helpers import (
+    map_kernel,
+    outcome,
+    recipe_and_catalog_instances,
+    recipe_and_catalog_wild_mutants,
+    reference_rref,
+)
 
 FIELDS = [RATIONALS, prime_field(2), prime_field(3), prime_field(7)]
 
@@ -53,6 +60,46 @@ def test_rref_known_case():
     rows, pivots = rref(f, [[f.from_int(2), f.from_int(4)], [f.from_int(1), f.from_int(2)]])
     assert pivots == (0,)
     assert rows == ((f.one, f.from_int(2)),)
+
+
+def rand_rational_matrix(rng, rows, cols):
+    """Entries with denominators up to 12, about a third of them zero, some
+    rows zero and some repeated."""
+    mat = []
+    for _ in range(rows):
+        kind = rng.random()
+        if kind < 0.15 or (kind < 0.3 and not mat):
+            mat.append([RATIONALS.zero] * cols)
+        elif kind < 0.3:
+            mat.append(list(rng.choice(mat)))
+        else:
+            mat.append([Fraction(rng.randint(-9, 9), rng.randint(1, 12)) if rng.random() < 0.65 else RATIONALS.zero
+                        for _ in range(cols)])
+    return mat
+
+
+def test_rref_matches_reference_elimination():
+    # rows and pivots of the field-generic loop, on every field; over Q the
+    # integer branch must also return canonical Fraction rows
+    rng = random.Random(41)
+    cases = [(RATIONALS, rand_rational_matrix(rng, rng.randint(0, 6), rng.randint(0, 7))) for _ in range(400)]
+    cases += [(RATIONALS, m) for m in (
+        [], [[], []], [[Fraction(-3, 4), Fraction(1, 2)], [Fraction(3, 2), Fraction(-1)]],
+        [[RATIONALS.zero, Fraction(-5, 7), Fraction(2, 3)], [RATIONALS.zero] * 3, [Fraction(-1, 6)] * 3],
+    )]
+    for p in (2, 3, 7):
+        f = prime_field(p)
+        cases += [(f, rand_matrix(rng, f, rng.randint(0, 6), rng.randint(0, 7))) for _ in range(150)]
+    negative_leads = 0
+    for f, m in cases:
+        got = rref(f, m)
+        assert got == reference_rref(f, m), (f, m)
+        for row in got[0]:
+            for x in row:
+                f.check(x)
+        if f.p is None:
+            negative_leads += any(next((x for x in row if x), 0) < 0 for row in m)
+    assert negative_leads > 100
 
 
 def test_rref_is_idempotent_and_canonical():

@@ -25,13 +25,22 @@ from grlr import (
 from grlr.decompose import decompose_A, decompose_L
 from grlr.errors import GuardError, ToolkitError
 from grlr.model import verify_grading
-from grlr.oracle import _graded_subspaces, _guard_enumeration
+from grlr.oracle import (
+    TemplateRecipe,
+    _graded_subspaces,
+    _guard_enumeration,
+    enumerate_graded_ideals_A,
+    enumerate_graded_ideals_L,
+)
 from grlr.simplicity import gr_simple_A, gr_simple_L
 
 from helpers import (
     abelian_pair_instance,
     action_and_anchor_witnesses,
+    added_entries,
     cached,
+    ideal_oracle_A,
+    ideal_oracle_L,
     literal_ideal_test_A,
     literal_ideal_test_L,
     mutate_instance,
@@ -147,6 +156,37 @@ def test_verify_matches_literal_scan():
     assert count == 162 * 9
 
 
+# Over Q the law sums run on integer tables scaled by the lcm D of all
+# denominators, and a witness is rescaled by D (antisymmetry,
+# commutativity) or D**2 (every law with an outer rule).  Integer deltas
+# leave D at the instance's own; these carry coprime denominators.
+FRACTIONAL_MUTANTS = (
+    ("e1", 4, [("bracket", "e", "f", "h", "1/3")],
+     {"lie.antisymmetry", "lie.jacobi"}),
+    ("e1", 4, [("anchor", "h", "one", "one", "-5/7")],
+     {"anchor.derivation", "anchor.homomorphism", "anchor.compatibility"}),
+    ("e1", 4, [("bracket", "e", "f", "h", "1/3"), ("anchor", "h", "one", "one", "-5/7")],
+     {"lie.antisymmetry", "lie.jacobi", "anchor.derivation", "anchor.homomorphism", "anchor.compatibility"}),
+    ("sl2_ga2", 1, [("product", "one", "u", "u", "2/5"), ("action", "u", "e1", "eu", "-3/4")],
+     {"assoc.commutativity", "assoc.associativity", "module.associative_action", "anchor.compatibility"}),
+    ("sl2_ga2", 1, [("action", "u", "e1", "eu", "-3/4"), ("anchor", "e1", "u", "u", "7/9")],
+     {"grading.anchor", "module.associative_action", "anchor.derivation", "anchor.homomorphism",
+      "anchor.linearity", "anchor.compatibility"}),
+)
+
+
+@pytest.mark.parametrize("atom, seed, changes, failing", FRACTIONAL_MUTANTS)
+def test_fractional_witnesses_over_q_match_literal_scan(atom, seed, changes, failing):
+    inst = added_entries(generate_instance(TemplateRecipe(f"{atom}@q+twist:{seed}", atom, "q", (("twist", seed),))),
+                         changes)
+    got = [c.to_json() for c in verify_all(inst).checks]
+    assert got == reference_verify(inst)
+    failed = {c["check"]: c["witness"] for c in got if not c["passed"]}
+    assert set(failed) == failing
+    # a degree-1 or degree-2 law reports a witness value with a denominator
+    assert any("/" in str(w.get("value")) for w in failed.values())
+
+
 def test_twenty_seeded_mutations_of_e2_each_fail():
     base = cached("e2")
     seen = set()
@@ -224,7 +264,8 @@ def _lattice_admitted(inst) -> bool:
 
 
 def test_ideal_predicates_match_literal_loops():
-    # verdicts and witnesses must equal those of the literal loops in helpers
+    # verdicts and witnesses must equal those of the literal loops in helpers,
+    # and each verdict that of the vector-by-vector oracle and of the lattice
     chosen = [cached(name, "gf3") for name in ("e1", "e2", "e3")]
     for recipe in default_recipe_space():
         if len(chosen) == 3 + 10:
@@ -240,13 +281,18 @@ def test_ideal_predicates_match_literal_loops():
     chosen.append(action_and_anchor_witnesses())
     verdicts = set()
     for inst in chosen:
-        for side, fast, literal in (
-            ("L", is_graded_ideal_L, literal_ideal_test_L),
-            ("A", is_graded_ideal_A, literal_ideal_test_A),
+        for side, fast, literal, oracle, lattice in (
+            ("L", is_graded_ideal_L, literal_ideal_test_L, ideal_oracle_L, enumerate_graded_ideals_L),
+            ("A", is_graded_ideal_A, literal_ideal_test_A, ideal_oracle_A, enumerate_graded_ideals_A),
         ):
+            ideals = lattice(inst)
             for sub in _graded_subspaces(inst.field, getattr(inst, side)):
                 got = fast(inst, sub)
-                assert got == literal(inst, sub), (inst.name, side, sub.to_json())
+                where = (inst.name, side, sub.to_json())
+                assert got == literal(inst, sub), where
+                # the verdict against two independent computations: products
+                # vector by vector through contains_sparse, and the lattice
+                assert got[0] == oracle(inst, sub) == (sub in ideals), where
                 verdicts.add((side, got[1]["law"] if got[1] else None))
     assert verdicts == {("L", None), ("L", "[L, I] <= I"), ("L", "A.I <= I"), ("L", "rho(I)(A)L <= I"),
                         ("A", None), ("A", "A.J <= J")}
