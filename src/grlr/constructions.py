@@ -50,7 +50,7 @@ def _random_invertible(field: Field, n: int, rng: random.Random) -> list[list[Sc
             return mat
 
 
-def base_change(inst: AlgebraInstance, seed: int, name: str | None = None) -> AlgebraInstance:
+def base_change(inst: AlgebraInstance, seed: int) -> AlgebraInstance:
     """Conjugate all four tables by grade-preserving invertible maps.
 
     Each L block and each A block gets an independent random invertible
@@ -60,24 +60,22 @@ def base_change(inst: AlgebraInstance, seed: int, name: str | None = None) -> Al
     # one draw per block: the L grades in order, then the A grades
     L_rows = {g: _random_invertible(f, inst.L.block_dim(g), rng) for g in inst.L.grades()}
     A_rows = {g: _random_invertible(f, inst.A.block_dim(g), rng) for g in inst.A.grades()}
-    return transport(inst, name or f"{inst.name}~b{seed}", inst.L, L_rows, inst.A, A_rows)
+    return transport(inst, f"{inst.name}~b{seed}", inst.L, L_rows, inst.A, A_rows)
 
 
-def to_field(inst: AlgebraInstance, field: Field, name: str | None = None) -> AlgebraInstance:
-    """Reduce a rational instance modulo p (or, given a name, rename it over the rationals).
+def to_field(inst: AlgebraInstance, field: Field) -> AlgebraInstance:
+    """Reduce a rational instance modulo p; over the rationals, the instance itself.
 
     Refuses when a denominator in the tables vanishes mod p."""
     if inst.field.kind != "rational":
         raise CharacteristicError(
             f"field change starts from rational tables, not {inst.field.label}"
         )
-    if field.kind == "rational" and name is None:
+    if field.kind == "rational":
         return inst
 
     def move(x: Scalar) -> Scalar:
         assert isinstance(x, Fraction)
-        if field.kind == "rational":
-            return x
         if x.denominator % field.p == 0:  # type: ignore[operator]
             raise CharacteristicError(
                 f"denominator {x.denominator} vanishes in GF({field.p})"
@@ -87,5 +85,4 @@ def to_field(inst: AlgebraInstance, field: Field, name: str | None = None) -> Al
     def moved_table(rule: BilinearRule, dom: str) -> dict[tuple[int, int], Sparse]:
         return {key: {p: move(x) for p, x in img.items()} for key, img in rule.table.items()}
 
-    new_name = name or f"{inst.name}@{field.label}"
-    return rebuild_instance(inst, new_name, field, inst.group, inst.L, inst.A, moved_table)
+    return rebuild_instance(inst, f"{inst.name}@{field.label}", field, inst.group, inst.L, inst.A, moved_table)

@@ -258,6 +258,7 @@ def check_tight(inst: AlgebraInstance) -> TightnessReport:
 class PairingReport:
     pairs: list[dict]
     contradiction: bool
+    acting: list[list[ClassIdeal]]  # per L ideal, the A ideals acting on it; not in the JSON
 
     def to_json(self) -> dict:
         return {"pairs": self.pairs, "contradiction": self.contradiction}
@@ -276,6 +277,7 @@ def pair_ideals(
     verdict, and is reported as a contradiction flag rather than raised.
     """
     pairs = []
+    acting_per_ideal = []
     contradiction = False
     for ideal in L_report.ideals:
         acting = []
@@ -283,6 +285,7 @@ def pair_ideals(
             image = bilinear_image(inst.action, a_ideal.total, ideal.total)
             if not image.is_zero():
                 acting.append(a_ideal)
+        acting_per_ideal.append(acting)
         entry = {
             "L_class": ideal.label_json(),
             "A_classes": [a.label_json() for a in acting],
@@ -292,4 +295,4 @@ def pair_ideals(
             contradiction = True
             entry["contradiction"] = True
         pairs.append(entry)
-    return PairingReport(pairs, contradiction)
+    return PairingReport(pairs, contradiction, acting_per_ideal)

@@ -17,11 +17,15 @@ Two shortcuts keep the scan exact.  A closure loop stops as soon as it
 holds the whole side: nothing can grow past it, and its canonical RREF
 blocks are those of the full side, so the last confirming round is
 skipped.  A closure depends only on the span of its seed, so the scan
-closes each seed line (a grade with the canonical RREF row of the seed)
-once; a repeated line was closed before without leaving the allowed
-ideals, since the scan returns at the first closure that does.  Over
-GF(p) the projective points are already distinct lines; over Q the
-sampled seeds fall on few lines.  ``closures_run`` counts every seed.
+runs over seed lines: ``_seed_lines`` yields each seed as the canonical
+row of its line (first nonzero coordinate 1), already a one-row RREF
+block, and the scan closes each line once; a repeated line was closed
+before without leaving the allowed ideals, since the scan returns at the
+first closure that does.  Over GF(p) the projective points are already
+distinct lines; over Q the sampled seeds fall on few lines.  Seeds come
+lazily, so a GF(p) scan that stops at ``CLOSURE_CAP`` seeds ("undecided")
+builds no more; the rational sample is finite and always runs whole.
+``closures_run`` counts every seed, repeated lines included.
 
 Both sides run one scan, read off per-side data (``_PRODUCTS``,
 ``_trivial_ideals``, ``_VERDICT_TEXT``):
@@ -47,10 +51,12 @@ from .decompose import (
     pair_ideals,
 )
 from .errors import DecompositionError
-from .fields import Field, Scalar
+from .fields import Field
 from .groups import Grade, format_grade
 from .linear import (
+    GradedBasis,
     GradedSubspace,
+    Row,
     bilinear_image,
     checked_block_pair,
     entry_span,
@@ -194,59 +200,50 @@ def ideal_closure_A(inst: AlgebraInstance, seed: GradedSubspace) -> GradedSubspa
 # homogeneous seed enumeration
 
 
-def _projective_block_points(field: Field, dim: int) -> Iterator[tuple[Scalar, ...]]:
-    """One representative per line: first nonzero coordinate scaled to 1.
-
-    Lazy, so a caller that stops early never builds the remaining points.
-    """
-
-    def rec(prefix: list[Scalar], lead_placed: bool) -> Iterator[tuple[Scalar, ...]]:
-        if len(prefix) == dim:
-            if lead_placed:
-                yield tuple(prefix)
-            return
-        if not lead_placed:
-            yield from rec(prefix + [field.zero], False)
-            yield from rec(prefix + [field.one], True)
-        else:
-            for x in field.elements():
-                yield from rec(prefix + [x], True)
-
-    return rec([], False)
+def _tails(field: Field, k: int) -> Iterator[Row]:
+    """All k-tuples of field elements in lexicographic order, lazily:
+    ``itertools.product`` would first list the field, and a prime may be
+    as large as ``fields.MODULUS_LIMIT``."""
+    if k == 0:
+        yield ()
+        return
+    for x in field.elements():
+        for rest in _tails(field, k - 1):
+            yield (x,) + rest
 
 
-def _homogeneous_seeds(
-    inst: AlgebraInstance, basis, cap: int
-) -> tuple[list[tuple[Grade, tuple[Scalar, ...]]], bool]:
-    """Homogeneous test vectors per grade block.
+def _seed_lines(inst: AlgebraInstance, basis: GradedBasis) -> Iterator[tuple[Grade, Row, int]]:
+    """Each homogeneous seed, block by block, as (grade, canonical row of
+    its line, pivot): the row's first nonzero coordinate, at the pivot, is 1.
 
-    Finite field: all projective points (exhaustive), truncated at
-    ``cap`` seeds. Rationals: basis vectors, pairwise sums and 32 seeded
-    random combinations per block, a sample only.
+    Lazy, so a scan that stops early never builds the remaining seeds.
+    Finite field: every projective point, leading position from last to
+    first, each a distinct line.  Rationals: basis vectors, pairwise sums
+    and 32 random combinations per block, one ``Random(7)`` per scan, each
+    divided by its leading coordinate; a sample only, whose lines repeat.
     """
     f = inst.field
-    seeds: list[tuple[Grade, tuple[Scalar, ...]]] = []
-    exhaustive = f.kind == "prime"
-    if exhaustive:
+    if f.kind == "prime":
         for g in basis.grades():
-            for p in _projective_block_points(f, basis.block_dim(g)):
-                if len(seeds) >= cap:
-                    return seeds, False
-                seeds.append((g, p))
-        return seeds, True
+            n = basis.block_dim(g)
+            for lead in reversed(range(n)):
+                head = (f.zero,) * lead + (f.one,)
+                for tail in _tails(f, n - lead - 1):
+                    yield g, head + tail, lead
+        return
     rng = random.Random(7)
     for g in basis.grades():
         n = basis.block_dim(g)
-        block = []
         for i in range(n):
-            block.append(tuple(f.one if j == i else f.zero for j in range(n)))
+            yield g, tuple(f.one if k == i else f.zero for k in range(n)), i
         for i in range(n):
             for j in range(i + 1, n):
-                block.append(tuple(f.add(x, y) for x, y in zip(block[i], block[j])))
+                yield g, tuple(f.one if k in (i, j) else f.zero for k in range(n)), i
         for _ in range(32):
-            block.append(tuple(f.from_int(rng.randint(-5, 5)) for _ in range(n)))
-        seeds.extend((g, p) for p in block if any(not f.is_zero(x) for x in p))
-    return seeds, False
+            draw = [f.from_int(rng.randint(-5, 5)) for _ in range(n)]
+            lead = next((k for k, x in enumerate(draw) if not f.is_zero(x)), None)
+            if lead is not None:
+                yield g, tuple(f.div(x, draw[lead]) for x in draw), lead
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +270,6 @@ class SimplicityVerdict:
         return out
 
 
-def _undecided_reason(f: Field, cap: int) -> str:
-    if f.kind == "prime":
-        return f"closure enumeration capped at {cap}; no counterexample among the closures run"
-    return "rational scalars: sampled closures found no counterexample, enumeration is not exhaustive"
-
-
 def _trivial_ideals(inst: AlgebraInstance, side: str) -> list[tuple[str, GradedSubspace]]:
     """The named graded ideals a gr-simple side may have: 0, the whole side, and Ker rho on L."""
     basis = getattr(inst, side)
@@ -289,10 +280,10 @@ def _trivial_ideals(inst: AlgebraInstance, side: str) -> list[tuple[str, GradedS
 
 
 def _gr_simple(inst: AlgebraInstance, side: str) -> SimplicityVerdict:
-    """The product pre-checks, then one closure per homogeneous seed, at
-    most ``CLOSURE_CAP``; the first closure outside the trivial ideals
-    certifies "not gr-simple", otherwise the scan's coverage decides
-    "gr_simple" or "undecided"."""
+    """The product pre-checks, then one closure per homogeneous seed line,
+    at most ``CLOSURE_CAP`` seeds over GF(p); the first closure outside
+    the trivial ideals certifies "not gr-simple", otherwise the scan's
+    coverage decides "gr_simple" or "undecided"."""
     for name, reason in _PRODUCTS[side]:
         if entry_span(getattr(inst, name)).is_zero():
             return SimplicityVerdict(side, "not_gr_simple", reason)
@@ -301,21 +292,25 @@ def _gr_simple(inst: AlgebraInstance, side: str) -> SimplicityVerdict:
     proper, clean = _VERDICT_TEXT[side]
     f = inst.field
     basis = getattr(inst, side)
-    seeds, exhaustive = _homogeneous_seeds(inst, basis, CLOSURE_CAP)
-    closed_lines: set[tuple[Grade, tuple]] = set()
-    for run, (g, coords) in enumerate(seeds, 1):
-        seed = GradedSubspace.from_block_vectors(f, basis, [(g, coords)])
-        line = (g, seed.blocks[g])  # the canonical RREF row: v and 2v give one key
-        if line in closed_lines:
+    cap = CLOSURE_CAP if f.kind == "prime" else None  # the rational sample is finite
+    closed_lines: set[tuple[Grade, Row]] = set()
+    run = 0
+    for g, row, pivot in _seed_lines(inst, basis):
+        if run == cap:
+            reason = f"closure enumeration capped at {cap}; no counterexample among the closures run"
+            return SimplicityVerdict(side, "undecided", reason, None, run)
+        run += 1
+        if (g, row) in closed_lines:
             continue  # the same closure, already known to be allowed
-        closed_lines.add(line)
-        closure = closure_of(inst, seed)
+        closed_lines.add((g, row))
+        closure = closure_of(inst, GradedSubspace._from_rref(f, basis, {g: ((row,), (pivot,))}))
         if closure not in allowed:
             reason = f"closure of a homogeneous element at grade {format_grade(g)} {proper}"
             return SimplicityVerdict(side, "not_gr_simple", reason, closure, run)
-    if exhaustive:
-        return SimplicityVerdict(side, "gr_simple", clean, None, len(seeds))
-    return SimplicityVerdict(side, "undecided", _undecided_reason(f, CLOSURE_CAP), None, len(seeds))
+    if f.kind == "prime":
+        return SimplicityVerdict(side, "gr_simple", clean, None, run)
+    reason = "rational scalars: sampled closures found no counterexample, enumeration is not exhaustive"
+    return SimplicityVerdict(side, "undecided", reason, None, run)
 
 
 def gr_simple_L(inst: AlgebraInstance) -> SimplicityVerdict:
@@ -431,11 +426,7 @@ def fine_decompose(inst: AlgebraInstance) -> FineReport:
 
     # the first A ideal acting on each L ideal; the hypotheses include
     # tightness, under which it is the only one
-    a_by_label = {tuple(a.label_json()): a for a in A_rep.ideals}
-    partners = [
-        a_by_label[tuple(entry["A_classes"][0])] if entry["A_classes"] else None
-        for entry in pairing.pairs
-    ]
+    partners = [acting[0] if acting else None for acting in pairing.acting]
 
     # (side, class ideal, L part, A part, partner ideals) of every summand
     zero_L, zero_A = GradedSubspace.zero(inst.field, inst.L), GradedSubspace.zero(inst.field, inst.A)

@@ -434,6 +434,58 @@ def plain_closure(inst: AlgebraInstance, seed: GradedSubspace, side: str) -> Gra
         current = grown
 
 
+def projective_block_points(field: Field, dim: int):
+    """One representative per line of a ``dim``-dimensional block over a
+    prime field, first nonzero coordinate 1, by recursion over prefixes."""
+
+    def rec(prefix: list, lead_placed: bool):
+        if len(prefix) == dim:
+            if lead_placed:
+                yield tuple(prefix)
+            return
+        if not lead_placed:
+            yield from rec(prefix + [field.zero], False)
+            yield from rec(prefix + [field.one], True)
+        else:
+            for x in field.elements():
+                yield from rec(prefix + [x], True)
+
+    return rec([], False)
+
+
+def homogeneous_seeds(inst: AlgebraInstance, basis: GradedBasis, cap: int) -> tuple[list[tuple[Grade, tuple]], bool]:
+    """The reference seed listing of the gr-simplicity scan, unscaled, and
+    whether it is exhaustive.
+
+    Finite field: all projective points, truncated at ``cap`` seeds.
+    Rationals: basis vectors, pairwise sums and 32 seeded random
+    combinations per block, zero vectors dropped, a sample only.
+    """
+    f = inst.field
+    seeds: list[tuple[Grade, tuple]] = []
+    exhaustive = f.kind == "prime"
+    if exhaustive:
+        for g in basis.grades():
+            for p in projective_block_points(f, basis.block_dim(g)):
+                if len(seeds) >= cap:
+                    return seeds, False
+                seeds.append((g, p))
+        return seeds, True
+    rng = random.Random(7)
+    for g in basis.grades():
+        n = basis.block_dim(g)
+        block = []
+        for i in range(n):
+            block.append(tuple(f.one if j == i else f.zero for j in range(n)))
+        for i in range(n):
+            for j in range(i + 1, n):
+                block.append(tuple(f.add(x, y) for x, y in zip(block[i], block[j])))
+        for _ in range(32):
+            block.append(tuple(f.from_int(rng.randint(-5, 5)) for _ in range(n)))
+        seeds.extend((g, p) for p in block if any(not f.is_zero(x) for x in p))
+    return seeds, False
+
+
 def reference_rref(field: Field, rows) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
     """Reduced row echelon form by the field-generic loop: scale each pivot
     row to 1 and clear its column from every other row with the field's

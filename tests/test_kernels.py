@@ -24,7 +24,7 @@ from grlr.cli import main
 from grlr.errors import ScalarParseError
 from grlr.fields import MODULUS_LIMIT, RATIONALS, Field, _is_prime, parse_field_label, prime_field
 from grlr.linear import BilinearRule
-from grlr.simplicity import _homogeneous_seeds, _projective_block_points
+from grlr.simplicity import _seed_lines
 
 # derandomized, and no example database, so every run tests the same cases
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -249,29 +249,37 @@ def _projective_points_list(field: Field, dim: int) -> list:
     return points
 
 
+def _one_block(field: Field, dim: int) -> tuple[SimpleNamespace, GradedBasis]:
+    return SimpleNamespace(field=field), GradedBasis([(f"x{i}", (0,)) for i in range(dim)])
+
+
 @pytest.mark.parametrize("p, dim", [(2, 1), (2, 3), (3, 3), (5, 2), (7, 3)])
 def test_projective_points_same_as_eager_list(p, dim):
     F = prime_field(p)
-    points = list(_projective_block_points(F, dim))
-    assert points == _projective_points_list(F, dim)
-    assert len(points) == (p**dim - 1) // (p - 1)
+    lines = list(_seed_lines(*_one_block(F, dim)))
+    assert [row for _, row, _ in lines] == _projective_points_list(F, dim)
+    assert all(row[pivot] == 1 and not any(row[:pivot]) for _, row, pivot in lines)
+    assert len(lines) == (p**dim - 1) // (p - 1)
 
 
 def test_projective_points_are_lazy():
-    gen = _projective_block_points(prime_field(1_000_003), 3)
+    gen = _seed_lines(*_one_block(prime_field(1_000_003), 3))
     assert not isinstance(gen, list)
-    assert list(itertools.islice(gen, 3)) == [(0, 0, 1), (0, 1, 0), (0, 1, 1)]
+    assert [row for _, row, _ in itertools.islice(gen, 3)] == [(0, 0, 1), (0, 1, 0), (0, 1, 1)]
 
 
-@pytest.mark.parametrize("p, dim", [(101, 4), (1_000_003, 3)])
+def _largest_prime_below(n: int) -> int:
+    return next(q for q in range(n - 1, 1, -1) if _is_prime(q))
+
+
+@pytest.mark.parametrize("p, dim", [(101, 4), (1_000_003, 3), (_largest_prime_below(MODULUS_LIMIT), 2)])
 def test_seed_cap_stops_point_generation(p, dim):
-    # a 4-dim GF(101) block has 1.04M points, a 3-dim GF(1000003) one 10^12
-    inst = SimpleNamespace(field=prime_field(p))
-    basis = GradedBasis([(f"x{i}", (0,)) for i in range(dim)])
+    # a 4-dim GF(101) block has 1.04M points, a 3-dim GF(1000003) one 10^12;
+    # the largest admissible prime must not be listed either
     start = time.perf_counter()
-    seeds, exhaustive = _homogeneous_seeds(inst, basis, 20_000)
+    lines = list(itertools.islice(_seed_lines(*_one_block(prime_field(p), dim)), 20_001))
     assert time.perf_counter() - start < 2.0
-    assert not exhaustive and len(seeds) == 20_000
+    assert len(lines) == 20_001
 
 
 # ---------------------------------------------------------------------------

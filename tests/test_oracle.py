@@ -30,7 +30,6 @@ from grlr.catalog import build, catalog_names
 from grlr.constructions import to_field
 from grlr.errors import GuardError, ToolkitError
 from grlr.fields import RATIONALS, parse_field_label
-from grlr.files import instance_to_json
 from grlr.linear import BilinearRule
 
 from helpers import (
@@ -265,14 +264,9 @@ def test_field_carry_step():
     assert [s.dim for s in enumerate_graded_ideals_L(moved)] == [0, 3]
 
 
-def test_rational_field_move_keeps_a_given_name():
+def test_rational_field_move_returns_the_instance():
     base = cached("e1")
     assert to_field(base, RATIONALS) is base
-    renamed = to_field(base, RATIONALS, "renamed")
-    assert renamed.name == "renamed" and renamed.field == RATIONALS
-    assert {k: v for k, v in instance_to_json(renamed).items() if k != "name"} == {
-        k: v for k, v in instance_to_json(base).items() if k != "name"
-    }
 
 
 def test_unknown_step_is_rejected():

@@ -17,13 +17,15 @@ from grlr import (
     verify_all,
 )
 import grlr.simplicity
+from grlr.catalog import catalog_names
 from grlr.errors import DecompositionError, ToolkitError
 from grlr.oracle import default_recipe_space, generate_instance
-from grlr.simplicity import CLOSURE_CAP, _homogeneous_seeds, ideal_closure_A, ideal_closure_L
+from grlr.simplicity import CLOSURE_CAP, _seed_lines, ideal_closure_A, ideal_closure_L
 
 from helpers import (
     abelian_pair_instance,
     cached,
+    homogeneous_seeds,
     literal_ideal_test_A,
     literal_ideal_test_L,
     plain_closure,
@@ -104,6 +106,16 @@ def test_closure_cap_reports_undecided_with_cap(monkeypatch):
     assert v.status == "undecided"
     assert "capped at 2" in v.reason
     assert v.closures_run == 2
+
+
+def test_closure_cap_leaves_the_rational_sample_whole(monkeypatch):
+    sg = cached("sl2_ga2")  # display field is rational
+    whole = gr_simple_L(sg)
+    monkeypatch.setattr(grlr.simplicity, "CLOSURE_CAP", 3)
+    v = gr_simple_L(sg)
+    assert v.to_json() == whole.to_json()
+    assert v.status == "undecided" and v.closures_run > 3
+    assert v.reason == "rational scalars: sampled closures found no counterexample, enumeration is not exhaustive"
 
 
 def test_split_case_b_on_antisymmetric_ideal():
@@ -247,28 +259,53 @@ def _closure_cases():
     return cases + [pytest.param(inst, id=label) for label, inst in rational]
 
 
+def _seed_listing_cases():
+    """Every catalog entry at GF(3), GF(5) and GF(7) that builds, then the
+    buildable rational recipes."""
+    for name in catalog_names():
+        for label in ("gf3", "gf5", "gf7"):
+            try:
+                yield f"{name}@{label}", cached(name, label)
+            except ToolkitError:  # e2 and e3 exist only in characteristic 3
+                continue
+    yield from _rational_recipes()
+
+
+def test_seed_lines_scale_the_reference_seeds_in_order():
+    rational = 0
+    for label, inst in _seed_listing_cases():
+        f = inst.field
+        rational += f.kind == "rational"
+        for side in ("L", "A"):
+            basis = getattr(inst, side)
+            seeds, exhaustive = homogeneous_seeds(inst, basis, CLOSURE_CAP)
+            assert exhaustive == (f.kind == "prime"), (label, side)
+            expected = []
+            for g, coords in seeds:
+                pivot = next(i for i, x in enumerate(coords) if not f.is_zero(x))
+                expected.append((g, tuple(f.div(x, coords[pivot]) for x in coords), pivot))
+            assert list(_seed_lines(inst, basis)) == expected, (label, side)
+    assert rational == 20
+
+
 @pytest.mark.parametrize("inst", _closure_cases())
 def test_closures_equal_the_plain_fixpoint_loop(inst):
     name = inst.name
     checked = 0
     for side, closure_of in (("L", ideal_closure_L), ("A", ideal_closure_A)):
         basis = getattr(inst, side)  # L is zero on ga2 and ga3
-        seeds, _ = _homogeneous_seeds(inst, basis, CLOSURE_CAP)
-        for g, coords in seeds:
-            seed = GradedSubspace.from_block_vectors(inst.field, basis, [(g, coords)])
-            assert closure_of(inst, seed) == plain_closure(inst, seed, side), (name, side, g, coords)
-        checked += len(seeds)
+        for g, row, pivot in _seed_lines(inst, basis):
+            seed = GradedSubspace.from_block_vectors(inst.field, basis, [(g, row)])
+            assert seed.blocks[g] == (row,) and seed.pivots[g] == (pivot,), (name, side, g, row)
+            assert closure_of(inst, seed) == plain_closure(inst, seed, side), (name, side, g, row)
+            checked += 1
     assert checked > 0
 
 
 def test_each_seed_line_is_closed_once(monkeypatch):
     inst = cached("sl2_ga2")  # rational scalars, so the sampled seeds repeat lines
-    f = inst.field
-    seeds, _ = _homogeneous_seeds(inst, inst.L, CLOSURE_CAP)
-    lines = set()
-    for g, coords in seeds:
-        lead = next(x for x in coords if not f.is_zero(x))
-        lines.add((g, tuple(f.div(x, lead) for x in coords)))
+    seeds = list(_seed_lines(inst, inst.L))
+    lines = {(g, row) for g, row, _ in seeds}
     assert len(lines) < len(seeds)
 
     calls = []
