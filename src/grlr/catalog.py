@@ -138,10 +138,8 @@ def _build_e2(field: Field) -> AlgebraInstance:
 
 
 def _build_e3(field: Field) -> AlgebraInstance:
-    left = _build_e2(field)
-    right = _build_e2(field)
-    inst = direct_sum(left, right, "e3")
-    return inst
+    e2 = _build_e2(field)
+    return direct_sum(e2, e2, "e3")
 
 
 def _build_group_algebra(n: int, name: str) -> Callable[[Field], AlgebraInstance]:

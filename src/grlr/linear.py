@@ -28,18 +28,20 @@ them and takes canonical scalars unchecked, as do the matrix kernels.
 Products of subspaces run block pair by block pair.  Each
 ``BilinearRule`` groups its table by (left grade, right grade) on first
 use (``block_pairs``), and ``bilinear_image`` visits only the block pairs
-of U x V that have table entries.  It checks the grade-shift law once
-per block pair it uses, not once per image component.
+of U x V that have table entries.  The grade-shift law is decided once
+per block pair: one ``group.mul`` for its target grade, and the pair's
+output grades compared with it.  Only a pair that fails is scanned, by
+one routine that the grading verifier and the product refusals share,
+``BilinearRule.off_grade``.
 
 A product of two whole blocks needs no multiplication at all: it is the
 span of that block pair's table entries.  ``entry_span`` and
 ``joint_entry_span`` read such products straight off the index, with one
 elimination per output block.  They and ``bilinear_image`` refuse a
-block pair that breaks the grade-shift law through one check,
-``checked_block_pair``, so the refusal reads the same whichever of them
-meets the pair first.  ``entry_kernel`` cuts out the common kernel of
-maps v -> rule(v, .) and v -> rule(., v) with one condition per table
-entry component.
+block pair that breaks the grade-shift law through ``checked_block_pair``,
+so the refusal reads the same whichever of them meets the pair first.
+``entry_kernel`` cuts out the common kernel of maps v -> rule(v, .) and
+v -> rule(., v) with one condition per table entry component.
 """
 from __future__ import annotations
 
@@ -514,7 +516,9 @@ class BilinearRule:
     restriction, base change and recipe builds four), so construction
     does no work for it.  Its fill calls no ``Field`` or ``GroupSpec``
     method, so the kernel calls of a product are the same whether or not
-    the rule was used before.
+    the rule was used before.  The grade-shift law is decided once per
+    block pair, for the verifier and the product refusals alike; both
+    name the components of a failing pair through :meth:`off_grade`.
     """
 
     def __init__(
@@ -586,25 +590,36 @@ class BilinearRule:
                             out[pos] = s
         return out
 
+    def off_grade(self, gu: Grade, gv: Grade, target: Grade) -> list[tuple[int, int, int]]:
+        """The (left position, right position, output position) of each
+        component that the block pair (gu, gv) of ``block_pairs`` sends
+        outside the block at ``target``, in table order."""
+        left, right, grade_of = self.left.positions_at(gu), self.right.positions_at(gv), self.out.grade_of
+        return sorted(
+            (left[a], right[b], pos)
+            for a, b, entry in self.block_pairs()[gu, gv][1]
+            for pos in entry
+            if grade_of(pos) != target
+        )
+
     def grading_violations(self) -> list[dict]:
-        """Entries landing outside the block at grade(left)*grade(right)."""
+        """Entries landing outside the block at grade(left)*grade(right), in table order."""
         bad = []
-        for (i, j), image in sorted(self.table.items()):
-            expected = self.group.mul(self.left.grade_of(i), self.right.grade_of(j))
-            for pos in sorted(image):
-                got = self.out.grade_of(pos)
-                if got != expected:
-                    bad.append(
-                        {
-                            "rule": self.name,
-                            "left": self.left.name_of(i),
-                            "right": self.right.name_of(j),
-                            "component": self.out.name_of(pos),
-                            "expected_grade": expected,
-                            "got_grade": got,
-                        }
-                    )
-        return bad
+        for (gu, gv), (grades, _) in self.block_pairs().items():
+            target = self.group.mul(gu, gv)
+            if grades != {target}:
+                bad.extend((i, j, pos, target) for i, j, pos in self.off_grade(gu, gv, target))
+        return [
+            {
+                "rule": self.name,
+                "left": self.left.name_of(i),
+                "right": self.right.name_of(j),
+                "component": self.out.name_of(pos),
+                "expected_grade": expected,
+                "got_grade": self.out.grade_of(pos),
+            }
+            for i, j, pos, expected in sorted(bad)
+        ]
 
 
 def rule_from_names(
@@ -685,8 +700,7 @@ def checked_block_pair(rule: BilinearRule, gu: Grade, gv: Grade) -> tuple[Grade,
     grades, triples = pair
     target = rule.group.mul(gu, gv)
     if grades != {target}:
-        out = rule.out
-        pos = _off_grade(rule, gu, gv, target)
+        out, pos = rule.out, rule.off_grade(gu, gv, target)[0][2]
         raise ToolkitError(
             f"rule {rule.name!r} violates the grade-shift law on "
             f"({format_grade(gu)}, {format_grade(gv)}): component "
@@ -694,18 +708,6 @@ def checked_block_pair(rule: BilinearRule, gu: Grade, gv: Grade) -> tuple[Grade,
             f"expected {format_grade(target)}"
         )
     return target, triples
-
-
-def _off_grade(rule: BilinearRule, gu: Grade, gv: Grade, target: Grade) -> int:
-    """The first output position, in table order, that an entry of the
-    block pair (gu, gv) sends outside the block at ``target``."""
-    return next(
-        pos
-        for (i, j), entry in sorted(rule.table.items())
-        if rule.left.grade_of(i) == gu and rule.right.grade_of(j) == gv
-        for pos in sorted(entry)
-        if rule.out.grade_of(pos) != target
-    )
 
 
 def joint_entry_span(

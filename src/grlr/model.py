@@ -64,7 +64,9 @@ entries, not with the square of the dimension.
 the new basis vectors are the rows of ``L_rows[g]`` (``A_rows[g]``), given
 in the old block coordinates; row k is the new vector at the k-th
 position of ``L.positions_at(g)``, so the row order within a block is
-the new position order.  Each image of an old rule on new vectors is
+the new position order.  Each new vector is homogeneous, so an old rule
+multiplies only the pairs of new vectors whose grade pair its
+``block_pairs`` lists; every other product is zero.  Each image is
 expressed block by block in those rows.
 """
 from __future__ import annotations
@@ -120,6 +122,8 @@ class AlgebraInstance:
         for rule, (_, dom) in zip((bracket, product, action, anchor), RULES):
             if (rule.left, rule.right, rule.out) != tuple(bases[b] for b in dom):
                 raise ValueError(f"rule {rule.name!r} has wrong domain or codomain")
+            if (rule.field, rule.group) != (field, group):
+                raise ValueError(f"rule {rule.name!r} is over another field or grading group")
         self._full_L: GradedSubspace | None = None
         self._full_A: GradedSubspace | None = None
 
@@ -539,12 +543,11 @@ def transport(
         return out
 
     def make_rule(rule: BilinearRule, dom: str) -> dict[tuple[int, int], Sparse]:
-        table, left = {}, new[dom[0]][0]
+        table, left, right, pairs = {}, new[dom[0]][0], new[dom[1]][0], rule.block_pairs()
         for i, u in enumerate(vectors[dom[0]]):
-            what = f"{rule.name}({left.name_of(i)}, ...)"
+            what, gu = f"{rule.name}({left.name_of(i)}, ...)", left.grade_of(i)
             for j, v in enumerate(vectors[dom[1]]):
-                img = rule.apply_sparse(u, v)
-                if img:
+                if (gu, right.grade_of(j)) in pairs and (img := rule.apply_sparse(u, v)):
                     table[(i, j)] = express(dom[2], img, what)
         return table
 

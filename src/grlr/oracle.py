@@ -344,26 +344,21 @@ def _search_size(
     return steps, entries
 
 
-def enumerate_connections(
-    sup: Supports, g1: Grade, g2: Grade, side: str = "sigma", max_len: int | None = None
-) -> list[list[Grade]]:
-    """All multiplier sequences connecting g1 to g2, up to max_len terms.
+def enumerate_connections(sup: Supports, g1: Grade, g2: Grade, side: str = "sigma") -> list[list[Grade]]:
+    """All multiplier sequences connecting g1 to g2, of at most twice as
+    many terms as there are multipliers (at least two).
 
     A sequence starts at g1 and appends multipliers one at a time; every
     strict partial product must stay inside the allowed intermediate set
     for the side, and the full product must land on g2 or its inverse.
     Sequences are listed in depth-first pre-order, multipliers in sorted
-    order.  Raises ValueError for a ``max_len`` below 1, and GuardError
-    when the search would take more than ``MAX_DFS_STEPS`` products or
-    list more than that many entries.
+    order.  Raises GuardError when the search would take more than
+    ``MAX_DFS_STEPS`` products or list more than that many entries.
     """
     if g1 not in sup.base(side):
         raise ValueError(f"{format_grade(g1)} is not in the {side} support")
     mults = sup.multipliers()
-    if max_len is None:
-        max_len = 2 * max(1, len(mults))
-    if max_len < 1:
-        raise ValueError(f"max_len must be at least 1, got {max_len}")
+    max_len = 2 * max(1, len(mults))
     group = sup.group
     targets = {group.check(g2), group.inv(g2)}
     states = sorted(sup.states(side))
@@ -400,9 +395,8 @@ def enumerate_connections(
 
     path = [start]
     paths = [list(path)] if hit[root] else []
-    if max_len <= 3:
-        if max_len > 1:
-            paths.extend(path + tail for tail in tails_of(root, max_len - 1))
+    if max_len == 2:
+        paths.extend(path + tail for tail in tails_of(root, 1))
         return paths
     # each frame iterates one state's row; a target is listed on arrival,
     # before its state is entered, which keeps the pre-order of a

@@ -22,7 +22,7 @@ from grlr import (
 from grlr.catalog import derivation_instance
 from grlr.errors import ToolkitError
 from grlr.fields import Field, parse_field_label, prime_field
-from grlr.groups import Grade
+from grlr.groups import Grade, format_grade
 from grlr.linear import (
     BilinearRule,
     Sparse,
@@ -33,7 +33,6 @@ from grlr.linear import (
     sparse_scale,
     subspace_sum,
 )
-from grlr.model import verify_grading
 
 _cache: dict[tuple[str, str | None], AlgebraInstance] = {}
 
@@ -311,11 +310,49 @@ REFERENCE_LAWS = (
 )
 
 
+def reference_grading_violations(rule: BilinearRule) -> list[dict]:
+    """``rule.grading_violations()`` by literal scan: one product grade per
+    table entry, entries in sorted order, each component in sorted order."""
+    bad = []
+    for (i, j), image in sorted(rule.table.items()):
+        expected = rule.group.mul(rule.left.grade_of(i), rule.right.grade_of(j))
+        for pos in sorted(image):
+            got = rule.out.grade_of(pos)
+            if got != expected:
+                bad.append(
+                    {
+                        "rule": rule.name,
+                        "left": rule.left.name_of(i),
+                        "right": rule.right.name_of(j),
+                        "component": rule.out.name_of(pos),
+                        "expected_grade": expected,
+                        "got_grade": got,
+                    }
+                )
+    return bad
+
+
+def reference_grading(inst: AlgebraInstance) -> list[dict]:
+    """Check JSON of ``verify_grading``: a failed check's witness is its
+    rule's first reference violation with formatted grades, and their count."""
+    checks = []
+    for rule in (inst.bracket, inst.product, inst.action, inst.anchor):
+        bad = reference_grading_violations(rule)
+        check: dict = {"check": f"grading.{rule.name}", "passed": not bad}
+        if bad:
+            witness = dict(bad[0], violations=len(bad))
+            witness["expected_grade"] = format_grade(witness["expected_grade"])
+            witness["got_grade"] = format_grade(witness["got_grade"])
+            check["witness"] = witness
+        checks.append(check)
+    return checks
+
+
 def reference_verify(inst: AlgebraInstance) -> list[dict]:
     """Check JSON of ``verify_all`` by literal scan: the grading checks,
     then each law on every basis tuple in lexicographic order, reporting
     the first nonzero discrepancy."""
-    checks = [c.to_json() for c in verify_grading(inst).checks]
+    checks = reference_grading(inst)
     for name, args, out, discrepancy in REFERENCE_LAWS:
         bases = [getattr(inst, b) for b in args]
         check: dict = {"check": name, "passed": True}

@@ -95,22 +95,15 @@ def test_connected_rejects_grades_outside_support():
 
 def test_enumeration_pinned_examples():
     sup = supports(cached("e1"))
-    # e and f sit at inverse grades, so the empty multiplier word connects them
-    assert enumerate_connections(sup, (1,), (-1,), "sigma", max_len=1) == [[(1,)]]
+    # e and f sit at inverse grades, so the empty multiplier word connects
+    # them; no word of e1's one multiplier within its two-term bound does
+    assert enumerate_connections(sup, (1,), (-1,), "sigma") == [[(1,)]]
     sup3 = supports(cached("e3"))
     assert enumerate_connections(sup3, (1, 0), (0, 1), "sigma") == []
     for g in sorted(sup3.sigma):
         assert [g] in enumerate_connections(sup3, g, g, "sigma")
     with pytest.raises(ValueError):
         enumerate_connections(sup, (0,), (1,), "sigma")
-
-
-@pytest.mark.parametrize("max_len", [0, -1])
-def test_enumeration_refuses_a_bound_below_one_term(max_len):
-    # every listed sequence has at least its start term, so no bound below 1 can hold
-    sup = supports(cached("e1"))
-    with pytest.raises(ValueError, match=f"max_len must be at least 1, got {max_len}"):
-        enumerate_connections(sup, (1,), (1,), "sigma", max_len=max_len)
 
 
 @pytest.mark.parametrize("name,g", [("e1", (1,)), ("e2", (2,))])
@@ -142,16 +135,15 @@ def test_enumeration_output_paths_all_validate():
     sup = supports(cached("e2"))
     for g in sorted(sup.sigma):
         for h in sorted(sup.sigma):
-            for path in enumerate_connections(sup, g, h, "sigma", max_len=4):
+            for path in enumerate_connections(sup, g, h, "sigma"):
                 assert validate_connection_path(sup, "sigma", path, g, h)
     for g in sorted(sup.lam):
         for h in sorted(sup.lam):
-            for path in enumerate_connections(sup, g, h, "lambda", max_len=4):
+            for path in enumerate_connections(sup, g, h, "lambda"):
                 assert validate_connection_path(sup, "lambda", path, g, h)
 
 
-@pytest.mark.parametrize("max_len", [None, 1, 2, 3, 4])
-def test_enumeration_matches_literal_reference(monkeypatch, max_len):
+def test_enumeration_matches_literal_reference(monkeypatch):
     # the step table must list the same paths in the same order as a search
     # that multiplies at every step, and the guard's counts must equal that
     # search's number of products and of listed entries.  A bound of the
@@ -172,23 +164,22 @@ def test_enumeration_matches_literal_reference(monkeypatch, max_len):
             for g in base:
                 for h in base:
                     where = (label, side, g, h)
-                    expected, products = reference_connections(sup, g, h, side, max_len)
+                    expected, products = reference_connections(sup, g, h, side)
                     entries = sum(len(path) for path in expected)
                     bound = max(products, entries)
                     monkeypatch.setattr(grlr.oracle, "MAX_DFS_STEPS", bound)
                     counted.clear()
-                    assert enumerate_connections(sup, g, h, side, max_len) == expected, where
+                    assert enumerate_connections(sup, g, h, side) == expected, where
                     assert counted == [(products, entries)], where
                     counts = {"search steps": products, "listed path entries": entries}
                     for below in {products - 1, entries - 1}:
                         monkeypatch.setattr(grlr.oracle, "MAX_DFS_STEPS", below)
                         over = "|".join(what for what, count in counts.items() if count > below)
                         with pytest.raises(GuardError, match=over):
-                            enumerate_connections(sup, g, h, side, max_len)
+                            enumerate_connections(sup, g, h, side)
 
 
-@pytest.mark.parametrize("max_len", [2, 3, 4, None])
-def test_listed_paths_are_fresh_lists(max_len):
+def test_listed_paths_are_fresh_lists():
     # the last two levels are listed as path + tail from tail tables the
     # listed paths share: no listed path may share its list with another,
     # and changing them must not change a second call's listing
@@ -196,22 +187,24 @@ def test_listed_paths_are_fresh_lists(max_len):
     base = sorted(sup.sigma)
     multi_term = 0
     for h in base:
-        listed = enumerate_connections(sup, base[0], h, "sigma", max_len)
+        listed = enumerate_connections(sup, base[0], h, "sigma")
         expected = [list(path) for path in listed]
         for k, path in enumerate(listed):
             path.append(k)
-        assert listed == [path + [k] for k, path in enumerate(expected)], (h, max_len)
-        assert enumerate_connections(sup, base[0], h, "sigma", max_len) == expected, (h, max_len)
+        assert listed == [path + [k] for k, path in enumerate(expected)], h
+        assert enumerate_connections(sup, base[0], h, "sigma") == expected, h
         multi_term += sum(len(path) > 1 for path in expected)
     assert multi_term > 1
 
 
-def test_enumeration_refuses_a_long_listing():
-    # 3,998 products, but 2,000 paths of lengths 1 to 2,000
+def test_enumeration_refuses_a_long_listing(monkeypatch):
+    # at e2's bound of four terms: 6 products, but 10 entries listed
     sup = supports(cached("e2"))
+    monkeypatch.setattr(grlr.oracle, "MAX_DFS_STEPS", 8)
     with pytest.raises(GuardError, match="listed path entries"):
-        enumerate_connections(sup, (1,), (2,), "sigma", max_len=2000)
-    assert len(enumerate_connections(sup, (1,), (2,), "sigma", max_len=20)) == 20
+        enumerate_connections(sup, (1,), (2,), "sigma")
+    monkeypatch.setattr(grlr.oracle, "MAX_DFS_STEPS", 10)
+    assert sum(map(len, enumerate_connections(sup, (1,), (2,), "sigma"))) == 10
 
 
 def test_enumeration_reaches_targets_outside_the_states():

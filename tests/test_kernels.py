@@ -308,12 +308,32 @@ def test_instance_rejects_bad_basis_grades(rule_group, group, grade, match):
     # the rules are valid over rule_group; the instance's own group is not
     L = GradedBasis([("x", grade)])
     A = GradedBasis([("one", group.identity()[: rule_group.rank])])
-    rules = [
-        BilinearRule(n, RATIONALS, rule_group, l, r, o, {})
+    with pytest.raises(ValueError, match=match):
+        AlgebraInstance("bad", RATIONALS, group, L, A, *_empty_rules(rule_group, L, A))
+
+
+def _empty_rules(group: GroupSpec, L: GradedBasis, A: GradedBasis) -> list[BilinearRule]:
+    return [
+        BilinearRule(n, RATIONALS, group, l, r, o, {})
         for n, (l, r, o) in (("bracket", (L, L, L)), ("product", (A, A, A)), ("action", (A, L, L)), ("anchor", (L, A, A)))
     ]
-    with pytest.raises(ValueError, match=match):
-        AlgebraInstance("bad", RATIONALS, group, L, A, *rules)
+
+
+def test_instance_rejects_rules_over_another_field():
+    # e1's GF(5) tables read over GF(3) would fail antisymmetry and Jacobi
+    e1 = build("e1", prime_field(5))
+    rules = [e1.bracket, e1.product, e1.action, e1.anchor]
+    with pytest.raises(ValueError, match="^rule 'bracket' is over another field or grading group$"):
+        AlgebraInstance("e1", prime_field(3), e1.group, e1.L, e1.A, *rules)
+
+
+def test_instance_rejects_rules_over_another_group():
+    # (1,) and (0,) are canonical grades of both Z/8 and Z/4, so the bases pass
+    L = GradedBasis([("x", (1,))])
+    A = GradedBasis([("one", (0,))])
+    rules = _empty_rules(GroupSpec(0, (8,)), L, A)
+    with pytest.raises(ValueError, match="^rule 'bracket' is over another field or grading group$"):
+        AlgebraInstance("bad", RATIONALS, GroupSpec(0, (4,)), L, A, *rules)
 
 
 @pytest.mark.parametrize("grade", [[4], [1, 0], []])

@@ -46,6 +46,7 @@ from helpers import (
     mutate_instance,
     recipe_and_catalog_instances,
     recipe_and_catalog_wild_mutants,
+    reference_grading_violations,
     reference_kernels,
     reference_verify,
     truncated_poly_derivations,
@@ -154,6 +155,27 @@ def test_verify_matches_literal_scan():
         assert [c.to_json() for c in verify_all(inst).checks] == reference_verify(inst), inst.name
         count += 1
     assert count == 162 * 9
+
+
+def test_grading_violations_match_the_literal_scan():
+    # one product grade per block pair against one per table entry.  The
+    # e3 mutant breaks the law on two bracket block pairs, ((0,0), (1,0))
+    # and ((1,0), (0,1)), whose violations interleave in table order
+    e3 = added_entries(cached("e3", "gf3"), [
+        ("bracket", "l0_2", "l1_1", "l2_2", "1"),
+        ("bracket", "l1_1", "l1_2", "l0_1", "1"),
+        ("bracket", "l0_1", "l1_1", "l0_2", "1"),
+    ])
+    assert [(v["left"], v["right"], v["component"]) for v in e3.bracket.grading_violations()] == [
+        ("l0_1", "l1_1", "l0_2"), ("l1_1", "l1_2", "l0_1"), ("l0_2", "l1_1", "l2_2"),
+    ]
+    failing = 0
+    for label, inst in recipe_and_catalog_instances() + recipe_and_catalog_wild_mutants() + (("e3~off", e3),):
+        for rule in (inst.bracket, inst.product, inst.action, inst.anchor):
+            bad = rule.grading_violations()
+            assert bad == reference_grading_violations(rule), (label, rule.name)
+            failing += bool(bad)
+    assert failing == 622  # 621 rules of the wild mutants, and the e3 bracket
 
 
 # Over Q the law sums run on integer tables scaled by the lcm D of all
