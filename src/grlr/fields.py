@@ -2,8 +2,10 @@
 
 Scalars are plain values: ``fractions.Fraction`` for the rationals,
 canonical residues ``0..p-1`` (ints) for GF(p).  Arithmetic goes
-through a :class:`Field`, except in two integer kernels that run on
-plain Python ints and reduce once, at the end.  ``model.verify_all``
+through a :class:`Field`, except in the ideal closures of ``simplicity``,
+which reduce residues with ``% p`` and use ``Fraction`` operators inline,
+and in two integer kernels that run on plain Python ints and reduce
+once, at the end.  ``model.verify_all``
 sums the ten algebra laws over integer tables: the residues themselves
 over GF(p), each entry times the lcm D of all the tables' denominators
 over Q; a sum is tested with ``% p`` or against 0, and only a witness is

@@ -42,6 +42,9 @@ block pair that breaks the grade-shift law through ``checked_block_pair``,
 so the refusal reads the same whichever of them meets the pair first.
 ``entry_kernel`` cuts out the common kernel of maps v -> rule(v, .) and
 v -> rule(., v) with one condition per table entry component.
+``BilinearRule.by_argument`` groups the same table by the grade of v, as
+the maps v -> rule(v, x) or rule(x, v), one per basis vector x, that the
+ideal closures of ``simplicity`` spin under.
 """
 from __future__ import annotations
 
@@ -58,6 +61,10 @@ Sparse = dict[int, Scalar]
 Echelon = tuple[tuple[Row, ...], tuple[int, ...]]  # RREF rows and their pivot columns
 # output grades reached, and (left block offset, right block offset, entry) triples
 BlockPair = tuple[set[Grade], list[tuple[int, int, Sparse]]]
+# the block pairs of one grade of the vector argument: per other grade, the
+# terms (vector offset, entry as (output block offset, scalar) pairs) of each
+# offset of the other argument
+Operators = list[tuple[Grade, list[tuple[int, list[tuple[int, tuple[tuple[int, Scalar], ...]]]]]]]
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +554,7 @@ class BilinearRule:
                 canon[(int(i), int(j))] = vec
         self.table = canon
         self._block_pairs: dict[tuple[Grade, Grade], BlockPair] | None = None
+        self._by_argument: dict[bool, dict[Grade, Operators]] = {}
 
     def block_pairs(self) -> dict[tuple[Grade, Grade], BlockPair]:
         """The table grouped by block pair, built on the first call.
@@ -567,6 +575,35 @@ class BilinearRule:
                 triples.append((left._offset[i], right._offset[j], entry))
             self._block_pairs = index
         return self._block_pairs
+
+    def by_argument(self, v_left: bool) -> dict[Grade, Operators]:
+        """The maps v -> rule(v, x) (``v_left`` true) or v -> rule(x, v)
+        (false), one per basis vector x, grouped by the grade of v; built
+        on the first call for each side.
+
+        Maps the grade g of v to the list, sorted by grade h of x, of
+        (h, per offset of x in its block, sorted: the terms (offset of v,
+        entry)) of the block pair (g, h) or (h, g); an entry is its
+        (output block offset, scalar) pairs, so rule(v, x) on a row v of
+        block g is the sum of v[offset] * entry.  The offsets are read
+        within the output block at grade(g)*grade(h), which only a pair
+        that ``checked_block_pair`` passes is sure to reach.  Like
+        ``block_pairs``, the fill reads only the table and the bases.
+        """
+        index = self._by_argument.get(v_left)
+        if index is None:
+            offset = self.out._offset
+            index = {}
+            for (gu, gv), (_, triples) in sorted(self.block_pairs().items()):
+                terms: dict[int, list[tuple[int, tuple[tuple[int, Scalar], ...]]]] = {}
+                for a, b, entry in triples:
+                    v, x = (a, b) if v_left else (b, a)
+                    terms.setdefault(x, []).append((v, tuple((offset[pos], c) for pos, c in entry.items())))
+                g, h = (gu, gv) if v_left else (gv, gu)
+                # the pairs come sorted, so each list is sorted by h
+                index.setdefault(g, []).append((h, sorted(terms.items())))
+            self._by_argument[v_left] = index
+        return index
 
     def on_basis(self, i: int, j: int) -> Sparse:
         return dict(self.table.get((i, j), {}))
@@ -652,6 +689,8 @@ def bilinear_image(rule: BilinearRule, U: GradedSubspace, V: GradedSubspace) -> 
     """
     if U.ambient != rule.left or V.ambient != rule.right:
         raise ValueError(f"subspace ambient does not match rule {rule.name!r}")
+    if U.field != rule.field or V.field != rule.field:
+        raise ValueError(f"subspace field does not match rule {rule.name!r}")
     field, out = rule.field, rule.out
     offset, mul, add, is_zero = out._offset, field.mul, field.add, field.is_zero
     images: dict[Grade, list[list[Scalar]]] = {}

@@ -13,33 +13,54 @@ enumerated projectively, which makes the criterion exact; over the
 rationals only sampled seeds are tried, so a clean scan downgrades to
 "undecided" while a found counterexample is still conclusive.
 
-Two shortcuts keep the scan exact.  A closure loop stops as soon as it
-holds the whole side: nothing can grow past it, and its canonical RREF
-blocks are those of the full side, so the last confirming round is
-skipped.  A closure depends only on the span of its seed, so the scan
-runs over seed lines: ``_seed_lines`` yields each seed as the canonical
-row of its line (first nonzero coordinate 1), already a one-row RREF
-block, and the scan closes each line once; a repeated line was closed
-before without leaving the allowed ideals, since the scan returns at the
-first closure that does.  Over GF(p) the projective points are already
-distinct lines; over Q the sampled seeds fall on few lines.  Seeds come
-lazily, so a GF(p) scan that stops at ``CLOSURE_CAP`` seeds ("undecided")
-builds no more; the rational sample is finite and always runs whole.
-``closures_run`` counts every seed, repeated lines included.
+Two shortcuts keep the scan exact.  A closure stops as soon as it holds
+the whole side: nothing can grow past it, and its canonical RREF blocks
+are those of the full side.  A closure depends only on the span of its
+seed, so the scan runs over seed lines: ``_seed_lines`` yields each seed
+as the canonical row of its line (first nonzero coordinate 1), already a
+one-row RREF block, and the scan closes each line once; a repeated line
+was closed before without leaving the allowed ideals, since the scan
+returns at the first closure that does.  Over GF(p) the projective points
+are already distinct lines; over Q the sampled seeds fall on few lines.
+Seeds come lazily, so a GF(p) scan that stops at ``CLOSURE_CAP`` seeds
+("undecided") builds no more; the rational sample is finite and always
+runs whole.  ``closures_run`` counts every seed, repeated lines included.
 
 Both sides run one scan, read off per-side data (``_PRODUCTS``,
-``_trivial_ideals``, ``_VERDICT_TEXT``):
+``_OPERATORS``, ``_trivial_ideals``, ``_VERDICT_TEXT``):
 
-    side  nonzero products  trivial ideals  closure adds, one fixpoint loop
-    L     [L,L], AA, AL     0, Ker rho, L   [L,I], A.I, rho(I)(A)L
-    A     AA                0, A            A.J
+    side  nonzero products  trivial ideals  closure spun under, per row v
+    L     [L,L], AA, AL     0, Ker rho, L   [x, v], a.v, rho(v)(a).w
+    A     AA                0, A            a.v
+
+for every basis vector x, w of L and a of A.  A closure spins (Parker
+1984, the core of the MeatAxe): it keeps a running semi-echelon basis per
+block, and a worklist of its new rows, the seed's rows first.  Each new
+row meets each operator once, and each image is reduced against the
+running basis of its block; what is left is a new row.  The operators
+are read off ``BilinearRule.by_argument``, the table grouped by the grade
+of v.  On L, each rho(v)(a) is first reduced against the span of those
+met before, and only a new one meets the w, since rho(I)(A).L is spanned
+by the products of a basis of rho(I)(A).  An image into a block that is
+already full is not formed.  The closure returns ``full_L()`` or
+``full_A()`` as soon as the span fills the side, and otherwise, when the
+worklist is empty, one canonical RREF per block.
+
+A closure takes a seed of its own side and field only (``ValueError``).
+It reads each block pair of a rule through ``checked_block_pair`` once,
+the first time a row at the pair's grade needs it and before any entry
+of the pair is used; a pair that breaks the grade-shift law is refused
+there (``ToolkitError``).  A closure the fixpoint loop of products
+(``tests/helpers.plain_closure``) returns, the spin returns too.  Where
+that loop refuses, the spin refuses, or fills the side before it needs
+the bad pair; it never returns a partial ideal.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
 from functools import reduce
-from typing import Callable, Iterator
+from typing import Iterator, Sequence
 
 from .connections import Supports, lambda_classes, sigma_classes, supports
 from .decompose import (
@@ -51,15 +72,19 @@ from .decompose import (
     pair_ideals,
 )
 from .errors import DecompositionError
-from .fields import Field
+from .fields import Field, Scalar
 from .groups import Grade, format_grade
-from .linear import (
+# bilinear_image is unused here, but bench/selftest.py checks that the
+# benchmark's tracer wraps it in this module; it goes with that check
+from .linear import (  # noqa: F401
+    BilinearRule,
     GradedBasis,
     GradedSubspace,
     Row,
     bilinear_image,
     checked_block_pair,
     entry_span,
+    rref,
     subspace_intersect,
     subspace_sum,
 )
@@ -78,6 +103,9 @@ CLOSURE_CAP = 20000
 # they are checked, each with the reason given when it is zero; then the
 # texts for a closure outside the trivial ideals and for a clean scan
 _PRODUCTS = {"L": (("bracket", "[L, L] = 0"), ("product", "AA = 0"), ("action", "AL = 0")), "A": (("product", "AA = 0"),)}
+# per side: the rules r whose maps v -> r(x, v), one per basis vector x,
+# a closure is spun under; L adds v -> rho(v)(a).w
+_OPERATORS = {"L": ("bracket", "action"), "A": ("product",)}
 _VERDICT_TEXT = {
     "L": ("is a proper graded ideal distinct from Ker rho", "every homogeneous closure lies in {Ker rho, L}"),
     "A": ("is a proper graded ideal", "every homogeneous closure is 0 or A"),
@@ -170,30 +198,130 @@ def _g_mult_witness(inst: AlgebraInstance, sup: Supports) -> str | None:
 # ideal closures
 
 
-def _fixpoint(seed: GradedSubspace, images: Callable[[GradedSubspace], tuple]) -> GradedSubspace:
-    """Add ``images(current)`` to ``current`` until nothing new comes in
-    or ``current`` is the whole side, which nothing can grow past."""
-    current = seed
-    while current.dim < current.ambient.dim:
-        grown = reduce(subspace_sum, images(current), current)
-        if grown == current:
-            break
-        current = grown
-    return current
+class _Span:
+    """A running semi-echelon basis of a graded space, block by block: each
+    row is 1 at its pivot and 0 at the pivots of the rows added before it,
+    so one pass over the rows in order reduces a vector.  Residues mod p
+    over GF(p), ``Fraction``s over Q, with no ``Field`` call per entry."""
+
+    def __init__(self, field: Field, basis: GradedBasis, start: GradedSubspace | None = None):
+        self.field, self.p, self.basis = field, field.p, basis
+        self.rows: dict[Grade, list[Sequence[Scalar]]] = {}
+        self.pivots: dict[Grade, list[int]] = {}
+        self.rank = 0
+        if start is not None:  # RREF blocks are semi-echelon in any order
+            for g, rows in start.blocks.items():
+                self.rows[g], self.pivots[g] = list(rows), list(start.pivots[g])
+                self.rank += len(rows)
+
+    def full_at(self, g: Grade) -> bool:
+        return len(self.rows.get(g, ())) == self.basis.block_dim(g)
+
+    def add_image(self, g: Grade, terms: list, v: Sequence[Scalar]) -> list | None:
+        """Add the sum of v[offset] * entry over ``terms`` (one map of
+        ``BilinearRule.by_argument``), a row of block g, reduced and scaled
+        to 1 at its pivot; return it, or None when it is already in the span."""
+        p = self.p
+        row = [0] * self.basis.block_dim(g)
+        for b, entry in terms:
+            y = v[b]
+            if y:
+                for k, e in entry:
+                    row[k] += y * e
+        if p is not None:
+            row = [x % p for x in row]
+        if not any(row):
+            return None
+        rows = self.rows.setdefault(g, [])
+        pivots = self.pivots.setdefault(g, [])
+        for r, c in zip(rows, pivots):
+            x = row[c]
+            if x:
+                row = [a - x * b for a, b in zip(row, r)] if p is None else [(a - x * b) % p for a, b in zip(row, r)]
+        lead = next((k for k, x in enumerate(row) if x), None)
+        if lead is None:
+            return None
+        x = row[lead]
+        if p is None:  # also makes each int 0 a Fraction
+            row = [a / x for a in row]
+        elif x != 1:
+            inv = pow(x, -1, p)
+            row = [a * inv % p for a in row]
+        rows.append(row)
+        pivots.append(lead)
+        self.rank += 1
+        return row
+
+    def subspace(self) -> GradedSubspace:
+        """The span, one RREF per block."""
+        f = self.field
+        return GradedSubspace._from_rref(f, self.basis, {g: rref(f, rows) for g, rows in self.rows.items() if rows})
+
+
+def _spin(inst: AlgebraInstance, seed: GradedSubspace, side: str) -> GradedSubspace:
+    """The smallest graded ideal of ``side`` holding ``seed``, by spinning
+    (module docstring)."""
+    basis = getattr(inst, side)
+    if seed.ambient != basis or seed.field != inst.field:
+        raise ValueError(f"the seed is not a subspace of {side} over {inst.field.label}")
+    full = inst.full_L if side == "L" else inst.full_A
+    span = _Span(inst.field, basis, seed)
+    if span.rank == basis.dim:
+        return full()
+    targets: dict[tuple[BilinearRule, Grade, Grade], Grade] = {}  # each block pair checked once
+    at_grade: dict[tuple[BilinearRule, bool, Grade], list] = {}
+
+    def pairs(rule: BilinearRule, v_left: bool, g: Grade) -> list:
+        """(target grade, maps) of each block pair of ``rule`` with v at grade g, checked."""
+        key = (rule, v_left, g)
+        if key not in at_grade:
+            at_grade[key] = []
+            for h, maps in rule.by_argument(v_left).get(g, ()):
+                pair = (rule, g, h) if v_left else (rule, h, g)
+                if pair not in targets:
+                    targets[pair] = checked_block_pair(*pair)[0]
+                at_grade[key].append((targets[pair], maps))
+        return at_grade[key]
+
+    def spin(rule: BilinearRule, v_left: bool, g: Grade, v: Sequence[Scalar]) -> bool:
+        """Add the images of v under ``rule``; True once the span is the side."""
+        for t, maps in pairs(rule, v_left, g):
+            for _, terms in maps:
+                if span.full_at(t):
+                    break
+                new = span.add_image(t, terms, v)
+                if new is not None:
+                    todo.append((t, new))
+                    if span.rank == basis.dim:
+                        return True
+        return False
+
+    operators = [getattr(inst, name) for name in _OPERATORS[side]]
+    anchor_images = _Span(inst.field, inst.A)  # rho(v)(a) of the rows so far
+    todo = [(g, row) for g in sorted(seed.blocks) for row in seed.blocks[g]]
+    for g, v in todo:  # grows while it is read
+        if any(spin(rule, False, g, v) for rule in operators):
+            return full()
+        if side == "A":
+            continue
+        for t, maps in pairs(inst.anchor, True, g):
+            for _, terms in maps:
+                if anchor_images.full_at(t):
+                    break
+                u = anchor_images.add_image(t, terms, v)
+                if u is not None and spin(inst.action, True, t, u):
+                    return full()
+    return span.subspace()
 
 
 def ideal_closure_L(inst: AlgebraInstance, seed: GradedSubspace) -> GradedSubspace:
     """Smallest graded ideal of L containing the seed subspace."""
-    return _fixpoint(seed, lambda I: (
-        bilinear_image(inst.bracket, inst.full_L(), I),
-        bilinear_image(inst.action, inst.full_A(), I),
-        bilinear_image(inst.action, bilinear_image(inst.anchor, I, inst.full_A()), inst.full_L()),
-    ))
+    return _spin(inst, seed, "L")
 
 
 def ideal_closure_A(inst: AlgebraInstance, seed: GradedSubspace) -> GradedSubspace:
     """Smallest graded ideal of A containing the seed subspace."""
-    return _fixpoint(seed, lambda J: (bilinear_image(inst.product, inst.full_A(), J),))
+    return _spin(inst, seed, "A")
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,34 @@ def test_bilinear_image_rejects_grade_violating_rule():
         bilinear_image(bad, GradedSubspace.full(f, B), GradedSubspace.full(f, B))
 
 
+def test_bilinear_image_refuses_a_subspace_over_another_field():
+    bracket = build("e1", prime_field(5)).bracket
+    gf5, gf3 = GradedSubspace.full(prime_field(5), bracket.left), GradedSubspace.full(prime_field(3), bracket.left)
+    for U, V in ((gf3, gf3), (gf3, gf5), (gf5, gf3)):
+        with pytest.raises(ValueError, match="subspace field does not match rule 'bracket'"):
+            bilinear_image(bracket, U, V)
+    assert bilinear_image(bracket, gf5, gf5).field == prime_field(5)
+
+
+def test_by_argument_regroups_every_table_entry():
+    for label, inst in recipe_and_catalog_instances()[::8]:
+        for rule in (inst.bracket, inst.product, inst.action, inst.anchor):
+            for v_left in (True, False):
+                v_basis, x_basis = (rule.left, rule.right) if v_left else (rule.right, rule.left)
+                rebuilt = {}
+                for g, pairs in rule.by_argument(v_left).items():
+                    assert [h for h, _ in pairs] == sorted(h for h, _ in pairs), (label, rule.name)
+                    for h, maps in pairs:
+                        target = rule.out.positions_at(inst.group.mul(g, h))
+                        for x, terms in maps:
+                            for v, entry in terms:
+                                i, j = v_basis.positions_at(g)[v], x_basis.positions_at(h)[x]
+                                key = (i, j) if v_left else (j, i)
+                                rebuilt[key] = {target[k]: c for k, c in entry}
+                assert rebuilt == rule.table, (label, rule.name, v_left)
+                assert rule.by_argument(v_left) is rule.by_argument(v_left)
+
+
 def test_grade_shift_law_checked_per_block_pair():
     f = RATIONALS
     G = GroupSpec(0, (2,))

@@ -9,6 +9,7 @@ import pytest
 from grlr import (
     GradedSubspace,
     check_hypotheses5,
+    decompose_A,
     decompose_L,
     fine_decompose,
     gr_simple_A,
@@ -17,20 +18,28 @@ from grlr import (
     verify_all,
 )
 import grlr.simplicity
-from grlr.catalog import catalog_names
+from grlr.catalog import build, catalog_names
 from grlr.errors import DecompositionError, ToolkitError
+from grlr.fields import prime_field
+from grlr.groups import GroupSpec, format_grade
+from grlr.linear import GradedBasis, rule_from_names
+from grlr.model import AlgebraInstance
 from grlr.oracle import default_recipe_space, generate_instance
 from grlr.simplicity import CLOSURE_CAP, _seed_lines, ideal_closure_A, ideal_closure_L
 
 from helpers import (
     abelian_pair_instance,
+    action_and_anchor_witnesses,
     cached,
     homogeneous_seeds,
     literal_ideal_test_A,
     literal_ideal_test_L,
     plain_closure,
     recipe_and_catalog_instances,
+    recipe_and_catalog_wild_mutants,
     reference_kernels,
+    truncated_poly_derivations,
+    truncated_poly_one_block,
 )
 
 HYPOTHESIS_NAMES = ["tight", "maximal_length", "g_multiplicative", "sigma_symmetric",
@@ -252,11 +261,36 @@ def test_rational_verdicts_match_recorded_digest():
     assert hashlib.sha256(blob).hexdigest() == RATIONAL_VERDICT_DIGEST
 
 
+def two_anchor_images() -> AlgebraInstance:
+    """A graded but lawless instance over GF(3) on which one row v has two
+    independent anchor images at grade 0, rho(v)(b1) = one and
+    rho(v)(b2) = e, that act on different vectors: one.w = w and e.z = y.
+    The closure of span{v} is span{v, w, y}: y comes only from e.z."""
+    f, G = prime_field(3), GroupSpec(1)
+    L = GradedBasis([("v", (1,)), ("w", (-1,)), ("y", (-1,)), ("z", (-1,))])
+    A = GradedBasis([("one", (0,)), ("e", (0,)), ("b1", (-1,)), ("b2", (-1,))])
+    return AlgebraInstance(
+        "two_anchor_images", f, G, L, A,
+        rule_from_names("bracket", f, G, L, L, L, {}),
+        rule_from_names("product", f, G, A, A, A, {("one", x): {x: 1} for x in ("one", "e", "b1", "b2")}),
+        rule_from_names("action", f, G, A, L, L, {("one", "w"): {"w": 1}, ("e", "z"): {"y": 1}}),
+        rule_from_names("anchor", f, G, L, A, A, {("v", "b1"): {"one": 1}, ("v", "b2"): {"e": 1}}),
+    )
+
+
 def _closure_cases():
-    """The catalog entries at GF(3), then the first three buildable rational recipes."""
+    """The catalog entries at GF(3), the first three buildable rational
+    recipes, W(1;1) at GF(7), the one-block Der(F[x]/(x^5)) at GF(5), and
+    two lawless instances on which rho(v)(a).w adds what [x, v] and a.v do
+    not (on a Lie-Rinehart algebra it adds nothing: rho(v)(a)w = [v, aw] - a[v, w])."""
     cases = [pytest.param(cached(name, "gf3"), id=name) for name in ("e1", "e2", "e3", "ga2", "ga3", "sl2_ga2")]
     rational = itertools.islice(_rational_recipes(), 3)
-    return cases + [pytest.param(inst, id=label) for label, inst in rational]
+    return cases + [pytest.param(inst, id=label) for label, inst in rational] + [
+        pytest.param(truncated_poly_derivations(7), id="W(1;1)@gf7"),
+        pytest.param(truncated_poly_one_block(5, 5), id="Der(F[x]/(x^5))@gf5"),
+        pytest.param(action_and_anchor_witnesses(), id="action_and_anchor_witnesses"),
+        pytest.param(two_anchor_images(), id="two_anchor_images"),
+    ]
 
 
 def _seed_listing_cases():
@@ -288,18 +322,107 @@ def test_seed_lines_scale_the_reference_seeds_in_order():
     assert rational == 20
 
 
+def _closure_seeds(inst, side):
+    """Each seed line of ``side`` as a one-row subspace; the identity part
+    and total of each class ideal of decompose_L/A; and for each seed line,
+    its sum with the first seed line at the next grade."""
+    f, basis = inst.field, getattr(inst, side)
+    lines = list(_seed_lines(inst, basis))
+    for g, row, pivot in lines:
+        seed = GradedSubspace.from_block_vectors(f, basis, [(g, row)])
+        assert seed.blocks[g] == (row,) and seed.pivots[g] == (pivot,), (inst.name, side, g, row)
+        yield seed
+    for ideal in (decompose_L if side == "L" else decompose_A)(inst).ideals:
+        yield ideal.identity_part
+        yield ideal.total
+    first = {}
+    for g, row, _ in lines:
+        first.setdefault(g, row)
+    grades = sorted(first)
+    for g, row, _ in lines:
+        h = grades[(grades.index(g) + 1) % len(grades)]
+        if h != g:
+            yield GradedSubspace.from_block_vectors(f, basis, [(g, row), (h, first[h])])
+
+
 @pytest.mark.parametrize("inst", _closure_cases())
 def test_closures_equal_the_plain_fixpoint_loop(inst):
-    name = inst.name
-    checked = 0
+    closed, several_blocks = 0, False
     for side, closure_of in (("L", ideal_closure_L), ("A", ideal_closure_A)):
-        basis = getattr(inst, side)  # L is zero on ga2 and ga3
-        for g, row, pivot in _seed_lines(inst, basis):
-            seed = GradedSubspace.from_block_vectors(inst.field, basis, [(g, row)])
-            assert seed.blocks[g] == (row,) and seed.pivots[g] == (pivot,), (name, side, g, row)
-            assert closure_of(inst, seed) == plain_closure(inst, seed, side), (name, side, g, row)
-            checked += 1
-    assert checked > 0
+        for seed in _closure_seeds(inst, side):  # L is zero on ga2 and ga3
+            assert closure_of(inst, seed) == plain_closure(inst, seed, side), (inst.name, side, seed.to_json())
+            closed += 1
+            several_blocks |= len(seed.blocks) > 1
+    assert closed > 0
+    if len(inst.L.grades()) > 1 or len(inst.A.grades()) > 1:
+        assert several_blocks, inst.name
+
+
+def _off_grade_prefixes(inst):
+    """The start of the refusal text of each block pair of the four rules
+    that ``off_grade`` finds breaking the grade-shift law."""
+    prefixes = set()
+    for rule in (inst.bracket, inst.product, inst.action, inst.anchor):
+        for gu, gv in rule.block_pairs():
+            if rule.off_grade(gu, gv, inst.group.mul(gu, gv)):
+                prefixes.add(f"rule {rule.name!r} violates the grade-shift law on ({format_grade(gu)}, {format_grade(gv)}):")
+    return prefixes
+
+
+def test_closures_on_wild_mutants_keep_the_plain_loop_or_refuse_or_fill():
+    """On tables that break the grading, a spun closure equals the plain
+    loop's when that returns.  Where the plain loop refuses, the spin
+    refuses too or fills the side before it meets the bad pair; it never
+    returns a partial ideal, and each refusal names a pair that breaks
+    the law."""
+    outcomes = {"equal": 0, "refused by both": 0, "filled": 0}
+    for label, inst in recipe_and_catalog_wild_mutants():
+        prefixes = _off_grade_prefixes(inst)
+        for side, closure_of in (("L", ideal_closure_L), ("A", ideal_closure_A)):
+            basis = getattr(inst, side)
+            for g, row, pivot in itertools.islice(_seed_lines(inst, basis), 20):
+                seed = GradedSubspace._from_rref(inst.field, basis, {g: ((row,), (pivot,))})
+                try:
+                    expected = plain_closure(inst, seed, side)
+                except ToolkitError as exc:
+                    expected = exc
+                try:
+                    got = closure_of(inst, seed)
+                except ToolkitError as exc:
+                    assert any(str(exc).startswith(prefix) for prefix in prefixes), (label, side, str(exc))
+                    assert isinstance(expected, ToolkitError), (label, side, g, row)
+                    outcomes["refused by both"] += 1
+                    continue
+                if isinstance(expected, ToolkitError):
+                    assert got == (inst.full_L() if side == "L" else inst.full_A()), (label, side, g, row)
+                    outcomes["filled"] += 1
+                else:
+                    assert got == expected, (label, side, g, row)
+                    outcomes["equal"] += 1
+    # the split between the last two depends on the order of the operators
+    assert outcomes["equal"] == 3920 and outcomes["refused by both"] + outcomes["filled"] == 4104, outcomes
+    assert outcomes["refused by both"] and outcomes["filled"], outcomes
+
+
+def test_closures_refuse_a_seed_from_another_space():
+    inst = build("e1", prime_field(5))
+    wrong_field = GradedSubspace.full(prime_field(3), inst.L)
+    with pytest.raises(ValueError, match="not a subspace of L over gf5"):
+        ideal_closure_L(inst, wrong_field)
+    with pytest.raises(ValueError, match="not a subspace of A over gf5"):
+        ideal_closure_A(inst, inst.full_L())
+    with pytest.raises(ValueError, match="not a subspace of L over gf5"):
+        ideal_closure_L(inst, inst.full_A())
+
+
+@pytest.mark.parametrize("inst, L_answer, A_answer", [
+    pytest.param(truncated_poly_derivations(13), ("gr_simple", 13), ("not_gr_simple", 2), id="W(1;1)@gf13"),
+    pytest.param(truncated_poly_one_block(5, 5), ("gr_simple", 781), ("not_gr_simple", 1), id="Der(F[x]/(x^5))@gf5"),
+])
+def test_gr_simple_on_larger_blocks(inst, L_answer, A_answer):
+    for verdict_of, (status, run) in ((gr_simple_L, L_answer), (gr_simple_A, A_answer)):
+        verdict = verdict_of(inst)
+        assert (verdict.status, verdict.closures_run) == (status, run), inst.name
 
 
 def test_each_seed_line_is_closed_once(monkeypatch):
