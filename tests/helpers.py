@@ -12,9 +12,12 @@ from grlr import (
     GradedBasis,
     GradedSubspace,
     GroupSpec,
+    SearchReport,
     Supports,
+    TemplateRecipe,
     build,
     catalog_names,
+    check_hypotheses5,
     default_recipe_space,
     generate_instance,
     supports,
@@ -77,6 +80,26 @@ def recipe_and_catalog_wild_mutants() -> tuple[tuple[str, AlgebraInstance], ...]
         both, where_2 = wild_mutant(first, 2)
         out.append((f"{label}~{where}~{where_2}", both))
     return tuple(out)
+
+
+def reference_search(space: list[TemplateRecipe]) -> SearchReport:
+    """The recipe search one recipe at a time: each instance built from
+    scratch by ``generate_instance``, then gated by ``check_hypotheses5``;
+    a build error is a rejection with its text, otherwise the first
+    failing condition is."""
+    survivors, rejections = [], []
+    for recipe in space:
+        try:
+            inst = generate_instance(recipe)
+        except ToolkitError as exc:
+            rejections.append((recipe.label, f"build failed: {exc}"))
+            continue
+        hyp = check_hypotheses5(inst)
+        if hyp.all_hold:
+            survivors.append((recipe.label, hyp))
+        else:
+            rejections.append((recipe.label, next(name for name, ok in hyp.conditions.items() if not ok)))
+    return SearchReport(survivors, rejections)
 
 
 @functools.cache

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import sys
@@ -39,6 +40,7 @@ from helpers import (
     ideal_oracle_L,
     literal_ideal_test_A,
     literal_ideal_test_L,
+    reference_search,
     truncated_poly_one_block,
     wild_mutant,
 )
@@ -310,6 +312,58 @@ def test_search_on_plain_atoms_reports_first_failing_condition():
     data = rep.to_json()
     assert data["examined"] == 4
     assert all(set(e) == {"label", "reason"} for e in data["rejections"])
+
+
+# sha256 of json.dumps(hypothesis_search(default_recipe_space()).to_json()):
+# every survivor's conditions and every rejection's reason, in order,
+# build errors included
+SEARCH_DIGEST = "6145d616e62af585d06801c261cc8aaec753ff68ab17c1b9fc83ac9aad0b972c"
+
+
+def test_search_matches_recorded_digest():
+    blob = json.dumps(hypothesis_search(default_recipe_space()).to_json()).encode()
+    assert hashlib.sha256(blob).hexdigest() == SEARCH_DIGEST
+
+
+def _hand_made_space() -> list[TemplateRecipe]:
+    """Recipes whose builds share atoms or fail: an unknown atom twice, a
+    sum with an atom the field refuses and then that atom alone, an atom
+    repeated within and across recipes, steps after a field change, a
+    twist then a field change and the same atom over Q after it, and
+    unknown or refused steps."""
+    recipes = [
+        ("nosuch", "gf3"),
+        ("nosuch", "gf3"),
+        ("ga2", "gf5", ("sum", "e2")),
+        ("e2", "gf5"),
+        ("ga2", "gf5"),
+        ("ga2", "gf5", ("sum", "ga2")),
+        ("ga2", "gf5", ("sum", "ga2"), ("twist", 4)),
+        ("ga2", "q", ("to", "gf3"), ("sum", "ga2")),
+        ("ga2", "gf3"),
+        ("sl2_ga2", "q", ("twist", 11), ("to", "gf5")),
+        ("sl2_ga2", "q"),
+        ("sl2_ga2", "gf5", ("sum", "ga2")),
+        ("e2", "gf3", ("to", "gf5")),
+        ("ga3", "gf7", ("bogus", 1)),
+        ("e3", "gf3", ("sum", "nosuch")),
+    ]
+    return [TemplateRecipe(f"{i}:{atom}@{fld}", atom, fld, tuple(steps))
+            for i, (atom, fld, *steps) in enumerate(recipes)]
+
+
+@pytest.mark.parametrize("space", [_hand_made_space(), default_recipe_space()], ids=["hand-made", "default"])
+def test_search_equals_the_per_recipe_reference(space):
+    assert hypothesis_search(space).to_json() == reference_search(space).to_json()
+
+
+def test_hand_made_space_fails_where_expected():
+    rejected = dict(hypothesis_search(_hand_made_space()).rejections)
+    assert rejected["0:nosuch@gf3"] == rejected["1:nosuch@gf3"]
+    assert rejected["0:nosuch@gf3"].startswith("build failed: unknown catalog name 'nosuch'")
+    assert rejected["2:ga2@gf5"] == rejected["3:e2@gf5"]
+    assert rejected["12:e2@gf3"] == "build failed: field change starts from rational tables, not gf3"
+    assert rejected["13:ga3@gf7"] == "build failed: unknown recipe step 'bogus'"
 
 
 def test_search_respects_budget_and_empty_space():
