@@ -139,10 +139,14 @@ def cmd_decompose(args: argparse.Namespace, inst: AlgebraInstance) -> tuple[int,
     for side in _sides(args):
         reports[side] = dec.decompose_L(inst) if side == "L" else dec.decompose_A(inst)
         data[side] = reports[side].to_json()
+    coarse = None
     if len(reports) == 2:
-        data["pairing"] = dec.pair_ideals(inst, reports["L"], reports["A"], tightness.tight).to_json()
+        pairing = dec.pair_ideals(inst, reports["L"], reports["A"], tightness.tight)
+        data["pairing"] = pairing.to_json()
+        coarse = (reports["L"], reports["A"], pairing)
     if args.fine:
-        data["fine"] = simp.fine_decompose(inst).to_json()
+        # the refinement reuses the reports above; with one side, it builds its own
+        data["fine"] = simp._fine(inst, simp._hypotheses(inst, tightness), coarse).to_json()
     return OK, data
 
 

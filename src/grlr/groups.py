@@ -4,8 +4,8 @@ Group elements are plain int tuples in canonical form: free coordinates
 are arbitrary ints, each torsion coordinate is reduced mod its modulus.
 Written multiplicatively in the math, additively in coordinates.
 
-Grades are validated once, where they enter the program: ``reduce`` and
-``parse_grade`` canonicalise raw coordinates, ``check`` rejects anything
+Grades are validated once, where they enter the program: ``reduce``
+canonicalises raw coordinates, ``check`` rejects anything
 not canonical, and ``BilinearRule`` and ``AlgebraInstance`` check every
 basis grade on construction.  The kernels ``mul`` and ``inv`` assume
 canonical inputs of length ``rank`` and do not check them: they add or
@@ -89,15 +89,6 @@ class GroupSpec:
 
 def format_grade(g: Grade) -> str:
     return ",".join(str(x) for x in g)
-
-
-def parse_grade(spec: GroupSpec, text: str | Iterable[int]) -> Grade:
-    if isinstance(text, str):
-        parts = [p for p in text.split(",") if p.strip() != ""]
-        coords = [int(p) for p in parts]
-    else:
-        coords = [int(x) for x in text]
-    return spec.reduce(coords)
 
 
 def direct_product(a: GroupSpec, b: GroupSpec) -> GroupSpec:

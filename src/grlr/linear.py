@@ -221,12 +221,6 @@ def sparse_add(field: Field, a: Sparse, b: Sparse) -> Sparse:
     return out
 
 
-def sparse_scale(field: Field, c: Scalar, v: Sparse) -> Sparse:
-    if field.is_zero(c):
-        return {}
-    return {pos: field.mul(c, x) for pos, x in v.items()}
-
-
 # ---------------------------------------------------------------------------
 # graded bases
 
@@ -609,7 +603,7 @@ class BilinearRule:
         return dict(self.table.get((i, j), {}))
 
     def apply_sparse(self, u: Sparse, v: Sparse) -> Sparse:
-        # the steps of sparse_add(out, sparse_scale(a*b, entry)), in place
+        # out += (a*b) * entry for each pair of entries, in place
         field = self.field
         out: Sparse = {}
         for i, a in u.items():

@@ -53,6 +53,14 @@ lattice judges the closure scan of ``simplicity``, so it reads nothing
 but the rule tables: it calls no ``bilinear_image``, no closure and no
 graded-ideal predicate of ``model``, and a fault in those can neither
 hide an ideal from it nor invent one.
+
+The recipe search builds each catalog atom (the base atom of a recipe
+and each ``sum`` operand, per field) once per call, in a table local to
+the call; the steps after them run for every recipe.  A build that fails
+is not kept and fails again, with the same text.  Nothing outlives the
+call, for the reason given in ``simplicity``.  Only atoms are kept:
+there is one per atom and field, while keeping what recipe prefixes
+build would hold a derived instance per prefix for the whole search.
 """
 from __future__ import annotations
 
@@ -68,7 +76,7 @@ from .constructions import base_change, direct_sum, to_field
 from .errors import GuardError, ToolkitError
 from .fields import Field, Scalar, parse_field_label
 from .groups import Grade, format_grade
-from .linear import Echelon, GradedBasis, GradedSubspace, Row, Sparse, in_span
+from .linear import Echelon, GradedSubspace, Row, Sparse, in_span
 from .model import AlgebraInstance
 from .simplicity import Hypotheses5, check_hypotheses5
 
@@ -141,16 +149,6 @@ def _block_echelons(field: Field, dims: Iterable[int]) -> dict[int, list[Echelon
         ]
         for dim in set(dims)
     }
-
-
-def _graded_subspaces(field: Field, basis: GradedBasis):
-    """Every graded subspace of ``basis``, adopted from the RREF bases of
-    ``all_subspaces`` (listed once per block dimension) without reduction."""
-    grades = sorted(basis.grades())
-    echelons = _block_echelons(field, (basis.block_dim(g) for g in grades))
-    per_block = [echelons[basis.block_dim(g)] for g in grades]
-    for combo in itertools.product(*per_block):
-        yield GradedSubspace._from_rref(field, basis, dict(zip(grades, combo)))
 
 
 def _sort_key(sub: GradedSubspace):
@@ -440,11 +438,23 @@ class TemplateRecipe:
 
 
 def generate_instance(recipe: TemplateRecipe) -> AlgebraInstance:
-    fld = parse_field_label(recipe.field)
-    inst = build(recipe.atom, fld)
+    return _generate(recipe, {})
+
+
+def _generate(recipe: TemplateRecipe, atoms: dict[tuple[str, Field], AlgebraInstance]) -> AlgebraInstance:
+    """The recipe's instance, taking each catalog atom (the base and every
+    ``sum`` operand) from ``atoms`` and adding there each one it builds.
+    A build that fails adds nothing, so it fails again with the same text."""
+
+    def atom(name: str, fld: Field) -> AlgebraInstance:
+        if (name, fld) not in atoms:
+            atoms[name, fld] = build(name, fld)
+        return atoms[name, fld]
+
+    inst = atom(recipe.atom, parse_field_label(recipe.field))
     for op, arg in recipe.steps:
         if op == "sum":
-            inst = direct_sum(inst, build(str(arg), inst.field))
+            inst = direct_sum(inst, atom(str(arg), inst.field))
         elif op == "twist":
             inst = base_change(inst, int(arg))
         elif op == "to":
@@ -524,9 +534,10 @@ def hypothesis_search(
         space = space[:budget]
     survivors: list[tuple[str, Hypotheses5]] = []
     rejections: list[tuple[str, str]] = []
+    atoms: dict[tuple[str, Field], AlgebraInstance] = {}  # this search's atoms, built once each
     for recipe in space:
         try:
-            inst = generate_instance(recipe)
+            inst = _generate(recipe, atoms)
         except ToolkitError as exc:
             rejections.append((recipe.label, f"build failed: {exc}"))
             continue

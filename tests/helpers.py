@@ -5,6 +5,8 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import sys
+from typing import Iterable
 
 from grlr import (
     RATIONALS,
@@ -24,7 +26,7 @@ from grlr import (
 )
 from grlr.catalog import derivation_instance
 from grlr.errors import ToolkitError
-from grlr.fields import Field, parse_field_label, prime_field
+from grlr.fields import Field, Scalar, parse_field_label, prime_field
 from grlr.groups import Grade, format_grade
 from grlr.linear import (
     BilinearRule,
@@ -33,9 +35,9 @@ from grlr.linear import (
     nullspace,
     rule_from_names,
     sparse_add,
-    sparse_scale,
     subspace_sum,
 )
+from grlr.oracle import _block_echelons
 
 _cache: dict[tuple[str, str | None], AlgebraInstance] = {}
 
@@ -100,6 +102,27 @@ def reference_search(space: list[TemplateRecipe]) -> SearchReport:
         else:
             rejections.append((recipe.label, next(name for name, ok in hyp.conditions.items() if not ok)))
     return SearchReport(survivors, rejections)
+
+
+def count_returns(monkeypatch, targets) -> dict[str, int]:
+    """Count the calls that return, of each function ``module.name`` in
+    ``targets`` (pairs of module and name): every ``grlr`` module that
+    binds the function gets the counting wrapper, as the benchmark's
+    tracer does, so calls through imported names are counted too."""
+    counts: dict[str, int] = {}
+    for module, name in targets:
+        original = getattr(module, name)
+        counts[name] = 0
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            result = _original(*args, **kwargs)
+            counts[_name] += 1
+            return result
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "grlr" and vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, counting)
+    return counts
 
 
 @functools.cache
@@ -246,9 +269,34 @@ def added_entries(inst: AlgebraInstance, changes) -> AlgebraInstance:
     return AlgebraInstance(f"{inst.name}~added", f, inst.group, inst.L, inst.A, **rules)
 
 
+def parse_grade(spec: GroupSpec, text: str | Iterable[int]) -> Grade:
+    """A grade from text such as ``"1,-2"`` or from coordinates, reduced by ``spec``."""
+    if isinstance(text, str):
+        coords = [int(p) for p in text.split(",") if p.strip() != ""]
+    else:
+        coords = [int(x) for x in text]
+    return spec.reduce(coords)
+
+
+def graded_subspaces(field: Field, basis: GradedBasis):
+    """Every graded subspace of ``basis``, adopted from the RREF bases of
+    ``all_subspaces`` (listed once per block dimension) without reduction."""
+    grades = sorted(basis.grades())
+    echelons = _block_echelons(field, (basis.block_dim(g) for g in grades))
+    per_block = [echelons[basis.block_dim(g)] for g in grades]
+    for combo in itertools.product(*per_block):
+        yield GradedSubspace._from_rref(field, basis, dict(zip(grades, combo)))
+
+
 # ---------------------------------------------------------------------------
 # the ten algebra laws restated as discrepancies lhs - rhs on basis
 # positions, scanned over every basis tuple: the oracle for verify_all
+
+
+def sparse_scale(field: Field, c: Scalar, v: Sparse) -> Sparse:
+    if field.is_zero(c):
+        return {}
+    return {pos: field.mul(c, x) for pos, x in v.items()}
 
 
 def sparse_sub(field: Field, a: Sparse, b: Sparse) -> Sparse:

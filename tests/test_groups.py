@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from grlr.groups import GroupSpec, direct_product, embed_left, embed_right, format_grade, parse_grade
+from grlr.groups import GroupSpec, direct_product, embed_left, embed_right, format_grade
+
+from helpers import parse_grade
 
 
 def test_free_group_arithmetic():

@@ -27,7 +27,6 @@ from grlr.errors import GuardError, ToolkitError
 from grlr.model import verify_grading
 from grlr.oracle import (
     TemplateRecipe,
-    _graded_subspaces,
     _guard_enumeration,
     enumerate_graded_ideals_A,
     enumerate_graded_ideals_L,
@@ -39,6 +38,7 @@ from helpers import (
     action_and_anchor_witnesses,
     added_entries,
     cached,
+    graded_subspaces,
     ideal_oracle_A,
     ideal_oracle_L,
     literal_ideal_test_A,
@@ -308,7 +308,7 @@ def test_ideal_predicates_match_literal_loops():
             ("A", is_graded_ideal_A, literal_ideal_test_A, ideal_oracle_A, enumerate_graded_ideals_A),
         ):
             ideals = lattice(inst)
-            for sub in _graded_subspaces(inst.field, getattr(inst, side)):
+            for sub in graded_subspaces(inst.field, getattr(inst, side)):
                 got = fast(inst, sub)
                 where = (inst.name, side, sub.to_json())
                 assert got == literal(inst, sub), where

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import grlr.catalog
 import grlr.oracle
 from grlr import (
     GradedBasis,
@@ -36,6 +37,8 @@ from grlr.linear import BilinearRule
 from helpers import (
     action_and_anchor_witnesses,
     cached,
+    count_returns,
+    graded_subspaces,
     ideal_oracle_A,
     ideal_oracle_L,
     literal_ideal_test_A,
@@ -69,7 +72,7 @@ def test_lattice_candidates_equal_the_checked_constructor(p, dims):
     # pivots included, the subspace the checked constructor builds from it
     f = prime_field(p)
     basis = GradedBasis((f"b{g}_{i}", (g,)) for g, dim in enumerate(dims) for i in range(dim))
-    candidates = list(grlr.oracle._graded_subspaces(f, basis))
+    candidates = list(graded_subspaces(f, basis))
     for sub in candidates:
         checked = GradedSubspace(f, basis, sub.blocks)
         assert sub == checked and sub.pivots == checked.pivots
@@ -103,7 +106,7 @@ def _literal_lattice(inst, side: str) -> list[GradedSubspace]:
     """The graded ideals by definition: every candidate of the lattice,
     kept when the literal loops of ``helpers`` find no escaping product."""
     literal = literal_ideal_test_L if side == "L" else literal_ideal_test_A
-    candidates = grlr.oracle._graded_subspaces(inst.field, getattr(inst, side))
+    candidates = graded_subspaces(inst.field, getattr(inst, side))
     return sorted((s for s in candidates if literal(inst, s)[0]), key=grlr.oracle._sort_key)
 
 
@@ -355,6 +358,14 @@ def _hand_made_space() -> list[TemplateRecipe]:
 @pytest.mark.parametrize("space", [_hand_made_space(), default_recipe_space()], ids=["hand-made", "default"])
 def test_search_equals_the_per_recipe_reference(space):
     assert hypothesis_search(space).to_json() == reference_search(space).to_json()
+
+
+def test_search_builds_each_catalog_atom_once(monkeypatch):
+    # 206 successful builds when each recipe builds its own atoms
+    builds = count_returns(monkeypatch, [(grlr.catalog, "build")])
+    report = hypothesis_search(default_recipe_space())
+    assert len(report.survivors) + len(report.rejections) == 200
+    assert builds == {"build": 20}
 
 
 def test_hand_made_space_fails_where_expected():

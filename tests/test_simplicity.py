@@ -17,8 +17,12 @@ from grlr import (
     split_case_b,
     verify_all,
 )
+import grlr.connections
+import grlr.decompose
+import grlr.model
 import grlr.simplicity
 from grlr.catalog import build, catalog_names
+from grlr.cli import main
 from grlr.errors import DecompositionError, ToolkitError
 from grlr.fields import prime_field
 from grlr.groups import GroupSpec, format_grade
@@ -31,6 +35,7 @@ from helpers import (
     abelian_pair_instance,
     action_and_anchor_witnesses,
     cached,
+    count_returns,
     homogeneous_seeds,
     literal_ideal_test_A,
     literal_ideal_test_L,
@@ -163,6 +168,34 @@ def test_fine_decompose_refines_sl2_ga2_over_prime_field():
     assert by_side["L"].partner == [["0,1"]]
     assert by_side["A"].partner == [by_side["L"].label]
     assert by_side["L"].restricted_verified and by_side["A"].restricted_verified
+
+
+def test_fine_decompose_restricts_each_subpair_once(monkeypatch):
+    # on sl2_ga2 the L summand and the A summand are the same subpair
+    # (I, A_j), which a restriction per summand would build twice
+    inst = build("sl2_ga2", prime_field(3))
+    restrictions = count_returns(monkeypatch, [(grlr.model, "restrict_instance")])
+    rep = fine_decompose(inst)
+    assert restrictions == {"restrict_instance": 1}
+    assert [s.side for s in rep.summands] == ["L", "A"]
+    assert all(s.restricted_verified for s in rep.summands)
+
+
+# the coarse pipeline of one `decompose NAME --fine` command
+COARSE = [(grlr.decompose, "check_tight"), (grlr.decompose, "decompose_L"), (grlr.decompose, "decompose_A"),
+          (grlr.decompose, "pair_ideals"), (grlr.connections, "sigma_classes"), (grlr.connections, "lambda_classes")]
+
+
+@pytest.mark.parametrize("name", ["ga2", "ga3", "sl2_ga2", "e3"])
+def test_decompose_fine_builds_the_coarse_pipeline_once(monkeypatch, capsys, name):
+    # refining again from scratch ran check_tight and each report twice
+    # on ga2, ga3 and sl2_ga2, and the classes three times; the gate
+    # still finds the classes of its own
+    counts = count_returns(monkeypatch, COARSE)
+    assert main(["decompose", name, "--fine", "--field", "gf3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["fine"]["refined"] == (name != "e3")
+    assert counts == {"check_tight": 1, "decompose_L": 1, "decompose_A": 1, "pair_ideals": 1,
+                      "sigma_classes": 2, "lambda_classes": 2}
 
 
 def test_fine_decompose_gates_on_hypotheses():
