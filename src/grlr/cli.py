@@ -145,8 +145,12 @@ def cmd_decompose(args: argparse.Namespace, inst: AlgebraInstance) -> tuple[int,
         data["pairing"] = pairing.to_json()
         coarse = (reports["L"], reports["A"], pairing)
     if args.fine:
-        # the refinement reuses the reports above; with one side, it builds its own
-        data["fine"] = simp._fine(inst, simp._hypotheses(inst, tightness), coarse).to_json()
+        # the gate and the refinement reuse the reports above; with one side,
+        # the other side's partition is built here and the refinement builds
+        # its own reports
+        sigma, lam = (reports[side].partition if side in reports else _partition(conn.supports(inst), side)
+                      for side in "LA")
+        data["fine"] = simp._fine(inst, simp._hypotheses(inst, tightness, sigma, lam), coarse).to_json()
     return OK, data
 
 

@@ -2,31 +2,27 @@
 
 Scalars are plain values: ``fractions.Fraction`` for the rationals,
 canonical residues ``0..p-1`` (ints) for GF(p).  Arithmetic goes
-through a :class:`Field`, except in the ideal closures of ``simplicity``,
-which reduce residues with ``% p`` and use ``Fraction`` operators inline,
-and in two integer kernels that run on plain Python ints and reduce
-once, at the end.  ``model.verify_all``
-sums the ten algebra laws over integer tables: the residues themselves
-over GF(p), each entry times the lcm D of all the tables' denominators
-over Q; a sum is tested with ``% p`` or against 0, and only a witness is
-turned back into a scalar.  ``linear.rref`` over Q scales each row to
-integers, eliminates without fractions and divides by each pivot once,
-when it builds the canonical rows.  Both take canonical values of the
-field unchecked, like the kernels below.
+through a :class:`Field`, except in two places that run on plain values
+and reduce with ``% p`` or build ``Fraction``s themselves: ``linear``'s
+elimination (``rref``, the one reducer ``_residue`` and what calls it,
+the ideal closures of ``simplicity`` included) and ``model.verify_all``,
+which sums the ten algebra laws over integer tables: the residues
+themselves over GF(p), each entry times the lcm D of all the tables'
+denominators over Q; a sum is tested with ``% p`` or against 0, and
+only a witness is turned back into a scalar.  Both take canonical
+values of the field unchecked, like the kernels below.
 
 Scalars are validated once, where they enter the program: ``parse`` and
 ``from_int`` produce canonical values, and ``check`` guards the entry
 points that take scalars from outside: ``BilinearRule`` tables and
-``GradedBasis.checked_row``, which serves ``GradedBasis.block_vector``,
-the public ``GradedSubspace`` constructors and its membership method
-``contains_block_vector``.  The public ``contains_sparse`` checks each
-scalar of its vector and then runs the unchecked private
-``GradedSubspace._contains``, which the graded-ideal predicates of
-``model`` call directly on the images they compute from checked tables.
-``format`` checks what it prints.  The matrix kernels of ``linear``
-(``rref`` and the rest) and the arithmetic kernels ``add``, ``neg``,
-``sub``, ``mul``, ``inv`` and ``is_zero`` assume canonical values of this
-field and do not check them; ``inv`` still refuses zero.
+``GradedBasis.checked_row``, which serves ``GradedBasis.block_vector``
+and the public constructor ``GradedSubspace(...)``.  The graded-ideal
+predicates of ``model`` test membership with the unchecked private
+``GradedSubspace._contains``, on the images they compute from checked
+tables.  ``format`` checks what it prints.  The matrix kernels of
+``linear`` (``rref`` and the rest) and the arithmetic kernels ``add``,
+``neg``, ``sub``, ``mul``, ``inv`` and ``is_zero`` assume canonical
+values of this field and do not check them; ``inv`` still refuses zero.
 """
 from __future__ import annotations
 

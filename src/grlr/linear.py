@@ -5,25 +5,29 @@ canonical form throughout, so two subspaces are equal iff their block
 dictionaries are equal.  Sparse vectors over a graded basis are dicts
 mapping absolute basis position -> nonzero scalar.
 
-``rref`` over GF(p) eliminates with the field's operations.  Over Q it
-runs fraction-free on integers: each row is multiplied by the lcm of its
-denominators, a pivot row r clears column c from row i as
-``row_i = pivot * row_i - factor * row_r``, and each new row is divided
-by the gcd of its entries (where integer-preserving elimination, Bareiss
-1968, divides by the previous pivot).  The canonical ``Fraction`` rows are
-built once, at the end, by dividing each pivot row by its pivot; the
-reduced row echelon form is unique, so they equal what elimination on
-fractions gives.
+Rows are reduced here and nowhere else, on plain values: no ``Field``
+call per entry.  ``rref`` is one fraction-free loop for both fields.  A
+pivot row r clears column c from row i as ``row_i = pivot * row_i -
+factor * row_r``.  Over Q each row is first multiplied by the lcm of its
+denominators, and each new row is divided by the gcd of its entries
+(where integer-preserving elimination, Bareiss 1968, divides by the
+previous pivot); over GF(p) each new row is reduced ``% p``.  The
+canonical rows are built once, at the end, by dividing each pivot row by
+its pivot (``Fraction(x, pivot)`` over Q, times ``pow(pivot, -1, p)``
+over GF(p)); the reduced row echelon form is unique, so they equal what
+elimination with the field's operations gives.  ``_residue`` reduces one
+vector against semi-echelon rows (each 1 at its pivot and 0 at the
+pivots of the rows before it); membership, coordinates, sums and the
+closures' running bases of ``simplicity`` all call it.
 
 Rows from a caller are checked and reduced in one place: the public
-constructors ``GradedSubspace(...)``, ``from_block_vectors`` and
-``from_sparse_vectors`` check each row's length and scalars, then run
-``rref``.  Every subspace derived from existing ones (``zero``, ``full``,
-``at_grades``, sums, intersections, complements, kernels and bilinear
-images) is built from blocks already in RREF together with their pivots,
-through ``GradedSubspace._from_rref``, and so is never reduced again.
-The public membership tests check their scalars; ``_contains`` serves
-them and takes canonical scalars unchecked, as do the matrix kernels.
+constructor ``GradedSubspace(...)`` checks each row's length and
+scalars, then runs ``rref``.  Every subspace derived from existing ones
+(``zero``, ``full``, ``at_grades``, sums, intersections, complements,
+kernels and bilinear images) is built from blocks already in RREF
+together with their pivots, through ``GradedSubspace._from_rref``, and
+so is never reduced again.  Membership, ``_contains``, takes canonical
+scalars unchecked, as do the matrix kernels.
 
 Products of subspaces run block pair by block pair.  Each
 ``BilinearRule`` groups its table by (left grade, right grade) on first
@@ -72,40 +76,20 @@ Operators = list[tuple[Grade, list[tuple[int, list[tuple[int, tuple[tuple[int, S
 
 
 def rref(field: Field, rows: Iterable[Sequence[Scalar]]) -> Echelon:
-    """Reduced row echelon form of rows of equal length; returns (nonzero rows, pivot columns)."""
-    if field.p is None:
-        return _rref_rational(field, rows)
-    mat = [list(row) for row in rows]
-    if not mat:
-        return (), ()
-    pivots: list[int] = []
-    r = 0
-    for c in range(len(mat[0])):
-        pivot_row = next((i for i in range(r, len(mat)) if not field.is_zero(mat[i][c])), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = field.inv(mat[r][c])
-        mat[r] = [field.mul(inv, x) for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not field.is_zero(mat[i][c]):
-                factor = mat[i][c]
-                mat[i] = [field.sub(x, field.mul(factor, y)) for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
+    """Reduced row echelon form of rows of equal length; returns (nonzero rows, pivot columns).
 
-
-def _rref_rational(field: Field, rows: Iterable[Sequence[Scalar]]) -> Echelon:
-    """``rref`` over Q on integer rows (module docstring): each row is scaled
-    to integers, eliminated fraction-free and divided by the gcd of its
-    entries; the pivot rows become canonical Fraction rows at the end."""
-    mat = []
-    for row in rows:
-        scale = lcm(*(x.denominator for x in row))
-        mat.append([x.numerator * (scale // x.denominator) for x in row])
+    One fraction-free loop serves both fields (module docstring): over Q
+    each row is first scaled to integers and each new row divided by the
+    gcd of its entries, over GF(p) each new row is reduced ``% p``.
+    """
+    p = field.p
+    if p is None:
+        mat = []
+        for row in rows:
+            scale = lcm(*(x.denominator for x in row))
+            mat.append([x.numerator * (scale // x.denominator) for x in row])
+    else:
+        mat = [list(row) for row in rows]
     if not mat:
         return (), ()
     pivots: list[int] = []
@@ -121,30 +105,50 @@ def _rref_rational(field: Field, rows: Iterable[Sequence[Scalar]]) -> Echelon:
             factor = row[c]
             if i != r and factor:
                 new = [pivot * x - factor * y for x, y in zip(row, top)]
-                g = gcd(*new)
-                mat[i] = [x // g for x in new] if g > 1 else new
+                if p is not None:
+                    mat[i] = [x % p for x in new]
+                else:
+                    g = gcd(*new)
+                    mat[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    zero, one = field.zero, field.one
-    reduced = tuple(
-        tuple(one if k == c else zero if not x else Fraction(x, row[c]) for k, x in enumerate(row))
-        for row, c in zip(mat, pivots)
-    )
-    return reduced, tuple(pivots)
+    return tuple(tuple(_scaled(field, row, c)) for row, c in zip(mat, pivots)), tuple(pivots)
+
+
+def _scaled(field: Field, row: Sequence[Scalar], c: int) -> list[Scalar]:
+    """``row`` (integers or canonical scalars) divided by its nonzero entry
+    at c, as canonical scalars of ``field``."""
+    p, x = field.p, row[c]
+    if p is None:
+        zero, one = field.zero, field.one
+        return [one if k == c else zero if not a else Fraction(a, x) for k, a in enumerate(row)]
+    inv = pow(x, -1, p)
+    return [a * inv % p for a in row]
+
+
+def _residue(field: Field, rows: Sequence[Sequence[Scalar]], pivots: Sequence[int], v: Sequence[Scalar]) -> Sequence[Scalar]:
+    """What is left of v once each row, in order, has cleared v at its pivot.
+
+    Each row must be 1 at its pivot and 0 at the pivots of the rows before
+    it (semi-echelon; the rows of an RREF block qualify in any order), so
+    the residue is zero exactly when v lies in the rows' span.  Plain
+    operators on canonical scalars, reduced ``% p`` over GF(p).
+    """
+    p = field.p
+    for row, c in zip(rows, pivots):
+        x = v[c]
+        if x:
+            v = [a - x * b for a, b in zip(v, row)] if p is None else [(a - x * b) % p for a, b in zip(v, row)]
+    return v
 
 
 def coordinates_in_rref(field: Field, rows: Sequence[Row], pivots: Sequence[int], v: Sequence[Scalar]) -> list[Scalar] | None:
     """Coordinates of ``v`` in an RREF basis (pivot-column extraction), or None outside its span."""
-    coords = [v[p] for p in pivots]
-    residual = list(v)
-    for coef, row in zip(coords, rows):
-        if not field.is_zero(coef):
-            residual = [field.sub(x, field.mul(coef, y)) for x, y in zip(residual, row)]
-    if any(not field.is_zero(x) for x in residual):
+    if any(_residue(field, rows, pivots, v)):
         return None
-    return coords
+    return [v[p] for p in pivots]
 
 
 def in_span(field: Field, rows: Sequence[Row], pivots: Sequence[int], v: Sequence[Scalar]) -> bool:
@@ -182,9 +186,9 @@ def coordinate_reader(
             return None
         x = [field.zero] * len(rows)
         for c, t in zip(coords, to_rows):
-            if not field.is_zero(c):
-                x = [field.add(a, field.mul(c, b)) for a, b in zip(x, t)]
-        return x
+            if c:
+                x = [a + c * b for a, b in zip(x, t)]
+        return x if field.p is None else [a % field.p for a in x]
 
     return read
 
@@ -355,23 +359,6 @@ class GradedSubspace:
     def full(cls, field: Field, ambient: GradedBasis) -> "GradedSubspace":
         return cls._from_rref(field, ambient, {g: _identity(field, ambient.block_dim(g)) for g in ambient.grades()})
 
-    @classmethod
-    def from_block_vectors(
-        cls, field: Field, ambient: GradedBasis, vectors: Iterable[tuple[Grade, Sequence[Scalar]]]
-    ) -> "GradedSubspace":
-        raw: dict[Grade, list[Sequence[Scalar]]] = {}
-        for g, coords in vectors:
-            raw.setdefault(tuple(g), []).append(tuple(coords))
-        return cls(field, ambient, raw)
-
-    @classmethod
-    def from_sparse_vectors(cls, field: Field, ambient: GradedBasis, vectors: Iterable[Sparse]) -> "GradedSubspace":
-        homog: list[tuple[Grade, Sequence[Scalar]]] = []
-        for v in vectors:
-            for g, coords in ambient.split_sparse(v, field).items():
-                homog.append((g, coords))
-        return cls.from_block_vectors(field, ambient, homog)
-
     def at_grades(self, grades: Iterable[Grade]) -> "GradedSubspace":
         """The blocks of this subspace at ``grades``, as one subspace."""
         return self._from_rref(self.field, self.ambient, {g: self._echelon(g) for g in grades})
@@ -390,9 +377,6 @@ class GradedSubspace:
     def dim(self) -> int:
         return sum(len(rows) for rows in self.blocks.values())
 
-    def dim_at(self, g: Grade) -> int:
-        return len(self.blocks.get(tuple(g), ()))
-
     def grades(self) -> list[Grade]:
         return sorted(self.blocks)
 
@@ -409,15 +393,6 @@ class GradedSubspace:
                 for g, row in self.block_vectors()]
 
     # membership ----------------------------------------------------------
-
-    def contains_block_vector(self, g: Grade, coords: Sequence[Scalar]) -> bool:
-        g = tuple(g)
-        return in_span(self.field, *self._echelon(g), self.ambient.checked_row(g, coords, self.field))
-
-    def contains_sparse(self, v: Sparse) -> bool:
-        for x in v.values():
-            self.field.check(x)
-        return self._contains(v)
 
     def _contains(self, v: Sparse) -> bool:
         """Membership of a sparse vector of canonical scalars, unchecked."""
@@ -598,9 +573,6 @@ class BilinearRule:
                 index.setdefault(g, []).append((h, sorted(terms.items())))
             self._by_argument[v_left] = index
         return index
-
-    def on_basis(self, i: int, j: int) -> Sparse:
-        return dict(self.table.get((i, j), {}))
 
     def apply_sparse(self, u: Sparse, v: Sparse) -> Sparse:
         # out += (a*b) * entry for each pair of entries, in place

@@ -58,11 +58,12 @@ the bad pair; it never returns a partial ideal.
 The fine decomposition is a gate and a gate-free refinement, ``_refine``.
 ``fine_decompose`` gates on ``check_hypotheses5``, then builds the class
 reports and their pairing for ``_refine``; ``grlr decompose --fine``
-hands the gate the tightness report, and ``_refine`` the reports and
-pairing, that the command has already built.  ``_refine`` restricts and
-verifies each distinct subpair (L part, A part) once.  Under the
-hypotheses an L ideal I_i and the one A ideal A_j acting on it are the
-same subpair (I_i, A_j), so their two summands share one restriction.
+hands the gate the tightness report and both connection partitions, and
+``_refine`` the reports and pairing, that the command has already built.
+``_refine`` restricts and verifies each distinct subpair (L part, A part)
+once.  Under the hypotheses an L ideal I_i and the one A ideal A_j
+acting on it are the same subpair (I_i, A_j), so their two summands
+share one restriction.
 All of this is computed once per call and kept by no instance, rule or
 module: the benchmark's self-test compares the call counts of a traced
 run and a profiled run of the same items, and its pipeline workload
@@ -76,7 +77,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import reduce
 from typing import Iterator, Sequence
 
-from .connections import Supports, lambda_classes, sigma_classes, supports
+from .connections import ConnectionPartition, Supports, lambda_classes, sigma_classes, supports
 from .decompose import (
     DecompositionReport,
     PairingReport,
@@ -98,6 +99,8 @@ from .linear import (  # noqa: F401
     GradedBasis,
     GradedSubspace,
     Row,
+    _residue,
+    _scaled,
     bilinear_image,
     checked_block_pair,
     entry_span,
@@ -151,11 +154,15 @@ class Hypotheses5:
 
 def check_hypotheses5(inst: AlgebraInstance) -> Hypotheses5:
     """tight + maximal length + G-multiplicative + symmetric + connected."""
-    return _hypotheses(inst, check_tight(inst))
+    sup = supports(inst)
+    return _hypotheses(inst, check_tight(inst), sigma_classes(sup), lambda_classes(sup))
 
 
-def _hypotheses(inst: AlgebraInstance, tight: TightnessReport) -> Hypotheses5:
-    """The section hypotheses, with ``tight`` the instance's tightness report."""
+def _hypotheses(
+    inst: AlgebraInstance, tight: TightnessReport, sigma: ConnectionPartition, lam: ConnectionPartition
+) -> Hypotheses5:
+    """The section hypotheses, from the instance's tightness report and its
+    sigma and lambda connection classes."""
     sup = supports(inst)
     conditions: dict[str, bool] = {}
     witnesses: dict[str, str] = {}
@@ -185,8 +192,8 @@ def _hypotheses(inst: AlgebraInstance, tight: TightnessReport) -> Hypotheses5:
         conditions[f"{name}_symmetric"] = asym is None
         if asym is not None:
             witnesses[f"{name}_symmetric"] = f"inverse of {format_grade(asym)} unsupported"
-    for name, classes in (("sigma", sigma_classes), ("lambda", lambda_classes)):
-        n_classes = len(classes(sup).classes)
+    for name, partition in (("sigma", sigma), ("lambda", lam)):
+        n_classes = len(partition.classes)
         conditions[f"{name}_all_connected"] = n_classes <= 1
         if n_classes > 1:
             witnesses[f"{name}_all_connected"] = f"{n_classes} connection classes"
@@ -222,11 +229,12 @@ def _g_mult_witness(inst: AlgebraInstance, sup: Supports) -> str | None:
 class _Span:
     """A running semi-echelon basis of a graded space, block by block: each
     row is 1 at its pivot and 0 at the pivots of the rows added before it,
-    so one pass over the rows in order reduces a vector.  Residues mod p
-    over GF(p), ``Fraction``s over Q, with no ``Field`` call per entry."""
+    so ``linear._residue`` reduces a vector in one pass over the rows.
+    Residues mod p over GF(p), ``Fraction``s over Q, with no ``Field`` call
+    per entry."""
 
     def __init__(self, field: Field, basis: GradedBasis, start: GradedSubspace | None = None):
-        self.field, self.p, self.basis = field, field.p, basis
+        self.field, self.basis = field, basis
         self.rows: dict[Grade, list[Sequence[Scalar]]] = {}
         self.pivots: dict[Grade, list[int]] = {}
         self.rank = 0
@@ -242,7 +250,7 @@ class _Span:
         """Add the sum of v[offset] * entry over ``terms`` (one map of
         ``BilinearRule.by_argument``), a row of block g, reduced and scaled
         to 1 at its pivot; return it, or None when it is already in the span."""
-        p = self.p
+        p = self.field.p
         row = [0] * self.basis.block_dim(g)
         for b, entry in terms:
             y = v[b]
@@ -251,23 +259,13 @@ class _Span:
                     row[k] += y * e
         if p is not None:
             row = [x % p for x in row]
-        if not any(row):
-            return None
         rows = self.rows.setdefault(g, [])
         pivots = self.pivots.setdefault(g, [])
-        for r, c in zip(rows, pivots):
-            x = row[c]
-            if x:
-                row = [a - x * b for a, b in zip(row, r)] if p is None else [(a - x * b) % p for a, b in zip(row, r)]
+        row = _residue(self.field, rows, pivots, row)
         lead = next((k for k, x in enumerate(row) if x), None)
         if lead is None:
             return None
-        x = row[lead]
-        if p is None:  # also makes each int 0 a Fraction
-            row = [a / x for a in row]
-        elif x != 1:
-            inv = pow(x, -1, p)
-            row = [a * inv % p for a in row]
+        row = _scaled(self.field, row, lead)
         rows.append(row)
         pivots.append(lead)
         self.rank += 1

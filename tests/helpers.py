@@ -32,6 +32,7 @@ from grlr.linear import (
     BilinearRule,
     Sparse,
     bilinear_image,
+    in_span,
     nullspace,
     rule_from_names,
     sparse_add,
@@ -304,66 +305,66 @@ def sparse_sub(field: Field, a: Sparse, b: Sparse) -> Sparse:
 
 
 def _alternating(inst: AlgebraInstance, i: int) -> Sparse:
-    return inst.bracket.on_basis(i, i)
+    return on_basis(inst.bracket, i, i)
 
 
 def _antisymmetry(inst: AlgebraInstance, i: int, j: int) -> Sparse:
     br = inst.bracket
-    return sparse_add(inst.field, br.on_basis(i, j), br.on_basis(j, i))
+    return sparse_add(inst.field, on_basis(br, i, j), on_basis(br, j, i))
 
 
 def _jacobi(inst: AlgebraInstance, i: int, j: int, k: int) -> Sparse:
     f, br = inst.field, inst.bracket
     total: Sparse = {}
     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-        total = sparse_add(f, total, br.apply_sparse(br.on_basis(a, b), {c: f.one}))
+        total = sparse_add(f, total, br.apply_sparse(on_basis(br, a, b), {c: f.one}))
     return total
 
 
 def _commutativity(inst: AlgebraInstance, i: int, j: int) -> Sparse:
     pr = inst.product
-    return sparse_sub(inst.field, pr.on_basis(i, j), pr.on_basis(j, i))
+    return sparse_sub(inst.field, on_basis(pr, i, j), on_basis(pr, j, i))
 
 
 def _associativity(inst: AlgebraInstance, i: int, j: int, k: int) -> Sparse:
     f, pr = inst.field, inst.product
-    lhs = pr.apply_sparse(pr.on_basis(i, j), {k: f.one})
-    return sparse_sub(f, lhs, pr.apply_sparse({i: f.one}, pr.on_basis(j, k)))
+    lhs = pr.apply_sparse(on_basis(pr, i, j), {k: f.one})
+    return sparse_sub(f, lhs, pr.apply_sparse({i: f.one}, on_basis(pr, j, k)))
 
 
 def _module(inst: AlgebraInstance, i: int, j: int, k: int) -> Sparse:
     f, ac = inst.field, inst.action
-    lhs = ac.apply_sparse(inst.product.on_basis(i, j), {k: f.one})
-    return sparse_sub(f, lhs, ac.apply_sparse({i: f.one}, ac.on_basis(j, k)))
+    lhs = ac.apply_sparse(on_basis(inst.product, i, j), {k: f.one})
+    return sparse_sub(f, lhs, ac.apply_sparse({i: f.one}, on_basis(ac, j, k)))
 
 
 def _derivation(inst: AlgebraInstance, v: int, a: int, b: int) -> Sparse:
     f, pr, rho = inst.field, inst.product, inst.anchor
-    lhs = rho.apply_sparse({v: f.one}, pr.on_basis(a, b))
-    rhs = sparse_add(f, pr.apply_sparse(rho.on_basis(v, a), {b: f.one}),
-                     pr.apply_sparse({a: f.one}, rho.on_basis(v, b)))
+    lhs = rho.apply_sparse({v: f.one}, on_basis(pr, a, b))
+    rhs = sparse_add(f, pr.apply_sparse(on_basis(rho, v, a), {b: f.one}),
+                     pr.apply_sparse({a: f.one}, on_basis(rho, v, b)))
     return sparse_sub(f, lhs, rhs)
 
 
 def _homomorphism(inst: AlgebraInstance, v: int, w: int, a: int) -> Sparse:
     f, rho = inst.field, inst.anchor
-    lhs = rho.apply_sparse(inst.bracket.on_basis(v, w), {a: f.one})
-    rhs = sparse_sub(f, rho.apply_sparse({v: f.one}, rho.on_basis(w, a)),
-                     rho.apply_sparse({w: f.one}, rho.on_basis(v, a)))
+    lhs = rho.apply_sparse(on_basis(inst.bracket, v, w), {a: f.one})
+    rhs = sparse_sub(f, rho.apply_sparse({v: f.one}, on_basis(rho, w, a)),
+                     rho.apply_sparse({w: f.one}, on_basis(rho, v, a)))
     return sparse_sub(f, lhs, rhs)
 
 
 def _linearity(inst: AlgebraInstance, a: int, v: int, b: int) -> Sparse:
     f, rho = inst.field, inst.anchor
-    lhs = rho.apply_sparse(inst.action.on_basis(a, v), {b: f.one})
-    return sparse_sub(f, lhs, inst.product.apply_sparse({a: f.one}, rho.on_basis(v, b)))
+    lhs = rho.apply_sparse(on_basis(inst.action, a, v), {b: f.one})
+    return sparse_sub(f, lhs, inst.product.apply_sparse({a: f.one}, on_basis(rho, v, b)))
 
 
 def _compatibility(inst: AlgebraInstance, v: int, a: int, w: int) -> Sparse:
     f, br, ac = inst.field, inst.bracket, inst.action
-    lhs = br.apply_sparse({v: f.one}, ac.on_basis(a, w))
-    rhs = sparse_add(f, ac.apply_sparse({a: f.one}, br.on_basis(v, w)),
-                     ac.apply_sparse(inst.anchor.on_basis(v, a), {w: f.one}))
+    lhs = br.apply_sparse({v: f.one}, on_basis(ac, a, w))
+    rhs = sparse_add(f, ac.apply_sparse({a: f.one}, on_basis(br, v, w)),
+                     ac.apply_sparse(on_basis(inst.anchor, v, a), {w: f.one}))
     return sparse_sub(f, lhs, rhs)
 
 
@@ -444,15 +445,15 @@ def ideal_oracle_L(inst: AlgebraInstance, I: GradedSubspace) -> bool:
     vectors = I.sparse_vectors()
     for v in vectors:
         for x in range(inst.L.dim):
-            if not I.contains_sparse(inst.bracket.apply_sparse({x: inst.field.one}, v)):
+            if not contains_sparse(I, inst.bracket.apply_sparse({x: inst.field.one}, v)):
                 return False
         for a in range(inst.A.dim):
-            if not I.contains_sparse(inst.action.apply_sparse({a: inst.field.one}, v)):
+            if not contains_sparse(I, inst.action.apply_sparse({a: inst.field.one}, v)):
                 return False
         for a in range(inst.A.dim):
             da = inst.anchor.apply_sparse(v, {a: inst.field.one})
             for x in range(inst.L.dim):
-                if not I.contains_sparse(inst.action.apply_sparse(da, {x: inst.field.one})):
+                if not contains_sparse(I, inst.action.apply_sparse(da, {x: inst.field.one})):
                     return False
     return True
 
@@ -460,7 +461,7 @@ def ideal_oracle_L(inst: AlgebraInstance, I: GradedSubspace) -> bool:
 def ideal_oracle_A(inst: AlgebraInstance, J: GradedSubspace) -> bool:
     for v in J.sparse_vectors():
         for a in range(inst.A.dim):
-            if not J.contains_sparse(inst.product.apply_sparse({a: inst.field.one}, v)):
+            if not contains_sparse(J, inst.product.apply_sparse({a: inst.field.one}, v)):
                 return False
     return True
 
@@ -621,6 +622,58 @@ def reference_rref(field: Field, rows) -> tuple[tuple[tuple, ...], tuple[int, ..
     return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
 
 
+def reference_coordinates(field: Field, rows, pivots, v) -> list | None:
+    """Coordinates of ``v`` in an RREF basis by the field-generic loop: read
+    them at the pivots, subtract each multiple with the field's operations
+    and test the residual for zero.  The reference for
+    ``linear.coordinates_in_rref`` over every field."""
+    coords = [v[p] for p in pivots]
+    residual = list(v)
+    for coef, row in zip(coords, rows):
+        if not field.is_zero(coef):
+            residual = [field.sub(x, field.mul(coef, y)) for x, y in zip(residual, row)]
+    if any(not field.is_zero(x) for x in residual):
+        return None
+    return coords
+
+
+def from_block_vectors(field: Field, ambient: GradedBasis, vectors) -> GradedSubspace:
+    """The span of homogeneous vectors, each (grade, block coordinates),
+    through the checking constructor ``GradedSubspace(...)``."""
+    raw: dict = {}
+    for g, coords in vectors:
+        raw.setdefault(tuple(g), []).append(tuple(coords))
+    return GradedSubspace(field, ambient, raw)
+
+
+def from_sparse_vectors(field: Field, ambient: GradedBasis, vectors) -> GradedSubspace:
+    """The span of sparse vectors, each split into its homogeneous components."""
+    return from_block_vectors(field, ambient, [part for v in vectors for part in ambient.split_sparse(v, field).items()])
+
+
+def dim_at(sub: GradedSubspace, g) -> int:
+    return len(sub.blocks.get(tuple(g), ()))
+
+
+def contains_block_vector(sub: GradedSubspace, g, coords) -> bool:
+    """Membership of block coordinates at g, checked by ``GradedBasis.checked_row``."""
+    g = tuple(g)
+    row = sub.ambient.checked_row(g, coords, sub.field)
+    return in_span(sub.field, sub.blocks.get(g, ()), sub.pivots.get(g, ()), row)
+
+
+def contains_sparse(sub: GradedSubspace, v: Sparse) -> bool:
+    """Membership of a sparse vector, each of its scalars checked first."""
+    for x in v.values():
+        sub.field.check(x)
+    return sub._contains(v)
+
+
+def on_basis(rule: BilinearRule, i: int, j: int) -> Sparse:
+    """The table entry of ``rule`` at positions (i, j); {} when it has none."""
+    return dict(rule.table.get((i, j), {}))
+
+
 def map_kernel(field: Field, ambient: GradedBasis, images) -> GradedSubspace:
     """Homogeneous kernel of v -> (list of sparse images of v), literally.
 
@@ -646,10 +699,10 @@ def reference_kernels(inst: AlgebraInstance) -> dict[str, GradedSubspace]:
     L, A = range(inst.L.dim), range(inst.A.dim)
     return {
         "center": map_kernel(inst.field, inst.L, lambda p: (
-            [inst.bracket.on_basis(p, j) for j in L] + [inst.anchor.on_basis(p, a) for a in A])),
-        "ann_L_of_A": map_kernel(inst.field, inst.L, lambda p: [inst.action.on_basis(a, p) for a in A]),
-        "ann_A": map_kernel(inst.field, inst.A, lambda p: [inst.product.on_basis(p, b) for b in A]),
-        "ker_anchor": map_kernel(inst.field, inst.L, lambda p: [inst.anchor.on_basis(p, a) for a in A]),
+            [on_basis(inst.bracket, p, j) for j in L] + [on_basis(inst.anchor, p, a) for a in A])),
+        "ann_L_of_A": map_kernel(inst.field, inst.L, lambda p: [on_basis(inst.action, a, p) for a in A]),
+        "ann_A": map_kernel(inst.field, inst.A, lambda p: [on_basis(inst.product, p, b) for b in A]),
+        "ker_anchor": map_kernel(inst.field, inst.L, lambda p: [on_basis(inst.anchor, p, a) for a in A]),
     }
 
 

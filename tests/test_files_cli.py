@@ -35,7 +35,7 @@ from grlr.errors import InstanceFormatError
 from grlr.fields import prime_field
 from grlr.linear import rule_from_names
 
-from helpers import cached, mutate_instance, reference_verify
+from helpers import cached, mutate_instance, on_basis, reference_verify
 
 CATALOG_NAMES = ["e1", "e2", "e3", "ga2", "ga3", "sl2_ga2"]
 
@@ -85,14 +85,14 @@ def test_bracket_mirror_is_filled_antisymmetrically():
     doc = _minimal_doc()
     doc["bracket"] = [{"left": "v", "right": "w", "value": []}]
     inst = instance_from_json(doc)
-    assert inst.bracket.on_basis(1, 0) == {}
+    assert on_basis(inst.bracket, 1, 0) == {}
     doc["L"] = [{"name": "v", "grade": [1]}, {"name": "w", "grade": [-1]},
                       {"name": "z", "grade": [0]}]
     doc["bracket"] = [{"left": "v", "right": "w", "value": [["z", "1"]]}]
     doc["action"].append({"left": "one", "right": "z", "value": [["z", "1"]]})
     inst = instance_from_json(doc)
-    assert inst.bracket.on_basis(0, 1) == {2: inst.field.one}
-    assert inst.bracket.on_basis(1, 0) == {2: inst.field.neg(inst.field.one)}
+    assert on_basis(inst.bracket, 0, 1) == {2: inst.field.one}
+    assert on_basis(inst.bracket, 1, 0) == {2: inst.field.neg(inst.field.one)}
 
 
 def test_inconsistent_orientations_are_rejected():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import grlr.linear
+from grlr import fields
 
 from grlr.catalog import build
 from grlr.errors import ToolkitError
@@ -33,10 +34,16 @@ from grlr.linear import (
 from grlr.model import AlgebraInstance, verify_grading
 
 from helpers import (
+    contains_block_vector,
+    contains_sparse,
+    dim_at,
+    from_block_vectors,
+    from_sparse_vectors,
     map_kernel,
     outcome,
     recipe_and_catalog_instances,
     recipe_and_catalog_wild_mutants,
+    reference_coordinates,
     reference_rref,
 )
 
@@ -78,10 +85,26 @@ def rand_rational_matrix(rng, rows, cols):
     return mat
 
 
-def test_rref_matches_reference_elimination():
-    # rows and pivots of the field-generic loop, on every field; over Q the
-    # integer branch must also return canonical Fraction rows
-    rng = random.Random(41)
+# the largest prime a field admits, and a Mersenne prime below it
+LARGEST_PRIME = 3317044064679887385961813
+LARGE_FIELDS = [prime_field(2**61 - 1), prime_field(LARGEST_PRIME)]
+
+
+def rand_residue_matrix(rng, f, rows, cols):
+    """Residues drawn from the whole field, about a third of them zero, and
+    some rows repeated or scaled, so that large primes meet dependent rows."""
+    mat = []
+    for _ in range(rows):
+        if mat and rng.random() < 0.25:
+            c = rng.randrange(1, f.p)
+            mat.append([c * x % f.p for x in rng.choice(mat)])
+        else:
+            mat.append([rng.randrange(f.p) if rng.random() < 0.65 else 0 for _ in range(cols)])
+    return mat
+
+
+def reducer_cases(rng):
+    """(field, matrix) pairs over Q and GF(2, 3, 7, 2^61 - 1, LARGEST_PRIME)."""
     cases = [(RATIONALS, rand_rational_matrix(rng, rng.randint(0, 6), rng.randint(0, 7))) for _ in range(400)]
     cases += [(RATIONALS, m) for m in (
         [], [[], []], [[Fraction(-3, 4), Fraction(1, 2)], [Fraction(3, 2), Fraction(-1)]],
@@ -90,6 +113,18 @@ def test_rref_matches_reference_elimination():
     for p in (2, 3, 7):
         f = prime_field(p)
         cases += [(f, rand_matrix(rng, f, rng.randint(0, 6), rng.randint(0, 7))) for _ in range(150)]
+    for f in LARGE_FIELDS:
+        cases += [(f, rand_residue_matrix(rng, f, rng.randint(0, 6), rng.randint(0, 7))) for _ in range(150)]
+    return cases
+
+
+def test_rref_matches_reference_elimination():
+    # rows and pivots of the field-generic loop, on every field; the one
+    # integer loop must also return canonical scalars: Fraction rows over Q
+    # and residues below p over GF(p)
+    assert not any(fields._is_prime(n) for n in range(LARGEST_PRIME + 1, fields.MODULUS_LIMIT))
+    rng = random.Random(41)
+    cases = reducer_cases(rng)
     negative_leads = 0
     for f, m in cases:
         got = rref(f, m)
@@ -100,6 +135,59 @@ def test_rref_matches_reference_elimination():
         if f.p is None:
             negative_leads += any(next((x for x in row if x), 0) < 0 for row in m)
     assert negative_leads > 100
+
+
+def check_all(f, values):
+    for x in values:
+        f.check(x)
+
+
+def test_reducer_clients_match_the_field_generic_references():
+    # coordinates_in_rref, in_span, coordinate_reader and nullspace run on
+    # plain values; each must agree with the same computation made with the
+    # field's operations, and return only canonical scalars (over Q, no
+    # bare int 0)
+    rng = random.Random(43)
+    inside = outside = 0
+    for f, m in reducer_cases(rng):
+        if not m or not m[0]:
+            continue
+        n = len(m[0])
+        rows, pivots = reference_rref(f, m)
+        # probes: combinations of the rows (in the span) and random vectors
+        probes = [combination(f, [f.from_int(rng.randint(-3, 3)) for _ in m], m) for _ in range(3)]
+        probes += [rand_matrix(rng, f, 1, n)[0] if f.p is None or f.p < 8 else rand_residue_matrix(rng, f, 1, n)[0]
+                   for _ in range(3)]
+        # the reader's reference: [m | I] reduced by the reference, then
+        # pivot extraction and the combination with the field's operations
+        ext_rows, ext_pivots = reference_rref(f, [tuple(row) + tuple(f.one if i == j else f.zero for j in range(len(m)))
+                                                  for i, row in enumerate(m)])
+        r = sum(c < n for c in ext_pivots)
+        read = coordinate_reader(f, m)
+        for v in probes:
+            want = reference_coordinates(f, rows, pivots, v)
+            got = coordinates_in_rref(f, rows, pivots, v)
+            assert got == want, (f, m, v)
+            assert in_span(f, rows, pivots, v) == (want is not None)
+            coords = reference_coordinates(f, [row[:n] for row in ext_rows[:r]], ext_pivots[:r], v)
+            assert (coords is None) == (want is None)
+            x = read(v)
+            if coords is None:
+                assert x is None
+                outside += 1
+                continue
+            inside += 1
+            check_all(f, got)
+            check_all(f, x)
+            expect = [f.zero] * len(m)
+            for c, row in zip(coords, ext_rows[:r]):
+                expect = [f.add(a, f.mul(c, b)) for a, b in zip(expect, row[n:])]
+            assert x == expect and combination(f, x, m) == list(v), (f, m, v)
+        kernel = nullspace(f, m, n)
+        assert kernel == reference_rref(f, _kernel_basis(f, m, n)), (f, m)
+        for row in kernel[0]:
+            check_all(f, row)
+    assert inside > 1000 and outside > 1000
 
 
 def test_rref_is_idempotent_and_canonical():
@@ -177,7 +265,7 @@ def rand_subspace(rng, f, basis):
         positions = basis.positions_at(g)
         vec = {p: f.from_int(rng.randint(-2, 2)) for p in positions}
         vecs.append({p: c for p, c in vec.items() if not f.is_zero(c)})
-    return GradedSubspace.from_sparse_vectors(f, basis, vecs)
+    return from_sparse_vectors(f, basis, vecs)
 
 
 def test_subspace_dimension_formula():
@@ -191,15 +279,15 @@ def test_subspace_dimension_formula():
             i = subspace_intersect(U, W)
             assert U.dim + W.dim == s.dim + i.dim
             for g in BASIS.grades():
-                assert U.dim_at(g) + W.dim_at(g) == s.dim_at(g) + i.dim_at(g)
+                assert dim_at(U, g) + dim_at(W, g) == dim_at(s, g) + dim_at(i, g)
             for v in i.sparse_vectors():
-                assert U.contains_sparse(v) and W.contains_sparse(v)
+                assert contains_sparse(U, v) and contains_sparse(W, v)
 
 
 def test_subspace_canonical_equality():
     f = prime_field(3)
-    a = GradedSubspace.from_sparse_vectors(f, BASIS, [{0: 1, 1: 2}, {0: 2, 1: 1}])
-    b = GradedSubspace.from_sparse_vectors(f, BASIS, [{0: 1, 1: 2}])
+    a = from_sparse_vectors(f, BASIS, [{0: 1, 1: 2}, {0: 2, 1: 1}])
+    b = from_sparse_vectors(f, BASIS, [{0: 1, 1: 2}])
     # second generator is 2x the first, same line
     assert a == b
     assert a.dim == 1
@@ -219,8 +307,8 @@ def test_complement_is_deterministic_and_splits():
 
 def test_complement_requires_containment():
     f = RATIONALS
-    inner = GradedSubspace.from_sparse_vectors(f, BASIS, [{0: f.one}])
-    outer = GradedSubspace.from_sparse_vectors(f, BASIS, [{1: f.one}])
+    inner = from_sparse_vectors(f, BASIS, [{0: f.one}])
+    outer = from_sparse_vectors(f, BASIS, [{1: f.one}])
     with pytest.raises(ValueError):
         complement_in(inner, outer)
 
@@ -272,7 +360,7 @@ def test_bilinear_image_matches_pairwise_products():
         image = bilinear_image(rule, U, V)
         # oracle: span of the products of all basis-vector pairs
         products = [rule.apply_sparse(u, v) for u in U.sparse_vectors() for v in V.sparse_vectors()]
-        oracle = GradedSubspace.from_sparse_vectors(f, B, products)
+        oracle = from_sparse_vectors(f, B, products)
         assert image == oracle
 
     # rules with different left, right and output bases, over Q, GF(2) and
@@ -289,9 +377,9 @@ def test_bilinear_image_matches_pairwise_products():
             assert bilinear_image(rule, GradedSubspace.full(f, left), zero_right).is_zero()
             for _ in range(25):
                 U, V = rand_subspace(rng, f, left), rand_subspace(rng, f, right)
-                touched_empty += U.dim_at(empty[0]) > 0 and V.dim_at(empty[1]) > 0
+                touched_empty += dim_at(U, empty[0]) > 0 and dim_at(V, empty[1]) > 0
                 products = [rule.apply_sparse(u, v) for u in U.sparse_vectors() for v in V.sparse_vectors()]
-                assert bilinear_image(rule, U, V) == GradedSubspace.from_sparse_vectors(f, out, products)
+                assert bilinear_image(rule, U, V) == from_sparse_vectors(f, out, products)
     assert touched_empty > 0
 
 
@@ -371,15 +459,15 @@ def test_grade_shift_law_checked_per_block_pair():
     with pytest.raises(ToolkitError, match=message):
         bilinear_image(bad, full, full)
     # rows at grade 0 whose coefficient on p0 is 0 still use the bad block pair
-    p1 = GradedSubspace.from_sparse_vectors(f, B, [{1: f.one}])
+    p1 = from_sparse_vectors(f, B, [{1: f.one}])
     assert bad.apply_sparse({1: f.one}, {1: f.one}) == {0: f.one}
     with pytest.raises(ToolkitError, match=message):
         bilinear_image(bad, p1, p1)
     # an untouched bad pair: the image is the ordinary one
-    q = GradedSubspace.from_sparse_vectors(f, B, [{2: f.one}])
+    q = from_sparse_vectors(f, B, [{2: f.one}])
     for U, V in ((q, full), (full, q), (p1, q), (q, q)):
         products = [bad.apply_sparse(u, v) for u in U.sparse_vectors() for v in V.sparse_vectors()]
-        assert bilinear_image(bad, U, V) == GradedSubspace.from_sparse_vectors(f, B, products)
+        assert bilinear_image(bad, U, V) == from_sparse_vectors(f, B, products)
     assert bilinear_image(bad, q, q).sparse_vectors() == [{1: f.one}]
     # the grading verifier still reports the entry with its witness
     L = GradedBasis([])
@@ -481,15 +569,15 @@ def test_map_kernel_matches_bruteforce():
         for pos in range(B.dim):
             v = {pos: f.one}
             if all(apply(m, v) == {} for m in mats):
-                assert ker.contains_sparse(v)
+                assert contains_sparse(ker, v)
 
 
 def test_subspace_json_describes_blocks():
     f = prime_field(3)
-    sub = GradedSubspace.from_sparse_vectors(f, BASIS, [{0: 1}, {2: 1, 3: 2}])
+    sub = from_sparse_vectors(f, BASIS, [{0: 1}, {2: 1, 3: 2}])
     data = sub.to_json()
     assert set(data) == {"0", "1"}
-    assert sub.dim == 2 and sub.dim_at((1,)) == 1
+    assert sub.dim == 2 and dim_at(sub, (1,)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -524,12 +612,12 @@ def test_trusted_results_equal_checked_rebuilds():
         for _ in range(40):
             U, W = rand_subspace(rng, f, WIDE), rand_subspace(rng, f, WIDE)
             total = subspace_sum(U, W)
-            assert total == GradedSubspace.from_sparse_vectors(f, WIDE, U.sparse_vectors() + W.sparse_vectors())
+            assert total == from_sparse_vectors(f, WIDE, U.sparse_vectors() + W.sparse_vectors())
             meet = subspace_intersect(U, W)
             comp = complement_in(U, total)
             image = bilinear_image(rule, U, W)
             products = [rule.apply_sparse(u, w) for u in U.sparse_vectors() for w in W.sparse_vectors()]
-            assert image == GradedSubspace.from_sparse_vectors(f, WIDE, products)
+            assert image == from_sparse_vectors(f, WIDE, products)
             for sub in (total, meet, comp, image, U.at_grades([(1,)]), GradedSubspace.full(f, WIDE)):
                 assert_canonical(sub)
 
@@ -543,11 +631,11 @@ def test_intersection_matches_bruteforce():
                 (g, v)
                 for g in WIDE.grades()
                 for v in itertools.product(list(f.elements()), repeat=WIDE.block_dim(g))
-                if U.contains_block_vector(g, v) and W.contains_block_vector(g, v)
+                if contains_block_vector(U, g, v) and contains_block_vector(W, g, v)
             ]
             meet = subspace_intersect(U, W)
-            assert meet == GradedSubspace.from_block_vectors(f, WIDE, common)
-            assert sum(f.p ** meet.dim_at(g) for g in WIDE.grades()) == len(common)
+            assert meet == from_block_vectors(f, WIDE, common)
+            assert sum(f.p ** dim_at(meet, g) for g in WIDE.grades()) == len(common)
 
 
 def test_coordinate_reader_round_trips():
@@ -578,10 +666,10 @@ def test_public_entry_points_reject_noncanonical_scalars(f, bad):
     row = (bad, f.zero)
     for call in (
         lambda: GradedSubspace(f, BASIS, {(0,): [row]}),
-        lambda: GradedSubspace.from_block_vectors(f, BASIS, [((0,), row)]),
-        lambda: GradedSubspace.from_sparse_vectors(f, BASIS, [{0: bad}]),
-        lambda: sub.contains_block_vector((0,), row),
-        lambda: sub.contains_sparse({0: bad}),
+        lambda: from_block_vectors(f, BASIS, [((0,), row)]),
+        lambda: from_sparse_vectors(f, BASIS, [{0: bad}]),
+        lambda: contains_block_vector(sub, (0,), row),
+        lambda: contains_sparse(sub, {0: bad}),
         lambda: BASIS.block_vector((0,), row, f),
     ):
         with pytest.raises((TypeError, ValueError)):
@@ -595,9 +683,9 @@ def test_rows_of_the_wrong_length_are_refused(row):
     sub = GradedSubspace.full(f, BASIS)  # the block at grade 0 has dimension 2
     for call in (
         lambda: GradedSubspace(f, BASIS, {(0,): [row]}),
-        lambda: GradedSubspace.from_block_vectors(f, BASIS, [((0,), row)]),
-        lambda: sub.contains_block_vector((0,), row),
-        lambda: GradedSubspace.zero(f, BASIS).contains_block_vector((0,), row),
+        lambda: from_block_vectors(f, BASIS, [((0,), row)]),
+        lambda: contains_block_vector(sub, (0,), row),
+        lambda: contains_block_vector(GradedSubspace.zero(f, BASIS), (0,), row),
     ):
         with pytest.raises(ValueError, match="expected 2 coordinates"):
             call()
@@ -608,8 +696,8 @@ def test_derived_subspaces_are_not_reduced_again(monkeypatch):
     real = grlr.linear.rref
     monkeypatch.setattr(grlr.linear, "rref", lambda *args: calls.append(args) or real(*args))
     f = prime_field(3)
-    U = GradedSubspace.from_sparse_vectors(f, BASIS, [{0: 1, 1: 2}])
-    W = GradedSubspace.from_sparse_vectors(f, BASIS, [{2: 1}, {3: 1, 4: 1}])
+    U = from_sparse_vectors(f, BASIS, [{0: 1, 1: 2}])
+    W = from_sparse_vectors(f, BASIS, [{2: 1}, {3: 1, 4: 1}])
     calls.clear()
     full = GradedSubspace.full(f, BASIS)
     GradedSubspace.zero(f, BASIS)
@@ -624,9 +712,9 @@ def test_sum_reduces_only_grades_where_b_leaves_a(monkeypatch):
     real = grlr.linear.rref
     monkeypatch.setattr(grlr.linear, "rref", lambda *args: calls.append(args) or real(*args))
     f = prime_field(3)
-    a = GradedSubspace.from_sparse_vectors(f, BASIS, [{0: 1}, {2: 1, 3: 1}])
-    inside = GradedSubspace.from_sparse_vectors(f, BASIS, [{0: 2}, {2: 2, 3: 2}])
-    mixed = GradedSubspace.from_sparse_vectors(f, BASIS, [{0: 1}, {4: 1}])
+    a = from_sparse_vectors(f, BASIS, [{0: 1}, {2: 1, 3: 1}])
+    inside = from_sparse_vectors(f, BASIS, [{0: 2}, {2: 2, 3: 2}])
+    mixed = from_sparse_vectors(f, BASIS, [{0: 1}, {4: 1}])
     calls.clear()
     assert subspace_sum(a, inside) == a
     assert calls == []
@@ -636,8 +724,9 @@ def test_sum_reduces_only_grades_where_b_leaves_a(monkeypatch):
 
 
 def _kernel_basis(f, m, cols):
-    """e_f - sum_r ech[r][f] e_{p_r} for each free column f, unreduced."""
-    ech, pivots = rref(f, m)
+    """e_f - sum_r ech[r][f] e_{p_r} for each free column f, unreduced,
+    with ech the reference RREF of m."""
+    ech, pivots = reference_rref(f, m)
     basis = []
     for free in (c for c in range(cols) if c not in pivots):
         v = [f.zero] * cols

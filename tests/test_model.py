@@ -38,12 +38,14 @@ from helpers import (
     action_and_anchor_witnesses,
     added_entries,
     cached,
+    from_sparse_vectors,
     graded_subspaces,
     ideal_oracle_A,
     ideal_oracle_L,
     literal_ideal_test_A,
     literal_ideal_test_L,
     mutate_instance,
+    on_basis,
     recipe_and_catalog_instances,
     recipe_and_catalog_wild_mutants,
     reference_grading_violations,
@@ -255,7 +257,7 @@ def test_invariant_subspaces_of_catalog():
 def test_ideal_predicates_with_witnesses():
     e1 = cached("e1")
     f = e1.field
-    span_e = GradedSubspace.from_sparse_vectors(f, e1.L, [{0: f.one}])
+    span_e = from_sparse_vectors(f, e1.L, [{0: f.one}])
     ok, wit = is_graded_ideal_L(e1, span_e)
     assert not ok
     assert wit["law"] == "[L, I] <= I"
@@ -270,9 +272,9 @@ def test_ideal_predicates_with_witnesses():
     # <x^2> and <x, x^2> are ideals of F[x]/(x^3); <x> alone is not
     x = {e2.A.position_of("a1"): f2.one}
     x2 = {e2.A.position_of("a2"): f2.one}
-    assert is_graded_ideal_A(e2, GradedSubspace.from_sparse_vectors(f2, e2.A, [x2]))[0]
-    assert is_graded_ideal_A(e2, GradedSubspace.from_sparse_vectors(f2, e2.A, [x, x2]))[0]
-    ok, wit = is_graded_ideal_A(e2, GradedSubspace.from_sparse_vectors(f2, e2.A, [x]))
+    assert is_graded_ideal_A(e2, from_sparse_vectors(f2, e2.A, [x2]))[0]
+    assert is_graded_ideal_A(e2, from_sparse_vectors(f2, e2.A, [x, x2]))[0]
+    ok, wit = is_graded_ideal_A(e2, from_sparse_vectors(f2, e2.A, [x]))
     assert not ok and wit["law"] == "A.J <= J"
 
 
@@ -373,14 +375,14 @@ def test_derivation_values_of_e2_are_pinned():
     names = {n for n, _ in e2.L.entries}
     assert names == {"l0", "l1", "l2"}
     # l0 = x d/dx, l1 = x^2 d/dx, l2 = d/dx
-    assert e2.anchor.on_basis(e2.L.position_of("l0"), e2.A.position_of("a1")) == {e2.A.position_of("a1"): 1}
-    assert e2.anchor.on_basis(e2.L.position_of("l0"), e2.A.position_of("a2")) == {e2.A.position_of("a2"): 2}
-    assert e2.anchor.on_basis(e2.L.position_of("l1"), e2.A.position_of("a1")) == {e2.A.position_of("a2"): 1}
-    assert e2.anchor.on_basis(e2.L.position_of("l2"), e2.A.position_of("a1")) == {e2.A.position_of("a0"): 1}
-    assert e2.anchor.on_basis(e2.L.position_of("l2"), e2.A.position_of("a2")) == {e2.A.position_of("a1"): 2}
-    assert e2.bracket.on_basis(e2.L.position_of("l0"), e2.L.position_of("l1")) == {e2.L.position_of("l1"): 1}
-    assert e2.bracket.on_basis(e2.L.position_of("l1"), e2.L.position_of("l2")) == {e2.L.position_of("l0"): 1}
-    assert e2.action.on_basis(e2.A.position_of("a1"), e2.L.position_of("l2")) == {e2.L.position_of("l0"): 1}
+    assert on_basis(e2.anchor, e2.L.position_of("l0"), e2.A.position_of("a1")) == {e2.A.position_of("a1"): 1}
+    assert on_basis(e2.anchor, e2.L.position_of("l0"), e2.A.position_of("a2")) == {e2.A.position_of("a2"): 2}
+    assert on_basis(e2.anchor, e2.L.position_of("l1"), e2.A.position_of("a1")) == {e2.A.position_of("a2"): 1}
+    assert on_basis(e2.anchor, e2.L.position_of("l2"), e2.A.position_of("a1")) == {e2.A.position_of("a0"): 1}
+    assert on_basis(e2.anchor, e2.L.position_of("l2"), e2.A.position_of("a2")) == {e2.A.position_of("a1"): 2}
+    assert on_basis(e2.bracket, e2.L.position_of("l0"), e2.L.position_of("l1")) == {e2.L.position_of("l1"): 1}
+    assert on_basis(e2.bracket, e2.L.position_of("l1"), e2.L.position_of("l2")) == {e2.L.position_of("l0"): 1}
+    assert on_basis(e2.action, e2.A.position_of("a1"), e2.L.position_of("l2")) == {e2.L.position_of("l0"): 1}
 
 
 def test_restrict_instance_to_summand():
@@ -396,7 +398,7 @@ def test_restrict_rejects_nonclosed_subspaces():
     e1 = cached("e1")
     f = e1.field
     # [e, f] = h escapes the span of e and f
-    span_ef = GradedSubspace.from_sparse_vectors(f, e1.L, [{0: f.one}, {1: f.one}])
+    span_ef = from_sparse_vectors(f, e1.L, [{0: f.one}, {1: f.one}])
     with pytest.raises(ToolkitError) as err:
         restrict_instance(e1, span_ef, e1.full_A(), "bad")
     assert str(err.value) == "restriction is not closed: bracket(l0, ...) escapes the subspace"

@@ -38,6 +38,7 @@ from helpers import (
     action_and_anchor_witnesses,
     cached,
     count_returns,
+    from_sparse_vectors,
     graded_subspaces,
     ideal_oracle_A,
     ideal_oracle_L,
@@ -160,7 +161,7 @@ def test_one_block_truncated_polynomials_known_lattices():
     inst = truncated_poly_one_block(3, 6)
     f = inst.field
     powers = [
-        GradedSubspace.from_sparse_vectors(f, inst.A, [{i: f.one} for i in range(k, 6)]) for k in range(7)
+        from_sparse_vectors(f, inst.A, [{i: f.one} for i in range(k, 6)]) for k in range(7)
     ]
     assert enumerate_graded_ideals_A(inst) == sorted(powers, key=grlr.oracle._sort_key)
     assert [s.dim for s in enumerate_graded_ideals_L(inst)] == [0, 3, 6]

@@ -36,9 +36,12 @@ from helpers import (
     action_and_anchor_witnesses,
     cached,
     count_returns,
+    from_block_vectors,
+    from_sparse_vectors,
     homogeneous_seeds,
     literal_ideal_test_A,
     literal_ideal_test_L,
+    on_basis,
     plain_closure,
     recipe_and_catalog_instances,
     recipe_and_catalog_wild_mutants,
@@ -135,7 +138,7 @@ def test_closure_cap_leaves_the_rational_sample_whole(monkeypatch):
 def test_split_case_b_on_antisymmetric_ideal():
     ab = abelian_pair_instance()
     f = ab.field
-    I = GradedSubspace.from_sparse_vectors(f, ab.L, [{0: f.one}])
+    I = from_sparse_vectors(f, ab.L, [{0: f.one}])
     left, right = split_case_b(ab, I)
     assert left == I
     assert sorted(right.grades()) == [(-1,)]
@@ -152,7 +155,7 @@ def test_split_case_b_rejections():
     with pytest.raises(DecompositionError, match="proper nonzero"):
         split_case_b(e3, GradedSubspace.zero(e3.field, e3.L))
     e1 = cached("e1")
-    span_e = GradedSubspace.from_sparse_vectors(e1.field, e1.L, [{0: e1.field.one}])
+    span_e = from_sparse_vectors(e1.field, e1.L, [{0: e1.field.one}])
     with pytest.raises(DecompositionError, match="not a graded ideal"):
         split_case_b(e1, span_e)
 
@@ -189,13 +192,13 @@ COARSE = [(grlr.decompose, "check_tight"), (grlr.decompose, "decompose_L"), (grl
 @pytest.mark.parametrize("name", ["ga2", "ga3", "sl2_ga2", "e3"])
 def test_decompose_fine_builds_the_coarse_pipeline_once(monkeypatch, capsys, name):
     # refining again from scratch ran check_tight and each report twice
-    # on ga2, ga3 and sl2_ga2, and the classes three times; the gate
-    # still finds the classes of its own
+    # on ga2, ga3 and sl2_ga2, and the classes three times; the gate now
+    # reads both partitions off the class reports
     counts = count_returns(monkeypatch, COARSE)
     assert main(["decompose", name, "--fine", "--field", "gf3", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["fine"]["refined"] == (name != "e3")
     assert counts == {"check_tight": 1, "decompose_L": 1, "decompose_A": 1, "pair_ideals": 1,
-                      "sigma_classes": 2, "lambda_classes": 2}
+                      "sigma_classes": 1, "lambda_classes": 1}
 
 
 def test_fine_decompose_gates_on_hypotheses():
@@ -362,7 +365,7 @@ def _closure_seeds(inst, side):
     f, basis = inst.field, getattr(inst, side)
     lines = list(_seed_lines(inst, basis))
     for g, row, pivot in lines:
-        seed = GradedSubspace.from_block_vectors(f, basis, [(g, row)])
+        seed = from_block_vectors(f, basis, [(g, row)])
         assert seed.blocks[g] == (row,) and seed.pivots[g] == (pivot,), (inst.name, side, g, row)
         yield seed
     for ideal in (decompose_L if side == "L" else decompose_A)(inst).ideals:
@@ -375,7 +378,7 @@ def _closure_seeds(inst, side):
     for g, row, _ in lines:
         h = grades[(grades.index(g) + 1) % len(grades)]
         if h != g:
-            yield GradedSubspace.from_block_vectors(f, basis, [(g, row), (h, first[h])])
+            yield from_block_vectors(f, basis, [(g, row), (h, first[h])])
 
 
 @pytest.mark.parametrize("inst", _closure_cases())
@@ -492,7 +495,7 @@ def test_not_gr_simple_verdicts_recheck_from_the_tables():
             if verdict.certificate is None:
                 # a pre-check verdict: every product of two basis vectors is 0
                 rule = getattr(inst, PRE_CHECK_RULES[verdict.reason])
-                assert all(not rule.on_basis(i, j) for i in range(rule.left.dim) for j in range(rule.right.dim))
+                assert all(not on_basis(rule, i, j) for i in range(rule.left.dim) for j in range(rule.right.dim))
                 pre_checks += 1
                 continue
             cert = verdict.certificate
