@@ -147,10 +147,11 @@ def cmd_decompose(args: argparse.Namespace, inst: AlgebraInstance) -> tuple[int,
     if args.fine:
         # the gate and the refinement reuse the reports above; with one side,
         # the other side's partition is built here and the refinement builds
-        # its own reports
+        # both reports from the two partitions
         sigma, lam = (reports[side].partition if side in reports else _partition(conn.supports(inst), side)
                       for side in "LA")
-        data["fine"] = simp._fine(inst, simp._hypotheses(inst, tightness, sigma, lam), coarse).to_json()
+        hyp = simp._hypotheses(inst, tightness, sigma, lam)
+        data["fine"] = simp._fine(inst, hyp, (sigma, lam), coarse).to_json()
     return OK, data
 
 

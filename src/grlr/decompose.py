@@ -164,10 +164,10 @@ def _pairwise(ideals: list[ClassIdeal], rule: BilinearRule) -> tuple[list[dict],
     return facts, ok
 
 
-def _decompose(inst: AlgebraInstance, side: str) -> DecompositionReport:
+def _decompose(inst: AlgebraInstance, side: str, partition: ConnectionPartition) -> DecompositionReport:
+    """The class report of one side, from that side's connection partition."""
     sup = supports(inst)
     basis, _, _, _, own_rule = _side(inst, sup, side)
-    partition = sigma_classes(sup) if side == "L" else lambda_classes(sup)
     ideals = []
     # The classes partition the own support, so the sum of their identity
     # parts is the identity block the whole support generates.
@@ -191,11 +191,11 @@ def _decompose(inst: AlgebraInstance, side: str) -> DecompositionReport:
 
 
 def decompose_L(inst: AlgebraInstance) -> DecompositionReport:
-    return _decompose(inst, "L")
+    return _decompose(inst, "L", sigma_classes(supports(inst)))
 
 
 def decompose_A(inst: AlgebraInstance) -> DecompositionReport:
-    return _decompose(inst, "A")
+    return _decompose(inst, "A", lambda_classes(supports(inst)))
 
 
 # ---------------------------------------------------------------------------

@@ -56,10 +56,12 @@ that loop refuses, the spin refuses, or fills the side before it needs
 the bad pair; it never returns a partial ideal.
 
 The fine decomposition is a gate and a gate-free refinement, ``_refine``.
-``fine_decompose`` gates on ``check_hypotheses5``, then builds the class
-reports and their pairing for ``_refine``; ``grlr decompose --fine``
-hands the gate the tightness report and both connection partitions, and
-``_refine`` the reports and pairing, that the command has already built.
+``fine_decompose`` builds the tightness report and both connection
+partitions once, gates on them as ``check_hypotheses5`` does, then builds
+the class reports from the same partitions, and their pairing, for
+``_refine``; ``grlr decompose --fine`` hands the gate the tightness
+report and both connection partitions, and ``_refine`` the reports and
+pairing, that the command has already built.
 ``_refine`` restricts and verifies each distinct subpair (L part, A part)
 once.  Under the hypotheses an L ideal I_i and the one A ideal A_j
 acting on it are the same subpair (I_i, A_j), so their two summands
@@ -83,10 +85,9 @@ from .decompose import (
     PairingReport,
     TightnessReport,
     _block,
+    _decompose,
     _full,
     check_tight,
-    decompose_A,
-    decompose_L,
     pair_ideals,
 )
 from .errors import DecompositionError
@@ -562,22 +563,26 @@ def fine_decompose(inst: AlgebraInstance) -> FineReport:
     Only runs the refinement when every section hypothesis holds; the
     coarse decomposition is still available through decompose_L/A.
     """
-    return _fine(inst, check_hypotheses5(inst))
+    tight, sup = check_tight(inst), supports(inst)
+    partitions = sigma_classes(sup), lambda_classes(sup)
+    return _fine(inst, _hypotheses(inst, tight, *partitions), partitions)
 
 
 def _fine(
     inst: AlgebraInstance,
     hyp: Hypotheses5,
+    partitions: tuple[ConnectionPartition, ConnectionPartition],
     coarse: tuple[DecompositionReport, DecompositionReport, PairingReport] | None = None,
 ) -> FineReport:
     """The gate: the unrefined report unless every hypothesis in ``hyp``
     holds, else ``_refine`` on ``coarse`` (the L and A class reports and
-    their pairing), built here when not given."""
+    their pairing), built here from the sigma and lambda ``partitions``
+    when not given."""
     if not hyp.all_hold:
         failing = sorted(name for name, ok in hyp.conditions.items() if not ok)
         return FineReport(hyp, False, [], "hypotheses not satisfied: " + ", ".join(failing))
     if coarse is None:
-        L_rep, A_rep = decompose_L(inst), decompose_A(inst)
+        L_rep, A_rep = _decompose(inst, "L", partitions[0]), _decompose(inst, "A", partitions[1])
         coarse = (L_rep, A_rep, pair_ideals(inst, L_rep, A_rep, hyp.conditions["tight"]))
     return _refine(inst, hyp, *coarse)
 

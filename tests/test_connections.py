@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -205,6 +206,61 @@ def test_enumeration_refuses_a_long_listing(monkeypatch):
         enumerate_connections(sup, (1,), (2,), "sigma")
     monkeypatch.setattr(grlr.oracle, "MAX_DFS_STEPS", 10)
     assert sum(map(len, enumerate_connections(sup, (1,), (2,), "sigma"))) == 10
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_enumeration_restores_the_collector_state(monkeypatch, enabled):
+    # the listing pauses the cyclic collector; every exit leaves it as the
+    # caller had it, and a collector the caller turned off stays off
+    sup = supports(cached("e2"))
+    before = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert enumerate_connections(sup, (1,), (2,), "sigma")
+        assert gc.isenabled() == enabled
+        with pytest.raises(ValueError, match="not in the sigma support"):
+            enumerate_connections(sup, (0,), (2,), "sigma")
+        assert gc.isenabled() == enabled
+        with monkeypatch.context() as patch:
+            patch.setattr(grlr.oracle, "MAX_DFS_STEPS", 8)
+            with pytest.raises(GuardError):
+                enumerate_connections(sup, (1,), (2,), "sigma")
+        assert gc.isenabled() == enabled
+
+        def failing(*args):
+            assert not gc.isenabled()
+            raise RuntimeError("listing failed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(grlr.oracle, "_list_paths", failing)
+            with pytest.raises(RuntimeError, match="listing failed"):
+                enumerate_connections(sup, (1,), (2,), "sigma")
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+def test_a_long_listing_runs_no_collection_and_leaves_no_cycles():
+    # sl2_ga2's longest sigma listing: with the collector on, its fresh
+    # lists would start collections, which could free nothing, since
+    # lists of grade tuples hold no cycle
+    sup = supports(cached("sl2_ga2"))
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        listed = enumerate_connections(sup, (0, 1), (1, 0), "sigma")
+    finally:
+        gc.callbacks.remove(record)
+    assert len(listed) == 3794
+    assert starts == []
+    del listed
+    assert gc.collect() == 0
 
 
 def test_enumeration_reaches_targets_outside_the_states():

@@ -201,6 +201,16 @@ def test_decompose_fine_builds_the_coarse_pipeline_once(monkeypatch, capsys, nam
                       "sigma_classes": 1, "lambda_classes": 1}
 
 
+@pytest.mark.parametrize("name", ["ga2", "ga3", "sl2_ga2", "e3"])
+def test_fine_decompose_finds_each_partition_once(monkeypatch, name):
+    # the gate and the class reports share both partitions: ga2, ga3 and
+    # sl2_ga2 pass the gate and build reports, e3 stops at the gate
+    inst = build(name, prime_field(3))
+    counts = count_returns(monkeypatch, [(grlr.connections, "sigma_classes"), (grlr.connections, "lambda_classes")])
+    assert fine_decompose(inst).refined == (name != "e3")
+    assert counts == {"sigma_classes": 1, "lambda_classes": 1}
+
+
 def test_fine_decompose_gates_on_hypotheses():
     rep = fine_decompose(cached("e2"))
     assert not rep.refined
