@@ -135,23 +135,21 @@ def cmd_classes(args: argparse.Namespace, inst: AlgebraInstance) -> tuple[int, d
 def cmd_decompose(args: argparse.Namespace, inst: AlgebraInstance) -> tuple[int, dict]:
     tightness = dec.check_tight(inst)
     data: dict = {"tightness": tightness.to_json()}
-    reports = {}
-    for side in _sides(args):
-        reports[side] = dec.decompose_L(inst) if side == "L" else dec.decompose_A(inst)
+    sides = _sides(args)
+    # --fine needs both class reports and their pairing, whichever sides are printed
+    reports = {side: dec.decompose_L(inst) if side == "L" else dec.decompose_A(inst)
+               for side in ("L", "A") if args.fine or side in sides}
+    for side in sides:
         data[side] = reports[side].to_json()
-    coarse = None
     if len(reports) == 2:
-        pairing = dec.pair_ideals(inst, reports["L"], reports["A"], tightness.tight)
-        data["pairing"] = pairing.to_json()
-        coarse = (reports["L"], reports["A"], pairing)
-    if args.fine:
-        # the gate and the refinement reuse the reports above; with one side,
-        # the other side's partition is built here and the refinement builds
-        # both reports from the two partitions
-        sigma, lam = (reports[side].partition if side in reports else _partition(conn.supports(inst), side)
-                      for side in "LA")
-        hyp = simp._hypotheses(inst, tightness, sigma, lam)
-        data["fine"] = simp._fine(inst, hyp, (sigma, lam), coarse).to_json()
+        L_rep, A_rep = reports["L"], reports["A"]
+        pairing = dec.pair_ideals(inst, L_rep, A_rep, tightness.tight)
+        if len(sides) == 2:
+            data["pairing"] = pairing.to_json()
+        if args.fine:
+            hyp = simp._hypotheses(inst, tightness, L_rep.partition, A_rep.partition)
+            fine = simp._refine(inst, hyp, L_rep, A_rep, pairing) if hyp.all_hold else simp._unrefined(hyp)
+            data["fine"] = fine.to_json()
     return OK, data
 
 

@@ -45,9 +45,11 @@ The ideal lattice works block by block.  A graded subspace is an ideal
 when a finite set of homogeneous maps sends it into itself: on L,
 w -> [u, w], w -> a.w and w -> rho(w)(a).u for basis vectors u of L and
 a of A; on A, w -> a.w.  The lattice first reads the images of each
-block's basis vectors under every defining map, one ``apply_sparse`` per
-product on the rule tables and none made twice, splits them by target
-grade and keeps the distinct nonzero block matrices g -> k.  A multiple
+block's basis vectors under every defining map, splits them by target
+grade and keeps the distinct nonzero block matrices g -> k.  [u, w], a.w
+and rho(w)(a) are entries of the rule tables, read as they are; only
+rho(w)(a).u is a product, one ``apply_sparse`` on the action's table
+per u and distinct rho(w)(a), none made twice.  A multiple
 of the identity from a block to itself keeps every subspace and is left
 out.  The candidates of each block come from ``all_subspaces``, listed
 once per block dimension.  They are already canonical RREF bases of
@@ -65,8 +67,9 @@ call.  The survivors are sorted by ``_sort_key``, so the listing equals
 that of testing every graded subspace against the definition.  The
 lattice judges the closure scan of ``simplicity``, so it reads nothing
 but the rule tables: it calls no ``bilinear_image``, no closure and no
-graded-ideal predicate of ``model``, and a fault in those can neither
-hide an ideal from it nor invent one.
+graded-ideal predicate of ``model``, and shares no index with the scan
+(``block_pairs``, ``by_argument``), so a fault in those can neither hide
+an ideal from it nor invent one.
 
 The recipe search builds each catalog atom (the base atom of a recipe
 and each ``sum`` operand, per field) once per call, in a table local to
@@ -176,39 +179,30 @@ def _defining_images(inst: AlgebraInstance, side: str) -> Callable[[int], list[S
     map, in a fixed order: on L, [u, w] for each u of L, a.w for each a
     of A, then rho(w)(a).u for each (a, u); on A, a.w for each a.
 
-    Each product is one ``apply_sparse`` on the rule tables, skipped (as
-    0) where its block pairs have no entry.  The action's products are
-    kept by their arguments, so a rho(w)(a) met twice, or equal to a
-    basis vector of A, is not multiplied again.
+    [u, w], a.w and rho(w)(a) are table entries, read as they are (0
+    where absent).  Only rho(w)(a).u is a product, one ``apply_sparse``
+    per u, made once per call for each distinct rho(w)(a).
     """
     one = inst.field.one
     L, A = inst.L, inst.A
     if side == "A":
-        product, pairs = inst.product, inst.product.block_pairs()
-        return lambda p: [
-            product.apply_sparse({a: one}, {p: one}) if (A.grade_of(a), A.grade_of(p)) in pairs else {}
-            for a in range(A.dim)
-        ]
-    bracket, action, anchor = inst.bracket, inst.action, inst.anchor
-    bracket_pairs, action_pairs, anchor_pairs = (r.block_pairs() for r in (bracket, action, anchor))
-    acted: dict[tuple[tuple[tuple[int, Scalar], ...], int], Sparse] = {}
+        product = inst.product.table
+        return lambda p: [product.get((a, p), {}) for a in range(A.dim)]
+    bracket, action, anchor = inst.bracket.table, inst.action, inst.anchor.table
+    acted: dict[tuple[tuple[int, Scalar], ...], list[Sparse]] = {}
 
-    def act(x: Sparse, u: int) -> Sparse:
-        key = (tuple(sorted(x.items())), u)
+    def act(x: Sparse) -> list[Sparse]:
+        key = tuple(sorted(x.items()))
         if key not in acted:
-            gu = L.grade_of(u)
-            acted[key] = (action.apply_sparse(x, {u: one})
-                          if any((A.grade_of(q), gu) in action_pairs for q in x) else {})
+            acted[key] = [action.apply_sparse(x, {u: one}) for u in range(L.dim)]
         return acted[key]
 
     def images(p: int) -> list[Sparse]:
-        w, gw = {p: one}, L.grade_of(p)
-        out = [bracket.apply_sparse({u: one}, w) if (L.grade_of(u), gw) in bracket_pairs else {}
-               for u in range(L.dim)]
-        out += [act({a: one}, p) for a in range(A.dim)]
+        out = [bracket.get((u, p), {}) for u in range(L.dim)]
+        out += [action.table.get((a, p), {}) for a in range(A.dim)]
         for a in range(A.dim):
-            da = anchor.apply_sparse(w, {a: one}) if (gw, A.grade_of(a)) in anchor_pairs else {}
-            out += [act(da, u) for u in range(L.dim)] if da else [{}] * L.dim
+            da = anchor.get((p, a))
+            out += act(da) if da else [{}] * L.dim
         return out
 
     return images

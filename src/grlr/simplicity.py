@@ -55,13 +55,16 @@ there (``ToolkitError``).  A closure the fixpoint loop of products
 that loop refuses, the spin refuses, or fills the side before it needs
 the bad pair; it never returns a partial ideal.
 
-The fine decomposition is a gate and a gate-free refinement, ``_refine``.
-``fine_decompose`` builds the tightness report and both connection
-partitions once, gates on them as ``check_hypotheses5`` does, then builds
-the class reports from the same partitions, and their pairing, for
-``_refine``; ``grlr decompose --fine`` hands the gate the tightness
-report and both connection partitions, and ``_refine`` the reports and
-pairing, that the command has already built.
+The fine decomposition takes two steps, and ``fine_decompose`` and
+``grlr decompose --fine`` both run them.  The gate, ``_hypotheses``,
+reads the tightness report and the sigma and lambda connection
+partitions; an instance that fails it gets the unrefined report of
+``_unrefined``.  The refinement, ``_refine``, reads the two class
+reports and their pairing.  ``fine_decompose`` builds the tightness
+report and both partitions once, and builds the class reports (from the
+same partitions) and the pairing only after the gate holds.
+``grlr decompose --fine`` builds both class reports and their pairing
+once, whatever sides it prints, and gates on the partitions they hold.
 ``_refine`` restricts and verifies each distinct subpair (L part, A part)
 once.  Under the hypotheses an L ideal I_i and the one A ideal A_j
 acting on it are the same subpair (I_i, A_j), so their two summands
@@ -564,27 +567,18 @@ def fine_decompose(inst: AlgebraInstance) -> FineReport:
     coarse decomposition is still available through decompose_L/A.
     """
     tight, sup = check_tight(inst), supports(inst)
-    partitions = sigma_classes(sup), lambda_classes(sup)
-    return _fine(inst, _hypotheses(inst, tight, *partitions), partitions)
-
-
-def _fine(
-    inst: AlgebraInstance,
-    hyp: Hypotheses5,
-    partitions: tuple[ConnectionPartition, ConnectionPartition],
-    coarse: tuple[DecompositionReport, DecompositionReport, PairingReport] | None = None,
-) -> FineReport:
-    """The gate: the unrefined report unless every hypothesis in ``hyp``
-    holds, else ``_refine`` on ``coarse`` (the L and A class reports and
-    their pairing), built here from the sigma and lambda ``partitions``
-    when not given."""
+    sigma, lam = sigma_classes(sup), lambda_classes(sup)
+    hyp = _hypotheses(inst, tight, sigma, lam)
     if not hyp.all_hold:
-        failing = sorted(name for name, ok in hyp.conditions.items() if not ok)
-        return FineReport(hyp, False, [], "hypotheses not satisfied: " + ", ".join(failing))
-    if coarse is None:
-        L_rep, A_rep = _decompose(inst, "L", partitions[0]), _decompose(inst, "A", partitions[1])
-        coarse = (L_rep, A_rep, pair_ideals(inst, L_rep, A_rep, hyp.conditions["tight"]))
-    return _refine(inst, hyp, *coarse)
+        return _unrefined(hyp)
+    L_rep, A_rep = _decompose(inst, "L", sigma), _decompose(inst, "A", lam)
+    return _refine(inst, hyp, L_rep, A_rep, pair_ideals(inst, L_rep, A_rep, tight.tight))
+
+
+def _unrefined(hyp: Hypotheses5) -> FineReport:
+    """The report of an instance that fails the gate ``hyp``."""
+    failing = sorted(name for name, ok in hyp.conditions.items() if not ok)
+    return FineReport(hyp, False, [], "hypotheses not satisfied: " + ", ".join(failing))
 
 
 def _refine(

@@ -180,8 +180,14 @@ def test_lattice_makes_each_product_once(monkeypatch, name, side):
 
     monkeypatch.setattr(BilinearRule, "apply_sparse", counted)
     lattice = (enumerate_graded_ideals_L if side == "L" else enumerate_graded_ideals_A)(inst)
-    assert len(lattice) >= 2 and seen
+    assert len(lattice) >= 2
     assert len(set(seen)) == len(seen)
+    # [u, w], a.w and rho(w)(a) are read off the tables; the only products
+    # are rho(w)(a).u, for each distinct nonzero rho(w)(a) and each u of L
+    one = inst.field.one
+    anchors = {tuple(sorted(entry.items())) for entry in inst.anchor.table.values()} if side == "L" else set()
+    assert set(seen) == {("action", x, ((u, one),)) for x in anchors for u in range(inst.L.dim)}
+    assert bool(seen) == (side == "L" and name == "e3")
 
 
 def test_lattice_stays_independent_of_the_fast_paths():

@@ -186,19 +186,38 @@ def test_fine_decompose_restricts_each_subpair_once(monkeypatch):
 
 # the coarse pipeline of one `decompose NAME --fine` command
 COARSE = [(grlr.decompose, "check_tight"), (grlr.decompose, "decompose_L"), (grlr.decompose, "decompose_A"),
-          (grlr.decompose, "pair_ideals"), (grlr.connections, "sigma_classes"), (grlr.connections, "lambda_classes")]
+          (grlr.decompose, "pair_ideals"), (grlr.connections, "sigma_classes"), (grlr.connections, "lambda_classes"),
+          (grlr.decompose, "_decompose")]
 
 
-@pytest.mark.parametrize("name", ["ga2", "ga3", "sl2_ga2", "e3"])
-def test_decompose_fine_builds_the_coarse_pipeline_once(monkeypatch, capsys, name):
+@pytest.mark.parametrize("name, side", [
+    pytest.param(name, side, id=name if side == "both" else f"{name}-{side}")
+    for name in ["ga2", "ga3", "sl2_ga2", "e3"] for side in ["both", "L", "A"]
+])
+def test_decompose_fine_builds_the_coarse_pipeline_once(monkeypatch, capsys, name, side):
     # refining again from scratch ran check_tight and each report twice
-    # on ga2, ga3 and sl2_ga2, and the classes three times; the gate now
-    # reads both partitions off the class reports
+    # on ga2, ga3 and sl2_ga2, and the classes three times; with one side
+    # the printed side's report was built twice.  The gate reads both
+    # partitions off the class reports, which every --side builds once
     counts = count_returns(monkeypatch, COARSE)
-    assert main(["decompose", name, "--fine", "--field", "gf3", "--json"]) == 0
+    assert main(["decompose", name, "--side", side, "--fine", "--field", "gf3", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["fine"]["refined"] == (name != "e3")
     assert counts == {"check_tight": 1, "decompose_L": 1, "decompose_A": 1, "pair_ideals": 1,
-                      "sigma_classes": 1, "lambda_classes": 1}
+                      "sigma_classes": 1, "lambda_classes": 1, "_decompose": 2}
+
+
+@pytest.mark.parametrize("field", [[], ["--field", "gf3"]])
+@pytest.mark.parametrize("name", catalog_names())
+def test_one_side_fine_output_is_that_side_of_both(capsys, name, field):
+    def decompose(*flags):
+        assert main(["decompose", name, "--fine", "--json", *field, *flags]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    both = decompose()
+    for side in ("L", "A"):
+        one = decompose("--side", side)
+        assert "pairing" not in one
+        assert (one[side], one["fine"]) == (both[side], both["fine"])
 
 
 @pytest.mark.parametrize("name", ["ga2", "ga3", "sl2_ga2", "e3"])
@@ -209,6 +228,16 @@ def test_fine_decompose_finds_each_partition_once(monkeypatch, name):
     counts = count_returns(monkeypatch, [(grlr.connections, "sigma_classes"), (grlr.connections, "lambda_classes")])
     assert fine_decompose(inst).refined == (name != "e3")
     assert counts == {"sigma_classes": 1, "lambda_classes": 1}
+
+
+@pytest.mark.parametrize("name", ["e2", "e3"])
+def test_fine_decompose_builds_nothing_past_a_failed_gate(monkeypatch, name):
+    # the class reports, their pairing and the restrictions serve only the
+    # refinement, so an instance that fails the gate builds none of them
+    counts = count_returns(monkeypatch, [(grlr.decompose, "_decompose"), (grlr.decompose, "pair_ideals"),
+                                         (grlr.model, "restrict_instance")])
+    assert not fine_decompose(build(name, prime_field(3))).refined
+    assert counts == {"_decompose": 0, "pair_ideals": 0, "restrict_instance": 0}
 
 
 def test_fine_decompose_gates_on_hypotheses():
