@@ -27,15 +27,25 @@ table entries on the block pair (g^-1, g).  An identity part is
 therefore one elimination of those entries (``linear.joint_entry_span``),
 taken term by term in the order above, cross before own at each grade,
 so a block pair that breaks the grade-shift law is refused at the same
-term as a product would refuse it.  Tightness reads AA and AL the same
-way, from all block pairs of the product and the action.
+term as a product would refuse it.
+
+Tightness reads AA and AL the same way, from all block pairs of the
+product and the action, and reads the identity parts from the same
+terms.  Each of its seven conditions is a yes/no rank question, decided
+by ``linear.rank_reaches``, which stops at the n-th independent row: a
+kernel is zero iff the condition rows of each block
+(``linear.kernel_conditions``) have full column rank, and AA = A, AL = L
+and each identity part hold iff the entry rows (``linear.entry_rows``)
+span every block asked for.  Only a failing condition builds subspaces,
+to name its witness.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .connections import ConnectionPartition, Supports, lambda_classes, sigma_classes, supports
+from .fields import Field, Scalar
 from .groups import Grade, format_grade
 from .linear import (
     BilinearRule,
@@ -43,12 +53,16 @@ from .linear import (
     GradedSubspace,
     bilinear_image,
     complement_in,
-    entry_span,
+    entry_kernel,
+    entry_rows,
     joint_entry_span,
+    kernel_conditions,
+    rank_reaches,
+    row_span,
     subspace_intersect,
     subspace_sum,
 )
-from .model import AlgebraInstance, ann_A, ann_L_of_A, center
+from .model import AlgebraInstance
 
 
 def _full(inst: AlgebraInstance, basis: GradedBasis) -> GradedSubspace:
@@ -60,13 +74,6 @@ def _block(inst: AlgebraInstance, basis: GradedBasis, grades: Iterable[Grade]) -
     return _full(inst, basis).at_grades(grades)
 
 
-def identity_block_L(inst: AlgebraInstance) -> GradedSubspace:
-    return _block(inst, inst.L, [inst.group.identity()])
-
-def identity_block_A(inst: AlgebraInstance) -> GradedSubspace:
-    return _block(inst, inst.A, [inst.group.identity()])
-
-
 def _side(
     inst: AlgebraInstance, sup: Supports, side: str
 ) -> tuple[GradedBasis, frozenset[Grade], frozenset[Grade], BilinearRule, BilinearRule]:
@@ -76,17 +83,25 @@ def _side(
     return inst.A, sup.lam, sup.sigma, inst.anchor, inst.product
 
 
-def _identity_part(inst: AlgebraInstance, sup: Supports, side: str, grades: Iterable[Grade]) -> GradedSubspace:
-    """Sum over g in ``grades`` of cross(X_{g^-1}, Y_g), for g in the cross
-    support only, and of own(X_{g^-1}, Y_g): a subspace of the identity block."""
-    basis, _, cross, cross_rule, own_rule = _side(inst, sup, side)
+def _identity_terms(
+    inst: AlgebraInstance, sup: Supports, side: str, grades: Iterable[Grade]
+) -> list[tuple[BilinearRule, tuple[Grade, Grade]]]:
+    """The terms of an identity part: at each g in ``grades``, the cross
+    rule on (g^-1, g) for g in the cross support only, then the own rule."""
+    _, _, cross, cross_rule, own_rule = _side(inst, sup, side)
     terms = []
     for g in grades:
         pair = (inst.group.inv(g), g)
         if g in cross:
             terms.append((cross_rule, pair))
         terms.append((own_rule, pair))
-    return joint_entry_span(inst.field, basis, terms)
+    return terms
+
+
+def _identity_part(inst: AlgebraInstance, sup: Supports, side: str, grades: Iterable[Grade]) -> GradedSubspace:
+    """Sum over g in ``grades`` of cross(X_{g^-1}, Y_g), for g in the cross
+    support only, and of own(X_{g^-1}, Y_g): a subspace of the identity block."""
+    return joint_entry_span(inst.field, _side(inst, sup, side)[0], _identity_terms(inst, sup, side, grades))
 
 
 # ---------------------------------------------------------------------------
@@ -218,34 +233,47 @@ class TightnessReport:
         return out
 
 
+def _first(space: GradedSubspace) -> str:
+    return space.describe().split(" , ")[0]
+
+
+def _nonzero_witness(f: Field, basis: GradedBasis, maps: Sequence[tuple[BilinearRule, bool]]) -> str:
+    return f"nonzero element: {_first(entry_kernel(f, basis, maps))}"
+
+
+def _not_spanned_witness(
+    inst: AlgebraInstance, basis: GradedBasis, rows: dict[Grade, list[list[Scalar]]], grades: list[Grade]
+) -> str:
+    # the rows span a subspace of the blocks at ``grades``, so its complement there is nonzero
+    return f"not spanned: {_first(complement_in(row_span(inst.field, basis, rows), _block(inst, basis, grades)))}"
+
+
 def check_tight(inst: AlgebraInstance) -> TightnessReport:
-    """The seven tightness conditions, each with a witness on failure."""
-    sup = supports(inst)
+    """The seven tightness conditions, each decided by ``rank_reaches``;
+    only a failing one builds subspaces, for its witness."""
+    sup, f, L, A = supports(inst), inst.field, inst.L, inst.A
     conditions: dict[str, bool] = {}
     witnesses: dict[str, str] = {}
-
-    def record(name: str, space: GradedSubspace, expect_zero: bool, target: GradedSubspace | None = None):
-        if expect_zero:
-            ok = space.is_zero()
-            if not ok:
-                witnesses[name] = f"nonzero element: {space.describe().split(' , ')[0]}"
-        else:
-            assert target is not None
-            ok = space == target
-            if not ok:
-                # every space recorded here lies in its target, so the complement is nonzero
-                witnesses[name] = f"not spanned: {complement_in(space, target).describe().split(' , ')[0]}"
-        conditions[name] = ok
-
-    record("center_zero", center(inst), True)
-    record("ann_L_of_A_zero", ann_L_of_A(inst), True)
-    record("ann_A_zero", ann_A(inst), True)
-
-    record("AA_equals_A", entry_span(inst.product), False, inst.full_A())
-    record("AL_equals_L", entry_span(inst.action), False, inst.full_L())
-
-    record("L_identity_generated", _identity_part(inst, sup, "L", sorted(sup.sigma)), False, identity_block_L(inst))
-    record("A_identity_generated", _identity_part(inst, sup, "A", sorted(sup.lam)), False, identity_block_A(inst))
+    for name, basis, maps in (
+        ("center_zero", L, ((inst.bracket, True), (inst.anchor, True))),
+        ("ann_L_of_A_zero", L, ((inst.action, False),)),
+        ("ann_A_zero", A, ((inst.product, True),)),
+    ):
+        rows = kernel_conditions(f, basis, maps)
+        conditions[name] = all(rank_reaches(f, rows[g], basis.block_dim(g)) for g in rows)
+        if not conditions[name]:
+            witnesses[name] = _nonzero_witness(f, basis, maps)
+    one = [inst.group.identity()]
+    for name, basis, terms, grades in (
+        ("AA_equals_A", A, [(inst.product, pair) for pair in sorted(inst.product.block_pairs())], A.grades()),
+        ("AL_equals_L", L, [(inst.action, pair) for pair in sorted(inst.action.block_pairs())], L.grades()),
+        ("L_identity_generated", L, _identity_terms(inst, sup, "L", sorted(sup.sigma)), one),
+        ("A_identity_generated", A, _identity_terms(inst, sup, "A", sorted(sup.lam)), one),
+    ):
+        rows = entry_rows(f, basis, terms)
+        conditions[name] = all(rank_reaches(f, rows.get(g, ()), basis.block_dim(g)) for g in grades)
+        if not conditions[name]:
+            witnesses[name] = _not_spanned_witness(inst, basis, rows, grades)
     return TightnessReport(conditions, witnesses)
 
 

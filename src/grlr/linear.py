@@ -41,11 +41,16 @@ one routine that the grading verifier and the product refusals share,
 A product of two whole blocks needs no multiplication at all: it is the
 span of that block pair's table entries.  ``entry_span`` and
 ``joint_entry_span`` read such products straight off the index, with one
-elimination per output block.  They and ``bilinear_image`` refuse a
-block pair that breaks the grade-shift law through ``checked_block_pair``,
-so the refusal reads the same whichever of them meets the pair first.
-``entry_kernel`` cuts out the common kernel of maps v -> rule(v, .) and
-v -> rule(., v) with one condition per table entry component.
+elimination per output block of the rows that ``entry_rows`` builds.
+They and ``bilinear_image`` refuse a block pair that breaks the
+grade-shift law through ``checked_block_pair``, so the refusal reads the
+same whichever of them meets the pair first.  ``entry_kernel`` cuts out
+the common kernel of maps v -> rule(v, .) and v -> rule(., v) with the
+rows that ``kernel_conditions`` builds, one condition per table entry
+component.  Where only a dimension is asked, ``rank_reaches`` reads such
+rows through ``_residue`` and ``_scaled`` and stops at the n-th
+independent one: a kernel block is zero iff its conditions reach the
+block's dimension, and a block is spanned iff its entry rows do.
 ``BilinearRule.by_argument`` groups the same table by the grade of v, as
 the maps v -> rule(v, x) or rule(x, v), one per basis vector x, that the
 ideal closures of ``simplicity`` spin under.
@@ -142,6 +147,30 @@ def _residue(field: Field, rows: Sequence[Sequence[Scalar]], pivots: Sequence[in
         if x:
             v = [a - x * b for a, b in zip(v, row)] if p is None else [(a - x * b) % p for a, b in zip(v, row)]
     return v
+
+
+def rank_reaches(field: Field, rows: Iterable[Sequence[Scalar]], n: int) -> bool:
+    """Whether ``rows`` (canonical scalars) span at least n dimensions.
+
+    Each row is reduced against the independent rows before it
+    (``_residue``); a nonzero residue, scaled to 1 at its first nonzero
+    entry (``_scaled``), is independent and joins them, so they stay
+    semi-echelon.  The answer is given at the n-th independent row: no
+    row past it is read.
+    """
+    if n <= 0:
+        return True
+    basis: list[Sequence[Scalar]] = []
+    pivots: list[int] = []
+    for row in rows:
+        v = _residue(field, basis, pivots, row)
+        c = next((k for k, x in enumerate(v) if x), None)
+        if c is not None:
+            basis.append(_scaled(field, v, c))
+            pivots.append(c)
+            if len(basis) == n:
+                return True
+    return False
 
 
 def coordinates_in_rref(field: Field, rows: Sequence[Row], pivots: Sequence[int], v: Sequence[Scalar]) -> list[Scalar] | None:
@@ -715,15 +744,15 @@ def checked_block_pair(rule: BilinearRule, gu: Grade, gv: Grade) -> tuple[Grade,
     return target, triples
 
 
-def joint_entry_span(
+def entry_rows(
     field: Field, out: GradedBasis, terms: Iterable[tuple[BilinearRule, tuple[Grade, Grade]]]
-) -> GradedSubspace:
-    """Span of the table entries of each (rule, block pair) of ``terms``:
-    the sum of the products rule(whole left block, whole right block).
+) -> dict[Grade, list[list[Scalar]]]:
+    """The table entries of each (rule, block pair) of ``terms``, as rows
+    of their output block, per output grade.
 
     Every rule must map into ``out``.  The pairs are checked in the order
     given, so the first one that breaks the grade-shift law is refused;
-    a pair with no entry adds nothing.  One elimination per output block.
+    a pair with no entry adds nothing.
     """
     offset = out._offset
     rows: dict[Grade, list[list[Scalar]]] = {}
@@ -741,7 +770,21 @@ def joint_entry_span(
             for pos, x in entry.items():
                 row[offset[pos]] = x
             block.append(row)
+    return rows
+
+
+def row_span(field: Field, out: GradedBasis, rows: Mapping[Grade, Sequence[Sequence[Scalar]]]) -> GradedSubspace:
+    """The span of rows of canonical scalars, given per grade of ``out``: one elimination per block."""
     return GradedSubspace._from_rref(field, out, {g: rref(field, block) for g, block in rows.items()})
+
+
+def joint_entry_span(
+    field: Field, out: GradedBasis, terms: Iterable[tuple[BilinearRule, tuple[Grade, Grade]]]
+) -> GradedSubspace:
+    """Span of the table entries of each (rule, block pair) of ``terms``:
+    the sum of the products rule(whole left block, whole right block),
+    refused as ``entry_rows`` refuses."""
+    return row_span(field, out, entry_rows(field, out, terms))
 
 
 def entry_span(rule: BilinearRule, pairs: Iterable[tuple[Grade, Grade]] | None = None) -> GradedSubspace:
@@ -756,15 +799,17 @@ def entry_span(rule: BilinearRule, pairs: Iterable[tuple[Grade, Grade]] | None =
     return joint_entry_span(rule.field, rule.out, ((rule, pair) for pair in pairs))
 
 
-def entry_kernel(field: Field, basis: GradedBasis, maps: Sequence[tuple[BilinearRule, bool]]) -> GradedSubspace:
-    """Homogeneous kernel of the maps v -> rule(v, .) (``v_left`` true) and
-    v -> rule(., v) (false), for each (rule, v_left) of ``maps``.
+def kernel_conditions(
+    field: Field, basis: GradedBasis, maps: Sequence[tuple[BilinearRule, bool]]
+) -> dict[Grade, list[list[Scalar]]]:
+    """The conditions that cut out the homogeneous common kernel of the
+    maps v -> rule(v, .) (``v_left`` true) and v -> rule(., v) (false),
+    for each (rule, v_left) of ``maps``, as rows per grade of ``basis``.
 
     The block at grade g is cut out by one condition per (map, other
     argument, output coordinate) that some table entry with its v
-    argument at grade g reaches; every other condition is 0 = 0.  The
-    kernel's RREF basis is canonical, so the order of the conditions
-    does not matter.
+    argument at grade g reaches; every other condition is 0 = 0.  Every
+    grade of ``basis`` is a key, with no rows when nothing reaches it.
     """
     offset = basis._offset
     conditions: dict[Grade, dict[tuple[int, int, int], list[Scalar]]] = {g: {} for g in basis.grades()}
@@ -780,6 +825,13 @@ def entry_kernel(field: Field, basis: GradedBasis, maps: Sequence[tuple[Bilinear
                 if row is None:
                     row = rows[m, other, pos] = [field.zero] * basis.block_dim(g)
                 row[offset[v]] = x
+    return {g: list(rows.values()) for g, rows in conditions.items()}
+
+
+def entry_kernel(field: Field, basis: GradedBasis, maps: Sequence[tuple[BilinearRule, bool]]) -> GradedSubspace:
+    """Homogeneous common kernel of the maps of ``maps``, cut out by
+    ``kernel_conditions``.  The kernel's RREF basis is canonical, so the
+    order of the conditions does not matter."""
     return GradedSubspace._from_rref(field, basis, {
-        g: nullspace(field, list(rows.values()), basis.block_dim(g)) for g, rows in conditions.items()
+        g: nullspace(field, rows, basis.block_dim(g)) for g, rows in kernel_conditions(field, basis, maps).items()
     })

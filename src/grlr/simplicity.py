@@ -436,7 +436,13 @@ def _gr_simple(inst: AlgebraInstance, side: str) -> SimplicityVerdict:
     the trivial ideals certifies "not gr-simple", otherwise the scan's
     coverage decides "gr_simple" or "undecided"."""
     for name, reason in _PRODUCTS[side]:
-        if entry_span(getattr(inst, name)).is_zero():
+        # the product of the whole side is zero iff the table is empty, but
+        # every pair is checked first, so a bad pair is refused as the product would
+        rule = getattr(inst, name)
+        pairs = sorted(rule.block_pairs())
+        for pair in pairs:
+            checked_block_pair(rule, *pair)
+        if not pairs:
             return SimplicityVerdict(side, "not_gr_simple", reason)
     allowed = [sub for _, sub in _trivial_ideals(inst, side)]
     closure_of = ideal_closure_L if side == "L" else ideal_closure_A

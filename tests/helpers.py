@@ -25,6 +25,7 @@ from grlr import (
     supports,
 )
 from grlr.catalog import derivation_instance
+from grlr.decompose import TightnessReport
 from grlr.errors import ToolkitError
 from grlr.fields import Field, Scalar, parse_field_label, prime_field
 from grlr.groups import Grade, format_grade
@@ -706,6 +707,58 @@ def reference_kernels(inst: AlgebraInstance) -> dict[str, GradedSubspace]:
     }
 
 
+def reference_tightness(inst: AlgebraInstance) -> TightnessReport:
+    """The seven tightness conditions and their witness texts, from
+    ``reference_kernels`` and from ``bilinear_image`` of whole blocks.
+
+    The blocks are multiplied in ``check_tight``'s term order (sorted
+    pairs; in an identity part, at each grade, the cross term before the
+    own term), so a refusal names the same pair.  A block the products
+    leave short is named by its first basis vector outside their pivots.
+    """
+    f, G, L, A = inst.field, inst.group, inst.L, inst.A
+    e = G.identity()
+    conditions: dict[str, bool] = {}
+    witnesses: dict[str, str] = {}
+    kernels = reference_kernels(inst)
+    for name, key in (("center_zero", "center"), ("ann_L_of_A_zero", "ann_L_of_A"), ("ann_A_zero", "ann_A")):
+        conditions[name] = kernels[key].is_zero()
+        if not conditions[name]:
+            witnesses[name] = f"nonzero element: {kernels[key].describe().split(' , ')[0]}"
+
+    def whole(basis: GradedBasis, g: Grade) -> GradedSubspace:
+        return GradedSubspace.full(f, basis).at_grades([g])
+
+    def all_pairs(rule: BilinearRule):
+        return [(rule, gu, gv) for gu in rule.left.grades() for gv in rule.right.grades()]
+
+    def identity_terms(own, cross, cross_rule: BilinearRule, own_rule: BilinearRule):
+        terms = []
+        for g in own:
+            if g in cross:
+                terms.append((cross_rule, G.inv(g), g))
+            terms.append((own_rule, G.inv(g), g))
+        return terms
+
+    sigma = [g for g in L.grades() if g != e]
+    lam = [g for g in A.grades() if g != e]
+    for name, basis, terms, grades in (
+        ("AA_equals_A", A, all_pairs(inst.product), A.grades()),
+        ("AL_equals_L", L, all_pairs(inst.action), L.grades()),
+        ("L_identity_generated", L, identity_terms(sigma, lam, inst.action, inst.bracket), [e]),
+        ("A_identity_generated", A, identity_terms(lam, sigma, inst.anchor, inst.product), [e]),
+    ):
+        span = GradedSubspace.zero(f, basis)
+        for rule, gu, gv in terms:
+            span = subspace_sum(span, bilinear_image(rule, whole(rule.left, gu), whole(rule.right, gv)))
+        short = [(g, c) for g in grades for c in range(basis.block_dim(g)) if c not in span.pivots.get(g, ())]
+        conditions[name] = not short
+        if short:
+            g, c = short[0]
+            witnesses[name] = f"not spanned: {f.format(f.one)}*{basis.name_of(basis.positions_at(g)[c])}"
+    return TightnessReport(conditions, witnesses)
+
+
 def random_sparse(rng: random.Random, field: Field, dim: int) -> Sparse:
     v: Sparse = {}
     for pos in range(dim):
@@ -730,6 +783,15 @@ def abelian_pair_instance() -> AlgebraInstance:
     )
     anchor = rule_from_names("anchor", f, G, L, A, A, {})
     return AlgebraInstance("abelian_pair", f, G, L, A, bracket, product, action, anchor)
+
+
+def half_acted_pair_instance() -> AlgebraInstance:
+    """``abelian_pair_instance`` with the action on w removed: A.w = 0, so
+    Ann_L(A) = span{w} and AL = span{v}."""
+    inst = abelian_pair_instance()
+    action = rule_from_names("action", inst.field, inst.group, inst.A, inst.L, inst.L, {("one", "v"): {"v": inst.field.one}})
+    return AlgebraInstance("half_acted_pair", inst.field, inst.group, inst.L, inst.A,
+                           inst.bracket, inst.product, action, inst.anchor)
 
 
 def truncated_poly_derivations(p: int) -> AlgebraInstance:

@@ -17,14 +17,28 @@ from grlr import (
     is_graded_ideal_L,
     pair_ideals,
 )
+import grlr.decompose
+import grlr.linear
 import grlr.simplicity
-from grlr.decompose import identity_block_A, identity_block_L
 from grlr.errors import ToolkitError
-from grlr.linear import BilinearRule, bilinear_image, subspace_intersect
+from grlr.linear import BilinearRule, GradedSubspace, bilinear_image, subspace_intersect
 from grlr.model import ann_A, ann_L_of_A, center, ker_anchor
 from grlr.simplicity import check_hypotheses5, gr_simple_A, gr_simple_L
 
-from helpers import cached, ideal_oracle_A, ideal_oracle_L, outcome, recipe_and_catalog_wild_mutants
+from helpers import (
+    abelian_pair_instance,
+    action_and_anchor_witnesses,
+    cached,
+    count_returns,
+    half_acted_pair_instance,
+    ideal_oracle_A,
+    ideal_oracle_L,
+    outcome,
+    recipe_and_catalog_instances,
+    recipe_and_catalog_wild_mutants,
+    reference_tightness,
+    truncated_poly_one_block,
+)
 
 TIGHT_NAMES = ["center_zero", "ann_L_of_A_zero", "ann_A_zero", "AA_equals_A",
                "AL_equals_L", "L_identity_generated", "A_identity_generated"]
@@ -94,10 +108,10 @@ def test_class_ideal_parts():
     e3 = cached("e3")
     for ci in decompose_L(e3).ideals:
         assert ci.identity_part.dim + ci.support_part.dim >= ci.total.dim
-        inside = subspace_intersect(ci.identity_part, identity_block_L(e3))
+        inside = subspace_intersect(ci.identity_part, e3.full_L().at_grades([e3.group.identity()]))
         assert inside == ci.identity_part  # identity part lives at the identity grade
     for ci in decompose_A(e3).ideals:
-        inside = subspace_intersect(ci.identity_part, identity_block_A(e3))
+        inside = subspace_intersect(ci.identity_part, e3.full_A().at_grades([e3.group.identity()]))
         assert inside == ci.identity_part
 
 
@@ -127,6 +141,79 @@ def test_tightness_e1_fails_only_identity_generation_of_A():
     failing = sorted(k for k, v in rep.conditions.items() if not v)
     assert failing == ["A_identity_generated"]
     assert "A_identity_generated" in rep.witnesses
+
+
+def witness_cases():
+    """Instances that together fail every tightness condition, each with the
+    witnesses of all its failing conditions; only the mutant fails AA = A."""
+    mutant = dict(recipe_and_catalog_wild_mutants())["e1@gf3~product(one, one) += 2*one"]
+    return (
+        (abelian_pair_instance(),
+         {"center_zero": "nonzero element: 1*w", "A_identity_generated": "not spanned: 1*one"}),
+        (action_and_anchor_witnesses(),
+         {"center_zero": "nonzero element: 1*w", "ann_A_zero": "nonzero element: 1*b"}),
+        (truncated_poly_one_block(5, 5),
+         {"L_identity_generated": "not spanned: 1*l0", "A_identity_generated": "not spanned: 1*x0"}),
+        (half_acted_pair_instance(),
+         {"center_zero": "nonzero element: 1*w", "ann_L_of_A_zero": "nonzero element: 1*w",
+          "AL_equals_L": "not spanned: 1*w", "A_identity_generated": "not spanned: 1*one"}),
+        (mutant,
+         {"ann_A_zero": "nonzero element: 1*one", "AA_equals_A": "not spanned: 1*one",
+          "A_identity_generated": "not spanned: 1*one"}),
+    )
+
+
+def test_every_tightness_condition_fails_with_its_witness():
+    failed = set()
+    for inst, witnesses in witness_cases():
+        rep = check_tight(inst)
+        assert rep.witnesses == witnesses, inst.name
+        assert {name for name, ok in rep.conditions.items() if not ok} == set(witnesses), inst.name
+        failed |= set(witnesses)
+    assert failed == set(TIGHT_NAMES)
+
+
+def test_tightness_matches_reference_on_corpora_and_witness_instances():
+    cases = (list(recipe_and_catalog_instances()) + list(recipe_and_catalog_wild_mutants())
+             + [(inst.name, inst) for inst, _ in witness_cases()])
+    refused = 0
+    for label, inst in cases:
+        got = outcome(check_tight, inst)
+        assert got == outcome(reference_tightness, inst), label
+        refused += isinstance(got, list)
+    assert refused == 263  # mutants refused on a block pair, the same one as the reference
+
+
+def test_tightness_builds_subspaces_only_for_a_witness(monkeypatch):
+    instances = {name: cached(name) for name in ("e1", "e2", "e3", "sl2_ga2")}
+    counts = count_returns(monkeypatch, [(grlr.linear, "rref")])
+    # per GradedSubspace built, whether a witness builder was running
+    built, witnesses, depth = [], [], [0]
+    adopt = GradedSubspace._adopt
+
+    def counting_adopt(self, *args):
+        built.append(depth[0] > 0)
+        adopt(self, *args)
+
+    def in_witness(name, original):
+        def wrapper(*args):
+            witnesses.append(name)
+            depth[0] += 1
+            try:
+                return original(*args)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    monkeypatch.setattr(GradedSubspace, "_adopt", counting_adopt)
+    for name in ("_nonzero_witness", "_not_spanned_witness"):
+        monkeypatch.setattr(grlr.decompose, name, in_witness(name, getattr(grlr.decompose, name)))
+    for name in ("e2", "e3", "sl2_ga2"):
+        assert check_tight(instances[name]).tight
+        assert counts["rref"] == 0 and built == [], name
+    assert list(check_tight(instances["e1"]).witnesses) == ["A_identity_generated"]
+    assert witnesses == ["_not_spanned_witness"]
+    assert built and all(built)
 
 
 def test_pairing_unique_on_tight_instances():

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import grlr.linear
 from grlr import fields
@@ -26,6 +28,7 @@ from grlr.linear import (
     in_span,
     joint_entry_span,
     nullspace,
+    rank_reaches,
     rref,
     rule_from_names,
     subspace_intersect,
@@ -60,6 +63,45 @@ def combination(f, x, rows):
     for c, row in zip(x, rows):
         out = [f.add(a, f.mul(c, b)) for a, b in zip(out, row)]
     return out
+
+
+GF2, GF7 = prime_field(2), prime_field(7)
+
+
+@st.composite
+def rank_cases(draw):
+    """(field, rows, n) over GF(2), GF(7) and Q: up to 8 rows of width 0 to
+    5, some of them zero or repeated, and n from 0 to the width plus one."""
+    f = draw(st.sampled_from([GF2, GF7, RATIONALS]))
+    width = draw(st.integers(0, 5))
+    scalar = (st.builds(f.from_int, st.integers(-3, 3)) if f.p else
+              st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)))
+    row = st.one_of(st.lists(scalar, min_size=width, max_size=width), st.just([f.zero] * width))
+    rows = draw(st.lists(row, max_size=8))
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(rows))))
+    return f, rows, draw(st.integers(0, width + 1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(rank_cases())
+@example((GF2, [], 0))
+@example((GF2, [], 1))
+@example((RATIONALS, [[RATIONALS.zero] * 2] * 3, 1))
+@example((GF7, [[1, 2], [1, 2], [2, 4], [0, 1]], 2))
+@example((GF7, [[1, 0], [0, 1], [1, 1]], 1))
+def test_rank_reaches_matches_reference_rank_and_reads_no_row_past_the_nth_independent(case):
+    f, rows, n = case
+    rank = len(reference_rref(f, rows)[1])
+    # rows[stop - 1] is the n-th independent row
+    stop = next((k for k in range(len(rows) + 1) if len(reference_rref(f, rows[:k])[1]) == n), None)
+
+    def guarded():
+        for k, row in enumerate(rows):
+            assert stop is None or k < stop, "read a row past the n-th independent one"
+            yield row
+
+    assert rank_reaches(f, guarded(), n) == (rank >= n)
 
 
 def test_rref_known_case():
