@@ -33,11 +33,11 @@ Tightness reads AA and AL the same way, from all block pairs of the
 product and the action, and reads the identity parts from the same
 terms.  Each of its seven conditions is a yes/no rank question, decided
 by ``linear.rank_reaches``, which stops at the n-th independent row: a
-kernel is zero iff the condition rows of each block
-(``linear.kernel_conditions``) have full column rank, and AA = A, AL = L
-and each identity part hold iff the entry rows (``linear.entry_rows``)
-span every block asked for.  Only a failing condition builds subspaces,
-to name its witness.
+kernel, on the maps ``model.KERNEL_MAPS`` lists for it, is zero iff the
+condition rows of each block (``linear.kernel_conditions``) have full
+column rank, and AA = A, AL = L and each identity part hold iff the
+entry rows (``linear.entry_rows``) span every block asked for.  Only a
+failing condition builds subspaces, to name its witness.
 """
 from __future__ import annotations
 
@@ -62,7 +62,7 @@ from .linear import (
     subspace_intersect,
     subspace_sum,
 )
-from .model import AlgebraInstance
+from .model import AlgebraInstance, kernel_maps
 
 
 def _full(inst: AlgebraInstance, basis: GradedBasis) -> GradedSubspace:
@@ -254,11 +254,9 @@ def check_tight(inst: AlgebraInstance) -> TightnessReport:
     sup, f, L, A = supports(inst), inst.field, inst.L, inst.A
     conditions: dict[str, bool] = {}
     witnesses: dict[str, str] = {}
-    for name, basis, maps in (
-        ("center_zero", L, ((inst.bracket, True), (inst.anchor, True))),
-        ("ann_L_of_A_zero", L, ((inst.action, False),)),
-        ("ann_A_zero", A, ((inst.product, True),)),
-    ):
+    for kernel in ("center", "ann_L_of_A", "ann_A"):
+        name = f"{kernel}_zero"
+        basis, maps = kernel_maps(inst, kernel)
         rows = kernel_conditions(f, basis, maps)
         conditions[name] = all(rank_reaches(f, rows[g], basis.block_dim(g)) for g in rows)
         if not conditions[name]:

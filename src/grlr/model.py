@@ -14,7 +14,7 @@ positions, so even instances whose tables break the grading law can be
 loaded and then failed by ``verify_grading`` with a precise witness.
 
 The ten algebra laws are the rows of ``LAWS``: (check name, basis of each
-argument, basis of the discrepancy, terms).  The discrepancy lhs - rhs
+argument, basis of the discrepancy, terms, margin).  The discrepancy lhs - rhs
 of a law on a tuple of basis positions is the sum of its terms.  A term
 (sign, inner, x, y, outer, inner_on_left, z) is sign * inner(x, y) when
 outer is None, and otherwise sign * outer(inner(x, y), z) when
@@ -29,24 +29,42 @@ whether or not the grading checks pass.  ``_law_check`` therefore walks
 the tables, not the tuples: for each inner entry (p, q) -> {o: c} it
 pairs o with every outer entry that has o on the inner side and adds
 the signed product into the sum of the tuple it reaches.  It does so
-one value of the first argument at a time, in increasing order, and
+one value v of the first argument at a time, in increasing order, and
 stops at the first value with a nonzero sum: the witness is the least
 tuple whose sum is nonzero there, the same tuple a scan of all basis
 tuples in lexicographic order finds first.  The cost grows with the
 number of nonzero products of structure constants, and the sums held at
 once with the products of one value of the first argument.
 
-The sums are plain Python ints, with no ``Field`` call.  ``verify_all``
-builds integer tables once per call (``_int_tables``): over GF(p) they
-are the residues as they are, and over Q each entry is multiplied by
-the scale D, the lcm of every denominator in the four tables.  A term's
-coefficient is its sign, +-1, times an inner entry when it has an outer
-rule.  Over GF(p) a sum is nonzero when ``s % p`` is; over Q when
-``s != 0``, exactly, since every sum is the true discrepancy times D**k.
-Every law is homogeneous in the entries: k = 1 for the laws whose terms
-have no outer rule and k = 2 for the others.  Only the witness tuple's
-sum is turned back into scalars, as ``s % p`` or ``Fraction(s, D**k)``.
-The tables live for one ``verify_all`` call.
+Every term reads one shared index.  ``verify_all`` groups each integer
+table by left argument, by right argument or by output on first use
+(``_TableIndex``): at most twelve groupings per call, none built twice
+and none kept after the call returns.  A term whose first argument is
+an inner one reads the inner rule grouped by that argument and the
+outer rule grouped by its inner side; a term whose first argument sits
+on the outer side reads the outer rule grouped by that side and the
+inner rule grouped by output.
+
+Within one round each sum is keyed by one int: the other arguments and
+the output position in mixed radix (``radix``), so key order is the
+lexicographic order of (tuple, output position).  The least nonzero key
+names the witness tuple, and the block of dim(output) keys it starts
+holds the witness value.  No tuple or per-tuple dict is built.
+
+Three laws are walked once per orbit of a symmetry that holds for any
+tables: [u,v] + [v,u] is symmetric in (u, v); ab - ba is antisymmetric,
+and exactly 0 when a = b; and the Jacobi sum is invariant under cyclic
+rotation of (u, v, w).  Each maps a nonzero discrepancy to a nonzero
+one (negation preserves nonzero), so the least nonzero tuple t is no
+greater than any image of it.  For antisymmetry t = (u, v) has u <= v,
+else (v, u) < t.  For commutativity a = b gives 0 and (b, a) < t when
+b < a, so t = (a, b) has a < b.  For Jacobi the rotations (v, w, u) and
+(w, u, v) of t = (u, v, w) are nonzero and not below t, so v >= u and
+w >= u.  The ``LAWS`` column ``margin`` (0, 1 and 0) records this:
+those laws keep only the tuples whose other arguments are all at least
+v + margin, and every product that lands on a kept tuple, from every
+term, so each kept tuple's sum is its whole discrepancy and the least
+nonzero kept tuple is t.  No law reads another law's verdict.
 
 ``RULES`` is the one list of rule domains, in the same letters: each row
 is (rule name, bases of the left argument, the right argument and the
@@ -55,10 +73,12 @@ that makes a new instance reads it, through ``rebuild_instance``.
 
 The canonical invariant subspaces ``center``, ``ann_L_of_A``, ``ann_A``
 and ``ker_anchor`` are common kernels of maps such as v -> [v, .] and
-v -> rho(v).  ``linear.entry_kernel`` writes their conditions straight
-from the table entries, one row per (map, other argument, output
-coordinate) that an entry reaches, so the work grows with the number of
-entries, not with the square of the dimension.
+v -> rho(v), listed once in ``KERNEL_MAPS``; ``decompose.check_tight``
+reads the same maps for its kernel conditions.  ``linear.entry_kernel``
+writes their conditions straight from the table entries, one row per
+(map, other argument, output coordinate) that an entry reaches, so the
+work grows with the number of entries, not with the square of the
+dimension.
 
 ``transport`` rebuilds an instance on new homogeneous bases.  At grade g
 the new basis vectors are the rows of ``L_rows[g]`` (``A_rows[g]``), given
@@ -71,10 +91,11 @@ expressed block by block in those rows.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import ToolkitError
 from .fields import Field, Scalar
@@ -202,32 +223,34 @@ def verify_grading(inst: AlgebraInstance) -> VerificationReport:
 # (sign, inner rule, x, y, outer rule or None, inner_on_left, z); module docstring
 Term = tuple[int, str, int, int, str | None, bool, int | None]
 
-# (check name, basis of each argument, basis of the discrepancy, terms)
-LAWS: tuple[tuple[str, str, str, tuple[Term, ...]], ...] = (
+# (check name, basis of each argument, basis of the discrepancy, terms,
+# margin: None, or m when every other argument of the least nonzero tuple
+# is at least its first argument plus m; module docstring)
+LAWS: tuple[tuple[str, str, str, tuple[Term, ...], int | None], ...] = (
     ("lie.alternating", "L", "L",                                # [v,v] = 0
-     ((1, "bracket", 0, 0, None, True, None),)),
+     ((1, "bracket", 0, 0, None, True, None),), None),
     ("lie.antisymmetry", "LL", "L",                              # [u,v] = -[v,u]
-     ((1, "bracket", 0, 1, None, True, None), (1, "bracket", 1, 0, None, True, None))),
+     ((1, "bracket", 0, 1, None, True, None), (1, "bracket", 1, 0, None, True, None)), 0),
     ("lie.jacobi", "LLL", "L",                                   # [[u,v],w] + cyclic = 0
      ((1, "bracket", 0, 1, "bracket", True, 2), (1, "bracket", 1, 2, "bracket", True, 0),
-      (1, "bracket", 2, 0, "bracket", True, 1))),
+      (1, "bracket", 2, 0, "bracket", True, 1)), 0),
     ("assoc.commutativity", "AA", "A",                           # ab = ba
-     ((1, "product", 0, 1, None, True, None), (-1, "product", 1, 0, None, True, None))),
+     ((1, "product", 0, 1, None, True, None), (-1, "product", 1, 0, None, True, None)), 1),
     ("assoc.associativity", "AAA", "A",                          # (ab)c = a(bc)
-     ((1, "product", 0, 1, "product", True, 2), (-1, "product", 1, 2, "product", False, 0))),
+     ((1, "product", 0, 1, "product", True, 2), (-1, "product", 1, 2, "product", False, 0)), None),
     ("module.associative_action", "AAL", "L",                    # (ab).v = a.(b.v)
-     ((1, "product", 0, 1, "action", True, 2), (-1, "action", 1, 2, "action", False, 0))),
+     ((1, "product", 0, 1, "action", True, 2), (-1, "action", 1, 2, "action", False, 0)), None),
     ("anchor.derivation", "LAA", "A",                            # rho(v)(ab) = rho(v)(a)b + a rho(v)(b)
      ((1, "product", 1, 2, "anchor", False, 0), (-1, "anchor", 0, 1, "product", True, 2),
-      (-1, "anchor", 0, 2, "product", False, 1))),
+      (-1, "anchor", 0, 2, "product", False, 1)), None),
     ("anchor.homomorphism", "LLA", "A",                          # rho([v,w]) = [rho(v), rho(w)]
      ((1, "bracket", 0, 1, "anchor", True, 2), (-1, "anchor", 1, 2, "anchor", False, 0),
-      (1, "anchor", 0, 2, "anchor", False, 1))),
+      (1, "anchor", 0, 2, "anchor", False, 1)), None),
     ("anchor.linearity", "ALA", "A",                             # rho(a.v)(b) = a rho(v)(b)
-     ((1, "action", 0, 1, "anchor", True, 2), (-1, "anchor", 1, 2, "product", False, 0))),
+     ((1, "action", 0, 1, "anchor", True, 2), (-1, "anchor", 1, 2, "product", False, 0)), None),
     ("anchor.compatibility", "LAL", "L",                         # [v,a.w] = a.[v,w] + rho(v)(a).w
      ((1, "action", 1, 2, "bracket", False, 0), (-1, "bracket", 0, 2, "action", False, 1),
-      (-1, "anchor", 0, 1, "action", True, 2))),
+      (-1, "anchor", 0, 1, "action", True, 2)), None),
 )
 
 
@@ -247,97 +270,146 @@ def _int_tables(inst: AlgebraInstance) -> tuple[dict[str, IntTable], int]:
             for name, t in tables.items()}, scale
 
 
-def _term_products(
-    tables: Mapping[str, IntTable], arity: int, term: Term
-) -> tuple[set[int], Callable[[int], Iterator[tuple[tuple[int, ...], int, dict[int, int]]]]]:
-    """Index one term's nonzero table products by the value of the law's
-    first argument: the values it takes, and a function listing the
-    products (argument tuple, signed int coefficient, int image) at one of them."""
+class _TableIndex(dict):
+    """The integer tables of one ``verify_all`` call, grouped on first use:
+    ``index[rule, "left"]`` maps i to [(j, image)], ``index[rule, "right"]``
+    maps j to [(i, image)] and ``index[rule, "output"]`` maps o to
+    [(i, j, c)], over the entries (i, j) -> image with o: c in image."""
+
+    def __init__(self, tables: Mapping[str, IntTable]):
+        super().__init__()
+        self.tables = tables
+
+    def __missing__(self, key: tuple[str, str]) -> dict[int, list]:
+        rule, by = key
+        groups: dict[int, list] = {}
+        table = self.tables[rule]
+        if by == "output":
+            for (i, j), image in table.items():
+                for o, c in image.items():
+                    groups.setdefault(o, []).append((i, j, c))
+        elif by == "left":
+            for (i, j), image in table.items():
+                groups.setdefault(i, []).append((j, image))
+        else:
+            for (i, j), image in table.items():
+                groups.setdefault(j, []).append((i, image))
+        self[key] = groups
+        return groups
+
+
+# add(v, lo, sums): add a term's products at first argument v, with every
+# other argument >= lo, into the flat-keyed sums of the round
+TermWalk = Callable[[int, int, dict[int, int]], None]
+
+
+def _term_walk(index: _TableIndex, radix: Sequence[int], term: Term) -> tuple[Mapping[int, list], TermWalk]:
+    """One term's walk: the grouping keyed by the law's first argument,
+    whose keys are the values it takes, and the function adding its
+    products at one of them.  Argument k >= 1 of a tuple, at position a,
+    adds a * radix[k] to the flat key, and the output position adds itself."""
     sign, inner, x, y, outer, inner_on_left, z = term
-    first_inner = z != 0
-    by_first: dict[int, list] = {}
-    partners: dict[int, list[tuple[int, dict[int, int]]]] = {}
-    if outer is not None:
-        for (i, j), image in tables[outer].items():
-            o, r = (i, j) if inner_on_left else (j, i)
-            if first_inner:
-                partners.setdefault(o, []).append((r, image))
-            else:
-                by_first.setdefault(r, []).append((o, image))
-    by_output: dict[int, list[tuple[int, int, int]]] = {}
-    if not first_inner:
-        # the first argument sits on the outer side: inner entries are
-        # looked up by output, keeping only outputs some outer entry takes
-        by_output = {o: [] for entries in by_first.values() for o, _ in entries}
-    for (p, q), image in tables[inner].items():
-        if x == y and p != q:
-            continue
-        if first_inner:
-            by_first.setdefault(p if x == 0 else q, []).append((p, q, image))
-            continue
-        for o, c in image.items():
-            if o in by_output:
-                by_output[o].append((p, q, sign * c))
-    key = [0] * arity
+    if outer is None:
+        # the inner entries at v; for [v, v] only those on the diagonal
+        first = index[inner, "left" if x == 0 else "right"]
+        m, diagonal = radix[y if x == 0 else x], x == y
 
-    def products(v: int):
-        if not first_inner:
-            key[z] = v
-            for o, image in by_first.get(v, ()):
-                for key[x], key[y], c in by_output.get(o, ()):
-                    yield tuple(key), c, image
-            return
-        for key[x], key[y], inner_image in by_first.get(v, ()):
-            if outer is None:
-                yield tuple(key), sign, inner_image
-                continue
-            for o, c in inner_image.items():
-                for key[z], image in partners.get(o, ()):
-                    yield tuple(key), sign * c, image
+        def add(v: int, lo: int, sums: dict[int, int]) -> None:
+            for s, image in first.get(v, ()):
+                if s >= lo and (s == v or not diagonal):
+                    base = s * m
+                    for pos, e in image.items():
+                        sums[base + pos] += sign * e
 
-    return set(by_first), products
+        return first, add
+    if z != 0:
+        # the first argument is an inner one: the inner entries at v, each
+        # output o paired with the outer entries that take o on the inner side
+        first = index[inner, "left" if x == 0 else "right"]
+        partners = index[outer, "left" if inner_on_left else "right"]
+        ms, mz = radix[y if x == 0 else x], radix[z]
+
+        def add(v: int, lo: int, sums: dict[int, int]) -> None:
+            for s, inner_image in first.get(v, ()):
+                if s < lo:
+                    continue
+                b = s * ms
+                for o, c in inner_image.items():
+                    c *= sign
+                    for r, image in partners.get(o, ()):
+                        if r >= lo:
+                            base = b + r * mz
+                            for pos, e in image.items():
+                                sums[base + pos] += c * e
+
+        return first, add
+    # the first argument sits on the outer side: the outer entries at v,
+    # each inner-side argument o paired with the inner entries whose output is o
+    first = index[outer, "right" if inner_on_left else "left"]
+    by_output = index[inner, "output"]
+    mx, my = radix[x], radix[y]
+
+    def add(v: int, lo: int, sums: dict[int, int]) -> None:
+        for o, image in first.get(v, ()):
+            for p, q, c in by_output.get(o, ()):
+                if p >= lo and q >= lo:
+                    base, c = p * mx + q * my, sign * c
+                    for pos, e in image.items():
+                        sums[base + pos] += c * e
+
+    return first, add
 
 
 def _law_check(
-    inst: AlgebraInstance, tables: Mapping[str, IntTable], scale: int,
-    name: str, args: str, out: str, terms: tuple[Term, ...],
+    inst: AlgebraInstance, index: _TableIndex, scale: int,
+    name: str, args: str, out: str, terms: tuple[Term, ...], margin: int | None,
 ) -> CheckResult:
-    """Sum every term's nonzero table products per argument tuple, on ints,
-    one value of the first argument at a time in increasing order; report
-    the lexicographically least tuple whose sum is nonzero in the field."""
+    """Sum every term's nonzero table products per flat key, on ints, one
+    value v of the first argument at a time in increasing order, keeping
+    only tuples whose other arguments are >= v + margin; report the least
+    tuple whose sum is nonzero in the field (module docstring)."""
     p = inst.field.p
-    walks = [_term_products(tables, len(args), term) for term in terms]
-    for v in sorted(set().union(*(values for values, _ in walks))):
-        sums: dict[tuple[int, ...], dict[int, int]] = {}
-        for _, products in walks:
-            for key, c, image in products(v):
-                acc = sums.setdefault(key, {})
-                for pos, e in image.items():
-                    acc[pos] = acc.get(pos, 0) + c * e
+    bases = [getattr(inst, b) for b in args]
+    dout = getattr(inst, out).dim
+    radix = [0] * len(args)
+    step = dout
+    for k in range(len(args) - 1, 0, -1):
+        radix[k] = step
+        step *= bases[k].dim
+    walks = [_term_walk(index, radix, term) for term in terms]
+    for v in sorted(set().union(*(first for first, _ in walks))):
+        sums: defaultdict[int, int] = defaultdict(int)
+        lo = 0 if margin is None else v + margin
+        for _, add in walks:
+            add(v, lo, sums)
         if p is not None:
-            nonzero = [t for t, s in sums.items() if any(x % p for x in s.values())]
+            nonzero = [key for key, s in sums.items() if s % p]
         else:
-            nonzero = [t for t, s in sums.items() if any(s.values())]
+            nonzero = [key for key, s in sums.items() if s]
         if nonzero:
-            first = min(nonzero)
+            least = min(nonzero)
+            block = least - least % dout
+            witness = [v] + [least // radix[k] % bases[k].dim for k in range(1, len(args))]
             if p is not None:
-                diff = {pos: x % p for pos, x in sums[first].items() if x % p}
+                diff = {pos: x % p for pos in range(dout) if (x := sums.get(block + pos, 0)) % p}
             else:
                 # a law's terms all have degree 1 in the entries, or all 2 (outer rule)
                 denominator = scale if terms[0][4] is None else scale * scale
-                diff = {pos: Fraction(x, denominator) for pos, x in sums[first].items() if x}
+                diff = {pos: Fraction(x, denominator) for pos in range(dout) if (x := sums.get(block + pos, 0))}
             return CheckResult(name, False, {
-                "args": [getattr(inst, b).name_of(i) for b, i in zip(args, first)],
+                "args": [b.name_of(i) for b, i in zip(bases, witness)],
                 "value": getattr(inst, out).describe_sparse(diff, inst.field),
             })
     return CheckResult(name, True)
 
 
 def verify_all(inst: AlgebraInstance) -> VerificationReport:
-    """The four grading checks, then one check per row of ``LAWS``."""
+    """The four grading checks, then one check per row of ``LAWS``, all
+    reading one table index that lives for this call."""
     checks = verify_grading(inst).checks
     tables, scale = _int_tables(inst)
-    checks += [_law_check(inst, tables, scale, *law) for law in LAWS]
+    index = _TableIndex(tables)
+    checks += [_law_check(inst, index, scale, *law) for law in LAWS]
     return VerificationReport(checks)
 
 
@@ -345,24 +417,40 @@ def verify_all(inst: AlgebraInstance) -> VerificationReport:
 # canonical invariant subspaces
 
 
+# each subspace's basis and the (rule, v_left) maps it is the common kernel
+# of: v -> rule(v, .) when v_left, v -> rule(., v) when not
+KERNEL_MAPS: dict[str, tuple[str, tuple[tuple[str, bool], ...]]] = {
+    "center": ("L", (("bracket", True), ("anchor", True))),
+    "ann_L_of_A": ("L", (("action", False),)),
+    "ann_A": ("A", (("product", True),)),
+    "ker_anchor": ("L", (("anchor", True),)),
+}
+
+
+def kernel_maps(inst: AlgebraInstance, kernel: str) -> tuple[GradedBasis, list[tuple[BilinearRule, bool]]]:
+    """The basis and the (rule, v_left) maps of ``KERNEL_MAPS[kernel]`` on ``inst``."""
+    basis, maps = KERNEL_MAPS[kernel]
+    return getattr(inst, basis), [(getattr(inst, rule), v_left) for rule, v_left in maps]
+
+
 def center(inst: AlgebraInstance) -> GradedSubspace:
     """Z(L) = {v : [v, L] = 0 and rho(v) = 0}."""
-    return entry_kernel(inst.field, inst.L, ((inst.bracket, True), (inst.anchor, True)))
+    return entry_kernel(inst.field, *kernel_maps(inst, "center"))
 
 
 def ann_L_of_A(inst: AlgebraInstance) -> GradedSubspace:
     """Ann_L(A) = {v in L : A.v = 0}."""
-    return entry_kernel(inst.field, inst.L, ((inst.action, False),))
+    return entry_kernel(inst.field, *kernel_maps(inst, "ann_L_of_A"))
 
 
 def ann_A(inst: AlgebraInstance) -> GradedSubspace:
     """Ann(A) = {a in A : aA = 0}."""
-    return entry_kernel(inst.field, inst.A, ((inst.product, True),))
+    return entry_kernel(inst.field, *kernel_maps(inst, "ann_A"))
 
 
 def ker_anchor(inst: AlgebraInstance) -> GradedSubspace:
     """Ker rho = {v in L : rho(v)(A) = 0}."""
-    return entry_kernel(inst.field, inst.L, ((inst.anchor, True),))
+    return entry_kernel(inst.field, *kernel_maps(inst, "ker_anchor"))
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,19 @@ def added_entries(inst: AlgebraInstance, changes) -> AlgebraInstance:
     return AlgebraInstance(f"{inst.name}~added", f, inst.group, inst.L, inst.A, **rules)
 
 
+def integer_instance(name: str, field_label: str) -> AlgebraInstance:
+    """The catalog entry ``name`` at Q, whose structure constants are all
+    integers, with each constant read into the field ``field_label``: so
+    e1 and sl2_ga2 exist over GF(2) too, where ``build`` refuses them."""
+    base, f = cached(name, "q"), parse_field_label(field_label)
+    rules = {}
+    for r in (base.bracket, base.product, base.action, base.anchor):
+        assert all(c.denominator == 1 for image in r.table.values() for c in image.values())
+        table = {key: {o: f.from_int(c.numerator) for o, c in image.items()} for key, image in r.table.items()}
+        rules[r.name] = BilinearRule(r.name, f, base.group, r.left, r.right, r.out, table)
+    return AlgebraInstance(f"{name}@{field_label}", f, base.group, base.L, base.A, **rules)
+
+
 def parse_grade(spec: GroupSpec, text: str | Iterable[int]) -> Grade:
     """A grade from text such as ``"1,-2"`` or from coordinates, reduced by ``spec``."""
     if isinstance(text, str):

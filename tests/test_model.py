@@ -4,6 +4,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grlr import (
     GradedSubspace,
@@ -42,6 +44,7 @@ from helpers import (
     graded_subspaces,
     ideal_oracle_A,
     ideal_oracle_L,
+    integer_instance,
     literal_ideal_test_A,
     literal_ideal_test_L,
     mutate_instance,
@@ -209,6 +212,62 @@ def test_fractional_witnesses_over_q_match_literal_scan(atom, seed, changes, fai
     assert set(failed) == failing
     # a degree-1 or degree-2 law reports a witness value with a denominator
     assert any("/" in str(w.get("value")) for w in failed.values())
+
+
+# The least nonzero tuple of lie.antisymmetry, assoc.commutativity and
+# lie.jacobi has its first argument <= each other argument (< for
+# commutativity), so verify_all walks only those tuples (model docstring).
+# Each mutant breaks an entry at a non-least permutation or on the
+# diagonal; the witness must still name the least tuple (None: passes).
+ORBIT_MUTANTS = (
+    ("e1", "gf3", [("bracket", "h", "e", "e", "1")], "lie.antisymmetry", ["e", "h"]),
+    ("e1", "gf3", [("bracket", "f", "f", "e", "1")], "lie.antisymmetry", ["f", "f"]),  # 2[f,f] != 0
+    ("e1", "gf2", [("bracket", "f", "f", "e", "1")], "lie.antisymmetry", None),  # 2[f,f] = 0
+    ("sl2_ga2", "gf3", [("product", "u", "one", "u", "1")], "assoc.commutativity", ["one", "u"]),
+    ("sl2_ga2", "q", [("product", "u", "u", "one", "1")], "assoc.commutativity", None),  # ab - ba = 0 at a = b
+    ("e1", "gf3", [("bracket", "h", "f", "h", "1"), ("bracket", "f", "h", "h", "-1")], "lie.jacobi", ["e", "f", "h"]),
+    ("e1", "q", [("bracket", "h", "e", "f", "1")], "lie.jacobi", ["e", "e", "h"]),  # a repeated least argument
+)
+
+
+@pytest.mark.parametrize("name, field_label, changes, law, args", ORBIT_MUTANTS)
+def test_symmetric_laws_name_the_least_tuple_of_each_orbit(name, field_label, changes, law, args):
+    inst = added_entries(integer_instance(name, field_label), changes)
+    got = [c.to_json() for c in verify_all(inst).checks]
+    assert got == reference_verify(inst)
+    check = next(c for c in got if c["check"] == law)
+    assert check["passed"] == (args is None)
+    if args is not None:
+        assert check["witness"]["args"] == args
+
+
+@st.composite
+def random_entries(draw, inst):
+    """1 to 6 (rule, left, right, output, delta) changes for ``added_entries``,
+    at any positions, off-grade included, with a nonzero delta of the field."""
+    f = inst.field
+    rules = [r for r in (inst.bracket, inst.product, inst.action, inst.anchor)
+             if r.left.dim and r.right.dim and r.out.dim]
+    changes = []
+    for _ in range(draw(st.integers(1, 6))):
+        rule = draw(st.sampled_from(rules))
+        i, j, k = (draw(st.integers(0, b.dim - 1)) for b in (rule.left, rule.right, rule.out))
+        if f.p is None:
+            delta = f"{draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))}/{draw(st.integers(1, 4))}"
+        else:
+            delta = str(draw(st.integers(1, f.p - 1)))
+        changes.append((rule.name, rule.left.name_of(i), rule.right.name_of(j), rule.out.name_of(k), delta))
+    return changes
+
+
+@pytest.mark.parametrize("field_label", ["gf2", "gf3", "q"])
+@pytest.mark.parametrize("name", ["e1", "ga2", "sl2_ga2"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(data=st.data())
+def test_verify_matches_literal_scan_on_random_entries(name, field_label, data):
+    base = integer_instance(name, field_label)
+    inst = added_entries(base, data.draw(random_entries(base)))
+    assert [c.to_json() for c in verify_all(inst).checks] == reference_verify(inst)
 
 
 def test_twenty_seeded_mutations_of_e2_each_fail():
