@@ -72,10 +72,13 @@ class Supports:
 
 
 def supports(inst: AlgebraInstance) -> Supports:
-    one = inst.group.identity()
-    sig = frozenset(g for g in inst.L.grades() if g != one and inst.L.block_dim(g) > 0)
-    lam = frozenset(g for g in inst.A.grades() if g != one and inst.A.block_dim(g) > 0)
-    return Supports(inst.group, sig, lam)
+    """Built on the first call and kept by the instance, which never changes."""
+    if inst._supports is None:
+        one = inst.group.identity()
+        sig = frozenset(g for g in inst.L.grades() if g != one and inst.L.block_dim(g) > 0)
+        lam = frozenset(g for g in inst.A.grades() if g != one and inst.A.block_dim(g) > 0)
+        inst._supports = Supports(inst.group, sig, lam)
+    return inst._supports
 
 
 # ---------------------------------------------------------------------------

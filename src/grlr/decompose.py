@@ -24,10 +24,10 @@ all of L with zero pairwise intersections.
 
 Each term is a product of two whole blocks, so it is the span of the
 table entries on the block pair (g^-1, g).  An identity part is
-therefore one elimination of those entries (``linear.joint_entry_span``),
-taken term by term in the order above, cross before own at each grade,
-so a block pair that breaks the grade-shift law is refused at the same
-term as a product would refuse it.
+therefore one elimination of those entries (``linear.row_span`` of
+``linear.entry_rows``), taken term by term in the order above, cross
+before own at each grade, so a block pair that breaks the grade-shift
+law is refused at the same term as a product would refuse it.
 
 Tightness reads AA and AL the same way, from all block pairs of the
 product and the action, and reads the identity parts from the same
@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .connections import ConnectionPartition, Supports, lambda_classes, sigma_classes, supports
+from .connections import ConnectionPartition, lambda_classes, sigma_classes, supports
 from .fields import Field, Scalar
 from .groups import Grade, format_grade
 from .linear import (
@@ -55,7 +55,6 @@ from .linear import (
     complement_in,
     entry_kernel,
     entry_rows,
-    joint_entry_span,
     kernel_conditions,
     rank_reaches,
     row_span,
@@ -75,20 +74,21 @@ def _block(inst: AlgebraInstance, basis: GradedBasis, grades: Iterable[Grade]) -
 
 
 def _side(
-    inst: AlgebraInstance, sup: Supports, side: str
+    inst: AlgebraInstance, side: str
 ) -> tuple[GradedBasis, frozenset[Grade], frozenset[Grade], BilinearRule, BilinearRule]:
     """(basis, own support, cross support, cross rule, own rule) of one side."""
+    sup = supports(inst)
     if side == "L":
         return inst.L, sup.sigma, sup.lam, inst.action, inst.bracket
     return inst.A, sup.lam, sup.sigma, inst.anchor, inst.product
 
 
 def _identity_terms(
-    inst: AlgebraInstance, sup: Supports, side: str, grades: Iterable[Grade]
+    inst: AlgebraInstance, side: str, grades: Iterable[Grade]
 ) -> list[tuple[BilinearRule, tuple[Grade, Grade]]]:
     """The terms of an identity part: at each g in ``grades``, the cross
     rule on (g^-1, g) for g in the cross support only, then the own rule."""
-    _, _, cross, cross_rule, own_rule = _side(inst, sup, side)
+    _, _, cross, cross_rule, own_rule = _side(inst, side)
     terms = []
     for g in grades:
         pair = (inst.group.inv(g), g)
@@ -98,10 +98,11 @@ def _identity_terms(
     return terms
 
 
-def _identity_part(inst: AlgebraInstance, sup: Supports, side: str, grades: Iterable[Grade]) -> GradedSubspace:
+def _identity_part(inst: AlgebraInstance, side: str, grades: Iterable[Grade]) -> GradedSubspace:
     """Sum over g in ``grades`` of cross(X_{g^-1}, Y_g), for g in the cross
     support only, and of own(X_{g^-1}, Y_g): a subspace of the identity block."""
-    return joint_entry_span(inst.field, _side(inst, sup, side)[0], _identity_terms(inst, sup, side, grades))
+    basis = _side(inst, side)[0]
+    return row_span(inst.field, basis, entry_rows(inst.field, basis, _identity_terms(inst, side, grades)))
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +182,13 @@ def _pairwise(ideals: list[ClassIdeal], rule: BilinearRule) -> tuple[list[dict],
 
 def _decompose(inst: AlgebraInstance, side: str, partition: ConnectionPartition) -> DecompositionReport:
     """The class report of one side, from that side's connection partition."""
-    sup = supports(inst)
-    basis, _, _, _, own_rule = _side(inst, sup, side)
+    basis, _, _, _, own_rule = _side(inst, side)
     ideals = []
     # The classes partition the own support, so the sum of their identity
     # parts is the identity block the whole support generates.
     generated = GradedSubspace.zero(inst.field, basis)
     for cls in partition.classes:
-        identity_part = _identity_part(inst, sup, side, cls)
+        identity_part = _identity_part(inst, side, cls)
         support_part = _block(inst, basis, cls)
         ideals.append(
             ClassIdeal(side, tuple(cls), identity_part, support_part, subspace_sum(identity_part, support_part))
@@ -265,8 +265,8 @@ def check_tight(inst: AlgebraInstance) -> TightnessReport:
     for name, basis, terms, grades in (
         ("AA_equals_A", A, [(inst.product, pair) for pair in sorted(inst.product.block_pairs())], A.grades()),
         ("AL_equals_L", L, [(inst.action, pair) for pair in sorted(inst.action.block_pairs())], L.grades()),
-        ("L_identity_generated", L, _identity_terms(inst, sup, "L", sorted(sup.sigma)), one),
-        ("A_identity_generated", A, _identity_terms(inst, sup, "A", sorted(sup.lam)), one),
+        ("L_identity_generated", L, _identity_terms(inst, "L", sorted(sup.sigma)), one),
+        ("A_identity_generated", A, _identity_terms(inst, "A", sorted(sup.lam)), one),
     ):
         rows = entry_rows(f, basis, terms)
         conditions[name] = all(rank_reaches(f, rows.get(g, ()), basis.block_dim(g)) for g in grades)

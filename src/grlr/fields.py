@@ -5,12 +5,12 @@ canonical residues ``0..p-1`` (ints) for GF(p).  Arithmetic goes
 through a :class:`Field`, except in two places that run on plain values
 and reduce with ``% p`` or build ``Fraction``s themselves: ``linear``'s
 elimination (``rref``, the one reducer ``_residue`` and what calls it,
-the ideal closures of ``simplicity`` included) and ``model.verify_all``,
-which sums the ten algebra laws over integer tables: the residues
-themselves over GF(p), each entry times the lcm D of all the tables'
-denominators over Q; a sum is tested with ``% p`` or against 0, and
-only a witness is turned back into a scalar.  Both take canonical
-values of the field unchecked, like the kernels below.
+the running basis ``Span`` of the ideal closures included) and
+``model.verify_all``, which sums the ten algebra laws over integer
+tables: the residues themselves over GF(p), each entry times the lcm D
+of all the tables' denominators over Q; a sum is tested with ``% p`` or
+against 0, and only a witness is turned back into a scalar.  Both take
+canonical values of the field unchecked, like the kernels below.
 
 Scalars are validated once, where they enter the program: ``parse`` and
 ``from_int`` produce canonical values, and ``check`` guards the entry
@@ -27,6 +27,7 @@ values of this field and do not check them; ``inv`` still refuses zero.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
@@ -162,11 +163,11 @@ class Field:
         """Parse ``[+-]digits[/digits]``.  Floats are rejected on purpose."""
         if not isinstance(text, str) or _SCALAR_RE.fullmatch(text) is None:
             raise ScalarParseError(f"bad scalar literal {text!r}")
-        if "/" in text:
-            num_s, den_s = text.split("/")
-            num, den = int(num_s), int(den_s)
-        else:
-            num, den = int(text), 1
+        num_s, _, den_s = text.partition("/")
+        try:
+            num, den = int(num_s), int(den_s or "1")
+        except ValueError:  # past CPython's integer-string digit limit
+            raise ScalarParseError(f"scalar literal has over {sys.get_int_max_str_digits()} digits") from None
         if den == 0:
             raise ScalarParseError(f"zero denominator in {text!r}")
         if self.kind == "rational":
@@ -206,6 +207,9 @@ def parse_field_label(label: str) -> Field:
     m = re.fullmatch(r"(?:gf|f)(\d+)", text)
     if m is None:
         raise ScalarParseError(f"unknown field label {label!r}")
+    if len(m.group(1).lstrip("0")) > len(str(MODULUS_LIMIT)):  # too large, and maybe too long for int()
+        raise ScalarParseError(
+            f"field label modulus has {len(m.group(1))} digits: primality is decided below {MODULUS_LIMIT}")
     try:
         return prime_field(int(m.group(1)))
     except ValueError as exc:

@@ -25,6 +25,7 @@ the parser.  A group of rank above ``MAX_GROUP_RANK`` is refused.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -71,7 +72,7 @@ def _parse_scalar(field: Field, raw: Any, where: str):
     if isinstance(raw, bool) or not isinstance(raw, (str, int)):
         raise InstanceFormatError(f"{where}: scalar must be a string or integer, got {raw!r}")
     try:
-        return field.parse(str(raw))
+        return field.from_int(raw) if isinstance(raw, int) else field.parse(raw)
     except ScalarParseError as exc:
         raise InstanceFormatError(f"{where}: {exc}") from None
 
@@ -208,6 +209,8 @@ def load_instance(path: str | Path) -> AlgebraInstance:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise InstanceFormatError(f"{p}: invalid JSON: {exc}") from None
+    except ValueError:  # the only other ValueError json raises
+        raise InstanceFormatError(f"{p}: an integer has more than {sys.get_int_max_str_digits()} digits") from None
     return instance_from_json(data)
 
 

@@ -17,8 +17,8 @@ its pivot (``Fraction(x, pivot)`` over Q, times ``pow(pivot, -1, p)``
 over GF(p)); the reduced row echelon form is unique, so they equal what
 elimination with the field's operations gives.  ``_residue`` reduces one
 vector against semi-echelon rows (each 1 at its pivot and 0 at the
-pivots of the rows before it); membership, coordinates, sums and the
-closures' running bases of ``simplicity`` all call it.
+pivots of the rows before it); membership, coordinates, sums,
+``rank_reaches`` and ``Span``, the closures' running basis, call it.
 
 Rows from a caller are checked and reduced in one place: the public
 constructor ``GradedSubspace(...)`` checks each row's length and
@@ -39,12 +39,11 @@ one routine that the grading verifier and the product refusals share,
 ``BilinearRule.off_grade``.
 
 A product of two whole blocks needs no multiplication at all: it is the
-span of that block pair's table entries.  ``entry_span`` and
-``joint_entry_span`` read such products straight off the index, with one
-elimination per output block of the rows that ``entry_rows`` builds.
-They and ``bilinear_image`` refuse a block pair that breaks the
-grade-shift law through ``checked_block_pair``, so the refusal reads the
-same whichever of them meets the pair first.  ``entry_kernel`` cuts out
+span of that block pair's table entries.  A sum of such products is
+``row_span`` of the rows that ``entry_rows`` reads off the index;
+``entry_rows`` and ``bilinear_image`` refuse a block pair that breaks
+the grade-shift law through ``checked_block_pair``, so the refusal reads
+the same whichever of them meets the pair first.  ``entry_kernel`` cuts out
 the common kernel of maps v -> rule(v, .) and v -> rule(., v) with the
 rows that ``kernel_conditions`` builds, one condition per table entry
 component.  Where only a dimension is asked, ``rank_reaches`` reads such
@@ -503,6 +502,61 @@ def complement_in(inner: GradedSubspace, outer: GradedSubspace) -> GradedSubspac
 
 
 # ---------------------------------------------------------------------------
+# running semi-echelon bases
+
+
+class Span:
+    """A running semi-echelon basis of a graded space, block by block: each
+    row is 1 at its pivot and 0 at the pivots of the rows added before it,
+    so ``_residue`` reduces a vector in one pass over the rows.
+    Residues mod p over GF(p), ``Fraction``s over Q, with no ``Field`` call
+    per entry."""
+
+    def __init__(self, field: Field, basis: GradedBasis, start: GradedSubspace | None = None):
+        self.field, self.basis = field, basis
+        self.rows: dict[Grade, list[Sequence[Scalar]]] = {}
+        self.pivots: dict[Grade, list[int]] = {}
+        self.rank = 0
+        if start is not None:  # RREF blocks are semi-echelon in any order
+            for g, rows in start.blocks.items():
+                self.rows[g], self.pivots[g] = list(rows), list(start.pivots[g])
+                self.rank += len(rows)
+
+    def full_at(self, g: Grade) -> bool:
+        return len(self.rows.get(g, ())) == self.basis.block_dim(g)
+
+    def add_image(self, g: Grade, terms: list, v: Sequence[Scalar]) -> list | None:
+        """Add the sum of v[offset] * entry over ``terms`` (one map of
+        ``BilinearRule.by_argument``), a row of block g, reduced and scaled
+        to 1 at its pivot; return it, or None when it is already in the span."""
+        p = self.field.p
+        row = [0] * self.basis.block_dim(g)
+        for b, entry in terms:
+            y = v[b]
+            if y:
+                for k, e in entry:
+                    row[k] += y * e
+        if p is not None:
+            row = [x % p for x in row]
+        rows = self.rows.setdefault(g, [])
+        pivots = self.pivots.setdefault(g, [])
+        row = _residue(self.field, rows, pivots, row)
+        lead = next((k for k, x in enumerate(row) if x), None)
+        if lead is None:
+            return None
+        row = _scaled(self.field, row, lead)
+        rows.append(row)
+        pivots.append(lead)
+        self.rank += 1
+        return row
+
+    def subspace(self) -> GradedSubspace:
+        """The span, one RREF per block."""
+        f = self.field
+        return GradedSubspace._from_rref(f, self.basis, {g: rref(f, rows) for g, rows in self.rows.items() if rows})
+
+
+# ---------------------------------------------------------------------------
 # bilinear structure rules
 
 
@@ -776,27 +830,6 @@ def entry_rows(
 def row_span(field: Field, out: GradedBasis, rows: Mapping[Grade, Sequence[Sequence[Scalar]]]) -> GradedSubspace:
     """The span of rows of canonical scalars, given per grade of ``out``: one elimination per block."""
     return GradedSubspace._from_rref(field, out, {g: rref(field, block) for g, block in rows.items()})
-
-
-def joint_entry_span(
-    field: Field, out: GradedBasis, terms: Iterable[tuple[BilinearRule, tuple[Grade, Grade]]]
-) -> GradedSubspace:
-    """Span of the table entries of each (rule, block pair) of ``terms``:
-    the sum of the products rule(whole left block, whole right block),
-    refused as ``entry_rows`` refuses."""
-    return row_span(field, out, entry_rows(field, out, terms))
-
-
-def entry_span(rule: BilinearRule, pairs: Iterable[tuple[Grade, Grade]] | None = None) -> GradedSubspace:
-    """Span of ``rule``'s table entries on the block pairs ``pairs``, in the
-    order given (all its block pairs, sorted, when None).
-
-    It equals ``bilinear_image`` of the whole blocks: with ``pairs=None``,
-    ``bilinear_image(rule, full left, full right)``, refusals included.
-    """
-    if pairs is None:
-        pairs = sorted(rule.block_pairs())
-    return joint_entry_span(rule.field, rule.out, ((rule, pair) for pair in pairs))
 
 
 def kernel_conditions(

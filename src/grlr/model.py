@@ -147,9 +147,10 @@ class AlgebraInstance:
                 raise ValueError(f"rule {rule.name!r} is over another field or grading group")
         self._full_L: GradedSubspace | None = None
         self._full_A: GradedSubspace | None = None
+        self._supports = None  # a connections.Supports, built by connections.supports
 
     # An instance is never changed after construction, and no caller
-    # changes a returned subspace, so each is built on the first call only.
+    # changes what these return, so each is built on the first call only.
 
     def full_L(self) -> GradedSubspace:
         if self._full_L is None:

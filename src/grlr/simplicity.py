@@ -34,17 +34,17 @@ Both sides run one scan, read off per-side data (``_PRODUCTS``,
     A     AA                0, A            a.v
 
 for every basis vector x, w of L and a of A.  A closure spins (Parker
-1984, the core of the MeatAxe): it keeps a running semi-echelon basis per
-block, and a worklist of its new rows, the seed's rows first.  Each new
-row meets each operator once, and each image is reduced against the
-running basis of its block; what is left is a new row.  The operators
-are read off ``BilinearRule.by_argument``, the table grouped by the grade
-of v.  On L, each rho(v)(a) is first reduced against the span of those
-met before, and only a new one meets the w, since rho(I)(A).L is spanned
-by the products of a basis of rho(I)(A).  An image into a block that is
-already full is not formed.  The closure returns ``full_L()`` or
-``full_A()`` as soon as the span fills the side, and otherwise, when the
-worklist is empty, one canonical RREF per block.
+1984, the core of the MeatAxe): it keeps a running semi-echelon basis
+per block (``linear.Span``), and a worklist of its new rows, the seed's
+rows first.  Each new row meets each operator once, and each image is
+reduced against the running basis of its block; what is left is a new
+row.  The operators are read off ``BilinearRule.by_argument``, the table
+grouped by the grade of v.  On L, each rho(v)(a) is first reduced
+against the span of those met before, and only a new one meets the w,
+since rho(I)(A).L is spanned by the products of a basis of rho(I)(A).
+An image into a block that is already full is not formed.  The closure
+returns ``full_L()`` or ``full_A()`` as soon as the span fills the side,
+and otherwise, when the worklist is empty, one canonical RREF per block.
 
 A closure takes a seed of its own side and field only (``ValueError``).
 It reads each block pair of a rule through ``checked_block_pair`` once,
@@ -69,11 +69,11 @@ once, whatever sides it prints, and gates on the partitions they hold.
 once.  Under the hypotheses an L ideal I_i and the one A ideal A_j
 acting on it are the same subpair (I_i, A_j), so their two summands
 share one restriction.
-All of this is computed once per call and kept by no instance, rule or
-module: the benchmark's self-test compares the call counts of a traced
-run and a profiled run of the same items, and its pipeline workload
-reuses its instances across passes, so a cache there would make later
-runs call less.
+All of this is computed once per call.  An instance may keep derived
+data only if building it calls nothing the benchmark wraps: its
+self-test compares the call counts of a traced run and a profiled run of
+the same items, and its pipeline workload reuses its instances across
+passes.  Today that admits ``full_L``, ``full_A`` and the supports.
 """
 from __future__ import annotations
 
@@ -82,7 +82,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import reduce
 from typing import Iterator, Sequence
 
-from .connections import ConnectionPartition, Supports, lambda_classes, sigma_classes, supports
+from .connections import ConnectionPartition, lambda_classes, sigma_classes, supports
 from .decompose import (
     DecompositionReport,
     PairingReport,
@@ -103,12 +103,11 @@ from .linear import (  # noqa: F401
     GradedBasis,
     GradedSubspace,
     Row,
-    _residue,
-    _scaled,
+    Span,
     bilinear_image,
     checked_block_pair,
-    entry_span,
-    rref,
+    entry_rows,
+    row_span,
     subspace_intersect,
     subspace_sum,
 )
@@ -183,7 +182,7 @@ def _hypotheses(
     if bad_block is not None:
         witnesses["maximal_length"] = f"support block at {format_grade(bad_block)} is not 1-dimensional"
 
-    g_mult_witness = _g_mult_witness(inst, sup)
+    g_mult_witness = _g_mult_witness(inst)
     conditions["g_multiplicative"] = g_mult_witness is None
     if g_mult_witness:
         witnesses["g_multiplicative"] = g_mult_witness
@@ -205,13 +204,14 @@ def _hypotheses(
     return Hypotheses5(conditions, witnesses)
 
 
-def _g_mult_witness(inst: AlgebraInstance, sup: Supports) -> str | None:
+def _g_mult_witness(inst: AlgebraInstance) -> str | None:
     """The first product of two support blocks that is zero although the
     product of their grades is supported, or None.
 
     The product of two whole blocks is zero exactly when their block pair
     has no table entry; a pair with entries must still obey the
     grade-shift law, as in ``bilinear_image``."""
+    sup = supports(inst)
     for rule, left, right, target, text in (
         (inst.bracket, sup.sigma, sup.sigma, sup.sigma, "[L_{}, L_{}] = 0"),
         (inst.action, sup.lam, sup.sigma, sup.sigma, "A_{} L_{} = 0"),
@@ -230,57 +230,6 @@ def _g_mult_witness(inst: AlgebraInstance, sup: Supports) -> str | None:
 # ideal closures
 
 
-class _Span:
-    """A running semi-echelon basis of a graded space, block by block: each
-    row is 1 at its pivot and 0 at the pivots of the rows added before it,
-    so ``linear._residue`` reduces a vector in one pass over the rows.
-    Residues mod p over GF(p), ``Fraction``s over Q, with no ``Field`` call
-    per entry."""
-
-    def __init__(self, field: Field, basis: GradedBasis, start: GradedSubspace | None = None):
-        self.field, self.basis = field, basis
-        self.rows: dict[Grade, list[Sequence[Scalar]]] = {}
-        self.pivots: dict[Grade, list[int]] = {}
-        self.rank = 0
-        if start is not None:  # RREF blocks are semi-echelon in any order
-            for g, rows in start.blocks.items():
-                self.rows[g], self.pivots[g] = list(rows), list(start.pivots[g])
-                self.rank += len(rows)
-
-    def full_at(self, g: Grade) -> bool:
-        return len(self.rows.get(g, ())) == self.basis.block_dim(g)
-
-    def add_image(self, g: Grade, terms: list, v: Sequence[Scalar]) -> list | None:
-        """Add the sum of v[offset] * entry over ``terms`` (one map of
-        ``BilinearRule.by_argument``), a row of block g, reduced and scaled
-        to 1 at its pivot; return it, or None when it is already in the span."""
-        p = self.field.p
-        row = [0] * self.basis.block_dim(g)
-        for b, entry in terms:
-            y = v[b]
-            if y:
-                for k, e in entry:
-                    row[k] += y * e
-        if p is not None:
-            row = [x % p for x in row]
-        rows = self.rows.setdefault(g, [])
-        pivots = self.pivots.setdefault(g, [])
-        row = _residue(self.field, rows, pivots, row)
-        lead = next((k for k, x in enumerate(row) if x), None)
-        if lead is None:
-            return None
-        row = _scaled(self.field, row, lead)
-        rows.append(row)
-        pivots.append(lead)
-        self.rank += 1
-        return row
-
-    def subspace(self) -> GradedSubspace:
-        """The span, one RREF per block."""
-        f = self.field
-        return GradedSubspace._from_rref(f, self.basis, {g: rref(f, rows) for g, rows in self.rows.items() if rows})
-
-
 def _spin(inst: AlgebraInstance, seed: GradedSubspace, side: str) -> GradedSubspace:
     """The smallest graded ideal of ``side`` holding ``seed``, by spinning
     (module docstring)."""
@@ -288,7 +237,7 @@ def _spin(inst: AlgebraInstance, seed: GradedSubspace, side: str) -> GradedSubsp
     if seed.ambient != basis or seed.field != inst.field:
         raise ValueError(f"the seed is not a subspace of {side} over {inst.field.label}")
     full = inst.full_L if side == "L" else inst.full_A
-    span = _Span(inst.field, basis, seed)
+    span = Span(inst.field, basis, seed)
     if span.rank == basis.dim:
         return full()
     targets: dict[tuple[BilinearRule, Grade, Grade], Grade] = {}  # each block pair checked once
@@ -320,7 +269,7 @@ def _spin(inst: AlgebraInstance, seed: GradedSubspace, side: str) -> GradedSubsp
         return False
 
     operators = [getattr(inst, name) for name in _OPERATORS[side]]
-    anchor_images = _Span(inst.field, inst.A)  # rho(v)(a) of the rows so far
+    anchor_images = Span(inst.field, inst.A)  # rho(v)(a) of the rows so far
     todo = [(g, row) for g in sorted(seed.blocks) for row in seed.blocks[g]]
     for g, v in todo:  # grows while it is read
         if any(spin(rule, False, g, v) for rule in operators):
@@ -498,7 +447,6 @@ def split_case_b(inst: AlgebraInstance, I: GradedSubspace) -> tuple[GradedSubspa
         raise DecompositionError(f"not a graded ideal of L: {witness}")
     if I.is_zero() or I == inst.full_L():
         raise DecompositionError("the split needs a proper nonzero ideal")
-    sup = supports(inst)
     one = inst.group.identity()
     sigma_I = {g for g in I.grades() if g != one}
     sigma_I_inv = {inst.group.inv(g) for g in sigma_I}
@@ -509,8 +457,9 @@ def split_case_b(inst: AlgebraInstance, I: GradedSubspace) -> tuple[GradedSubspa
         )
 
     grades = sorted(sigma_I_inv)
-    pairs = [(inst.group.inv(g), g) for g in grades]
-    products = entry_span(inst.action, [pair for pair in pairs if pair[0] in sup.lam])
+    lam = supports(inst).lam
+    terms = [(inst.action, (inst.group.inv(g), g)) for g in grades if inst.group.inv(g) in lam]
+    products = row_span(inst.field, inst.L, entry_rows(inst.field, inst.L, terms))
     I_prime = subspace_sum(products, _block(inst, inst.L, grades))
 
     ok, witness = is_graded_ideal_L(inst, I_prime)

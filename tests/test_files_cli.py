@@ -32,7 +32,7 @@ from grlr import (
 import grlr.oracle
 from grlr.cli import main
 from grlr.errors import InstanceFormatError
-from grlr.fields import prime_field
+from grlr.fields import MODULUS_LIMIT, prime_field
 from grlr.linear import rule_from_names
 
 from helpers import cached, mutate_instance, on_basis, reference_verify
@@ -157,6 +157,40 @@ def test_group_rank_is_refused_before_any_grade_is_built(tmp_path):
     proc = _limited_run(["classes", "rank.json"], tmp_path)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+# past CPython's integer-string digit limit (4300 digits by default)
+_LONG = "1" + "0" * 5000
+
+
+def _long_literal_doc(kind: str) -> str:
+    """The minimal document as text, with one scalar or grade of 5001 digits."""
+    doc = _minimal_doc()
+    if kind == "scalar":
+        doc["product"][0]["value"][0][1] = _LONG
+    elif kind == "fraction":
+        doc["product"][0]["value"][0][1] = "1/" + _LONG
+    elif kind == "json_scalar":
+        doc["product"][0]["value"][0][1] = "LONG"
+    else:
+        doc["L"][0]["grade"] = ["LONG"]
+    return json.dumps(doc).replace('"LONG"', _LONG)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "fraction", "json_scalar", "grade"])
+def test_over_long_literals_are_refused_by_every_subcommand(tmp_path, kind):
+    (tmp_path / "long.json").write_text(_long_literal_doc(kind))
+    for argv in (["verify"], ["classes"], ["decompose", "--fine"], ["dot"], ["oracle", "--what", "paths"]):
+        proc = _limited_run([argv[0], "long.json", *argv[1:]], tmp_path)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, (argv, proc.stderr)
+        assert "digits" in proc.stderr and "set_int_max_str_digits" not in proc.stderr, proc.stderr
+
+
+def test_over_long_field_label_names_its_modulus(tmp_path):
+    proc = _limited_run(["verify", "sl2_ga2", "--field", "gf" + "1" * 5000], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: field label modulus has 5000 digits: primality is decided below {MODULUS_LIMIT}\n"
 
 
 def test_unreadable_files_are_refused(tmp_path, monkeypatch, capsys):

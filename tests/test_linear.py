@@ -24,11 +24,11 @@ from grlr.linear import (
     coordinate_reader,
     coordinates_in_rref,
     entry_kernel,
-    entry_span,
+    entry_rows,
     in_span,
-    joint_entry_span,
     nullspace,
     rank_reaches,
+    row_span,
     rref,
     rule_from_names,
     subspace_intersect,
@@ -805,18 +805,24 @@ def test_nullspace_equals_reduced_kernel_basis(monkeypatch, f):
     assert 0 < shortcuts < 200
 
 
+def _entry_span(rule, pairs):
+    """The span of ``rule``'s table entries on the block pairs ``pairs``, in order."""
+    return row_span(rule.field, rule.out, entry_rows(rule.field, rule.out, [(rule, pair) for pair in pairs]))
+
+
 def _whole_block_products(rule):
-    """(block pair or None for all pairs, entry_span, bilinear_image of the
-    same whole blocks) for every block pair of ``rule`` and for all at once."""
+    """(block pair or None for all pairs, the span of the entries, bilinear_image
+    of the same whole blocks) for every block pair of ``rule`` and for all at once."""
     full_left = GradedSubspace.full(rule.field, rule.left)
     full_right = GradedSubspace.full(rule.field, rule.right)
     cases = [
-        ((gu, gv), lambda gu=gu, gv=gv: entry_span(rule, [(gu, gv)]),
+        ((gu, gv), lambda gu=gu, gv=gv: _entry_span(rule, [(gu, gv)]),
          lambda gu=gu, gv=gv: bilinear_image(rule, full_left.at_grades([gu]), full_right.at_grades([gv])))
         for gu in rule.left.grades()
         for gv in rule.right.grades()
     ]
-    return cases + [(None, lambda: entry_span(rule), lambda: bilinear_image(rule, full_left, full_right))]
+    return cases + [(None, lambda: _entry_span(rule, sorted(rule.block_pairs())),
+                     lambda: bilinear_image(rule, full_left, full_right))]
 
 
 def test_entry_span_equals_bilinear_image_of_whole_blocks():
@@ -830,7 +836,7 @@ def test_entry_span_equals_bilinear_image_of_whole_blocks():
         # terms of two rules into one basis: one elimination equals the sum of the products
         for rules in ((inst.action, inst.bracket), (inst.anchor, inst.product)):
             terms = [(rule, pair) for rule in rules for pair in sorted(rule.block_pairs())]
-            got = joint_entry_span(inst.field, rules[0].out, terms)
+            got = row_span(inst.field, rules[0].out, entry_rows(inst.field, rules[0].out, terms))
             want = subspace_sum(*(bilinear_image(rule, GradedSubspace.full(inst.field, rule.left),
                                                  GradedSubspace.full(inst.field, rule.right)) for rule in rules))
             assert (got.blocks, got.pivots) == (want.blocks, want.pivots), label
@@ -851,6 +857,6 @@ def test_entry_span_refuses_off_grade_pairs_like_bilinear_image():
 def test_entry_helpers_refuse_a_rule_on_another_basis():
     inst = build("e3")
     with pytest.raises(ValueError, match="does not map into"):
-        joint_entry_span(inst.field, inst.L, [(inst.product, ((0, 0), (0, 0)))])
+        entry_rows(inst.field, inst.L, [(inst.product, ((0, 0), (0, 0)))])
     with pytest.raises(ValueError, match="does not take its argument from"):
         entry_kernel(inst.field, inst.L, [(inst.product, True)])

@@ -230,6 +230,34 @@ def test_fine_decompose_finds_each_partition_once(monkeypatch, name):
     assert counts == {"sigma_classes": 1, "lambda_classes": 1}
 
 
+def _count_supports_built(monkeypatch) -> list[int]:
+    """A one-element list counting every ``Supports`` construction."""
+    built = [0]
+    original = grlr.connections.Supports.__post_init__
+
+    def counting(self):
+        original(self)
+        built[0] += 1
+
+    monkeypatch.setattr(grlr.connections.Supports, "__post_init__", counting)
+    return built
+
+
+def test_supports_are_built_once_per_instance(monkeypatch, capsys):
+    # the gate, the tightness report, both class reports and the g-multiplicative
+    # check each built the supports again: 5 per fine_decompose, 6 per command
+    built = _count_supports_built(monkeypatch)
+    inst = build("sl2_ga2", prime_field(3))
+    assert fine_decompose(inst).refined
+    assert built == [1]
+    assert grlr.connections.supports(inst) is grlr.connections.supports(inst)
+    assert built == [1]
+    built[0] = 0
+    assert main(["decompose", "sl2_ga2", "--fine", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["fine"]["refined"]
+    assert built == [1]
+
+
 @pytest.mark.parametrize("name", ["e2", "e3"])
 def test_fine_decompose_builds_nothing_past_a_failed_gate(monkeypatch, name):
     # the class reports, their pairing and the restrictions serve only the
