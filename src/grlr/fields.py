@@ -19,7 +19,8 @@ points that take scalars from outside: ``BilinearRule`` tables and
 and the public constructor ``GradedSubspace(...)``.  The graded-ideal
 predicates of ``model`` test membership with the unchecked private
 ``GradedSubspace._contains``, on the images they compute from checked
-tables.  ``format`` checks what it prints.  The matrix kernels of
+tables.  ``format`` checks what it prints, and refuses (``GuardError``)
+a derived rational too long for CPython to print.  The matrix kernels of
 ``linear`` (``rref`` and the rest) and the arithmetic kernels ``add``,
 ``neg``, ``sub``, ``mul``, ``inv`` and ``is_zero`` assume canonical
 values of this field and do not check them; ``inv`` still refuses zero.
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .errors import ScalarParseError
+from .errors import GuardError, ScalarParseError
 
 Scalar = Union[int, Fraction]
 
@@ -178,7 +179,10 @@ class Field:
 
     def format(self, x: Scalar) -> str:
         self.check(x)
-        return str(x)
+        try:
+            return str(x)
+        except ValueError:  # a derived rational past CPython's integer-string digit limit
+            raise GuardError(f"a derived scalar has over {sys.get_int_max_str_digits()} digits") from None
 
     def elements(self) -> Iterator[Scalar]:
         """All field elements; only available for prime fields."""

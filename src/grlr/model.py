@@ -26,27 +26,21 @@ order, and the witness lists the basis names in that order.
 Every term is a bilinear product of table entries, so a tuple that no
 term reaches through nonzero entries has discrepancy exactly zero,
 whether or not the grading checks pass.  ``_law_check`` therefore walks
-the tables, not the tuples: for each inner entry (p, q) -> {o: c} it
-pairs o with every outer entry that has o on the inner side and adds
-the signed product into the sum of the tuple it reaches.  It does so
-one value v of the first argument at a time, in increasing order, and
-stops at the first value with a nonzero sum: the witness is the least
-tuple whose sum is nonzero there, the same tuple a scan of all basis
-tuples in lexicographic order finds first.  The cost grows with the
-number of nonzero products of structure constants, and the sums held at
-once with the products of one value of the first argument.
+the tables, not the tuples, in one pass per law.  A term with no outer
+rule adds its inner entries; any other term pairs each output o of an
+inner entry (i, j) -> {o: c} with every outer entry that has o on the
+inner side.  Each signed product goes into the sum of the tuple it
+reaches, in one dict for all the terms of the law, and the witness is
+the least tuple whose sum is nonzero: the tuple a scan of all basis
+tuples in lexicographic order finds first.  The cost, and the number of
+sums held at once, grow with the number of nonzero products of
+structure constants.  The outer rules are read grouped by their inner
+side, each grouping built on first use (``_TableIndex``): at most eight
+per ``verify_all`` call (four rules, left or right), none built twice
+and none kept after the call returns.
 
-Every term reads one shared index.  ``verify_all`` groups each integer
-table by left argument, by right argument or by output on first use
-(``_TableIndex``): at most twelve groupings per call, none built twice
-and none kept after the call returns.  A term whose first argument is
-an inner one reads the inner rule grouped by that argument and the
-outer rule grouped by its inner side; a term whose first argument sits
-on the outer side reads the outer rule grouped by that side and the
-inner rule grouped by output.
-
-Within one round each sum is keyed by one int: the other arguments and
-the output position in mixed radix (``radix``), so key order is the
+Each sum is keyed by one int: the arguments, argument 0 first, and the
+output position in mixed radix (``radix``), so key order is the
 lexicographic order of (tuple, output position).  The least nonzero key
 names the witness tuple, and the block of dim(output) keys it starts
 holds the witness value.  No tuple or per-tuple dict is built.
@@ -62,9 +56,12 @@ b < a, so t = (a, b) has a < b.  For Jacobi the rotations (v, w, u) and
 (w, u, v) of t = (u, v, w) are nonzero and not below t, so v >= u and
 w >= u.  The ``LAWS`` column ``margin`` (0, 1 and 0) records this:
 those laws keep only the tuples whose other arguments are all at least
-v + margin, and every product that lands on a kept tuple, from every
-term, so each kept tuple's sum is its whole discrepancy and the least
-nonzero kept tuple is t.  No law reads another law's verdict.
+argument 0 plus margin, and every product that lands on a kept tuple,
+from every term, so each kept tuple's sum is its whole discrepancy and
+the least nonzero kept tuple is t.  A term drops a product as soon as
+the arguments it compares are known: on the inner entry when argument 0
+is an inner one, else on the outer entry.  No law reads another law's
+verdict.
 
 ``RULES`` is the one list of rule domains, in the same letters: each row
 is (rule name, bases of the left argument, the right argument and the
@@ -91,6 +88,7 @@ expressed block by block in those rows.
 """
 from __future__ import annotations
 
+import sys
 from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -273,9 +271,8 @@ def _int_tables(inst: AlgebraInstance) -> tuple[dict[str, IntTable], int]:
 
 class _TableIndex(dict):
     """The integer tables of one ``verify_all`` call, grouped on first use:
-    ``index[rule, "left"]`` maps i to [(j, image)], ``index[rule, "right"]``
-    maps j to [(i, image)] and ``index[rule, "output"]`` maps o to
-    [(i, j, c)], over the entries (i, j) -> image with o: c in image."""
+    ``index[rule, "left"]`` maps i to [(j, image)] and ``index[rule,
+    "right"]`` maps j to [(i, image)], over the entries (i, j) -> image."""
 
     def __init__(self, tables: Mapping[str, IntTable]):
         super().__init__()
@@ -285,11 +282,7 @@ class _TableIndex(dict):
         rule, by = key
         groups: dict[int, list] = {}
         table = self.tables[rule]
-        if by == "output":
-            for (i, j), image in table.items():
-                for o, c in image.items():
-                    groups.setdefault(o, []).append((i, j, c))
-        elif by == "left":
+        if by == "left":
             for (i, j), image in table.items():
                 groups.setdefault(i, []).append((j, image))
         else:
@@ -299,114 +292,81 @@ class _TableIndex(dict):
         return groups
 
 
-# add(v, lo, sums): add a term's products at first argument v, with every
-# other argument >= lo, into the flat-keyed sums of the round
-TermWalk = Callable[[int, int, dict[int, int]], None]
-
-
-def _term_walk(index: _TableIndex, radix: Sequence[int], term: Term) -> tuple[Mapping[int, list], TermWalk]:
-    """One term's walk: the grouping keyed by the law's first argument,
-    whose keys are the values it takes, and the function adding its
-    products at one of them.  Argument k >= 1 of a tuple, at position a,
-    adds a * radix[k] to the flat key, and the output position adds itself."""
+def _add_term(
+    sums: dict[int, int], index: _TableIndex, radix: Sequence[int], margin: int | None, term: Term,
+) -> None:
+    """Add one term's signed products into the flat-keyed sums of its law,
+    dropping each tuple outside the margin (module docstring)."""
     sign, inner, x, y, outer, inner_on_left, z = term
-    if outer is None:
-        # the inner entries at v; for [v, v] only those on the diagonal
-        first = index[inner, "left" if x == 0 else "right"]
-        m, diagonal = radix[y if x == 0 else x], x == y
-
-        def add(v: int, lo: int, sums: dict[int, int]) -> None:
-            for s, image in first.get(v, ()):
-                if s >= lo and (s == v or not diagonal):
-                    base = s * m
-                    for pos, e in image.items():
-                        sums[base + pos] += sign * e
-
-        return first, add
-    if z != 0:
-        # the first argument is an inner one: the inner entries at v, each
-        # output o paired with the outer entries that take o on the inner side
-        first = index[inner, "left" if x == 0 else "right"]
-        partners = index[outer, "left" if inner_on_left else "right"]
-        ms, mz = radix[y if x == 0 else x], radix[z]
-
-        def add(v: int, lo: int, sums: dict[int, int]) -> None:
-            for s, inner_image in first.get(v, ()):
-                if s < lo:
+    mx, my = radix[x], 0 if x == y else radix[y]  # [v, v] has one argument
+    partners, mz = (index[outer, "left" if inner_on_left else "right"], radix[z]) if outer else ({}, 0)
+    lo, hi = 0, sys.maxsize  # the outer argument r of a kept tuple has lo <= r <= hi
+    for (i, j), image in index.tables[inner].items():
+        if x == y and i != j:
+            continue
+        if margin is not None:
+            if z == 0:
+                hi = min(i, j) - margin
+            else:  # argument 0 is i or j
+                first, other = (i, j) if x == 0 else (j, i)
+                if other < first + margin:
                     continue
-                b = s * ms
-                for o, c in inner_image.items():
-                    c *= sign
-                    for r, image in partners.get(o, ()):
-                        if r >= lo:
-                            base = b + r * mz
-                            for pos, e in image.items():
-                                sums[base + pos] += c * e
-
-        return first, add
-    # the first argument sits on the outer side: the outer entries at v,
-    # each inner-side argument o paired with the inner entries whose output is o
-    first = index[outer, "right" if inner_on_left else "left"]
-    by_output = index[inner, "output"]
-    mx, my = radix[x], radix[y]
-
-    def add(v: int, lo: int, sums: dict[int, int]) -> None:
-        for o, image in first.get(v, ()):
-            for p, q, c in by_output.get(o, ()):
-                if p >= lo and q >= lo:
-                    base, c = p * mx + q * my, sign * c
-                    for pos, e in image.items():
-                        sums[base + pos] += c * e
-
-    return first, add
+                lo = first + margin
+        base = i * mx + j * my
+        if outer is None:
+            for pos, e in image.items():
+                sums[base + pos] += sign * e
+            continue
+        for o, c in image.items():
+            c *= sign
+            for r, outer_image in partners.get(o, ()):
+                if lo <= r <= hi:
+                    key = base + r * mz
+                    for pos, e in outer_image.items():
+                        sums[key + pos] += c * e
 
 
 def _law_check(
     inst: AlgebraInstance, index: _TableIndex, scale: int,
     name: str, args: str, out: str, terms: tuple[Term, ...], margin: int | None,
 ) -> CheckResult:
-    """Sum every term's nonzero table products per flat key, on ints, one
-    value v of the first argument at a time in increasing order, keeping
-    only tuples whose other arguments are >= v + margin; report the least
-    tuple whose sum is nonzero in the field (module docstring)."""
+    """Sum every term's nonzero table products per flat key, on ints, in
+    one pass; report the least tuple whose sum is nonzero in the field
+    (module docstring)."""
     p = inst.field.p
     bases = [getattr(inst, b) for b in args]
     dout = getattr(inst, out).dim
     radix = [0] * len(args)
     step = dout
-    for k in range(len(args) - 1, 0, -1):
+    for k in range(len(args) - 1, -1, -1):
         radix[k] = step
         step *= bases[k].dim
-    walks = [_term_walk(index, radix, term) for term in terms]
-    for v in sorted(set().union(*(first for first, _ in walks))):
-        sums: defaultdict[int, int] = defaultdict(int)
-        lo = 0 if margin is None else v + margin
-        for _, add in walks:
-            add(v, lo, sums)
-        if p is not None:
-            nonzero = [key for key, s in sums.items() if s % p]
-        else:
-            nonzero = [key for key, s in sums.items() if s]
-        if nonzero:
-            least = min(nonzero)
-            block = least - least % dout
-            witness = [v] + [least // radix[k] % bases[k].dim for k in range(1, len(args))]
-            if p is not None:
-                diff = {pos: x % p for pos in range(dout) if (x := sums.get(block + pos, 0)) % p}
-            else:
-                # a law's terms all have degree 1 in the entries, or all 2 (outer rule)
-                denominator = scale if terms[0][4] is None else scale * scale
-                diff = {pos: Fraction(x, denominator) for pos in range(dout) if (x := sums.get(block + pos, 0))}
-            return CheckResult(name, False, {
-                "args": [b.name_of(i) for b, i in zip(bases, witness)],
-                "value": getattr(inst, out).describe_sparse(diff, inst.field),
-            })
-    return CheckResult(name, True)
+    sums: defaultdict[int, int] = defaultdict(int)
+    for term in terms:
+        _add_term(sums, index, radix, margin, term)
+    if p is not None:
+        least = min((key for key, s in sums.items() if s % p), default=None)
+    else:
+        least = min((key for key, s in sums.items() if s), default=None)
+    if least is None:
+        return CheckResult(name, True)
+    block = least - least % dout
+    witness = [least // radix[k] % bases[k].dim for k in range(len(args))]
+    if p is not None:
+        diff = {pos: x % p for pos in range(dout) if (x := sums.get(block + pos, 0)) % p}
+    else:
+        # a law's terms all have degree 1 in the entries, or all 2 (outer rule)
+        denominator = scale if terms[0][4] is None else scale * scale
+        diff = {pos: Fraction(x, denominator) for pos in range(dout) if (x := sums.get(block + pos, 0))}
+    return CheckResult(name, False, {
+        "args": [b.name_of(i) for b, i in zip(bases, witness)],
+        "value": getattr(inst, out).describe_sparse(diff, inst.field),
+    })
 
 
 def verify_all(inst: AlgebraInstance) -> VerificationReport:
-    """The four grading checks, then one check per row of ``LAWS``, all
-    reading one table index that lives for this call."""
+    """The four grading checks, then one check per row of ``LAWS``, each
+    summed in one pass; all read one table index that lives for this call."""
     checks = verify_grading(inst).checks
     tables, scale = _int_tables(inst)
     index = _TableIndex(tables)

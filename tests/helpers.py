@@ -818,6 +818,19 @@ def truncated_poly_derivations(p: int) -> AlgebraInstance:
     return derivation_instance(f"W(1;1)@gf{p}", f, G, A, product)
 
 
+def witt_2_1_gf3() -> AlgebraInstance:
+    """(Der(A), A) for A = F[x, y]/(x^3, y^3) over GF(3) with the monomial
+    product, graded by (Z/3)^2 with x^a y^b at (a, b): the Witt algebra
+    W(2;1), dim L = 18 and dim A = 9, built by ``catalog.derivation_instance``."""
+    f = prime_field(3)
+    G = GroupSpec(0, (3, 3))
+    A = GradedBasis([(f"x{a}y{b}", (a, b)) for a in range(3) for b in range(3)])
+    product = BilinearRule("product", f, G, A, A, A, {
+        (3 * a + b, 3 * c + d): {3 * (a + c) + b + d: f.one}
+        for a in range(3) for b in range(3) for c in range(3 - a) for d in range(3 - b)})
+    return derivation_instance("W(2;1)@gf3", f, G, A, product)
+
+
 def truncated_poly_one_block(p: int, n: int) -> AlgebraInstance:
     """(Der(A), A) for A = F[x]/(x^n) over GF(p) with every basis vector at
     grade 0, so each side is one block; built by ``catalog.derivation_instance``."""

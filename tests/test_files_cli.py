@@ -193,6 +193,27 @@ def test_over_long_field_label_names_its_modulus(tmp_path):
     assert proc.stderr == f"error: field label modulus has 5000 digits: primality is decided below {MODULUS_LIMIT}\n"
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"], ["--fine", "--json"]])
+def test_over_long_derived_scalars_are_refused(tmp_path, flags):
+    # every literal has at most 2,501 digits, but [v, w] = 10^2500 z1 + 10^-2500 z2
+    # makes the identity part's RREF row (1, 10^-5000)
+    big = "1" + "0" * 2500
+    doc = {"name": "bigq", "field": "q", "group": {"free_rank": 1, "torsion": []},
+           "L": [{"name": "v", "grade": [1]}, {"name": "w", "grade": [-1]},
+                 {"name": "z1", "grade": [0]}, {"name": "z2", "grade": [0]}],
+           "A": [{"name": "one", "grade": [0]}],
+           "bracket": [{"left": "v", "right": "w", "value": [["z1", big], ["z2", "1/" + big]]}],
+           "product": [{"left": "one", "right": "one", "value": [["one", "1"]]}],
+           "action": [{"left": "one", "right": x, "value": [[x, "1"]]} for x in ("v", "w", "z1", "z2")],
+           "anchor": []}
+    (tmp_path / "bigq.json").write_text(json.dumps(doc))
+    assert main(["verify", str(tmp_path / "bigq.json")]) == 0
+    proc = _limited_run(["decompose", "bigq.json", *flags], tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == f"refused: a derived scalar has over {sys.get_int_max_str_digits()} digits\n"
+    assert proc.stdout == ""
+
+
 def test_unreadable_files_are_refused(tmp_path, monkeypatch, capsys):
     assert main(["verify", str(tmp_path)]) == 2  # a directory
     assert "unreadable" in capsys.readouterr().err

@@ -26,7 +26,7 @@ from grlr import (
 )
 from grlr.decompose import decompose_A, decompose_L
 from grlr.errors import GuardError, ToolkitError
-from grlr.model import verify_grading
+from grlr.model import LAWS, verify_grading
 from grlr.oracle import (
     TemplateRecipe,
     _guard_enumeration,
@@ -56,6 +56,7 @@ from helpers import (
     reference_verify,
     truncated_poly_derivations,
     wild_mutant,
+    witt_2_1_gf3,
 )
 
 CATALOG_NAMES = ["e1", "e2", "e3", "ga2", "ga3", "sl2_ga2"]
@@ -160,6 +161,20 @@ def test_verify_matches_literal_scan():
         assert [c.to_json() for c in verify_all(inst).checks] == reference_verify(inst), inst.name
         count += 1
     assert count == 162 * 9
+
+
+def test_verify_matches_literal_scan_on_larger_blocks():
+    # W(2;1)@gf3 has two derivations in each of its nine blocks: many more
+    # products per law than any shipped instance, and each law fails on some mutant
+    base = witt_2_1_gf3()
+    assert (base.L.dim, base.A.dim) == (18, 9) and verify_all(base).passed
+    instances = [base] + [mutant(base, seed)[0] for seed in range(5) for mutant in (mutate_instance, wild_mutant)]
+    failed = set()
+    for inst in instances:
+        expected = reference_verify(inst)
+        assert [c.to_json() for c in verify_all(inst).checks] == expected, inst.name
+        failed.update(c["check"] for c in expected if not c["passed"])
+    assert failed >= {name for name, *_ in LAWS}
 
 
 def test_grading_violations_match_the_literal_scan():
