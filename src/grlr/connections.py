@@ -92,8 +92,7 @@ def _reach(sup: Supports, g: Grade, side: str) -> dict[Grade, list[Grade]]:
     mults = sup.multipliers()
     paths: dict[Grade, list[Grade]] = {g: []}
     queue = [g]
-    while queue:
-        state = queue.pop(0)
+    for state in queue:  # grows while it is read
         for m in mults:
             nxt = sup.group.mul(state, m)
             if nxt in allowed and nxt not in paths:

@@ -29,30 +29,35 @@ together with their pivots, through ``GradedSubspace._from_rref``, and
 so is never reduced again.  Membership, ``_contains``, takes canonical
 scalars unchecked, as do the matrix kernels.
 
-Products of subspaces run block pair by block pair.  Each
-``BilinearRule`` groups its table by (left grade, right grade) on first
-use (``block_pairs``), and ``bilinear_image`` visits only the block pairs
-of U x V that have table entries.  The grade-shift law is decided once
-per block pair: one ``group.mul`` for its target grade, and the pair's
-output grades compared with it.  Only a pair that fails is scanned, by
-one routine that the grading verifier and the product refusals share,
-``BilinearRule.off_grade``.
+The grade-shift law is decided once per block pair, when a
+``BilinearRule`` is built: one ``group.mul`` per (left grade, right
+grade) that has table entries, in the pass that canonicalises the table,
+and the rule keeps only the set of pairs that break it
+(``off_grade_pairs``).  Everything after reads that verdict.  A pair that
+breaks the law is scanned only to name its components, by one routine
+that the grading verifier and the product refusals share,
+``BilinearRule.off_grade``; naming its expected grade is the only other
+``group.mul`` in this module.
 
-A product of two whole blocks needs no multiplication at all: it is the
-span of that block pair's table entries.  A sum of such products is
-``row_span`` of the rows that ``entry_rows`` reads off the index;
-``entry_rows`` and ``bilinear_image`` refuse a block pair that breaks
-the grade-shift law through ``checked_block_pair``, so the refusal reads
-the same whichever of them meets the pair first.  ``entry_kernel`` cuts out
-the common kernel of maps v -> rule(v, .) and v -> rule(., v) with the
-rows that ``kernel_conditions`` builds, one condition per table entry
-component.  Where only a dimension is asked, ``rank_reaches`` reads such
-rows through ``_residue`` and ``_scaled`` and stops at the n-th
-independent one: a kernel block is zero iff its conditions reach the
-block's dimension, and a block is spanned iff its entry rows do.
-``BilinearRule.by_argument`` groups the same table by the grade of v, as
-the maps v -> rule(v, x) or rule(x, v), one per basis vector x, that the
-ideal closures of ``simplicity`` spin under.
+Products of subspaces run block pair by block pair.  Each rule groups
+its table by (left grade, right grade) on first use (``block_pairs``),
+with each pair's target grade read off its entries, and
+``bilinear_image`` visits only the block pairs of U x V that have table
+entries.  A product of two whole blocks needs no multiplication at all:
+it is the span of that block pair's table entries.  A sum of such
+products is ``row_span`` of the rows that ``entry_rows`` reads off the
+index; ``entry_rows`` and ``bilinear_image`` refuse a block pair that
+breaks the grade-shift law through ``checked_block_pair``, so the
+refusal reads the same whichever of them meets the pair first.
+``entry_kernel`` cuts out the common kernel of maps v -> rule(v, .) and
+v -> rule(., v) with the rows that ``kernel_conditions`` builds, one
+condition per table entry component.  Where only a dimension is asked,
+``rank_reaches`` reads such rows through ``_residue`` and ``_scaled``
+and stops at the n-th independent one: a kernel block is zero iff its
+conditions reach the block's dimension, and a block is spanned iff its
+entry rows do.  ``BilinearRule.by_argument`` groups the same table by the
+grade of v, as the maps v -> rule(v, x) or rule(x, v), one per basis
+vector x, that the ideal closures of ``simplicity`` spin under.
 """
 from __future__ import annotations
 
@@ -67,12 +72,14 @@ from .groups import Grade, GroupSpec, format_grade
 Row = tuple[Scalar, ...]
 Sparse = dict[int, Scalar]
 Echelon = tuple[tuple[Row, ...], tuple[int, ...]]  # RREF rows and their pivot columns
-# output grades reached, and (left block offset, right block offset, entry) triples
-BlockPair = tuple[set[Grade], list[tuple[int, int, Sparse]]]
+# target grade, and (left block offset, right block offset, entry) triples
+BlockPair = tuple[Grade, list[tuple[int, int, Sparse]]]
 # the block pairs of one grade of the vector argument: per other grade, the
-# terms (vector offset, entry as (output block offset, scalar) pairs) of each
-# offset of the other argument
-Operators = list[tuple[Grade, list[tuple[int, list[tuple[int, tuple[tuple[int, Scalar], ...]]]]]]]
+# target grade and the terms (vector offset, entry as (output block offset,
+# scalar) pairs) of each offset of the other argument
+Operators = list[tuple[Grade, Grade, list[tuple[int, list[tuple[int, tuple[tuple[int, Scalar], ...]]]]]]]
+# the off-grade pairs of every rule that keeps the grade-shift law
+_LAWFUL: frozenset[tuple[Grade, Grade]] = frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -564,20 +571,23 @@ class BilinearRule:
     """Sparse structure-constant table for a bilinear map left x right -> out.
 
     The table maps (absolute left position, absolute right position) to a
-    sparse output vector.  The grade-shift law says an entry at (i, j)
-    must land in the output block at grade(i)*grade(j); violations are
-    collected by :meth:`grading_violations` rather than rejected at
-    construction time, so that hand-edited files can be loaded and then
-    failed by the grading verifier with a witness.
+    sparse output vector; an entry at a position outside the bases is
+    refused (``ValueError``), once its zero coefficients are dropped.  The grade-shift law says an entry at (i, j) must
+    land in the output block at grade(i)*grade(j).  It is decided once
+    per block pair, here, with one ``group.mul`` per pair in the pass
+    that canonicalises the table; ``off_grade_pairs`` keeps the pairs
+    that break it, shared and empty on a lawful rule.  They are not
+    rejected, so that hand-edited files can be loaded and then failed by
+    the grading verifier with a witness (:meth:`grading_violations`);
+    the verifier and the product refusals both name the components of
+    such a pair through :meth:`off_grade`.
 
     :meth:`block_pairs` is the table grouped by block pair, derived on
     first use.  Rules are built far more often than multiplied (every
     restriction, base change and recipe builds four), so construction
-    does no work for it.  Its fill calls no ``Field`` or ``GroupSpec``
+    does not build it.  Its fill calls no ``Field`` or ``GroupSpec``
     method, so the kernel calls of a product are the same whether or not
-    the rule was used before.  The grade-shift law is decided once per
-    block pair, for the verifier and the product refusals alike; both
-    name the components of a failing pair through :meth:`off_grade`.
+    the rule was used before.
     """
 
     def __init__(
@@ -600,31 +610,47 @@ class BilinearRule:
         self.right = right
         self.out = out
         canon: dict[tuple[int, int], Sparse] = {}
+        # the grade-shift law, decided here once per block pair: its target
+        # grade, kept for this pass only, and the pairs that break it
+        targets: dict[tuple[Grade, Grade], Grade] = {}
+        off_grade: set[tuple[Grade, Grade]] = set()
+        lefts, rights, outs = left.entries, right.entries, out.entries
         for (i, j), image in table.items():
+            i, j = int(i), int(j)
             vec = {int(p): x for p, x in image.items() if not field.is_zero(field.check(x))}
+            # a negative position would index a basis from its end
+            if not (0 <= i < len(lefts) and 0 <= j < len(rights)) or vec and not 0 <= min(vec) <= max(vec) < len(outs):
+                raise ValueError(f"rule {name!r}: table position ({i}, {j}) -> {sorted(vec)} lies outside its bases")
             if vec:
-                canon[(int(i), int(j))] = vec
+                canon[(i, j)] = vec
+                pair = (lefts[i][1], rights[j][1])
+                if pair not in targets:
+                    targets[pair] = group.mul(*pair)
+                for p in vec:
+                    if outs[p][1] != targets[pair]:
+                        off_grade.add(pair)
         self.table = canon
+        self.off_grade_pairs = frozenset(off_grade) if off_grade else _LAWFUL
         self._block_pairs: dict[tuple[Grade, Grade], BlockPair] | None = None
         self._by_argument: dict[bool, dict[Grade, Operators]] = {}
 
     def block_pairs(self) -> dict[tuple[Grade, Grade], BlockPair]:
         """The table grouped by block pair, built on the first call.
 
-        Maps (left grade, right grade) to the set of output grades its
-        entries reach and the triples (left block offset, right block
-        offset, entry), each entry the table's own sparse vector.  Block
-        pairs with no entry are absent.  The table never changes after
-        construction.  The fill reads only the table and the bases: it
-        makes no ``Field`` or ``GroupSpec`` call.
+        Maps (left grade, right grade) to its target grade and the triples
+        (left block offset, right block offset, entry), each entry the
+        table's own sparse vector.  The target is read off the pair's
+        first entry: on a pair outside ``off_grade_pairs`` every entry
+        lands there.  Block pairs with no entry are absent.  The table
+        never changes after construction.  The fill reads only the table
+        and the bases: it makes no ``Field`` or ``GroupSpec`` call.
         """
         if self._block_pairs is None:
             left, right, out = self.left, self.right, self.out
             index: dict[tuple[Grade, Grade], BlockPair] = {}
             for (i, j), entry in self.table.items():
-                grades, triples = index.setdefault((left.grade_of(i), right.grade_of(j)), (set(), []))
-                grades.update(out.grade_of(pos) for pos in entry)
-                triples.append((left._offset[i], right._offset[j], entry))
+                pair = index.setdefault((left.grade_of(i), right.grade_of(j)), (out.grade_of(next(iter(entry))), []))
+                pair[1].append((left._offset[i], right._offset[j], entry))
             self._block_pairs = index
         return self._block_pairs
 
@@ -634,26 +660,26 @@ class BilinearRule:
         on the first call for each side.
 
         Maps the grade g of v to the list, sorted by grade h of x, of
-        (h, per offset of x in its block, sorted: the terms (offset of v,
-        entry)) of the block pair (g, h) or (h, g); an entry is its
-        (output block offset, scalar) pairs, so rule(v, x) on a row v of
-        block g is the sum of v[offset] * entry.  The offsets are read
-        within the output block at grade(g)*grade(h), which only a pair
-        that ``checked_block_pair`` passes is sure to reach.  Like
-        ``block_pairs``, the fill reads only the table and the bases.
+        (h, target grade, per offset of x in its block, sorted: the terms
+        (offset of v, entry)) of the block pair (g, h) or (h, g), its
+        target as in ``block_pairs``; an entry is its (output block
+        offset, scalar) pairs, so rule(v, x) on a row v of block g is the
+        sum of v[offset] * entry in the target block.  Only a pair outside
+        ``off_grade_pairs`` is sure to land there.  Like ``block_pairs``,
+        the fill reads only the table and the bases.
         """
         index = self._by_argument.get(v_left)
         if index is None:
             offset = self.out._offset
             index = {}
-            for (gu, gv), (_, triples) in sorted(self.block_pairs().items()):
+            for (gu, gv), (target, triples) in sorted(self.block_pairs().items()):
                 terms: dict[int, list[tuple[int, tuple[tuple[int, Scalar], ...]]]] = {}
                 for a, b, entry in triples:
                     v, x = (a, b) if v_left else (b, a)
                     terms.setdefault(x, []).append((v, tuple((offset[pos], c) for pos, c in entry.items())))
                 g, h = (gu, gv) if v_left else (gv, gu)
                 # the pairs come sorted, so each list is sorted by h
-                index.setdefault(g, []).append((h, sorted(terms.items())))
+                index.setdefault(g, []).append((h, target, sorted(terms.items())))
             self._by_argument[v_left] = index
         return index
 
@@ -689,12 +715,12 @@ class BilinearRule:
         )
 
     def grading_violations(self) -> list[dict]:
-        """Entries landing outside the block at grade(left)*grade(right), in table order."""
+        """Entries landing outside the block at grade(left)*grade(right), in
+        table order: the components of the pairs of ``off_grade_pairs``."""
         bad = []
-        for (gu, gv), (grades, _) in self.block_pairs().items():
+        for gu, gv in self.off_grade_pairs:
             target = self.group.mul(gu, gv)
-            if grades != {target}:
-                bad.extend((i, j, pos, target) for i, j, pos in self.off_grade(gu, gv, target))
+            bad.extend((i, j, pos, target) for i, j, pos in self.off_grade(gu, gv, target))
         return [
             {
                 "rule": self.name,
@@ -778,16 +804,15 @@ def checked_block_pair(rule: BilinearRule, gu: Grade, gv: Grade) -> tuple[Grade,
     """The block pair (gu, gv) of ``rule`` as (output grade, triples of
     ``block_pairs``), or None when it has no table entry.
 
-    The output grade is grade(gu)*grade(gv); a pair with an entry outside
-    that block is refused, naming the pair and its first off-grade
-    component in table order.
+    The output grade is grade(gu)*grade(gv).  A pair of
+    ``rule.off_grade_pairs`` is refused, naming the pair and its first
+    off-grade component in table order.
     """
     pair = rule.block_pairs().get((gu, gv))
     if pair is None:
         return None
-    grades, triples = pair
-    target = rule.group.mul(gu, gv)
-    if grades != {target}:
+    if (gu, gv) in rule.off_grade_pairs:
+        target = rule.group.mul(gu, gv)  # only to name the expected grade
         out, pos = rule.out, rule.off_grade(gu, gv, target)[0][2]
         raise ToolkitError(
             f"rule {rule.name!r} violates the grade-shift law on "
@@ -795,7 +820,7 @@ def checked_block_pair(rule: BilinearRule, gu: Grade, gv: Grade) -> tuple[Grade,
             f"{out.name_of(pos)} at grade {format_grade(out.grade_of(pos))}, "
             f"expected {format_grade(target)}"
         )
-    return target, triples
+    return pair
 
 
 def entry_rows(

@@ -47,13 +47,16 @@ returns ``full_L()`` or ``full_A()`` as soon as the span fills the side,
 and otherwise, when the worklist is empty, one canonical RREF per block.
 
 A closure takes a seed of its own side and field only (``ValueError``).
-It reads each block pair of a rule through ``checked_block_pair`` once,
-the first time a row at the pair's grade needs it and before any entry
-of the pair is used; a pair that breaks the grade-shift law is refused
-there (``ToolkitError``).  A closure the fixpoint loop of products
-(``tests/helpers.plain_closure``) returns, the spin returns too.  Where
-that loop refuses, the spin refuses, or fills the side before it needs
-the bad pair; it never returns a partial ideal.
+Each rule decided the grade-shift law when it was built
+(``BilinearRule.off_grade_pairs``), and each map of ``by_argument``
+carries its block pair's target grade, so a closure keeps no cache of
+block pairs.  On a rule with an off-grade pair, each time a row at grade
+g meets the rule, every block pair with v at g goes through
+``checked_block_pair`` before any entry at g is used, and the first bad
+one is refused there (``ToolkitError``).  A closure the fixpoint loop of
+products (``tests/helpers.plain_closure``) returns, the spin returns
+too.  Where that loop refuses, the spin refuses, or fills the side before
+it needs the bad pair; it never returns a partial ideal.
 
 The fine decomposition takes two steps, and ``fine_decompose`` and
 ``grlr decompose --fine`` both run them.  The gate, ``_hypotheses``,
@@ -70,10 +73,12 @@ once.  Under the hypotheses an L ideal I_i and the one A ideal A_j
 acting on it are the same subpair (I_i, A_j), so their two summands
 share one restriction.
 All of this is computed once per call.  An instance may keep derived
-data only if building it calls nothing the benchmark wraps: its
-self-test compares the call counts of a traced run and a profiled run of
-the same items, and its pipeline workload reuses its instances across
-passes.  Today that admits ``full_L``, ``full_A`` and the supports.
+data built on first use only if building it calls nothing the benchmark
+wraps: its self-test compares the call counts of a traced run and a
+profiled run of the same items, and its pipeline workload reuses its
+instances across passes.  Today that admits ``full_L``, ``full_A`` and
+the supports.  Data decided at construction, as each rule's off-grade
+pairs are, needs no such care: both runs build their instances alike.
 """
 from __future__ import annotations
 
@@ -240,24 +245,18 @@ def _spin(inst: AlgebraInstance, seed: GradedSubspace, side: str) -> GradedSubsp
     span = Span(inst.field, basis, seed)
     if span.rank == basis.dim:
         return full()
-    targets: dict[tuple[BilinearRule, Grade, Grade], Grade] = {}  # each block pair checked once
-    at_grade: dict[tuple[BilinearRule, bool, Grade], list] = {}
 
     def pairs(rule: BilinearRule, v_left: bool, g: Grade) -> list:
-        """(target grade, maps) of each block pair of ``rule`` with v at grade g, checked."""
-        key = (rule, v_left, g)
-        if key not in at_grade:
-            at_grade[key] = []
-            for h, maps in rule.by_argument(v_left).get(g, ()):
-                pair = (rule, g, h) if v_left else (rule, h, g)
-                if pair not in targets:
-                    targets[pair] = checked_block_pair(*pair)[0]
-                at_grade[key].append((targets[pair], maps))
-        return at_grade[key]
+        """The block pairs of ``rule`` with v at grade g, all checked before any is used."""
+        at_g = rule.by_argument(v_left).get(g, ())
+        if rule.off_grade_pairs:
+            for h, _, _ in at_g:
+                checked_block_pair(rule, *((g, h) if v_left else (h, g)))
+        return at_g
 
     def spin(rule: BilinearRule, v_left: bool, g: Grade, v: Sequence[Scalar]) -> bool:
         """Add the images of v under ``rule``; True once the span is the side."""
-        for t, maps in pairs(rule, v_left, g):
+        for _, t, maps in pairs(rule, v_left, g):
             for _, terms in maps:
                 if span.full_at(t):
                     break
@@ -276,7 +275,7 @@ def _spin(inst: AlgebraInstance, seed: GradedSubspace, side: str) -> GradedSubsp
             return full()
         if side == "A":
             continue
-        for t, maps in pairs(inst.anchor, True, g):
+        for _, t, maps in pairs(inst.anchor, True, g):
             for _, terms in maps:
                 if anchor_images.full_at(t):
                     break
@@ -386,12 +385,11 @@ def _gr_simple(inst: AlgebraInstance, side: str) -> SimplicityVerdict:
     coverage decides "gr_simple" or "undecided"."""
     for name, reason in _PRODUCTS[side]:
         # the product of the whole side is zero iff the table is empty, but
-        # every pair is checked first, so a bad pair is refused as the product would
+        # its first bad pair is refused first, as the product would refuse it
         rule = getattr(inst, name)
-        pairs = sorted(rule.block_pairs())
-        for pair in pairs:
-            checked_block_pair(rule, *pair)
-        if not pairs:
+        if rule.off_grade_pairs:
+            checked_block_pair(rule, *min(rule.off_grade_pairs))
+        if not rule.table:
             return SimplicityVerdict(side, "not_gr_simple", reason)
     allowed = [sub for _, sub in _trivial_ideals(inst, side)]
     closure_of = ideal_closure_L if side == "L" else ideal_closure_A

@@ -448,6 +448,25 @@ def rand_graded_rule(rng, f, name, left, right, out, skip=()):
     return BilinearRule(name, f, MIXED_GROUP, left, right, out, table)
 
 
+def test_rule_refuses_table_positions_outside_its_bases():
+    f = prime_field(3)
+    G = GroupSpec(0, (2,))
+    B = GradedBasis([("x", (0,)), ("y", (1,))])
+    # a block-pair index would read -1 as y, while the table reads it as no
+    # vector: the image would be span(y) with every basis product 0
+    for table, where in (
+        ({(-1, 0): {1: 1}}, r"\(-1, 0\) -> \[1\]"),
+        ({(0, 2): {0: 1}}, r"\(0, 2\) -> \[0\]"),
+        ({(0, 0): {-2: 1}}, r"\(0, 0\) -> \[-2\]"),
+        ({(1, 1): {0: 1, 2: 1}}, r"\(1, 1\) -> \[0, 2\]"),
+    ):
+        with pytest.raises(ValueError, match=rf"rule 'product': table position {where} lies outside its bases"):
+            BilinearRule("product", f, G, B, B, B, table)
+    rule = BilinearRule("product", f, G, B, B, B, {(1, 0): {1: 1}})
+    full = GradedSubspace.full(f, B)
+    assert bilinear_image(rule, full, full) == from_sparse_vectors(f, B, [rule.apply_sparse({1: 1}, {0: 1})])
+
+
 def test_bilinear_image_rejects_grade_violating_rule():
     f = RATIONALS
     G = GroupSpec(0, (2,))
@@ -473,9 +492,11 @@ def test_by_argument_regroups_every_table_entry():
                 v_basis, x_basis = (rule.left, rule.right) if v_left else (rule.right, rule.left)
                 rebuilt = {}
                 for g, pairs in rule.by_argument(v_left).items():
-                    assert [h for h, _ in pairs] == sorted(h for h, _ in pairs), (label, rule.name)
-                    for h, maps in pairs:
-                        target = rule.out.positions_at(inst.group.mul(g, h))
+                    assert [h for h, _, _ in pairs] == sorted(h for h, _, _ in pairs), (label, rule.name)
+                    for h, grade, maps in pairs:
+                        # the target grade read off the entries is the product grade
+                        assert grade == inst.group.mul(*((g, h) if v_left else (h, g))), (label, rule.name)
+                        target = rule.out.positions_at(grade)
                         for x, terms in maps:
                             for v, entry in terms:
                                 i, j = v_basis.positions_at(g)[v], x_basis.positions_at(h)[x]
@@ -547,16 +568,19 @@ def test_block_pair_index_is_lazy_and_calls_no_kernel(monkeypatch):
         assert rule.block_pairs() is index
         triples = [t for _, ts in index.values() for t in ts]
         assert len(triples) == len(rule.table)
-        for (gu, gv), (grades, ts) in index.items():
+        for (gu, gv), (target, ts) in index.items():
             for a, b, entry in ts:
                 i, j = rule.left.positions_at(gu)[a], rule.right.positions_at(gv)[b]
                 assert entry is rule.table[(i, j)]
-                assert grades >= {rule.out.grade_of(pos) for pos in entry}
+                assert {rule.out.grade_of(pos) for pos in entry} == {target}
 
 
 def test_bilinear_image_multiplies_grades_once_per_block_pair(monkeypatch):
     f = prime_field(3)
     G = GroupSpec(0, (2,))
+    calls = []
+    group_mul = GroupSpec.mul
+    monkeypatch.setattr(GroupSpec, "mul", lambda self, a, b: calls.append((a, b)) or group_mul(self, a, b))
     # gl_2 at one grade: a single 4-dimensional block
     B = GradedBasis([(n, (0,)) for n in ("h", "z", "e", "f")])
     bracket = rule_from_names("bracket", f, G, B, B, B, {
@@ -564,20 +588,20 @@ def test_bilinear_image_multiplies_grades_once_per_block_pair(monkeypatch):
         ("h", "f"): {"f": 1}, ("f", "h"): {"f": 2},
         ("e", "f"): {"h": 1}, ("f", "e"): {"h": 2},
     })
-    calls = []
-    group_mul = GroupSpec.mul
-    monkeypatch.setattr(GroupSpec, "mul", lambda self, a, b: calls.append((a, b)) or group_mul(self, a, b))
+    assert calls == [((0,), (0,))]  # one block pair, not 6 entries
+    calls.clear()
     full = GradedSubspace.full(f, B)
     image = bilinear_image(bracket, full, full)
-    assert calls == [((0,), (0,))]  # one block pair, not 16 row pairs
+    assert calls == []  # the product reads the verdict of construction
     assert image.dim == 3
     # a product on BASIS with entries on three of its four block pairs
     product = rule_from_names("product", f, GRADES, BASIS, BASIS, BASIS, {
         ("x0", "x0"): {"x1": 1}, ("x1", "y0"): {"y2": 2}, ("y1", "y2"): {"x0": 1},
     })
+    assert sorted(calls) == sorted(product.block_pairs()) == [((0,), (0,)), ((0,), (1,)), ((1,), (1,))]
     calls.clear()
     bilinear_image(product, GradedSubspace.full(f, BASIS), GradedSubspace.full(f, BASIS))
-    assert sorted(calls) == sorted(product.block_pairs()) == [((0,), (0,)), ((0,), (1,)), ((1,), (1,))]
+    assert calls == []
 
 
 def test_map_kernel_matches_bruteforce():

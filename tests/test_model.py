@@ -177,6 +177,21 @@ def test_verify_matches_literal_scan_on_larger_blocks():
     assert failed >= {name for name, *_ in LAWS}
 
 
+def test_off_grade_pairs_are_the_block_pairs_of_the_literal_violations():
+    # each rule decides the grade-shift law once, when it is built
+    off_grade = 0
+    for label, inst in recipe_and_catalog_wild_mutants():
+        for rule in (inst.bracket, inst.product, inst.action, inst.anchor):
+            left, right = rule.left, rule.right
+            flagged = {
+                (left.grade_of(left.position_of(v["left"])), right.grade_of(right.position_of(v["right"])))
+                for v in reference_grading_violations(rule)
+            }
+            assert rule.off_grade_pairs == flagged, (label, rule.name)
+            off_grade += bool(flagged)
+    assert off_grade == 621
+
+
 def test_grading_violations_match_the_literal_scan():
     # one product grade per block pair against one per table entry.  The
     # e3 mutant breaks the law on two bracket block pairs, ((0,0), (1,0))

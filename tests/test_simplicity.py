@@ -23,10 +23,11 @@ import grlr.model
 import grlr.simplicity
 from grlr.catalog import build, catalog_names
 from grlr.cli import main
+from grlr.decompose import check_tight
 from grlr.errors import DecompositionError, ToolkitError
 from grlr.fields import prime_field
 from grlr.groups import GroupSpec, format_grade
-from grlr.linear import GradedBasis, rule_from_names
+from grlr.linear import GradedBasis, bilinear_image, entry_rows, rule_from_names
 from grlr.model import AlgebraInstance
 from grlr.oracle import default_recipe_space, generate_instance
 from grlr.simplicity import CLOSURE_CAP, _seed_lines, ideal_closure_A, ideal_closure_L
@@ -572,3 +573,22 @@ def test_not_gr_simple_verdicts_recheck_from_the_tables():
                 assert cert != reference_kernels(inst)["ker_anchor"], label
             certificates[side] += 1
     assert certificates == {"L": 29, "A": 66} and pre_checks == 68
+
+
+def test_products_and_closures_multiply_no_grades_of_a_built_rule(monkeypatch):
+    # the grade-shift law is decided when a rule is built, so products,
+    # whole-block spans, closures and the tightness checks only read it
+    instances = [build("e3"), build("sl2_ga2")]
+    calls = []
+    group_mul = GroupSpec.mul
+    monkeypatch.setattr(GroupSpec, "mul", lambda self, a, b: calls.append((a, b)) or group_mul(self, a, b))
+    for inst in instances:
+        f = inst.field
+        for rule in (inst.bracket, inst.product, inst.action, inst.anchor):
+            bilinear_image(rule, GradedSubspace.full(f, rule.left), GradedSubspace.full(f, rule.right))
+            entry_rows(f, rule.out, [(rule, pair) for pair in sorted(rule.block_pairs())])
+        for basis, closure in ((inst.L, ideal_closure_L), (inst.A, ideal_closure_A)):
+            for g, row in homogeneous_seeds(inst, basis, 40)[0]:
+                closure(inst, from_block_vectors(f, basis, [(g, row)]))
+        check_tight(inst)
+    assert calls == []
