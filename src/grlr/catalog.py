@@ -69,17 +69,18 @@ def derivation_instance(
     derivation held as the sparse map b -> D(b) (``compute_derivations``).
     The anchor reads D(b); the bracket is the commutator
     [Di, Dj](b) = Di(Dj(b)) - Dj(Di(b)), each composition one
-    ``anchor.apply_sparse``; the action is (a.D)(b) = a D(b), by
+    ``anchor.apply_sparse``, formed for i < j only and negated for
+    [Dj, Di]; the action is (a.D)(b) = a D(b), by
     ``product.apply_sparse``.  Brackets and actions are read back in the
     derivation basis by one coordinate reader; one that is not a
     combination of the basis derivations raises CharacteristicError.
     """
     f = field
     entries, ders = [], []
-    for shift, mats in compute_derivations(field, group, A, product):
-        for mat in mats:
+    for shift, derivations in compute_derivations(field, group, A, product):
+        for D in derivations:
             entries.append((f"l{len(ders)}", shift))
-            ders.append([{t: x for t, x in enumerate(row) if not f.is_zero(x)} for row in mat])
+            ders.append(D)
     L = GradedBasis(entries)
     anchor = BilinearRule("anchor", f, group, L, A, A,
                           {(i, b): img for i, D in enumerate(ders) for b, img in enumerate(D)})
@@ -98,13 +99,15 @@ def derivation_instance(
     bracket_table: dict[tuple[int, int], Sparse] = {}
     for i, Di in enumerate(ders):
         for j, Dj in enumerate(ders):
-            if i == j:
-                continue
-            # Di(Dj(b)) - Dj(Di(b)); anchor.apply_sparse({i: c}, v) is c Di(v)
-            comm = [sparse_add(f, anchor.apply_sparse({i: f.one}, Dj[b]),
-                               anchor.apply_sparse({j: f.neg(f.one)}, Di[b])) for b in range(A.dim)]
-            if any(comm):
-                bracket_table[(i, j)] = express(comm, f"[{L.name_of(i)}, {L.name_of(j)}]")
+            if i > j and (j, i) in bracket_table:
+                # [Di, Dj] = -[Dj, Di], formed (or refused) earlier in this order
+                bracket_table[(i, j)] = {k: f.neg(c) for k, c in bracket_table[(j, i)].items()}
+            elif i < j:
+                # Di(Dj(b)) - Dj(Di(b)); anchor.apply_sparse({i: c}, v) is c Di(v)
+                comm = [sparse_add(f, anchor.apply_sparse({i: f.one}, Dj[b]),
+                                   anchor.apply_sparse({j: f.neg(f.one)}, Di[b])) for b in range(A.dim)]
+                if any(comm):
+                    bracket_table[(i, j)] = express(comm, f"[{L.name_of(i)}, {L.name_of(j)}]")
 
     action_table: dict[tuple[int, int], Sparse] = {}
     for a in range(A.dim):

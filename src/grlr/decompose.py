@@ -32,31 +32,35 @@ law is refused at the same term as a product would refuse it.
 Tightness reads AA and AL the same way, from all block pairs of the
 product and the action, and reads the identity parts from the same
 terms.  Each of its seven conditions is a yes/no rank question, decided
-by ``linear.rank_reaches``, which stops at the n-th independent row: a
-kernel, on the maps ``model.KERNEL_MAPS`` lists for it, is zero iff the
-condition rows of each block (``linear.kernel_conditions``) have full
-column rank, and AA = A, AL = L and each identity part hold iff the
-entry rows (``linear.entry_rows``) span every block asked for.  Only a
-failing condition builds subspaces, to name its witness.
+on one ``linear.Span`` whose ``fills`` stops at the row that fills a
+block: a kernel, on the maps ``model.KERNEL_MAPS`` lists for it, is
+zero iff the condition rows of each block (``linear.kernel_conditions``)
+fill it, and AA = A, AL = L and each identity part hold iff the entry
+rows (``linear.entry_rows``) fill every block asked for.  A failing
+condition names its witness in its first short block, in sorted grade
+order, from the rows that span already holds: the first vector of their
+kernel, or of ``Span.complement``, the unit vectors at the columns that
+are no row's pivot.  The complement U (or V) of a decomposition report
+is built the same way, from one span of the classes' identity parts.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .connections import ConnectionPartition, lambda_classes, sigma_classes, supports
-from .fields import Field, Scalar
+from .fields import Field
 from .groups import Grade, format_grade
 from .linear import (
     BilinearRule,
+    Echelon,
     GradedBasis,
     GradedSubspace,
+    Span,
     bilinear_image,
-    complement_in,
-    entry_kernel,
     entry_rows,
     kernel_conditions,
-    rank_reaches,
+    nullspace,
     row_span,
     subspace_intersect,
     subspace_sum,
@@ -182,23 +186,24 @@ def _pairwise(ideals: list[ClassIdeal], rule: BilinearRule) -> tuple[list[dict],
 
 def _decompose(inst: AlgebraInstance, side: str, partition: ConnectionPartition) -> DecompositionReport:
     """The class report of one side, from that side's connection partition."""
+    f, one = inst.field, inst.group.identity()
     basis, _, _, _, own_rule = _side(inst, side)
     ideals = []
-    # The classes partition the own support, so the sum of their identity
+    # The classes partition the own support, so the span of their identity
     # parts is the identity block the whole support generates.
-    generated = GradedSubspace.zero(inst.field, basis)
+    generated = Span(f, basis)
     for cls in partition.classes:
         identity_part = _identity_part(inst, side, cls)
         support_part = _block(inst, basis, cls)
         ideals.append(
             ClassIdeal(side, tuple(cls), identity_part, support_part, subspace_sum(identity_part, support_part))
         )
-        generated = subspace_sum(generated, identity_part)
-    complement = complement_in(generated, _block(inst, basis, [inst.group.identity()]))
-    span = complement
-    for ideal in ideals:
-        span = subspace_sum(span, ideal.total)
-    span_ok = span == _full(inst, basis)
+        generated.fills(one, identity_part.blocks.get(one, ()))
+    complement = GradedSubspace._from_rref(f, basis, {one: generated.complement(one)})
+    span = Span(f, basis, complement)
+    span_ok = all(
+        span.fills(g, (row for ideal in ideals for row in ideal.total.blocks.get(g, ()))) for g in basis.grades()
+    )
     facts, pairwise_ok = _pairwise(ideals, own_rule)
     return DecompositionReport(
         side, partition, ideals, complement, span_ok, complement.is_zero() and pairwise_ok, facts
@@ -233,34 +238,29 @@ class TightnessReport:
         return out
 
 
-def _first(space: GradedSubspace) -> str:
-    return space.describe().split(" , ")[0]
+def _first_row(f: Field, basis: GradedBasis, g: Grade, block: Echelon) -> str:
+    """The first row of an RREF ``block`` at g, as a vector of ``basis``."""
+    return basis.describe_sparse(GradedSubspace._from_rref(f, basis, {g: block}).sparse_vectors()[0], f)
 
 
-def _nonzero_witness(f: Field, basis: GradedBasis, maps: Sequence[tuple[BilinearRule, bool]]) -> str:
-    return f"nonzero element: {_first(entry_kernel(f, basis, maps))}"
+def _nonzero_witness(f: Field, basis: GradedBasis, span: Span, g: Grade) -> str:
+    # every condition of block g was read, so the span's kernel is the kernel there
+    return f"nonzero element: {_first_row(f, basis, g, nullspace(f, span.rows.get(g, ()), basis.block_dim(g)))}"
 
 
-def _not_spanned_witness(
-    inst: AlgebraInstance, basis: GradedBasis, rows: dict[Grade, list[list[Scalar]]], grades: list[Grade]
-) -> str:
-    # the rows span a subspace of the blocks at ``grades``, so its complement there is nonzero
-    return f"not spanned: {_first(complement_in(row_span(inst.field, basis, rows), _block(inst, basis, grades)))}"
+def _not_spanned_witness(f: Field, basis: GradedBasis, span: Span, g: Grade) -> str:
+    return f"not spanned: {_first_row(f, basis, g, span.complement(g))}"
 
 
 def check_tight(inst: AlgebraInstance) -> TightnessReport:
-    """The seven tightness conditions, each decided by ``rank_reaches``;
-    only a failing one builds subspaces, for its witness."""
+    """The seven tightness conditions, each decided on one ``Span`` that
+    reads a block's rows only until the block is full; a failing one
+    names its witness in its first short block, from the same span."""
     sup, f, L, A = supports(inst), inst.field, inst.L, inst.A
-    conditions: dict[str, bool] = {}
-    witnesses: dict[str, str] = {}
+    cases = []
     for kernel in ("center", "ann_L_of_A", "ann_A"):
-        name = f"{kernel}_zero"
         basis, maps = kernel_maps(inst, kernel)
-        rows = kernel_conditions(f, basis, maps)
-        conditions[name] = all(rank_reaches(f, rows[g], basis.block_dim(g)) for g in rows)
-        if not conditions[name]:
-            witnesses[name] = _nonzero_witness(f, basis, maps)
+        cases.append((f"{kernel}_zero", basis, kernel_conditions(f, basis, maps), basis.grades(), _nonzero_witness))
     one = [inst.group.identity()]
     for name, basis, terms, grades in (
         ("AA_equals_A", A, [(inst.product, pair) for pair in sorted(inst.product.block_pairs())], A.grades()),
@@ -268,10 +268,15 @@ def check_tight(inst: AlgebraInstance) -> TightnessReport:
         ("L_identity_generated", L, _identity_terms(inst, "L", sorted(sup.sigma)), one),
         ("A_identity_generated", A, _identity_terms(inst, "A", sorted(sup.lam)), one),
     ):
-        rows = entry_rows(f, basis, terms)
-        conditions[name] = all(rank_reaches(f, rows.get(g, ()), basis.block_dim(g)) for g in grades)
-        if not conditions[name]:
-            witnesses[name] = _not_spanned_witness(inst, basis, rows, grades)
+        cases.append((name, basis, entry_rows(f, basis, terms), grades, _not_spanned_witness))
+    conditions: dict[str, bool] = {}
+    witnesses: dict[str, str] = {}
+    for name, basis, rows, grades, witness in cases:
+        span = Span(f, basis)
+        short = next((g for g in grades if not span.fills(g, rows.get(g, ()))), None)
+        conditions[name] = short is None
+        if short is not None:
+            witnesses[name] = witness(f, basis, span, short)
     return TightnessReport(conditions, witnesses)
 
 

@@ -5,11 +5,12 @@ canonical residues ``0..p-1`` (ints) for GF(p).  Arithmetic goes
 through a :class:`Field`, except in two places that run on plain values
 and reduce with ``% p`` or build ``Fraction``s themselves: ``linear``'s
 elimination (``rref``, the one reducer ``_residue`` and what calls it,
-the running basis ``Span`` of the ideal closures included) and
-``model.verify_all``, which sums the ten algebra laws over integer
-tables: the residues themselves over GF(p), each entry times the lcm D
-of all the tables' denominators over Q; a sum is tested with ``% p`` or
-against 0, and only a witness is turned back into a scalar.  Both take
+the running basis ``Span`` of the closures, of tightness and of the
+decomposition complements included) and ``model.verify_all``, which
+sums the ten algebra laws over integer tables: the residues themselves
+over GF(p), each entry times the lcm D of all the tables' denominators
+over Q; a sum is tested with ``% p`` or against 0, and only a witness
+is turned back into a scalar.  Both take
 canonical values of the field unchecked, like the kernels below.
 
 Scalars are validated once, where they enter the program: ``parse`` and

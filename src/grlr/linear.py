@@ -17,14 +17,16 @@ its pivot (``Fraction(x, pivot)`` over Q, times ``pow(pivot, -1, p)``
 over GF(p)); the reduced row echelon form is unique, so they equal what
 elimination with the field's operations gives.  ``_residue`` reduces one
 vector against semi-echelon rows (each 1 at its pivot and 0 at the
-pivots of the rows before it); membership, coordinates, sums,
-``rank_reaches`` and ``Span``, the closures' running basis, call it.
+pivots of the rows before it); membership, coordinates, sums and
+``Span`` call it.  ``Span`` is the one running basis: it grows block by
+block as rows are added, for the closures of ``simplicity`` and for
+tightness and the identity blocks in ``decompose``.
 
 Rows from a caller are checked and reduced in one place: the public
 constructor ``GradedSubspace(...)`` checks each row's length and
 scalars, then runs ``rref``.  Every subspace derived from existing ones
-(``zero``, ``full``, ``at_grades``, sums, intersections, complements,
-kernels and bilinear images) is built from blocks already in RREF
+(``zero``, ``full``, ``at_grades``, sums, intersections, kernels and
+bilinear images) is built from blocks already in RREF
 together with their pivots, through ``GradedSubspace._from_rref``, and
 so is never reduced again.  Membership, ``_contains``, takes canonical
 scalars unchecked, as do the matrix kernels.
@@ -52,12 +54,14 @@ refusal reads the same whichever of them meets the pair first.
 ``entry_kernel`` cuts out the common kernel of maps v -> rule(v, .) and
 v -> rule(., v) with the rows that ``kernel_conditions`` builds, one
 condition per table entry component.  Where only a dimension is asked,
-``rank_reaches`` reads such rows through ``_residue`` and ``_scaled``
-and stops at the n-th independent one: a kernel block is zero iff its
-conditions reach the block's dimension, and a block is spanned iff its
-entry rows do.  ``BilinearRule.by_argument`` groups the same table by the
-grade of v, as the maps v -> rule(v, x) or rule(x, v), one per basis
-vector x, that the ideal closures of ``simplicity`` spin under.
+``Span.fills`` adds such rows to a block and stops at the one that
+fills it: a kernel block is zero iff its conditions fill the block, and
+a block is spanned iff its entry rows do.  A block left short names its
+witness from the same rows: ``nullspace`` of them, or
+``Span.complement``, the unit rows at the columns that are no row's
+pivot.  ``BilinearRule.by_argument`` groups the same table by the grade
+of v, as the maps v -> rule(v, x) or rule(x, v), one per basis vector
+x, that the ideal closures of ``simplicity`` spin under.
 """
 from __future__ import annotations
 
@@ -153,30 +157,6 @@ def _residue(field: Field, rows: Sequence[Sequence[Scalar]], pivots: Sequence[in
         if x:
             v = [a - x * b for a, b in zip(v, row)] if p is None else [(a - x * b) % p for a, b in zip(v, row)]
     return v
-
-
-def rank_reaches(field: Field, rows: Iterable[Sequence[Scalar]], n: int) -> bool:
-    """Whether ``rows`` (canonical scalars) span at least n dimensions.
-
-    Each row is reduced against the independent rows before it
-    (``_residue``); a nonzero residue, scaled to 1 at its first nonzero
-    entry (``_scaled``), is independent and joins them, so they stay
-    semi-echelon.  The answer is given at the n-th independent row: no
-    row past it is read.
-    """
-    if n <= 0:
-        return True
-    basis: list[Sequence[Scalar]] = []
-    pivots: list[int] = []
-    for row in rows:
-        v = _residue(field, basis, pivots, row)
-        c = next((k for k, x in enumerate(v) if x), None)
-        if c is not None:
-            basis.append(_scaled(field, v, c))
-            pivots.append(c)
-            if len(basis) == n:
-                return True
-    return False
 
 
 def coordinates_in_rref(field: Field, rows: Sequence[Row], pivots: Sequence[int], v: Sequence[Scalar]) -> list[Scalar] | None:
@@ -485,39 +465,17 @@ def subspace_intersect(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
     return GradedSubspace._from_rref(field, a.ambient, echelon)
 
 
-def complement_in(inner: GradedSubspace, outer: GradedSubspace) -> GradedSubspace:
-    """Deterministic complement C with inner (+) C = outer.
-
-    Rule: express ``inner`` in coordinates relative to ``outer``'s RREF
-    basis, then keep the outer basis rows whose relative coordinate is
-    not a pivot, lowest index first.  For ``outer`` a full block this is
-    exactly "ambient coordinates not used as pivots".  The kept rows are
-    rows of an RREF block, so they are in RREF with the matching pivots.
-    """
-    if any(g not in outer.blocks for g in inner.blocks):
-        raise ValueError("complement_in requires inner <= outer")
-    field = outer.field
-    echelon = {}
-    for g, outer_rows in outer.blocks.items():
-        rel = [coordinates_in_rref(field, outer_rows, outer.pivots[g], row) for row in inner.blocks.get(g, ())]
-        if None in rel:
-            raise ValueError("complement_in requires inner <= outer")
-        used = rref(field, rel)[1] if rel else ()
-        keep = [i for i in range(len(outer_rows)) if i not in used]
-        echelon[g] = tuple(outer_rows[i] for i in keep), tuple(outer.pivots[g][i] for i in keep)
-    return GradedSubspace._from_rref(field, outer.ambient, echelon)
-
-
 # ---------------------------------------------------------------------------
 # running semi-echelon bases
 
 
 class Span:
     """A running semi-echelon basis of a graded space, block by block: each
-    row is 1 at its pivot and 0 at the pivots of the rows added before it,
-    so ``_residue`` reduces a vector in one pass over the rows.
-    Residues mod p over GF(p), ``Fraction``s over Q, with no ``Field`` call
-    per entry."""
+    row is 1 at its pivot, its first nonzero column, and 0 at the pivots
+    of the rows added before it, so ``_residue`` reduces a vector in one
+    pass over the rows.  The pivots of a block are the leading columns of
+    its span, which are the pivots of its RREF.  Residues mod p over
+    GF(p), ``Fraction``s over Q, with no ``Field`` call per entry."""
 
     def __init__(self, field: Field, basis: GradedBasis, start: GradedSubspace | None = None):
         self.field, self.basis = field, basis
@@ -545,6 +503,11 @@ class Span:
                     row[k] += y * e
         if p is not None:
             row = [x % p for x in row]
+        return self.add(g, row)
+
+    def add(self, g: Grade, row: Sequence[Scalar]) -> list | None:
+        """Add ``row`` (canonical scalars) to block g, reduced and scaled to
+        1 at its pivot; return it, or None when it is already in the span."""
         rows = self.rows.setdefault(g, [])
         pivots = self.pivots.setdefault(g, [])
         row = _residue(self.field, rows, pivots, row)
@@ -556,6 +519,23 @@ class Span:
         pivots.append(lead)
         self.rank += 1
         return row
+
+    def fills(self, g: Grade, rows: Iterable[Sequence[Scalar]]) -> bool:
+        """Add ``rows`` to block g until it is full, and return whether it
+        is: no row past the one that fills it is read."""
+        if not self.full_at(g):
+            for row in rows:
+                if self.add(g, row) is not None and self.full_at(g):
+                    break
+        return self.full_at(g)
+
+    def complement(self, g: Grade) -> Echelon:
+        """The unit rows of block g at the columns that are no row's pivot:
+        an RREF basis of a complement of the span there, which together
+        with the span is the whole block."""
+        taken = set(self.pivots.get(g, ()))
+        n = self.basis.block_dim(g)
+        return _units(self.field, n, [c for c in range(n) if c not in taken])
 
     def subspace(self) -> GradedSubspace:
         """The span, one RREF per block."""

@@ -488,7 +488,7 @@ def is_graded_ideal_A(inst: AlgebraInstance, J: GradedSubspace) -> tuple[bool, d
 
 def compute_derivations(
     field: Field, group: GroupSpec, A: GradedBasis, product: BilinearRule
-) -> list[tuple[Grade, list[tuple[tuple[Scalar, ...], ...]]]]:
+) -> list[tuple[Grade, list[list[Sparse]]]]:
     """Homogeneous derivation spaces of a graded commutative algebra.
 
     For each candidate shift d (a difference of basis grades; any other
@@ -501,13 +501,13 @@ def compute_derivations(
     as b_p b_t with t = q, subtracts x from the unknowns D(b_i)[p] of
     equation (i, q, k) and D(b_j)[q] of equation (p, j, k).  ``nullspace``
     returns the RREF kernel basis, which does not depend on the order of
-    the equations.  Returns a sorted list of (shift, basis matrices); each
-    matrix M is dense with M[j] the image of basis vector j in absolute
-    A-coordinates.
+    the equations.  Returns a sorted list of (shift, basis derivations);
+    each derivation D is the list of sparse images, D[j] = D(b_j) in
+    absolute A-positions.
     """
     f = field
     grades = A.grades()
-    results: list[tuple[Grade, list[tuple[tuple[Scalar, ...], ...]]]] = []
+    results: list[tuple[Grade, list[list[Sparse]]]] = []
     for d in sorted({group.mul(group.inv(g), h) for g in grades for h in grades}):
         unknown: dict[tuple[int, int], int] = {}  # (j, t) -> column of D(b_j)[t]
         targets: dict[int, tuple[int, ...]] = {}  # j -> the t of its unknowns
@@ -536,14 +536,15 @@ def compute_derivations(
         n = len(unknown)
         rows = [[row.get(col, f.zero) for col in range(n)]
                 for row in equations.values() if any(not f.is_zero(x) for x in row.values())]
-        matrices = []
+        derivations = []
         for vec in nullspace(f, rows, n)[0]:
-            mat = [[f.zero] * A.dim for _ in range(A.dim)]
+            D: list[Sparse] = [{} for _ in range(A.dim)]
             for (j, t), col in unknown.items():
-                mat[j][t] = vec[col]
-            matrices.append(tuple(map(tuple, mat)))
-        if matrices:
-            results.append((d, matrices))
+                if not f.is_zero(vec[col]):
+                    D[j][t] = vec[col]
+            derivations.append(D)
+        if derivations:
+            results.append((d, derivations))
     return results
 
 

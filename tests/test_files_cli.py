@@ -457,9 +457,11 @@ def test_cli_verify_of_a_wide_abelian_L_is_fast(tmp_path, capsys):
 
 def test_cli_verify_of_a_dense_failing_bracket_stops_early(tmp_path, capsys):
     # 24 basis elements of L at one grade with every bracket coefficient
-    # nonzero: Jacobi fails at the first triple.  The laws are summed one
-    # value of the first argument at a time, so verify stops in the first
-    # block instead of summing all 914,112 nested Jacobi products
+    # nonzero: Jacobi fails at the first triple.  verify sums each law in
+    # one pass over its tables, here all 914,112 nested Jacobi products,
+    # before it reports; this pins that the file's verify fails within
+    # 5 s, and that its checks match the literal reference with Jacobi
+    # the only failure.  The early stop that the name describes is open work
     f, G = prime_field(7), GroupSpec(1)
     rng = random.Random(24)
     names = [f"v{k}" for k in range(24)]

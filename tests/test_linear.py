@@ -19,15 +19,14 @@ from grlr.linear import (
     BilinearRule,
     GradedBasis,
     GradedSubspace,
+    Span,
     bilinear_image,
-    complement_in,
     coordinate_reader,
     coordinates_in_rref,
     entry_kernel,
     entry_rows,
     in_span,
     nullspace,
-    rank_reaches,
     row_span,
     rref,
     rule_from_names,
@@ -70,8 +69,8 @@ GF2, GF7 = prime_field(2), prime_field(7)
 
 @st.composite
 def rank_cases(draw):
-    """(field, rows, n) over GF(2), GF(7) and Q: up to 8 rows of width 0 to
-    5, some of them zero or repeated, and n from 0 to the width plus one."""
+    """(field, rows, width) over GF(2), GF(7) and Q: up to 8 rows of width 0
+    to 5, some of them zero or repeated."""
     f = draw(st.sampled_from([GF2, GF7, RATIONALS]))
     width = draw(st.integers(0, 5))
     scalar = (st.builds(f.from_int, st.integers(-3, 3)) if f.p else
@@ -80,28 +79,69 @@ def rank_cases(draw):
     rows = draw(st.lists(row, max_size=8))
     if rows and draw(st.booleans()):
         rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(rows))))
-    return f, rows, draw(st.integers(0, width + 1))
+    return f, rows, width
+
+
+def one_block(width):
+    """A graded basis with one block, of dimension ``width``, at grade (0,)."""
+    return GradedBasis((f"b{k}", (0,)) for k in range(width))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(rank_cases())
 @example((GF2, [], 0))
 @example((GF2, [], 1))
-@example((RATIONALS, [[RATIONALS.zero] * 2] * 3, 1))
+@example((RATIONALS, [[RATIONALS.zero] * 2] * 3, 2))
 @example((GF7, [[1, 2], [1, 2], [2, 4], [0, 1]], 2))
-@example((GF7, [[1, 0], [0, 1], [1, 1]], 1))
-def test_rank_reaches_matches_reference_rank_and_reads_no_row_past_the_nth_independent(case):
-    f, rows, n = case
+@example((GF7, [[1, 0], [0, 1], [1, 1]], 2))
+def test_span_fills_matches_reference_rank_and_reads_no_row_past_the_filling_one(case):
+    f, rows, width = case
     rank = len(reference_rref(f, rows)[1])
-    # rows[stop - 1] is the n-th independent row
-    stop = next((k for k in range(len(rows) + 1) if len(reference_rref(f, rows[:k])[1]) == n), None)
+    # rows[stop - 1] is the width-th independent row
+    stop = next((k for k in range(len(rows) + 1) if len(reference_rref(f, rows[:k])[1]) == width), None)
 
     def guarded():
         for k, row in enumerate(rows):
-            assert stop is None or k < stop, "read a row past the n-th independent one"
+            assert stop is None or k < stop, "read a row past the one that fills the block"
             yield row
 
-    assert rank_reaches(f, guarded(), n) == (rank >= n)
+    assert Span(f, one_block(width)).fills((0,), guarded()) == (rank == width)
+
+
+@st.composite
+def span_cases(draw):
+    """(field, basis, rows) over GF(2), GF(7) and Q: blocks of dimension 1
+    to 4 at up to three grades, and up to 10 rows of those blocks, as
+    (grade, row) pairs in the order they are added."""
+    f = draw(st.sampled_from([GF2, GF7, RATIONALS]))
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    basis = GradedBasis((f"b{g}_{k}", (g,)) for g, n in enumerate(dims) for k in range(n))
+    scalar = (st.builds(f.from_int, st.integers(-3, 3)) if f.p else
+              st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)))
+    rows = draw(st.lists(st.integers(0, len(dims) - 1).flatmap(
+        lambda g: st.tuples(st.just((g,)), st.lists(scalar, min_size=dims[g], max_size=dims[g]))), max_size=10))
+    return f, basis, draw(st.permutations(rows))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(span_cases())
+def test_span_pivots_are_the_rref_pivots_and_its_complement_splits_each_block(case):
+    # the lemma the tightness witnesses rest on: the columns that are no
+    # row's pivot are the RREF's free columns, so their unit rows complete
+    # the span to the whole block, meeting it only in zero
+    f, basis, rows = case
+    span = Span(f, basis)
+    for g, row in rows:
+        span.add(g, row)
+    for g in basis.grades():
+        given_rows = [row for h, row in rows if h == g]
+        ech, pivots = reference_rref(f, given_rows)
+        assert sorted(span.pivots.get(g, ())) == list(pivots)
+        assert reference_rref(f, span.rows.get(g, []))[0] == ech
+        comp, free = span.complement(g)
+        n = basis.block_dim(g)
+        assert list(free) == [c for c in range(n) if c not in pivots]
+        assert len(reference_rref(f, list(span.rows.get(g, [])) + list(comp))[1]) == len(ech) + len(comp) == n
 
 
 def test_rref_known_case():
@@ -335,24 +375,22 @@ def test_subspace_canonical_equality():
     assert a.dim == 1
 
 
+def span_complement(f, basis, span):
+    return GradedSubspace._from_rref(f, basis, {g: span.complement(g) for g in basis.grades()})
+
+
 def test_complement_is_deterministic_and_splits():
     rng = random.Random(59)
     for f in FIELDS:
         for _ in range(40):
             inner = rand_subspace(rng, f, BASIS)
-            outer = subspace_sum(inner, rand_subspace(rng, f, BASIS))
-            comp = complement_in(inner, outer)
-            assert comp == complement_in(inner, outer)
-            assert subspace_sum(inner, comp) == outer
+            comp = span_complement(f, BASIS, Span(f, BASIS, inner))
+            backwards = Span(f, BASIS)
+            for g, row in reversed(inner.block_vectors()):
+                backwards.add(g, row)
+            assert comp == span_complement(f, BASIS, backwards)
+            assert subspace_sum(inner, comp) == GradedSubspace.full(f, BASIS)
             assert subspace_intersect(inner, comp).is_zero()
-
-
-def test_complement_requires_containment():
-    f = RATIONALS
-    inner = from_sparse_vectors(f, BASIS, [{0: f.one}])
-    outer = from_sparse_vectors(f, BASIS, [{1: f.one}])
-    with pytest.raises(ValueError):
-        complement_in(inner, outer)
 
 
 def test_graded_basis_queries():
@@ -680,7 +718,7 @@ def test_trusted_results_equal_checked_rebuilds():
             total = subspace_sum(U, W)
             assert total == from_sparse_vectors(f, WIDE, U.sparse_vectors() + W.sparse_vectors())
             meet = subspace_intersect(U, W)
-            comp = complement_in(U, total)
+            comp = span_complement(f, WIDE, Span(f, WIDE, U))
             image = bilinear_image(rule, U, W)
             products = [rule.apply_sparse(u, w) for u in U.sparse_vectors() for w in W.sparse_vectors()]
             assert image == from_sparse_vectors(f, WIDE, products)
