@@ -9,7 +9,7 @@ decompositions, checks tightness, pairs ideals across the two sides
 and refines to gr-simple summands, with brute-force oracles backing
 every fast path.
 """
-from .catalog import CATALOG, build, catalog_names
+from .catalog import CATALOG, build, catalog_names, compute_derivations
 from .connections import (
     ConnectionPartition,
     Supports,
@@ -49,7 +49,6 @@ from .model import (
     ann_A,
     ann_L_of_A,
     center,
-    compute_derivations,
     is_graded_ideal_A,
     is_graded_ideal_L,
     ker_anchor,

@@ -6,7 +6,8 @@ exhaustive enumerations).  Entries whose structure constants only close
 up in a specific characteristic reject other fields with an explicit
 message; e2/e3 carry the full homogeneous derivation algebra of
 F[x]/(x^3), including the shift by the top grade, which exists only in
-characteristic 3.
+characteristic 3.  ``compute_derivations`` and ``derivation_instance``
+build (Der(A), A) for any graded commutative A.
 """
 from __future__ import annotations
 
@@ -16,9 +17,9 @@ from typing import Callable
 from .constructions import direct_sum
 from .errors import CharacteristicError, InstanceFormatError
 from .fields import RATIONALS, Field, Scalar, prime_field
-from .groups import GroupSpec
-from .linear import BilinearRule, GradedBasis, Sparse, coordinate_reader, rule_from_names, sparse_add
-from .model import AlgebraInstance, compute_derivations
+from .groups import Grade, GroupSpec
+from .linear import BilinearRule, GradedBasis, Sparse, nullspace, rule_from_names, sparse_add
+from .model import AlgebraInstance
 
 
 def _mirror(entries: dict[tuple[str, str], dict[str, int]], sign: int) -> dict[tuple[str, str], dict[str, int]]:
@@ -60,6 +61,74 @@ def _build_e1(field: Field) -> AlgebraInstance:
     return AlgebraInstance("e1", field, group, L, A, bracket, product, action, anchor)
 
 
+def compute_derivations(
+    field: Field, group: GroupSpec, A: GradedBasis, product: BilinearRule
+) -> list[tuple[Grade, list[list[Sparse]]]]:
+    """Homogeneous derivation spaces of a graded commutative algebra.
+
+    For each candidate shift d (a difference of basis grades; any other
+    shift only carries the zero derivation) the unknowns are the
+    coordinates D(b_j)[t], t in the block at grade(b_j)*d, indexed once in
+    (j, t) order.  The Leibniz system D(b_i b_j) - D(b_i)b_j - b_i D(b_j) = 0
+    has one equation per (i, j, output coordinate), written straight from
+    the nonzero entries of ``product.table``: an entry b_p b_q -> x b_k
+    adds x D(b_k) to equation (p, q, .), and, read as b_t b_q with t = p or
+    as b_p b_t with t = q, subtracts x from the unknowns D(b_i)[p] of
+    equation (i, q, k) and D(b_j)[q] of equation (p, j, k).  ``nullspace``
+    returns the RREF kernel basis, which does not depend on the order of
+    the equations.  Returns a sorted list of (shift, basis derivations);
+    each derivation D is the list of sparse images, D[j] = D(b_j) in
+    absolute A-positions.
+
+    The derivations of one shift are its RREF rows over the coordinates
+    D(b_j)[t] in (j, t) order: each row's first nonzero coordinate, its
+    pivot, is 1, and every other row of that shift is 0 there.  So a map
+    at that shift is a combination of them only with its own values at
+    the pivots as coefficients (``derivation_instance`` reads it so).
+    """
+    f = field
+    grades = A.grades()
+    results: list[tuple[Grade, list[list[Sparse]]]] = []
+    for d in sorted({group.mul(group.inv(g), h) for g in grades for h in grades}):
+        unknown: dict[tuple[int, int], int] = {}  # (j, t) -> column of D(b_j)[t]
+        targets: dict[int, tuple[int, ...]] = {}  # j -> the t of its unknowns
+        sources: dict[int, list[int]] = {}  # t -> the j with an unknown D(b_j)[t]
+        for j in range(A.dim):
+            targets[j] = A.positions_at(group.mul(A.grade_of(j), d))
+            for t in targets[j]:
+                unknown[(j, t)] = len(unknown)
+                sources.setdefault(t, []).append(j)
+        if not unknown:
+            continue
+        equations: dict[tuple[int, int, int], Sparse] = {}
+
+        def add(i: int, j: int, c: int, col: int, x: Scalar) -> None:
+            row = equations.setdefault((i, j, c), {})
+            row[col] = f.add(row.get(col, f.zero), x)
+
+        for (p, q), image in product.table.items():
+            for k, x in image.items():
+                for c in targets[k]:
+                    add(p, q, c, unknown[(k, c)], x)
+                for i in sources.get(p, ()):
+                    add(i, q, k, unknown[(i, p)], f.neg(x))
+                for j in sources.get(q, ()):
+                    add(p, j, k, unknown[(j, q)], f.neg(x))
+        n = len(unknown)
+        rows = [[row.get(col, f.zero) for col in range(n)]
+                for row in equations.values() if any(not f.is_zero(x) for x in row.values())]
+        derivations = []
+        for vec in nullspace(f, rows, n)[0]:
+            D: list[Sparse] = [{} for _ in range(A.dim)]
+            for (j, t), col in unknown.items():
+                if not f.is_zero(vec[col]):
+                    D[j][t] = vec[col]
+            derivations.append(D)
+        if derivations:
+            results.append((d, derivations))
+    return results
+
+
 def derivation_instance(
     name: str, field: Field, group: GroupSpec, A: GradedBasis, product: BilinearRule
 ) -> AlgebraInstance:
@@ -71,30 +140,32 @@ def derivation_instance(
     [Di, Dj](b) = Di(Dj(b)) - Dj(Di(b)), each composition one
     ``anchor.apply_sparse``, formed for i < j only and negated for
     [Dj, Di]; the action is (a.D)(b) = a D(b), by
-    ``product.apply_sparse``.  Brackets and actions are read back in the
-    derivation basis by one coordinate reader; one that is not a
-    combination of the basis derivations raises CharacteristicError.
+    ``product.apply_sparse``.  Each bracket or action M is read in the
+    derivations of its own shift, deg Di deg Dj or deg a deg D: its
+    coordinates are its values at their pivots (the RREF-row contract
+    of ``compute_derivations``), and M less that combination must vanish
+    on every b.  One that does not is no combination of homogeneous
+    derivations and raises CharacteristicError.
     """
     f = field
     entries, ders = [], []
+    pivots: dict[Grade, list[tuple[int, int, int]]] = {}  # shift -> (i, j, t) with pivot D(b_j)[t] of Di
     for shift, derivations in compute_derivations(field, group, A, product):
         for D in derivations:
+            j = next(j for j, img in enumerate(D) if img)
+            pivots.setdefault(shift, []).append((len(ders), j, min(D[j])))
             entries.append((f"l{len(ders)}", shift))
             ders.append(D)
     L = GradedBasis(entries)
     anchor = BilinearRule("anchor", f, group, L, A, A,
                           {(i, b): img for i, D in enumerate(ders) for b, img in enumerate(D)})
 
-    def flat(D: list[Sparse]) -> list[Scalar]:
-        return [img.get(t, f.zero) for img in D for t in range(A.dim)]
-
-    coordinates = coordinate_reader(f, [flat(D) for D in ders])
-
-    def express(D: list[Sparse], what: str) -> Sparse:
-        combo = coordinates(flat(D))
-        if combo is None:
+    def express(M: list[Sparse], shift: Grade, what: str) -> Sparse:
+        combo = {i: M[j][t] for i, j, t in pivots.get(shift, ()) if t in M[j]}
+        minus = {i: f.neg(c) for i, c in combo.items()}
+        if any(sparse_add(f, img, anchor.apply_sparse(minus, {b: f.one})) for b, img in enumerate(M)):
             raise CharacteristicError(f"{what} is not a combination of homogeneous derivations")
-        return {i: c for i, c in enumerate(combo) if not f.is_zero(c)}
+        return combo
 
     bracket_table: dict[tuple[int, int], Sparse] = {}
     for i, Di in enumerate(ders):
@@ -107,14 +178,16 @@ def derivation_instance(
                 comm = [sparse_add(f, anchor.apply_sparse({i: f.one}, Dj[b]),
                                    anchor.apply_sparse({j: f.neg(f.one)}, Di[b])) for b in range(A.dim)]
                 if any(comm):
-                    bracket_table[(i, j)] = express(comm, f"[{L.name_of(i)}, {L.name_of(j)}]")
+                    bracket_table[(i, j)] = express(comm, group.mul(L.grade_of(i), L.grade_of(j)),
+                                                    f"[{L.name_of(i)}, {L.name_of(j)}]")
 
     action_table: dict[tuple[int, int], Sparse] = {}
     for a in range(A.dim):
         for i, D in enumerate(ders):
             scaled = [product.apply_sparse({a: f.one}, img) for img in D]
             if any(scaled):
-                action_table[(a, i)] = express(scaled, f"{A.name_of(a)}*{L.name_of(i)}")
+                action_table[(a, i)] = express(scaled, group.mul(A.grade_of(a), L.grade_of(i)),
+                                               f"{A.name_of(a)}*{L.name_of(i)}")
 
     bracket = BilinearRule("bracket", f, group, L, L, L, bracket_table)
     action = BilinearRule("action", f, group, A, L, L, action_table)

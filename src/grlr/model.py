@@ -105,7 +105,6 @@ from .linear import (
     Sparse,
     coordinate_reader,
     entry_kernel,
-    nullspace,
 )
 
 
@@ -480,72 +479,6 @@ def is_graded_ideal_A(inst: AlgebraInstance, J: GradedSubspace) -> tuple[bool, d
                     "value": inst.describe_A(img),
                 }
     return True, None
-
-
-# ---------------------------------------------------------------------------
-# derivations of A
-
-
-def compute_derivations(
-    field: Field, group: GroupSpec, A: GradedBasis, product: BilinearRule
-) -> list[tuple[Grade, list[list[Sparse]]]]:
-    """Homogeneous derivation spaces of a graded commutative algebra.
-
-    For each candidate shift d (a difference of basis grades; any other
-    shift only carries the zero derivation) the unknowns are the
-    coordinates D(b_j)[t], t in the block at grade(b_j)*d, indexed once in
-    (j, t) order.  The Leibniz system D(b_i b_j) - D(b_i)b_j - b_i D(b_j) = 0
-    has one equation per (i, j, output coordinate), written straight from
-    the nonzero entries of ``product.table``: an entry b_p b_q -> x b_k
-    adds x D(b_k) to equation (p, q, .), and, read as b_t b_q with t = p or
-    as b_p b_t with t = q, subtracts x from the unknowns D(b_i)[p] of
-    equation (i, q, k) and D(b_j)[q] of equation (p, j, k).  ``nullspace``
-    returns the RREF kernel basis, which does not depend on the order of
-    the equations.  Returns a sorted list of (shift, basis derivations);
-    each derivation D is the list of sparse images, D[j] = D(b_j) in
-    absolute A-positions.
-    """
-    f = field
-    grades = A.grades()
-    results: list[tuple[Grade, list[list[Sparse]]]] = []
-    for d in sorted({group.mul(group.inv(g), h) for g in grades for h in grades}):
-        unknown: dict[tuple[int, int], int] = {}  # (j, t) -> column of D(b_j)[t]
-        targets: dict[int, tuple[int, ...]] = {}  # j -> the t of its unknowns
-        sources: dict[int, list[int]] = {}  # t -> the j with an unknown D(b_j)[t]
-        for j in range(A.dim):
-            targets[j] = A.positions_at(group.mul(A.grade_of(j), d))
-            for t in targets[j]:
-                unknown[(j, t)] = len(unknown)
-                sources.setdefault(t, []).append(j)
-        if not unknown:
-            continue
-        equations: dict[tuple[int, int, int], Sparse] = {}
-
-        def add(i: int, j: int, c: int, col: int, x: Scalar) -> None:
-            row = equations.setdefault((i, j, c), {})
-            row[col] = f.add(row.get(col, f.zero), x)
-
-        for (p, q), image in product.table.items():
-            for k, x in image.items():
-                for c in targets[k]:
-                    add(p, q, c, unknown[(k, c)], x)
-                for i in sources.get(p, ()):
-                    add(i, q, k, unknown[(i, p)], f.neg(x))
-                for j in sources.get(q, ()):
-                    add(p, j, k, unknown[(j, q)], f.neg(x))
-        n = len(unknown)
-        rows = [[row.get(col, f.zero) for col in range(n)]
-                for row in equations.values() if any(not f.is_zero(x) for x in row.values())]
-        derivations = []
-        for vec in nullspace(f, rows, n)[0]:
-            D: list[Sparse] = [{} for _ in range(A.dim)]
-            for (j, t), col in unknown.items():
-                if not f.is_zero(vec[col]):
-                    D[j][t] = vec[col]
-            derivations.append(D)
-        if derivations:
-            results.append((d, derivations))
-    return results
 
 
 # ---------------------------------------------------------------------------

@@ -20,19 +20,21 @@ from grlr import (
     build,
     catalog_names,
     check_hypotheses5,
+    compute_derivations,
     default_recipe_space,
     generate_instance,
     supports,
 )
 from grlr.catalog import derivation_instance
 from grlr.decompose import TightnessReport
-from grlr.errors import ToolkitError
+from grlr.errors import CharacteristicError, ToolkitError
 from grlr.fields import Field, Scalar, parse_field_label, prime_field
 from grlr.groups import Grade, format_grade
 from grlr.linear import (
     BilinearRule,
     Sparse,
     bilinear_image,
+    coordinate_reader,
     in_span,
     nullspace,
     rule_from_names,
@@ -840,6 +842,52 @@ def truncated_poly_one_block(p: int, n: int) -> AlgebraInstance:
     product = BilinearRule("product", f, G, A, A, A,
                            {(i, j): {i + j: f.one} for i in range(n) for j in range(n) if i + j < n})
     return derivation_instance(f"Der(F[x]/(x^{n}))@gf{p}", f, G, A, product)
+
+
+def reference_derivation_tables(
+    field: Field, group: GroupSpec, A: GradedBasis, product: BilinearRule
+) -> tuple[dict, dict] | str:
+    """The bracket and action tables of ``derivation_instance``, or its
+    refusal text, by a dense reader: every map is flattened over all
+    dim A^2 coordinates D(b_j)[t] and read by one ``coordinate_reader``
+    over all derivations of every shift.  Each ordered pair's commutator
+    is composed here, by hand, in row-major order."""
+    f = field
+    ders = [D for _, derivations in compute_derivations(field, group, A, product) for D in derivations]
+
+    def flat(D: list[Sparse]) -> list[Scalar]:
+        return [D[j].get(t, f.zero) for j in range(A.dim) for t in range(A.dim)]
+
+    coordinates = coordinate_reader(f, [flat(D) for D in ders])
+
+    def apply(D: list[Sparse], v: Sparse, sign: Scalar) -> Sparse:
+        out: Sparse = {}
+        for k, c in v.items():
+            out = sparse_add(f, out, {t: f.mul(f.mul(sign, c), x) for t, x in D[k].items()})
+        return out
+
+    def read(M: list[Sparse], what: str) -> Sparse:
+        combo = coordinates(flat(M))
+        if combo is None:
+            raise CharacteristicError(f"{what} is not a combination of homogeneous derivations")
+        return {i: c for i, c in enumerate(combo) if not f.is_zero(c)}
+
+    try:
+        bracket = {}
+        for i, Di in enumerate(ders):
+            for j, Dj in enumerate(ders):
+                comm = [sparse_add(f, apply(Di, Dj[b], f.one), apply(Dj, Di[b], f.neg(f.one))) for b in range(A.dim)]
+                if any(comm):
+                    bracket[(i, j)] = read(comm, f"[l{i}, l{j}]")
+        action = {}
+        for a in range(A.dim):
+            for i, D in enumerate(ders):
+                scaled = [product.apply_sparse({a: f.one}, img) for img in D]
+                if any(scaled):
+                    action[(a, i)] = read(scaled, f"{A.name_of(a)}*l{i}")
+    except CharacteristicError as exc:
+        return str(exc)
+    return bracket, action
 
 
 def action_and_anchor_witnesses() -> AlgebraInstance:

@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grlr import (
+    GradedBasis,
     GradedSubspace,
+    GroupSpec,
     RATIONALS,
     ann_A,
     ann_L_of_A,
@@ -24,8 +27,10 @@ from grlr import (
     restrict_instance,
     verify_all,
 )
+from grlr.catalog import derivation_instance
 from grlr.decompose import decompose_A, decompose_L
-from grlr.errors import GuardError, ToolkitError
+from grlr.errors import CharacteristicError, GuardError, ToolkitError
+from grlr.linear import BilinearRule
 from grlr.model import LAWS, verify_grading
 from grlr.oracle import (
     TemplateRecipe,
@@ -51,10 +56,12 @@ from helpers import (
     on_basis,
     recipe_and_catalog_instances,
     recipe_and_catalog_wild_mutants,
+    reference_derivation_tables,
     reference_grading_violations,
     reference_kernels,
     reference_verify,
     truncated_poly_derivations,
+    truncated_poly_one_block,
     wild_mutant,
     witt_2_1_gf3,
 )
@@ -472,6 +479,67 @@ def test_derivation_values_of_e2_are_pinned():
     assert on_basis(e2.bracket, e2.L.position_of("l0"), e2.L.position_of("l1")) == {e2.L.position_of("l1"): 1}
     assert on_basis(e2.bracket, e2.L.position_of("l1"), e2.L.position_of("l2")) == {e2.L.position_of("l0"): 1}
     assert on_basis(e2.action, e2.A.position_of("a1"), e2.L.position_of("l2")) == {e2.L.position_of("l0"): 1}
+
+
+def derivation_tables(field, group, A, product):
+    """``derivation_instance``'s bracket and action tables, or its refusal text."""
+    try:
+        inst = derivation_instance("der", field, group, A, product)
+    except CharacteristicError as exc:
+        return str(exc)
+    return inst.bracket.table, inst.action.table
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: cached("e2"), id="e2"),
+    pytest.param(lambda: cached("e3"), id="e3"),
+    *(pytest.param(lambda p=p: truncated_poly_derivations(p), id=f"W(1;1)@gf{p}") for p in (5, 7, 13)),
+    pytest.param(witt_2_1_gf3, id="W(2;1)@gf3"),
+    pytest.param(lambda: truncated_poly_one_block(5, 5), id="Der(F[x]/(x^5))@gf5"),
+])
+def test_derivation_tables_match_the_dense_reader(make):
+    # e3 is a direct sum; its A is F[x]/(x^3) + F[y]/(y^3), whose derivations
+    # are read here afresh
+    inst = make()
+    args = (inst.field, inst.group, inst.A, inst.product)
+    tables = derivation_tables(*args)
+    assert not isinstance(tables, str), tables
+    assert tables == reference_derivation_tables(*args)
+
+
+@st.composite
+def graded_products(draw):
+    """A commutative product on dim A <= 4 over GF(2), GF(3), GF(5) or Q,
+    each b_i b_j a random vector of the block at grade(b_i) grade(b_j)."""
+    f = draw(st.sampled_from([prime_field(2), prime_field(3), prime_field(5), RATIONALS]))
+    G = draw(st.sampled_from([GroupSpec(0), GroupSpec(0, (2,)), GroupSpec(0, (3,)), GroupSpec(1)]))
+    grade = st.tuples(st.integers(-1, 2)) if G.free_rank else st.tuples(*(st.integers(0, m - 1) for m in G.torsion))
+    A = GradedBasis([(f"a{k}", draw(grade)) for k in range(draw(st.integers(1, 4)))])
+    values = [0, 0, 1, 2] if f.p else [0, 0, 1, -1, Fraction(1, 2)]
+    table = {}
+    for i in range(A.dim):
+        for j in range(i, A.dim):
+            img = {k: f.from_int(c) if isinstance(c, int) else c
+                   for k in A.positions_at(G.mul(A.grade_of(i), A.grade_of(j)))
+                   if (c := draw(st.sampled_from(values)))}
+            table[(i, j)] = table[(j, i)] = img
+    return f, G, A, BilinearRule("product", f, G, A, A, A, table)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=250)
+@given(graded_products())
+def test_derivation_tables_and_refusals_match_the_dense_reader(case):
+    assert derivation_tables(*case) == reference_derivation_tables(*case)
+
+
+def test_derivations_of_a_nonassociative_product_refuse_the_action():
+    # a0 a0 = 2 a1 and a1 a1 = a0 over GF(3), all at grade 0: commutative but
+    # not associative, so a0 times a derivation need not be one
+    f, G = prime_field(3), GroupSpec(0)
+    A = GradedBasis([("a0", ()), ("a1", ())])
+    product = BilinearRule("product", f, G, A, A, A, {(0, 0): {1: 2}, (1, 1): {0: 1}})
+    with pytest.raises(CharacteristicError, match=r"^a0\*l0 is not a combination of homogeneous derivations$"):
+        derivation_instance("nonassociative", f, G, A, product)
 
 
 def test_restrict_instance_to_summand():
