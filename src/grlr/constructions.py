@@ -83,6 +83,12 @@ def to_field(inst: AlgebraInstance, field: Field) -> AlgebraInstance:
         return field.div(field.from_int(x.numerator), field.from_int(x.denominator))
 
     def moved_table(rule: BilinearRule, dom: str) -> dict[tuple[int, int], Sparse]:
-        return {key: {p: move(x) for p, x in img.items()} for key, img in rule.table.items()}
+        # a scalar that vanishes mod p is dropped, and so is an image left empty
+        table = {}
+        for key, img in rule.table.items():
+            moved = {p: c for p, x in img.items() if (c := move(x))}
+            if moved:
+                table[key] = moved
+        return table
 
     return rebuild_instance(inst, f"{inst.name}@{field.label}", field, inst.group, inst.L, inst.A, moved_table)

@@ -33,7 +33,7 @@ scalars unchecked, as do the matrix kernels.
 
 The grade-shift law is decided once per block pair, when a
 ``BilinearRule`` is built: one ``group.mul`` per (left grade, right
-grade) that has table entries, in the pass that canonicalises the table,
+grade) that has table entries, in one pass over the canonical table,
 and the rule keeps only the set of pairs that break it
 (``off_grade_pairs``).  Everything after reads that verdict.  A pair that
 breaks the law is scanned only to name its components, by one routine
@@ -554,13 +554,24 @@ class BilinearRule:
     sparse output vector; an entry at a position outside the bases is
     refused (``ValueError``), once its zero coefficients are dropped.  The grade-shift law says an entry at (i, j) must
     land in the output block at grade(i)*grade(j).  It is decided once
-    per block pair, here, with one ``group.mul`` per pair in the pass
-    that canonicalises the table; ``off_grade_pairs`` keeps the pairs
+    per block pair, here, with one ``group.mul`` per pair in one pass
+    over the canonical table; ``off_grade_pairs`` keeps the pairs
     that break it, shared and empty on a lawful rule.  They are not
     rejected, so that hand-edited files can be loaded and then failed by
     the grading verifier with a witness (:meth:`grading_violations`);
     the verifier and the product refusals both name the components of
     such a pair through :meth:`off_grade`.
+
+    Two constructors build a rule.  The checked one, ``BilinearRule(...)``,
+    checks every scalar with ``Field.check``, drops the zero ones and the
+    empty images, and refuses positions outside the bases: the files
+    loader, the catalog's literal and derivation tables and every caller
+    of the public API hand it tables from outside, or tables assembled by
+    hand, so none of them skips it.  ``_from_canonical`` takes a table that
+    is already canonical as it is, and only checks the bases' grades and
+    decides the law, as the checked one does: ``model.rebuild_instance``,
+    the one builder of direct sums, base changes, field moves and
+    restrictions, calls it on tables made from rules already checked.
 
     :meth:`block_pairs` is the table grouped by block pair, derived on
     first use.  Rules are built far more often than multiplied (every
@@ -580,6 +591,37 @@ class BilinearRule:
         out: GradedBasis,
         table: Mapping[tuple[int, int], Mapping[int, Scalar]],
     ):
+        canon: dict[tuple[int, int], Sparse] = {}
+        nl, nr, no = len(left), len(right), len(out)
+        for (i, j), image in table.items():
+            i, j = int(i), int(j)
+            vec = {int(p): x for p, x in image.items() if not field.is_zero(field.check(x))}
+            # a negative position would index a basis from its end
+            if not (0 <= i < nl and 0 <= j < nr) or vec and not 0 <= min(vec) <= max(vec) < no:
+                raise ValueError(f"rule {name!r}: table position ({i}, {j}) -> {sorted(vec)} lies outside its bases")
+            if vec:
+                canon[(i, j)] = vec
+        self._adopt(name, field, group, left, right, out, canon)
+
+    @classmethod
+    def _from_canonical(
+        cls, name: str, field: Field, group: GroupSpec,
+        left: GradedBasis, right: GradedBasis, out: GradedBasis, table: dict[tuple[int, int], Sparse],
+    ) -> "BilinearRule":
+        """A rule on a table that is already canonical: every position in
+        range, every image nonempty and its scalars nonzero canonical
+        scalars of ``field``.  The grades are checked and the grade-shift
+        law decided as by the constructor; no scalar is checked and the
+        table is kept as given, not copied."""
+        rule = cls.__new__(cls)
+        rule._adopt(name, field, group, left, right, out, table)
+        return rule
+
+    def _adopt(
+        self, name: str, field: Field, group: GroupSpec,
+        left: GradedBasis, right: GradedBasis, out: GradedBasis, table: dict[tuple[int, int], Sparse],
+    ) -> None:
+        """Keep a canonical table, deciding the grade-shift law once per block pair."""
         # grades are validated here; GroupSpec.mul and inv then trust them
         for basis in (left, right, out):
             basis.check_grades(group)
@@ -589,27 +631,18 @@ class BilinearRule:
         self.left = left
         self.right = right
         self.out = out
-        canon: dict[tuple[int, int], Sparse] = {}
-        # the grade-shift law, decided here once per block pair: its target
-        # grade, kept for this pass only, and the pairs that break it
+        # each block pair's target grade, kept for this pass only, and the pairs that break the law
         targets: dict[tuple[Grade, Grade], Grade] = {}
         off_grade: set[tuple[Grade, Grade]] = set()
         lefts, rights, outs = left.entries, right.entries, out.entries
-        for (i, j), image in table.items():
-            i, j = int(i), int(j)
-            vec = {int(p): x for p, x in image.items() if not field.is_zero(field.check(x))}
-            # a negative position would index a basis from its end
-            if not (0 <= i < len(lefts) and 0 <= j < len(rights)) or vec and not 0 <= min(vec) <= max(vec) < len(outs):
-                raise ValueError(f"rule {name!r}: table position ({i}, {j}) -> {sorted(vec)} lies outside its bases")
-            if vec:
-                canon[(i, j)] = vec
-                pair = (lefts[i][1], rights[j][1])
-                if pair not in targets:
-                    targets[pair] = group.mul(*pair)
-                for p in vec:
-                    if outs[p][1] != targets[pair]:
-                        off_grade.add(pair)
-        self.table = canon
+        for (i, j), vec in table.items():
+            pair = (lefts[i][1], rights[j][1])
+            if pair not in targets:
+                targets[pair] = group.mul(*pair)
+            for p in vec:
+                if outs[p][1] != targets[pair]:
+                    off_grade.add(pair)
+        self.table = table
         self.off_grade_pairs = frozenset(off_grade) if off_grade else _LAWFUL
         self._block_pairs: dict[tuple[Grade, Grade], BlockPair] | None = None
         self._by_argument: dict[bool, dict[Grade, Operators]] = {}

@@ -85,6 +85,19 @@ the new position order.  Each new vector is homogeneous, so an old rule
 multiplies only the pairs of new vectors whose grade pair its
 ``block_pairs`` lists; every other product is zero.  Each image is
 expressed block by block in those rows.
+
+Every derived instance (direct sums, base changes, field moves and
+restrictions) is built by ``rebuild_instance``, and its rules by
+``BilinearRule._from_canonical``: each table is made from rules that were
+checked when they were built, so no scalar is checked again and only the
+grade-shift law is decided.  ``restrict_instance`` takes a coordinate
+subpair, whose every RREF row is a unit row, without ``transport``: each
+side keeps the basis vectors at its rows' pivots, an entry with both
+arguments kept moves to their new positions, and one whose output leaves
+the kept positions refuses the restriction with the text ``transport``
+gives, naming the least new left position of the first rule in ``RULES``
+order that has such an entry.  Any other subpair, and every base change,
+goes through ``transport``.
 """
 from __future__ import annotations
 
@@ -424,8 +437,8 @@ def is_graded_ideal_L(inst: AlgebraInstance, I: GradedSubspace) -> tuple[bool, d
     law, and returns (verdict, witness); the witness names the first
     product that leaves I.
     """
-    if I.ambient != inst.L:
-        raise ValueError("subspace is not inside L")
+    if I.ambient != inst.L or I.field != inst.field:
+        raise ValueError(f"subspace is not inside L over {inst.field.label}")
     f = inst.field
     L_vecs = [{p: f.one} for p in range(inst.L.dim)]
     A_vecs = [{p: f.one} for p in range(inst.A.dim)]
@@ -465,8 +478,8 @@ def is_graded_ideal_L(inst: AlgebraInstance, I: GradedSubspace) -> tuple[bool, d
 
 def is_graded_ideal_A(inst: AlgebraInstance, J: GradedSubspace) -> tuple[bool, dict | None]:
     """Graded ideal of the commutative algebra: A.J <= J, on every basis vector of A and row of J."""
-    if J.ambient != inst.A:
-        raise ValueError("subspace is not inside A")
+    if J.ambient != inst.A or J.field != inst.field:
+        raise ValueError(f"subspace is not inside A over {inst.field.label}")
     f = inst.field
     ideal = J.sparse_vectors()
     for a in range(inst.A.dim):
@@ -489,9 +502,13 @@ def rebuild_instance(
     inst: AlgebraInstance, name: str, field: Field, group: GroupSpec, L: GradedBasis, A: GradedBasis,
     make_rule: Callable[[BilinearRule, str], dict[tuple[int, int], Sparse]],
 ) -> AlgebraInstance:
-    """An instance on L and A; each ``RULES`` row's table is ``make_rule(inst's rule, row letters)``."""
+    """An instance on L and A; each ``RULES`` row's table is ``make_rule(inst's rule, row letters)``.
+
+    Each table must be canonical (``BilinearRule._from_canonical``): it is
+    made from rules that were checked when they were built, so only the
+    grade-shift law is decided again."""
     bases = {"L": L, "A": A}
-    rules = [BilinearRule(r, field, group, *(bases[b] for b in dom), make_rule(getattr(inst, r), dom))
+    rules = [BilinearRule._from_canonical(r, field, group, *(bases[b] for b in dom), make_rule(getattr(inst, r), dom))
              for r, dom in RULES]
     return AlgebraInstance(name, field, group, L, A, *rules)
 
@@ -537,6 +554,20 @@ def transport(
     return rebuild_instance(inst, name, f, inst.group, L, A, make_rule)
 
 
+def _coordinate_positions(sub: GradedSubspace) -> dict[int, int] | None:
+    """The new position of each ambient position that ``sub`` keeps, in
+    ``block_vectors`` order, when every RREF row of ``sub`` is a unit row;
+    None when some row is not."""
+    new: dict[int, int] = {}
+    for g in sub.grades():
+        at = sub.ambient.positions_at(g)
+        for row, c in zip(sub.blocks[g], sub.pivots[g]):
+            if any(row[c + 1:]):
+                return None
+            new[at[c]] = len(new)
+    return new
+
+
 def restrict_instance(
     inst: AlgebraInstance, L_sub: GradedSubspace, A_sub: GradedSubspace, name: str
 ) -> AlgebraInstance:
@@ -545,12 +576,40 @@ def restrict_instance(
     Both subspaces must be closed under all four rules (with outputs
     landing back inside); otherwise a ToolkitError reports the escaping
     product.  Basis names are regenerated deterministically from the
-    grade blocks.  A subspace of the wrong space raises ValueError.
+    grade blocks.  A subspace of the wrong space, or over another field,
+    raises ValueError.  A coordinate subpair, every block spanned by unit
+    rows, is restricted by relabelling positions (module docstring); any
+    other goes through ``transport``.
     """
     if L_sub.ambient != inst.L or A_sub.ambient != inst.A:
         raise ValueError("subpair is not inside (L, A)")
+    if L_sub.field != inst.field or A_sub.field != inst.field:
+        raise ValueError(f"subpair is not over {inst.field.label}")
 
     def basis(sub: GradedSubspace, prefix: str) -> GradedBasis:
         return GradedBasis((f"{prefix}{k}", g) for k, (g, _) in enumerate(sub.block_vectors()))
 
-    return transport(inst, name, basis(L_sub, "l"), L_sub.blocks, basis(A_sub, "a"), A_sub.blocks)
+    L, A = basis(L_sub, "l"), basis(A_sub, "a")
+    kept = {"L": _coordinate_positions(L_sub), "A": _coordinate_positions(A_sub)}
+    if kept["L"] is None or kept["A"] is None:
+        return transport(inst, name, L, L_sub.blocks, A, A_sub.blocks)
+    bases = {"L": L, "A": A}
+
+    def make_rule(rule: BilinearRule, dom: str) -> dict[tuple[int, int], Sparse]:
+        left, right, out = (kept[b] for b in dom)
+        entries, escapes = [], []
+        for (i, j), image in rule.table.items():
+            a, b = left.get(i), right.get(j)
+            if a is None or b is None:
+                continue
+            if all(p in out for p in image):
+                entries.append(((a, b), {out[p]: c for p, c in image.items()}))
+            else:
+                escapes.append(a)
+        if escapes:
+            what = f"{rule.name}({bases[dom[0]].name_of(min(escapes))}, ...)"
+            raise ToolkitError(f"restriction is not closed: {what} escapes the subspace")
+        entries.sort(key=lambda entry: entry[0])
+        return dict(entries)
+
+    return rebuild_instance(inst, name, inst.field, inst.group, L, A, make_rule)

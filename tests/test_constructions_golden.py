@@ -54,16 +54,22 @@ def instances() -> list:
     return out
 
 
-def restrictions(inst) -> list:
+def subpairs(inst) -> list:
+    """(name, L part, A part) of each pair of an L class ideal or the full
+    L and an A class ideal or the full A, in the recorded order."""
     L_parts = [ideal.total for ideal in decompose_L(inst).ideals] + [inst.full_L()]
     A_parts = [ideal.total for ideal in decompose_A(inst).ideals] + [inst.full_A()]
+    return [(f"{inst.name}|{i},{j}", L_sub, A_sub)
+            for i, L_sub in enumerate(L_parts) for j, A_sub in enumerate(A_parts)]
+
+
+def restrictions(inst) -> list:
     out = []
-    for i, L_sub in enumerate(L_parts):
-        for j, A_sub in enumerate(A_parts):
-            try:
-                out.append(instance_to_json(restrict_instance(inst, L_sub, A_sub, f"{inst.name}|{i},{j}")))
-            except ToolkitError as exc:
-                out.append({"error": str(exc)})
+    for name, L_sub, A_sub in subpairs(inst):
+        try:
+            out.append(instance_to_json(restrict_instance(inst, L_sub, A_sub, name)))
+        except ToolkitError as exc:
+            out.append({"error": str(exc)})
     return out
 
 

@@ -1,0 +1,159 @@
+"""Derived instances: the rules that ``rebuild_instance`` builds unchecked,
+restrictions by relabelled positions against ``transport``, and subspaces
+over another field."""
+from __future__ import annotations
+
+import random
+
+import pytest
+
+import grlr.model
+from grlr import RATIONALS, GradedBasis, GradedSubspace, build, prime_field, to_field
+from grlr.errors import ToolkitError
+from grlr.files import instance_to_json
+from grlr.linear import BilinearRule
+from grlr.model import RULES, is_graded_ideal_A, is_graded_ideal_L, restrict_instance, transport
+from grlr.oracle import TemplateRecipe, default_recipe_space, generate_instance
+
+from helpers import count_returns, recipe_and_catalog_instances, recipe_and_catalog_wild_mutants
+from test_constructions_golden import instances, subpairs
+
+
+@pytest.fixture
+def checked_rebuilds(monkeypatch) -> list[BilinearRule]:
+    """Every rule built through ``BilinearRule._from_canonical`` while the
+    test runs, each compared on the spot with what the checked constructor
+    ``BilinearRule(...)`` makes of the same table."""
+    built: list[BilinearRule] = []
+    unchecked = BilinearRule._from_canonical.__func__
+
+    def compared(cls, name, field, group, left, right, out, table):
+        rule = unchecked(cls, name, field, group, left, right, out, table)
+        checked = BilinearRule(name, field, group, left, right, out, table)
+        assert (rule.table, rule.off_grade_pairs) == (checked.table, checked.off_grade_pairs), name
+        built.append(rule)
+        return rule
+
+    monkeypatch.setattr(BilinearRule, "_from_canonical", classmethod(compared))
+    return built
+
+
+def mutant_subpairs():
+    """Each wild mutant of ``recipe_and_catalog_wild_mutants`` with the
+    ``subpairs`` of the instance it was made from, whose bases it shares."""
+    mutants = recipe_and_catalog_wild_mutants()
+    for k, (_, inst) in enumerate(recipe_and_catalog_instances()):
+        pairs = subpairs(inst)
+        for label, mutant in mutants[4 * k:4 * k + 4]:
+            assert (mutant.L, mutant.A) == (inst.L, inst.A), label
+            yield mutant, pairs
+
+
+def restricted(call) -> dict:
+    """``instance_to_json`` of the instance ``call`` builds, with each
+    table's entries in their own order, or the refusal text."""
+    try:
+        inst = call()
+    except ToolkitError as exc:
+        return {"error": str(exc)}
+    return {"json": instance_to_json(inst), "tables": [list(getattr(inst, r).table.items()) for r, _ in RULES]}
+
+
+def transported(inst, L_sub: GradedSubspace, A_sub: GradedSubspace, name: str):
+    """The restriction as ``transport`` builds it from the RREF rows, with
+    the basis names ``restrict_instance`` gives."""
+
+    def basis(sub: GradedSubspace, prefix: str) -> GradedBasis:
+        return GradedBasis((f"{prefix}{k}", g) for k, (g, _) in enumerate(sub.block_vectors()))
+
+    return transport(inst, name, basis(L_sub, "l"), L_sub.blocks, basis(A_sub, "a"), A_sub.blocks)
+
+
+def is_coordinate(sub: GradedSubspace) -> bool:
+    return all(sum(1 for x in row if x) == 1 for rows in sub.blocks.values() for row in rows)
+
+
+def coordinate_subspace(rng: random.Random, inst, side: str) -> GradedSubspace:
+    """The span of a seeded random set of the basis vectors of ``side``."""
+    basis, f = getattr(inst, side), inst.field
+    blocks = {}
+    for g in basis.grades():
+        n = basis.block_dim(g)
+        blocks[g] = [[f.one if k == c else f.zero for k in range(n)] for c in range(n) if rng.random() < 0.6]
+    return GradedSubspace(f, basis, blocks)
+
+
+def test_rebuilt_rules_match_the_checked_constructor(checked_rebuilds):
+    for recipe in default_recipe_space():
+        try:
+            generate_instance(recipe)
+        except ToolkitError:
+            continue
+    recipes = len(checked_rebuilds)
+    for inst in instances():
+        for name, L_sub, A_sub in subpairs(inst):
+            try:
+                restrict_instance(inst, L_sub, A_sub, name)
+            except ToolkitError:
+                continue
+    golden = len(checked_rebuilds) - recipes
+    lawless = 0
+    for mutant, pairs in mutant_subpairs():
+        for name, L_sub, A_sub in pairs:
+            try:
+                sub = restrict_instance(mutant, L_sub, A_sub, name)
+            except ToolkitError:
+                continue
+            lawless += any(getattr(sub, r).off_grade_pairs for r, _ in RULES)
+    e1 = build("e1", RATIONALS)
+    gf2 = to_field(e1, prime_field(2))
+    # [e, f] = h and [h, e] = 2e, [h, f] = -2f with their mirrors: only h survives mod 2
+    assert (len(e1.bracket.table), len(gf2.bracket.table)) == (6, 2)
+    assert recipes > 600 and golden > 2000 and lawless > 0
+
+
+def test_coordinate_restrictions_match_transport(monkeypatch):
+    counts = count_returns(monkeypatch, [(grlr.model, "transport")])
+    rng = random.Random(0)
+    cases = []
+    for inst in instances():
+        cases += [(inst, pair) for pair in subpairs(inst)]
+        cases += [(inst, (f"{inst.name}|random{k}", coordinate_subspace(rng, inst, "L"),
+                          coordinate_subspace(rng, inst, "A"))) for k in range(3)]
+    cases += [(mutant, pair) for mutant, pairs in mutant_subpairs() for pair in pairs]
+    compared, refused = 0, 0
+    for inst, (name, L_sub, A_sub) in cases:
+        if not (is_coordinate(L_sub) and is_coordinate(A_sub)):
+            continue
+        before = counts["transport"]
+        got = restricted(lambda: restrict_instance(inst, L_sub, A_sub, name))
+        assert counts["transport"] == before, name
+        assert got == restricted(lambda: transported(inst, L_sub, A_sub, name)), name
+        compared += 1
+        refused += "error" in got
+    assert compared > 3000 and refused > 400
+
+
+def test_a_non_unit_row_takes_transport(monkeypatch):
+    # e3 twisted: the identity part of a class ideal mixes the two grade-(0, 0) derivations
+    e3 = generate_instance(TemplateRecipe("e3@gf3+twist:1", "e3", "gf3", (("twist", 1),)))
+    name, L_sub, A_sub = next(pair for pair in subpairs(e3) if not is_coordinate(pair[1]))
+    counts = count_returns(monkeypatch, [(grlr.model, "transport")])
+    got = restricted(lambda: restrict_instance(e3, L_sub, A_sub, name))
+    assert counts["transport"] == 1
+    assert "json" in got and got == restricted(lambda: transported(e3, L_sub, A_sub, name))
+
+
+@pytest.mark.parametrize("label", ["gf5", "q"])
+def test_subspaces_over_another_field_are_refused(label):
+    inst = build("sl2_ga2", prime_field(3))
+    other = prime_field(5) if label == "gf5" else RATIONALS
+    L_other, A_other = GradedSubspace.full(other, inst.L), GradedSubspace.full(other, inst.A)
+    with pytest.raises(ValueError, match=r"^subpair is not over gf3$"):
+        restrict_instance(inst, L_other, inst.full_A(), "x")
+    with pytest.raises(ValueError, match=r"^subpair is not over gf3$"):
+        restrict_instance(inst, inst.full_L(), A_other, "x")
+    with pytest.raises(ValueError, match=r"^subspace is not inside L over gf3$"):
+        is_graded_ideal_L(inst, L_other)
+    with pytest.raises(ValueError, match=r"^subspace is not inside A over gf3$"):
+        is_graded_ideal_A(inst, A_other)
