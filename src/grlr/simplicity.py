@@ -21,10 +21,15 @@ as the canonical row of its line (first nonzero coordinate 1), already a
 one-row RREF block, and the scan closes each line once; a repeated line
 was closed before without leaving the allowed ideals, since the scan
 returns at the first closure that does.  Over GF(p) the projective points
-are already distinct lines; over Q the sampled seeds fall on few lines.
-Seeds come lazily, so a GF(p) scan that stops at ``CLOSURE_CAP`` seeds
-("undecided") builds no more; the rational sample is finite and always
-runs whole.  ``closures_run`` counts every seed, repeated lines included.
+are already distinct lines; over Q the sampled seeds fall on few lines
+(on a 1-dimensional block, all of them on one).  So over Q the sampler
+draws each seed as an integer vector, keys it by its primitive vector
+(entries divided by their gcd, the leading one positive), and builds the
+line's row of Fractions once per scan, at the key's first draw; every
+later draw on the line yields that same tuple.  Seeds come lazily, so a
+GF(p) scan that stops at ``CLOSURE_CAP`` seeds ("undecided") builds no
+more; the rational sample is finite and always runs whole.
+``closures_run`` counts every seed, repeated lines included.
 
 Both sides run one scan, read off per-side data (``_PRODUCTS``,
 ``_OPERATORS``, ``_trivial_ideals``, ``_VERDICT_TEXT``):
@@ -84,7 +89,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from functools import reduce
+from math import gcd
 from typing import Iterator, Sequence
 
 from .connections import ConnectionPartition, lambda_classes, sigma_classes, supports
@@ -311,6 +318,19 @@ def _tails(field: Field, k: int) -> Iterator[Row]:
             yield (x,) + rest
 
 
+def _integer_draws(n: int, rng: random.Random) -> Iterator[tuple[int, ...]]:
+    """The rational sample of one n-dimensional block, as integer vectors:
+    the basis vectors, the pairwise sums (0/1 entries), then 32 draws of
+    ``rng.randint(-5, 5)`` per coordinate, the zero vector included."""
+    for i in range(n):
+        yield tuple(int(k == i) for k in range(n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            yield tuple(int(k in (i, j)) for k in range(n))
+    for _ in range(32):
+        yield tuple(rng.randint(-5, 5) for _ in range(n))
+
+
 def _seed_lines(inst: AlgebraInstance, basis: GradedBasis) -> Iterator[tuple[Grade, Row, int]]:
     """Each homogeneous seed, block by block, as (grade, canonical row of
     its line, pivot): the row's first nonzero coordinate, at the pivot, is 1.
@@ -318,8 +338,12 @@ def _seed_lines(inst: AlgebraInstance, basis: GradedBasis) -> Iterator[tuple[Gra
     Lazy, so a scan that stops early never builds the remaining seeds.
     Finite field: every projective point, leading position from last to
     first, each a distinct line.  Rationals: basis vectors, pairwise sums
-    and 32 random combinations per block, one ``Random(7)`` per scan, each
-    divided by its leading coordinate; a sample only, whose lines repeat.
+    and 32 random combinations per block (``_integer_draws``), one
+    ``Random(7)`` per scan; a sample only, whose lines repeat.  A draw
+    stays an integer vector until its line is known by its primitive
+    vector; the line's row is built at the first such draw and yielded,
+    the same tuple, for every later one.  The rows live in this
+    generator only, so no row outlives one scan.
     """
     f = inst.field
     if f.kind == "prime":
@@ -332,17 +356,17 @@ def _seed_lines(inst: AlgebraInstance, basis: GradedBasis) -> Iterator[tuple[Gra
         return
     rng = random.Random(7)
     for g in basis.grades():
-        n = basis.block_dim(g)
-        for i in range(n):
-            yield g, tuple(f.one if k == i else f.zero for k in range(n)), i
-        for i in range(n):
-            for j in range(i + 1, n):
-                yield g, tuple(f.one if k in (i, j) else f.zero for k in range(n)), i
-        for _ in range(32):
-            draw = [f.from_int(rng.randint(-5, 5)) for _ in range(n)]
-            lead = next((k for k, x in enumerate(draw) if not f.is_zero(x)), None)
-            if lead is not None:
-                yield g, tuple(f.div(x, draw[lead]) for x in draw), lead
+        rows: dict[tuple[int, ...], Row] = {}  # primitive vector -> canonical row
+        for v in _integer_draws(basis.block_dim(g), rng):
+            lead = next((k for k, x in enumerate(v) if x), None)
+            if lead is None:
+                continue
+            d = gcd(*v) if v[lead] > 0 else -gcd(*v)
+            key = tuple(x // d for x in v)
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = tuple(Fraction(x, key[lead]) for x in key)
+            yield g, row, lead
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -23,6 +24,7 @@ import grlr.model
 import grlr.simplicity
 from grlr.catalog import build, catalog_names
 from grlr.cli import main
+from grlr.constructions import base_change, direct_sum
 from grlr.decompose import check_tight
 from grlr.errors import DecompositionError, ToolkitError
 from grlr.fields import prime_field
@@ -382,14 +384,31 @@ def two_anchor_images() -> AlgebraInstance:
     )
 
 
+@functools.cache
+def _rational_sums() -> dict[str, AlgebraInstance]:
+    """Three rational instances, by label, with a 2-dimensional block, the
+    grade 0 of both summands: every rational recipe and catalog entry has
+    1-dimensional blocks only, so its sampled seeds all lie on one line
+    per block."""
+    sl2_sum = direct_sum(cached("sl2_ga2", "q"), cached("sl2_ga2", "q"))
+    e1 = cached("e1", "q")
+    return {
+        "sl2_ga2@q+sl2_ga2@q": sl2_sum,
+        "sl2_ga2@q+sl2_ga2@q~b3": base_change(sl2_sum, 3),
+        "e1@q+e1@q": direct_sum(e1, e1),
+    }
+
+
 def _closure_cases():
     """The catalog entries at GF(3), the first three buildable rational
-    recipes, W(1;1) at GF(7), the one-block Der(F[x]/(x^5)) at GF(5), and
-    two lawless instances on which rho(v)(a).w adds what [x, v] and a.v do
-    not (on a Lie-Rinehart algebra it adds nothing: rho(v)(a)w = [v, aw] - a[v, w])."""
+    recipes, the seed-3 twist of the rational sl2_ga2 sum, W(1;1) at
+    GF(7), the one-block Der(F[x]/(x^5)) at GF(5), and two lawless
+    instances on which rho(v)(a).w adds what [x, v] and a.v do not (on a
+    Lie-Rinehart algebra it adds nothing: rho(v)(a)w = [v, aw] - a[v, w])."""
     cases = [pytest.param(cached(name, "gf3"), id=name) for name in ("e1", "e2", "e3", "ga2", "ga3", "sl2_ga2")]
     rational = itertools.islice(_rational_recipes(), 3)
     return cases + [pytest.param(inst, id=label) for label, inst in rational] + [
+        pytest.param(_rational_sums()["sl2_ga2@q+sl2_ga2@q~b3"], id="sl2_ga2@q+sl2_ga2@q~b3"),
         pytest.param(truncated_poly_derivations(7), id="W(1;1)@gf7"),
         pytest.param(truncated_poly_one_block(5, 5), id="Der(F[x]/(x^5))@gf5"),
         pytest.param(action_and_anchor_witnesses(), id="action_and_anchor_witnesses"),
@@ -399,7 +418,8 @@ def _closure_cases():
 
 def _seed_listing_cases():
     """Every catalog entry at GF(3), GF(5) and GF(7) that builds, then the
-    buildable rational recipes."""
+    buildable rational recipes and the rational sums with a 2-dimensional
+    block."""
     for name in catalog_names():
         for label in ("gf3", "gf5", "gf7"):
             try:
@@ -407,6 +427,7 @@ def _seed_listing_cases():
             except ToolkitError:  # e2 and e3 exist only in characteristic 3
                 continue
     yield from _rational_recipes()
+    yield from _rational_sums().items()
 
 
 def test_seed_lines_scale_the_reference_seeds_in_order():
@@ -423,7 +444,22 @@ def test_seed_lines_scale_the_reference_seeds_in_order():
                 pivot = next(i for i, x in enumerate(coords) if not f.is_zero(x))
                 expected.append((g, tuple(f.div(x, coords[pivot]) for x in coords), pivot))
             assert list(_seed_lines(inst, basis)) == expected, (label, side)
-    assert rational == 20
+    assert rational == 23
+
+
+@pytest.mark.parametrize("inst, lines", [
+    pytest.param(cached("sl2_ga2", "q"), {"L": 6, "A": 2}, id="sl2_ga2@q"),
+    pytest.param(_rational_sums()["sl2_ga2@q+sl2_ga2@q"], {"L": 31, "A": 23}, id="sl2_ga2@q+sl2_ga2@q"),
+])
+def test_seed_lines_build_one_row_per_line_per_scan(inst, lines):
+    for side in ("L", "A"):
+        basis = getattr(inst, side)
+        first, second = list(_seed_lines(inst, basis)), list(_seed_lines(inst, basis))
+        assert len({(g, row) for g, row, _ in first}) == lines[side] < len(first), side
+        # the lines repeat, the rows of one scan do not: one object per line
+        assert len({id(row) for _, row, _ in first}) == lines[side], side
+        # and no row is kept from one scan for the next
+        assert not {id(row) for _, row, _ in first} & {id(row) for _, row, _ in second}, side
 
 
 def _closure_seeds(inst, side):
@@ -522,6 +558,8 @@ def test_closures_refuse_a_seed_from_another_space():
 @pytest.mark.parametrize("inst, L_answer, A_answer", [
     pytest.param(truncated_poly_derivations(13), ("gr_simple", 13), ("not_gr_simple", 2), id="W(1;1)@gf13"),
     pytest.param(truncated_poly_one_block(5, 5), ("gr_simple", 781), ("not_gr_simple", 1), id="Der(F[x]/(x^5))@gf5"),
+    *(pytest.param(_rational_sums()[label], ("not_gr_simple", 1), ("not_gr_simple", run_A), id=label)
+      for label, run_A in (("sl2_ga2@q+sl2_ga2@q", 1), ("sl2_ga2@q+sl2_ga2@q~b3", 16), ("e1@q+e1@q", 1))),
 ])
 def test_gr_simple_on_larger_blocks(inst, L_answer, A_answer):
     for verdict_of, (status, run) in ((gr_simple_L, L_answer), (gr_simple_A, A_answer)):
