@@ -149,7 +149,7 @@ def cmd_decompose(args: argparse.Namespace, inst: AlgebraInstance) -> tuple[int,
         if len(sides) == 2:
             data["pairing"] = pairing.to_json()
         if args.fine:
-            hyp = simp._hypotheses(inst, tightness, L_rep.partition, A_rep.partition)
+            hyp = simp._hypotheses(inst, tightness.conditions.items(), L_rep.partition, A_rep.partition)
             fine = simp._refine(inst, hyp, L_rep, A_rep, pairing) if hyp.all_hold else simp._unrefined(hyp)
             data["fine"] = fine.to_json()
     return OK, data

@@ -31,22 +31,34 @@ law is refused at the same term as a product would refuse it.
 
 Tightness reads AA and AL the same way, from all block pairs of the
 product and the action, and reads the identity parts from the same
-terms.  Each of its seven conditions is a yes/no rank question, decided
-on one ``linear.Span`` whose ``fills`` stops at the row that fills a
-block: a kernel, on the maps ``model.KERNEL_MAPS`` lists for it, is
-zero iff the condition rows of each block (``linear.kernel_conditions``)
-fill it, and AA = A, AL = L and each identity part hold iff the entry
-rows (``linear.entry_rows``) fill every block asked for.  A failing
-condition names its witness in its first short block, in sorted grade
-order, from the rows that span already holds: the first vector of their
-kernel, or of ``Span.complement``, the unit vectors at the columns that
-are no row's pivot.  The complement U (or V) of a decomposition report
-is built the same way, from one span of the classes' identity parts.
+terms.  Its seven conditions come from one lazy evaluator,
+``tightness``, in report order: each is decided only when the iteration
+reaches it, so a reader that stops at the first failing condition (the
+recipe search) decides no other.  Each is a yes/no rank question,
+decided on its own ``linear.Span``, and reads its rows lazily:
+- a kernel, on the maps ``model.KERNEL_MAPS`` lists for it, is zero iff
+  its condition rows fill each block.  They are read one block pair at
+  a time (``linear.kernel_conditions``), and no further than the row that
+  fills the block;
+- AA = A, AL = L and each identity part hold iff the entry rows of their
+  terms fill every block asked for.  Every term's block pair still goes
+  through ``linear.checked_block_pair``, in term order, so a refusal
+  keeps its text and its place; its entry rows (``linear.pair_rows``)
+  are read only while its target block is not full.
+A failing condition yields what names its witness, and ``check_tight``
+(``drain``) names it at once: in its first short block, in sorted grade
+order, from the rows that span holds, the first vector of their kernel,
+or of ``Span.complement``, the unit vectors at the columns that are no
+row's pivot.  A short block has read all its rows, so the witness is the
+one a full read gives.  The complement U (or V) of a decomposition
+report is built the same way, from one span of the classes' identity
+parts.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import partial
+from typing import Callable, Iterable, Iterator
 
 from .connections import ConnectionPartition, lambda_classes, sigma_classes, supports
 from .fields import Field
@@ -58,9 +70,11 @@ from .linear import (
     GradedSubspace,
     Span,
     bilinear_image,
+    checked_block_pair,
     entry_rows,
     kernel_conditions,
     nullspace,
+    pair_rows,
     row_span,
     subspace_intersect,
     subspace_sum,
@@ -252,15 +266,49 @@ def _not_spanned_witness(f: Field, basis: GradedBasis, span: Span, g: Grade) -> 
     return f"not spanned: {_first_row(f, basis, g, span.complement(g))}"
 
 
-def check_tight(inst: AlgebraInstance) -> TightnessReport:
-    """The seven tightness conditions, each decided on one ``Span`` that
-    reads a block's rows only until the block is full; a failing one
-    names its witness in its first short block, from the same span."""
+# a condition's name, and None when it holds, else what names its witness
+Condition = tuple[str, Callable[[], str] | None]
+
+
+def drain(conditions: Iterable[Condition]) -> tuple[dict[str, bool], dict[str, str]]:
+    """Every condition of ``conditions`` in order, and the witness of each
+    failing one, named as soon as it fails."""
+    holds: dict[str, bool] = {}
+    witnesses: dict[str, str] = {}
+    for name, witness in conditions:
+        holds[name] = witness is None
+        if witness is not None:
+            witnesses[name] = witness()
+    return holds, witnesses
+
+
+def _fill(span: Span, terms: list[tuple[BilinearRule, tuple[Grade, Grade]]]) -> None:
+    """Add the entry rows of each term to ``span``: every term's block pair
+    goes through ``checked_block_pair``, in order, and its rows
+    (``linear.pair_rows``) are read only while its target block is not
+    full."""
+    f = span.field
+    for rule, (gu, gv) in terms:
+        pair = checked_block_pair(rule, gu, gv)
+        if pair is not None and not span.full_at(pair[0]):
+            span.fills(pair[0], pair_rows(f, rule.out, *pair))
+
+
+def tightness(inst: AlgebraInstance) -> Iterator[Condition]:
+    """The seven tightness conditions in report order, each decided when
+    the iteration reaches it, on its own ``Span``: a kernel is zero iff
+    its condition rows fill every block, read one block pair at a time
+    and no further than the row that fills the block; a product or an
+    identity part spans iff the entry rows of its terms fill every block
+    asked for, each term's rows read only while its target block is not
+    full.  A failing condition's witness is named, when asked, in its
+    first short block from what that span holds."""
     sup, f, L, A = supports(inst), inst.field, inst.L, inst.A
-    cases = []
     for kernel in ("center", "ann_L_of_A", "ann_A"):
         basis, maps = kernel_maps(inst, kernel)
-        cases.append((f"{kernel}_zero", basis, kernel_conditions(f, basis, maps), basis.grades(), _nonzero_witness))
+        span, rows = Span(f, basis), kernel_conditions(f, basis, maps)
+        short = next((g for g in basis.grades() if not span.fills(g, rows[g])), None)
+        yield f"{kernel}_zero", None if short is None else partial(_nonzero_witness, f, basis, span, short)
     one = [inst.group.identity()]
     for name, basis, terms, grades in (
         ("AA_equals_A", A, [(inst.product, pair) for pair in sorted(inst.product.block_pairs())], A.grades()),
@@ -268,16 +316,15 @@ def check_tight(inst: AlgebraInstance) -> TightnessReport:
         ("L_identity_generated", L, _identity_terms(inst, "L", sorted(sup.sigma)), one),
         ("A_identity_generated", A, _identity_terms(inst, "A", sorted(sup.lam)), one),
     ):
-        cases.append((name, basis, entry_rows(f, basis, terms), grades, _not_spanned_witness))
-    conditions: dict[str, bool] = {}
-    witnesses: dict[str, str] = {}
-    for name, basis, rows, grades, witness in cases:
         span = Span(f, basis)
-        short = next((g for g in grades if not span.fills(g, rows.get(g, ()))), None)
-        conditions[name] = short is None
-        if short is not None:
-            witnesses[name] = witness(f, basis, span, short)
-    return TightnessReport(conditions, witnesses)
+        _fill(span, terms)
+        short = next((g for g in grades if not span.full_at(g)), None)
+        yield name, None if short is None else partial(_not_spanned_witness, f, basis, span, short)
+
+
+def check_tight(inst: AlgebraInstance) -> TightnessReport:
+    """The seven tightness conditions of ``tightness``, each with its witness when it fails."""
+    return TightnessReport(*drain(tightness(inst)))
 
 
 # ---------------------------------------------------------------------------

@@ -48,15 +48,17 @@ with each pair's target grade read off its entries, and
 entries.  A product of two whole blocks needs no multiplication at all:
 it is the span of that block pair's table entries.  A sum of such
 products is ``row_span`` of the rows that ``entry_rows`` reads off the
-index; ``entry_rows`` and ``bilinear_image`` refuse a block pair that
-breaks the grade-shift law through ``checked_block_pair``, so the
-refusal reads the same whichever of them meets the pair first.
-``entry_kernel`` cuts out the common kernel of maps v -> rule(v, .) and
-v -> rule(., v) with the rows that ``kernel_conditions`` builds, one
-condition per table entry component.  Where only a dimension is asked,
+index, one block pair at a time (``pair_rows``); ``entry_rows`` and
+``bilinear_image`` refuse a block pair that breaks the grade-shift law
+through ``checked_block_pair``, so the refusal reads the same whichever
+of them meets the pair first.  ``entry_kernel`` cuts out the common
+kernel of maps v -> rule(v, .) and v -> rule(., v) with the rows that
+``kernel_conditions`` builds, one condition per table entry component,
+lazily, one block pair at a time.  Where only a dimension is asked,
 ``Span.fills`` adds such rows to a block and stops at the one that
-fills it: a kernel block is zero iff its conditions fill the block, and
-a block is spanned iff its entry rows do.  A block left short names its
+fills it, so no later row is built: a kernel block is zero iff its
+conditions fill the block, and a block is spanned iff its entry rows
+do.  A block left short names its
 witness from the same rows: ``nullspace`` of them, or
 ``Span.complement``, the unit rows at the columns that are no row's
 pivot.  ``BilinearRule.by_argument`` groups the same table by the grade
@@ -67,7 +69,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ToolkitError
 from .fields import Field, Scalar
@@ -488,7 +490,7 @@ class Span:
                 self.rank += len(rows)
 
     def full_at(self, g: Grade) -> bool:
-        return len(self.rows.get(g, ())) == self.basis.block_dim(g)
+        return len(self.rows.get(g, ())) == len(self.basis._blocks.get(g, ()))
 
     def add_image(self, g: Grade, terms: list, v: Sequence[Scalar]) -> list | None:
         """Add the sum of v[offset] * entry over ``terms`` (one map of
@@ -523,11 +525,12 @@ class Span:
     def fills(self, g: Grade, rows: Iterable[Sequence[Scalar]]) -> bool:
         """Add ``rows`` to block g until it is full, and return whether it
         is: no row past the one that fills it is read."""
-        if not self.full_at(g):
+        n, have = self.basis.block_dim(g), self.rows.setdefault(g, [])
+        if len(have) < n:
             for row in rows:
-                if self.add(g, row) is not None and self.full_at(g):
+                if self.add(g, row) is not None and len(have) == n:
                     break
-        return self.full_at(g)
+        return len(have) == n
 
     def complement(self, g: Grade) -> Echelon:
         """The unit rows of block g at the columns that are no row's pivot:
@@ -836,32 +839,34 @@ def checked_block_pair(rule: BilinearRule, gu: Grade, gv: Grade) -> tuple[Grade,
     return pair
 
 
+def pair_rows(field: Field, out: GradedBasis, target: Grade, triples: Iterable[tuple[int, int, Sparse]]) -> Iterator[list[Scalar]]:
+    """The entries of one block pair (``block_pairs`` triples) as rows of
+    the output block at ``target``, lazily, one per entry."""
+    offset, zero_row = out._offset, [field.zero] * out.block_dim(target)
+    for _, _, entry in triples:
+        row = zero_row.copy()
+        for pos, x in entry.items():
+            row[offset[pos]] = x
+        yield row
+
+
 def entry_rows(
     field: Field, out: GradedBasis, terms: Iterable[tuple[BilinearRule, tuple[Grade, Grade]]]
 ) -> dict[Grade, list[list[Scalar]]]:
     """The table entries of each (rule, block pair) of ``terms``, as rows
-    of their output block, per output grade.
+    of their output block (``pair_rows``), per output grade.
 
     Every rule must map into ``out``.  The pairs are checked in the order
     given, so the first one that breaks the grade-shift law is refused;
     a pair with no entry adds nothing.
     """
-    offset = out._offset
     rows: dict[Grade, list[list[Scalar]]] = {}
     for rule, (gu, gv) in terms:
         if rule.out != out:
             raise ValueError(f"rule {rule.name!r} does not map into the given basis")
         pair = checked_block_pair(rule, gu, gv)
-        if pair is None:
-            continue
-        target, triples = pair
-        zero_row = [field.zero] * out.block_dim(target)
-        block = rows.setdefault(target, [])
-        for _, _, entry in triples:
-            row = zero_row.copy()
-            for pos, x in entry.items():
-                row[offset[pos]] = x
-            block.append(row)
+        if pair is not None:
+            rows.setdefault(pair[0], []).extend(pair_rows(field, out, *pair))
     return rows
 
 
@@ -870,33 +875,46 @@ def row_span(field: Field, out: GradedBasis, rows: Mapping[Grade, Sequence[Seque
     return GradedSubspace._from_rref(field, out, {g: rref(field, block) for g, block in rows.items()})
 
 
+def _pair_conditions(field: Field, n: int, pairs: list[tuple[bool, list[tuple[int, int, Sparse]]]]) -> Iterator[list[Scalar]]:
+    """The conditions of one n-dimensional kernel block, one block pair at
+    a time: for each (v_left, triples) of ``pairs``, a block pair with v in
+    the block, one row per (other argument offset, output position) that
+    its entries reach."""
+    zero = field.zero
+    for v_left, triples in pairs:
+        rows: dict[tuple[int, int], list[Scalar]] = {}
+        for a, b, entry in triples:
+            v, other = (a, b) if v_left else (b, a)
+            for pos, x in entry.items():
+                row = rows.get((other, pos))
+                if row is None:
+                    row = rows[other, pos] = [zero] * n
+                row[v] = x
+        yield from rows.values()
+
+
 def kernel_conditions(
     field: Field, basis: GradedBasis, maps: Sequence[tuple[BilinearRule, bool]]
-) -> dict[Grade, list[list[Scalar]]]:
+) -> dict[Grade, Iterator[list[Scalar]]]:
     """The conditions that cut out the homogeneous common kernel of the
     maps v -> rule(v, .) (``v_left`` true) and v -> rule(., v) (false),
-    for each (rule, v_left) of ``maps``, as rows per grade of ``basis``.
+    for each (rule, v_left) of ``maps``, as lazy rows per grade of
+    ``basis``.
 
     The block at grade g is cut out by one condition per (map, other
     argument, output coordinate) that some table entry with its v
-    argument at grade g reaches; every other condition is 0 = 0.  Every
-    grade of ``basis`` is a key, with no rows when nothing reaches it.
+    argument at g reaches; every other condition is 0 = 0.  They are
+    built one block pair at a time, as they are read, so a reader that
+    stops early (``Span.fills``) builds no more.  Every grade of
+    ``basis`` is a key, with no rows when nothing reaches it.
     """
-    offset = basis._offset
-    conditions: dict[Grade, dict[tuple[int, int, int], list[Scalar]]] = {g: {} for g in basis.grades()}
-    for m, (rule, v_left) in enumerate(maps):
+    pairs: dict[Grade, list[tuple[bool, list[tuple[int, int, Sparse]]]]] = {g: [] for g in basis.grades()}
+    for rule, v_left in maps:
         if (rule.left if v_left else rule.right) != basis:
             raise ValueError(f"rule {rule.name!r} does not take its argument from the given basis")
-        for (i, j), entry in rule.table.items():
-            v, other = (i, j) if v_left else (j, i)
-            g = basis.grade_of(v)
-            rows = conditions[g]
-            for pos, x in entry.items():
-                row = rows.get((m, other, pos))
-                if row is None:
-                    row = rows[m, other, pos] = [field.zero] * basis.block_dim(g)
-                row[offset[v]] = x
-    return {g: list(rows.values()) for g, rows in conditions.items()}
+        for (gu, gv), (_, triples) in rule.block_pairs().items():
+            pairs[gu if v_left else gv].append((v_left, triples))
+    return {g: _pair_conditions(field, basis.block_dim(g), at) for g, at in pairs.items()}
 
 
 def entry_kernel(field: Field, basis: GradedBasis, maps: Sequence[tuple[BilinearRule, bool]]) -> GradedSubspace:
@@ -904,5 +922,5 @@ def entry_kernel(field: Field, basis: GradedBasis, maps: Sequence[tuple[Bilinear
     ``kernel_conditions``.  The kernel's RREF basis is canonical, so the
     order of the conditions does not matter."""
     return GradedSubspace._from_rref(field, basis, {
-        g: nullspace(field, rows, basis.block_dim(g)) for g, rows in kernel_conditions(field, basis, maps).items()
+        g: nullspace(field, list(rows), basis.block_dim(g)) for g, rows in kernel_conditions(field, basis, maps).items()
     })

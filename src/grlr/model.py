@@ -70,12 +70,12 @@ that makes a new instance reads it, through ``rebuild_instance``.
 
 The canonical invariant subspaces ``center``, ``ann_L_of_A``, ``ann_A``
 and ``ker_anchor`` are common kernels of maps such as v -> [v, .] and
-v -> rho(v), listed once in ``KERNEL_MAPS``; ``decompose.check_tight``
+v -> rho(v), listed once in ``KERNEL_MAPS``; ``decompose.tightness``
 reads the same maps for its kernel conditions.  ``linear.entry_kernel``
 writes their conditions straight from the table entries, one row per
-(map, other argument, output coordinate) that an entry reaches, so the
-work grows with the number of entries, not with the square of the
-dimension.
+(map, other argument, output coordinate) that an entry reaches, block
+pair by block pair, so the work grows with the number of entries, not
+with the square of the dimension.
 
 ``transport`` rebuilds an instance on new homogeneous bases.  At grade g
 the new basis vectors are the rows of ``L_rows[g]`` (``A_rows[g]``), given
@@ -96,8 +96,12 @@ side keeps the basis vectors at its rows' pivots, an entry with both
 arguments kept moves to their new positions, and one whose output leaves
 the kept positions refuses the restriction with the text ``transport``
 gives, naming the least new left position of the first rule in ``RULES``
-order that has such an entry.  Any other subpair, and every base change,
-goes through ``transport``.
+order that has such an entry.  Any other subpair goes through
+``transport``.  A base change (``constructions.base_change``) never
+does: its new blocks span the old ones, so it contracts each block pair
+of each old rule once, with the new rows of its two blocks and one
+inverse per output block, and ``transport`` on the same rows is its
+reference in the tests.
 """
 from __future__ import annotations
 

@@ -97,7 +97,7 @@ from .fields import Field, Scalar, parse_field_label
 from .groups import Grade, format_grade
 from .linear import Echelon, GradedSubspace, Row, Sparse, in_span
 from .model import AlgebraInstance
-from .simplicity import Hypotheses5, check_hypotheses5
+from .simplicity import Hypotheses5, section_hypotheses
 
 # enumeration over GF(p)^d explodes as p^(d^2/4); these bounds keep the
 # worst admissible case around 10^5 candidate subspaces, and a side whose
@@ -564,7 +564,15 @@ def hypothesis_search(
 ) -> SearchReport:
     """Split a recipe space into instances satisfying every structural
     hypothesis needed for the fine decomposition, and rejections tagged
-    with the first failing condition (or the build error)."""
+    with the first failing condition (or the build error).
+
+    The report reads no witness and no condition past the first failing
+    one, so each instance is judged by ``_first_failing``: the section
+    hypotheses in report order, each decided only when reached, the
+    tightness conditions up to the first that fails, the connection
+    classes only for the last two, and no witness named.  The verdicts
+    equal those of ``check_hypotheses5``, which drains the same
+    evaluator."""
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be at least 0, got {budget}")
     if space is None:
@@ -580,10 +588,22 @@ def hypothesis_search(
         except ToolkitError as exc:
             rejections.append((recipe.label, f"build failed: {exc}"))
             continue
-        hyp = check_hypotheses5(inst)
-        if hyp.all_hold:
-            survivors.append((recipe.label, hyp))
+        failing, held = _first_failing(inst)
+        if failing is None:
+            survivors.append((recipe.label, Hypotheses5(held, {})))
         else:
-            failing = next(name for name, ok in hyp.conditions.items() if not ok)
             rejections.append((recipe.label, failing))
     return SearchReport(survivors, rejections)
+
+
+def _first_failing(inst: AlgebraInstance) -> tuple[str | None, dict[str, bool]]:
+    """The first section hypothesis that fails on ``inst`` (None if all
+    hold), and the ones that held before it, read off
+    ``simplicity.section_hypotheses`` up to that failure; no witness is
+    named."""
+    held: dict[str, bool] = {}
+    for name, witness in section_hypotheses(inst):
+        if witness is not None:
+            return name, held
+        held[name] = True
+    return None, held

@@ -16,20 +16,23 @@ rationals only sampled seeds are tried, so a clean scan downgrades to
 Two shortcuts keep the scan exact.  A closure stops as soon as it holds
 the whole side: nothing can grow past it, and its canonical RREF blocks
 are those of the full side.  A closure depends only on the span of its
-seed, so the scan runs over seed lines: ``_seed_lines`` yields each seed
-as the canonical row of its line (first nonzero coordinate 1), already a
-one-row RREF block, and the scan closes each line once; a repeated line
-was closed before without leaving the allowed ideals, since the scan
-returns at the first closure that does.  Over GF(p) the projective points
-are already distinct lines; over Q the sampled seeds fall on few lines
-(on a 1-dimensional block, all of them on one).  So over Q the sampler
-draws each seed as an integer vector, keys it by its primitive vector
-(entries divided by their gcd, the leading one positive), and builds the
-line's row of Fractions once per scan, at the key's first draw; every
-later draw on the line yields that same tuple.  Seeds come lazily, so a
-GF(p) scan that stops at ``CLOSURE_CAP`` seeds ("undecided") builds no
-more; the rational sample is finite and always runs whole.
-``closures_run`` counts every seed, repeated lines included.
+seed, so the scan runs over seed lines: ``_seed_lines`` yields each line
+once, as its canonical row (first nonzero coordinate 1), already a
+one-row RREF block, with the number of seeds it stands for, and the scan
+closes each line once.  Over GF(p) the projective points are already
+distinct lines, each standing for itself.  Over Q the sampled seeds fall
+on few lines (on a 1-dimensional block, all of them on one), so the
+sampler draws a block's seeds as integer vectors, keys each by its
+primitive vector (entries divided by their gcd, the leading one
+positive), and yields a line at its first draw, standing for that draw
+and for each later draw up to the next new line; a later draw on a line
+already yielded closes nothing new, since the scan returns at the first
+closure outside the allowed ideals.  Lines come lazily, so a GF(p) scan
+that stops at ``CLOSURE_CAP`` seeds ("undecided") builds no more; the
+rational sample is finite and always runs whole.  ``closures_run``
+counts every seed, repeated lines included: a closure outside the
+allowed ideals reports the seeds up to its line's first draw, and a
+clean scan all of them.
 
 Both sides run one scan, read off per-side data (``_PRODUCTS``,
 ``_OPERATORS``, ``_trivial_ideals``, ``_VERDICT_TEXT``):
@@ -63,16 +66,29 @@ products (``tests/helpers.plain_closure``) returns, the spin returns
 too.  Where that loop refuses, the spin refuses, or fills the side before
 it needs the bad pair; it never returns a partial ideal.
 
+The seven section hypotheses come from one lazy evaluator,
+``_hypothesis_conditions``, in report order: each is decided only when
+the iteration reaches it, and a failing one yields what names its
+witness.  "tight" reads the tightness conditions (``decompose.tightness``)
+up to the first that fails, and its witness reads the rest; the
+connectedness conditions read the connection partitions last.
+``check_hypotheses5``, the gate and ``fine_decompose`` drain it
+(``decompose.drain``), naming each witness as it fails, so refusals come
+in the order a full report meets them; the recipe search
+(``section_hypotheses``) stops at the first failing condition and names
+no witness.
+
 The fine decomposition takes two steps, and ``fine_decompose`` and
 ``grlr decompose --fine`` both run them.  The gate, ``_hypotheses``,
-reads the tightness report and the sigma and lambda connection
+reads the tightness conditions and the sigma and lambda connection
 partitions; an instance that fails it gets the unrefined report of
 ``_unrefined``.  The refinement, ``_refine``, reads the two class
-reports and their pairing.  ``fine_decompose`` builds the tightness
-report and both partitions once, and builds the class reports (from the
-same partitions) and the pairing only after the gate holds.
-``grlr decompose --fine`` builds both class reports and their pairing
-once, whatever sides it prints, and gates on the partitions they hold.
+reports and their pairing.  ``fine_decompose`` reads the tightness
+conditions and builds both partitions once, and builds the class reports
+(from the same partitions) and the pairing only after the gate holds.
+``grlr decompose --fine`` builds the tightness report, both class
+reports and their pairing once, whatever sides it prints, and gates on
+the report's conditions and the partitions the class reports hold.
 ``_refine`` restricts and verifies each distinct subpair (L part, A part)
 once.  Under the hypotheses an L ideal I_i and the one A ideal A_j
 acting on it are the same subpair (I_i, A_j), so their two summands
@@ -90,20 +106,21 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .connections import ConnectionPartition, lambda_classes, sigma_classes, supports
 from .decompose import (
+    Condition,
     DecompositionReport,
     PairingReport,
-    TightnessReport,
     _block,
     _decompose,
     _full,
-    check_tight,
+    drain,
     pair_ideals,
+    tightness,
 )
 from .errors import DecompositionError
 from .fields import Field, Scalar
@@ -167,58 +184,66 @@ class Hypotheses5:
         return out
 
 
+def section_hypotheses(inst: AlgebraInstance) -> Iterator[Condition]:
+    """The seven section hypotheses in report order, each decided only when
+    the iteration reaches it: the tightness conditions one at a time
+    (``decompose.tightness``), up to the first that fails, and the
+    connection classes only for the last two."""
+    sup = supports(inst)
+    flags = ((name, witness is None) for name, witness in tightness(inst))
+    return _hypothesis_conditions(inst, flags, (classes(sup) for classes in (sigma_classes, lambda_classes)))
+
+
 def check_hypotheses5(inst: AlgebraInstance) -> Hypotheses5:
     """tight + maximal length + G-multiplicative + symmetric + connected."""
-    sup = supports(inst)
-    return _hypotheses(inst, check_tight(inst), sigma_classes(sup), lambda_classes(sup))
+    return Hypotheses5(*drain(section_hypotheses(inst)))
 
 
 def _hypotheses(
-    inst: AlgebraInstance, tight: TightnessReport, sigma: ConnectionPartition, lam: ConnectionPartition
+    inst: AlgebraInstance, tight: Iterable[tuple[str, bool]], sigma: ConnectionPartition, lam: ConnectionPartition
 ) -> Hypotheses5:
-    """The section hypotheses, from the instance's tightness report and its
-    sigma and lambda connection classes."""
-    sup = supports(inst)
-    conditions: dict[str, bool] = {}
-    witnesses: dict[str, str] = {}
+    """The section hypotheses, from each tightness condition's (name,
+    whether it holds), in report order, and the instance's sigma and
+    lambda connection classes."""
+    return Hypotheses5(*drain(_hypothesis_conditions(inst, tight, (sigma, lam))))
 
-    conditions["tight"] = tight.tight
-    if not tight.tight:
-        failing = sorted(name for name, ok in tight.conditions.items() if not ok)
-        witnesses["tight"] = "failing: " + ", ".join(failing)
+
+def _hypothesis_conditions(
+    inst: AlgebraInstance, tight: Iterable[tuple[str, bool]], classes: Iterable[ConnectionPartition]
+) -> Iterator[Condition]:
+    """The one evaluator of the section hypotheses, in report order: each is
+    decided when the iteration reaches it, and a failing one yields what
+    names its witness.  ``tight`` is read up to its first failing
+    condition; the witness of "tight" reads the rest.  ``classes`` gives
+    the sigma, then the lambda connection classes, read for the last two
+    conditions only."""
+    sup = supports(inst)
+    tight = iter(tight)
+    first = next((name for name, ok in tight if not ok), None)
+    yield "tight", None if first is None else (
+        lambda: "failing: " + ", ".join(sorted([first, *(name for name, ok in tight if not ok)])))
 
     bad_block = next((g for g in sorted(sup.sigma) if inst.L.block_dim(g) != 1), None)
     if bad_block is None:
         bad_block = next((g for g in sorted(sup.lam) if inst.A.block_dim(g) != 1), None)
-    conditions["maximal_length"] = bad_block is None
-    if bad_block is not None:
-        witnesses["maximal_length"] = f"support block at {format_grade(bad_block)} is not 1-dimensional"
+    yield "maximal_length", None if bad_block is None else partial(
+        "support block at {} is not 1-dimensional".format, format_grade(bad_block))
 
-    g_mult_witness = _g_mult_witness(inst)
-    conditions["g_multiplicative"] = g_mult_witness is None
-    if g_mult_witness:
-        witnesses["g_multiplicative"] = g_mult_witness
+    yield "g_multiplicative", _g_mult_witness(inst)
 
-    # oracle.hypothesis_search reports the first failing condition in
-    # insertion order, so both symmetry conditions come before both
-    # connectedness conditions
+    # oracle.hypothesis_search reports the first failing condition, so
+    # both symmetry conditions come before both connectedness conditions
     for name, support in (("sigma", sup.sigma), ("lambda", sup.lam)):
         asym = next((g for g in sorted(support) if inst.group.inv(g) not in support), None)
-        conditions[f"{name}_symmetric"] = asym is None
-        if asym is not None:
-            witnesses[f"{name}_symmetric"] = f"inverse of {format_grade(asym)} unsupported"
-    for name, partition in (("sigma", sigma), ("lambda", lam)):
+        yield f"{name}_symmetric", None if asym is None else partial("inverse of {} unsupported".format, format_grade(asym))
+    for name, partition in zip(("sigma", "lambda"), classes):
         n_classes = len(partition.classes)
-        conditions[f"{name}_all_connected"] = n_classes <= 1
-        if n_classes > 1:
-            witnesses[f"{name}_all_connected"] = f"{n_classes} connection classes"
-
-    return Hypotheses5(conditions, witnesses)
+        yield f"{name}_all_connected", None if n_classes <= 1 else partial("{} connection classes".format, n_classes)
 
 
-def _g_mult_witness(inst: AlgebraInstance) -> str | None:
-    """The first product of two support blocks that is zero although the
-    product of their grades is supported, or None.
+def _g_mult_witness(inst: AlgebraInstance) -> Callable[[], str] | None:
+    """What names the first product of two support blocks that is zero
+    although the product of their grades is supported, or None.
 
     The product of two whole blocks is zero exactly when their block pair
     has no table entry; a pair with entries must still obey the
@@ -234,7 +259,7 @@ def _g_mult_witness(inst: AlgebraInstance) -> str | None:
                 if inst.group.mul(g, h) not in target:
                     continue
                 if checked_block_pair(rule, g, h) is None:
-                    return text.format(format_grade(g), format_grade(h))
+                    return partial(text.format, format_grade(g), format_grade(h))
     return None
 
 
@@ -331,19 +356,22 @@ def _integer_draws(n: int, rng: random.Random) -> Iterator[tuple[int, ...]]:
         yield tuple(rng.randint(-5, 5) for _ in range(n))
 
 
-def _seed_lines(inst: AlgebraInstance, basis: GradedBasis) -> Iterator[tuple[Grade, Row, int]]:
-    """Each homogeneous seed, block by block, as (grade, canonical row of
-    its line, pivot): the row's first nonzero coordinate, at the pivot, is 1.
+def _seed_lines(inst: AlgebraInstance, basis: GradedBasis) -> Iterator[tuple[Grade, Row, int, int]]:
+    """Each homogeneous seed line, block by block, once, as (grade,
+    canonical row, pivot, draws): the row's first nonzero coordinate, at
+    the pivot, is 1, and ``draws`` counts the seeds it stands for.
 
-    Lazy, so a scan that stops early never builds the remaining seeds.
+    Lazy, so a scan that stops early never builds the remaining lines.
     Finite field: every projective point, leading position from last to
-    first, each a distinct line.  Rationals: basis vectors, pairwise sums
-    and 32 random combinations per block (``_integer_draws``), one
-    ``Random(7)`` per scan; a sample only, whose lines repeat.  A draw
-    stays an integer vector until its line is known by its primitive
-    vector; the line's row is built at the first such draw and yielded,
-    the same tuple, for every later one.  The rows live in this
-    generator only, so no row outlives one scan.
+    first, each a distinct line standing for itself.  Rationals: basis
+    vectors, pairwise sums and 32 random combinations per block
+    (``_integer_draws``), one ``Random(7)`` per scan; a sample only, whose
+    lines repeat.  A draw stays an integer vector until its line is known
+    by its primitive vector.  Each block's draws are read whole, and a
+    line is yielded at its first draw, standing for that draw and every
+    later draw in the block, up to the next new line, that falls on a
+    line already yielded.  So the draws up to a line's first draw are the
+    draws its predecessors stand for, plus one.
     """
     f = inst.field
     if f.kind == "prime":
@@ -352,21 +380,25 @@ def _seed_lines(inst: AlgebraInstance, basis: GradedBasis) -> Iterator[tuple[Gra
             for lead in reversed(range(n)):
                 head = (f.zero,) * lead + (f.one,)
                 for tail in _tails(f, n - lead - 1):
-                    yield g, head + tail, lead
+                    yield g, head + tail, lead, 1
         return
     rng = random.Random(7)
     for g in basis.grades():
-        rows: dict[tuple[int, ...], Row] = {}  # primitive vector -> canonical row
+        lines: list[list] = []  # [primitive vector, pivot, draws], by first draw
+        seen: set[tuple[int, ...]] = set()
         for v in _integer_draws(basis.block_dim(g), rng):
-            lead = next((k for k, x in enumerate(v) if x), None)
-            if lead is None:
-                continue
-            d = gcd(*v) if v[lead] > 0 else -gcd(*v)
+            first = next(filter(None, v), 0)
+            if not first:
+                continue  # the zero vector
+            d = gcd(*v) if first > 0 else -gcd(*v)
             key = tuple(x // d for x in v)
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = tuple(Fraction(x, key[lead]) for x in key)
-            yield g, row, lead
+            if key in seen:
+                lines[-1][2] += 1
+            else:
+                seen.add(key)
+                lines.append([key, next(k for k, x in enumerate(key) if x), 1])
+        for key, lead, draws in lines:
+            yield g, tuple(Fraction(x, key[lead]) for x in key), lead, draws
 
 
 # ---------------------------------------------------------------------------
@@ -421,20 +453,17 @@ def _gr_simple(inst: AlgebraInstance, side: str) -> SimplicityVerdict:
     f = inst.field
     basis = getattr(inst, side)
     cap = CLOSURE_CAP if f.kind == "prime" else None  # the rational sample is finite
-    closed_lines: set[tuple[Grade, Row]] = set()
     run = 0
-    for g, row, pivot in _seed_lines(inst, basis):
+    for g, row, pivot, draws in _seed_lines(inst, basis):
         if run == cap:
             reason = f"closure enumeration capped at {cap}; no counterexample among the closures run"
             return SimplicityVerdict(side, "undecided", reason, None, run)
-        run += 1
-        if (g, row) in closed_lines:
-            continue  # the same closure, already known to be allowed
-        closed_lines.add((g, row))
+        run += 1  # the line's first draw
         closure = closure_of(inst, GradedSubspace._from_rref(f, basis, {g: ((row,), (pivot,))}))
         if closure not in allowed:
             reason = f"closure of a homogeneous element at grade {format_grade(g)} {proper}"
             return SimplicityVerdict(side, "not_gr_simple", reason, closure, run)
+        run += draws - 1  # its later draws: the same closure, known to be allowed
     if f.kind == "prime":
         return SimplicityVerdict(side, "gr_simple", clean, None, run)
     reason = "rational scalars: sampled closures found no counterexample, enumeration is not exhaustive"
@@ -543,13 +572,15 @@ def fine_decompose(inst: AlgebraInstance) -> FineReport:
     Only runs the refinement when every section hypothesis holds; the
     coarse decomposition is still available through decompose_L/A.
     """
-    tight, sup = check_tight(inst), supports(inst)
+    sup = supports(inst)
     sigma, lam = sigma_classes(sup), lambda_classes(sup)
-    hyp = _hypotheses(inst, tight, sigma, lam)
+    flags = ((name, witness is None) for name, witness in tightness(inst))
+    hyp = _hypotheses(inst, flags, sigma, lam)
     if not hyp.all_hold:
         return _unrefined(hyp)
     L_rep, A_rep = _decompose(inst, "L", sigma), _decompose(inst, "A", lam)
-    return _refine(inst, hyp, L_rep, A_rep, pair_ideals(inst, L_rep, A_rep, tight.tight))
+    # the gate holds, so the instance is tight
+    return _refine(inst, hyp, L_rep, A_rep, pair_ideals(inst, L_rep, A_rep, True))
 
 
 def _unrefined(hyp: Hypotheses5) -> FineReport:

@@ -54,6 +54,19 @@ def cached(name: str, field_label: str | None = None, purpose: str = "display") 
     return _cache[key]
 
 
+def catalog_instances(labels: Iterable[str]) -> list[tuple[str, AlgebraInstance]]:
+    """Every catalog entry at each field of ``labels`` that builds,
+    labelled ``name@label``, entry by entry."""
+    instances = []
+    for name in catalog_names():
+        for label in labels:
+            try:
+                instances.append((f"{name}@{label}", build(name, parse_field_label(label))))
+            except ToolkitError:  # e2 and e3 exist only in characteristic 3
+                continue
+    return instances
+
+
 @functools.cache
 def recipe_and_catalog_instances() -> tuple[tuple[str, AlgebraInstance], ...]:
     """Every buildable recipe of ``default_recipe_space()``, then every
@@ -64,13 +77,7 @@ def recipe_and_catalog_instances() -> tuple[tuple[str, AlgebraInstance], ...]:
             instances.append((recipe.label, generate_instance(recipe)))
         except ToolkitError:
             continue
-    for name in catalog_names():
-        for label in ("q", "gf3", "gf5"):
-            try:
-                instances.append((f"{name}@{label}", build(name, parse_field_label(label))))
-            except ToolkitError:  # e2 and e3 exist only in characteristic 3
-                continue
-    return tuple(instances)
+    return tuple(instances + catalog_instances(("q", "gf3", "gf5")))
 
 
 @functools.cache

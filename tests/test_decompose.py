@@ -22,6 +22,7 @@ import grlr.linear
 import grlr.simplicity
 from grlr.errors import ToolkitError
 from grlr.linear import BilinearRule, GradedSubspace, bilinear_image, subspace_intersect
+from grlr.decompose import tightness
 from grlr.model import ann_A, ann_L_of_A, center, ker_anchor
 from grlr.simplicity import check_hypotheses5, gr_simple_A, gr_simple_L
 
@@ -182,6 +183,28 @@ def test_tightness_matches_reference_on_corpora_and_witness_instances():
         assert got == outcome(reference_tightness, inst), label
         refused += isinstance(got, list)
     assert refused == 263  # mutants refused on a block pair, the same one as the reference
+
+
+def test_tightness_stopped_at_its_first_failure_matches_reference_on_wild_mutants():
+    """The lazy evaluator read as the recipe search reads it, up to its
+    first failing condition only, names the first condition the
+    reference report fails, with the reference's witness; where the
+    reference refuses a block pair, it refuses the same pair first."""
+    stopped, refused = 0, 0
+    for label, inst in recipe_and_catalog_wild_mutants():
+        expected = outcome(reference_tightness, inst)
+        try:
+            got = next(((name, witness()) for name, witness in tightness(inst) if witness), None)
+        except ToolkitError as exc:
+            got = [type(exc).__name__, str(exc)]
+        if isinstance(expected, list):
+            assert got == expected, label
+            refused += 1
+            continue
+        first = next((name for name in TIGHT_NAMES if not expected["conditions"][name]), None)
+        assert got == (None if first is None else (first, expected["witnesses"][first])), label
+        stopped += first is not None
+    assert refused == 263 and stopped > 100, (refused, stopped)
 
 
 def test_tightness_builds_subspaces_only_for_a_witness(monkeypatch):

@@ -257,15 +257,16 @@ def _one_block(field: Field, dim: int) -> tuple[SimpleNamespace, GradedBasis]:
 def test_projective_points_same_as_eager_list(p, dim):
     F = prime_field(p)
     lines = list(_seed_lines(*_one_block(F, dim)))
-    assert [row for _, row, _ in lines] == _projective_points_list(F, dim)
-    assert all(row[pivot] == 1 and not any(row[:pivot]) for _, row, pivot in lines)
+    assert [row for _, row, _, _ in lines] == _projective_points_list(F, dim)
+    assert all(row[pivot] == 1 and not any(row[:pivot]) for _, row, pivot, _ in lines)
     assert len(lines) == (p**dim - 1) // (p - 1)
+    assert all(draws == 1 for *_, draws in lines)  # each point is its own seed
 
 
 def test_projective_points_are_lazy():
     gen = _seed_lines(*_one_block(prime_field(1_000_003), 3))
     assert not isinstance(gen, list)
-    assert [row for _, row, _ in itertools.islice(gen, 3)] == [(0, 0, 1), (0, 1, 0), (0, 1, 1)]
+    assert [row for _, row, _, _ in itertools.islice(gen, 3)] == [(0, 0, 1), (0, 1, 0), (0, 1, 1)]
 
 
 def _largest_prime_below(n: int) -> int:

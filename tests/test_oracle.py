@@ -9,7 +9,10 @@ from pathlib import Path
 import pytest
 
 import grlr.catalog
+import grlr.connections
+import grlr.decompose
 import grlr.oracle
+import grlr.simplicity
 from grlr import (
     GradedBasis,
     GradedSubspace,
@@ -33,10 +36,15 @@ from grlr.constructions import to_field
 from grlr.errors import GuardError, ToolkitError
 from grlr.fields import RATIONALS, parse_field_label
 from grlr.linear import BilinearRule
+from grlr.oracle import _first_failing
+from grlr.simplicity import check_hypotheses5, section_hypotheses
 
 from helpers import (
+    abelian_pair_instance,
     action_and_anchor_witnesses,
+    added_entries,
     cached,
+    catalog_instances,
     count_returns,
     from_sparse_vectors,
     graded_subspaces,
@@ -44,6 +52,7 @@ from helpers import (
     ideal_oracle_L,
     literal_ideal_test_A,
     literal_ideal_test_L,
+    recipe_and_catalog_wild_mutants,
     reference_search,
     truncated_poly_one_block,
     wild_mutant,
@@ -395,3 +404,81 @@ def test_search_rejects_negative_budget():
     with pytest.raises(ValueError):
         hypothesis_search(budget=-1)
     assert hypothesis_search(budget=0).to_json()["examined"] == 0
+
+
+def _search_cases():
+    """Every buildable recipe of the default space, every catalog entry at
+    q, gf3, gf5 and gf7 that builds, the 640 wild mutants, and the abelian
+    pair with the action sending v to w: its center is nonzero, and its
+    action breaks the grade-shift law on a pair that AL = L reads later."""
+    for recipe in default_recipe_space():
+        try:
+            yield recipe.label, generate_instance(recipe)
+        except ToolkitError:
+            continue
+    yield from catalog_instances(("q", "gf3", "gf5", "gf7"))
+    yield from recipe_and_catalog_wild_mutants()
+    yield "abelian_pair~off", added_entries(abelian_pair_instance(), [("action", "one", "v", "w", "1")])
+
+
+def _refusal(exc: ToolkitError) -> list[str]:
+    return [type(exc).__name__, str(exc)]
+
+
+def test_search_stops_at_the_first_condition_the_full_report_fails():
+    """The search's verdict on an instance is the first failing condition
+    of ``check_hypotheses5`` in report order, and on a survivor the same
+    conditions.  Where the full report refuses a block pair, the search
+    meets the same refusal, or stops first at a condition that the full
+    report found failing before it refused."""
+    cases, refused, stopped_first = 0, 0, 0
+    for label, inst in _search_cases():
+        cases += 1
+        try:
+            got, held = _first_failing(inst)
+        except ToolkitError as exc:
+            got, held = _refusal(exc), None
+        try:
+            hyp = check_hypotheses5(inst)
+        except ToolkitError as exc:
+            refused += 1
+            decided = []  # (name, holds) of what the full report decided before refusing
+            try:
+                for name, witness in section_hypotheses(inst):
+                    decided.append((name, witness is None))
+                    if witness is not None:
+                        witness()
+            except ToolkitError:
+                pass
+            failed = next((name for name, ok in decided if not ok), None)
+            assert got == (_refusal(exc) if failed is None else failed), label
+            stopped_first += failed is not None
+            continue
+        assert got == next((name for name, ok in hyp.conditions.items() if not ok), None), label
+        if got is None:
+            assert held == hyp.conditions and list(held) == list(hyp.conditions), label
+    # every wild mutant the full report refuses, the search refuses too
+    assert (cases, refused, stopped_first) == (146 + 18 + 640 + 1, 266, 1)
+
+
+def test_search_names_no_witness_and_reads_classes_only_when_reached(monkeypatch):
+    def named(*args):
+        raise AssertionError("the search named a witness")
+
+    for name in ("_nonzero_witness", "_not_spanned_witness"):
+        monkeypatch.setattr(grlr.decompose, name, named)
+    counts = count_returns(monkeypatch, [
+        (grlr.connections, "sigma_classes"), (grlr.connections, "lambda_classes"),
+        (grlr.decompose, "check_tight"), (grlr.simplicity, "check_hypotheses5"),
+    ])
+    report = hypothesis_search(default_recipe_space())
+    assert hashlib.sha256(json.dumps(report.to_json()).encode()).hexdigest() == SEARCH_DIGEST
+    reasons = [reason for _, reason in report.rejections]
+    survivors = len(report.survivors)
+    # sigma's classes only where the first five conditions hold, lambda's where sigma's do too
+    assert counts == {
+        "sigma_classes": survivors + reasons.count("sigma_all_connected") + reasons.count("lambda_all_connected"),
+        "lambda_classes": survivors + reasons.count("lambda_all_connected"),
+        "check_tight": 0, "check_hypotheses5": 0,
+    }
+    assert reasons.count("tight") > 0 and counts["sigma_classes"] < 146

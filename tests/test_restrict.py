@@ -1,6 +1,6 @@
 """Derived instances: the rules that ``rebuild_instance`` builds unchecked,
-restrictions by relabelled positions against ``transport``, and subspaces
-over another field."""
+restrictions by relabelled positions and block-contracted base changes
+against ``transport``, and subspaces over another field."""
 from __future__ import annotations
 
 import random
@@ -8,14 +8,16 @@ import random
 import pytest
 
 import grlr.model
+import grlr.oracle
 from grlr import RATIONALS, GradedBasis, GradedSubspace, build, prime_field, to_field
+from grlr.constructions import _random_invertible, base_change
 from grlr.errors import ToolkitError
 from grlr.files import instance_to_json
 from grlr.linear import BilinearRule
 from grlr.model import RULES, is_graded_ideal_A, is_graded_ideal_L, restrict_instance, transport
 from grlr.oracle import TemplateRecipe, default_recipe_space, generate_instance
 
-from helpers import count_returns, recipe_and_catalog_instances, recipe_and_catalog_wild_mutants
+from helpers import catalog_instances, count_returns, recipe_and_catalog_instances, recipe_and_catalog_wild_mutants
 from test_constructions_golden import instances, subpairs
 
 
@@ -157,3 +159,51 @@ def test_subspaces_over_another_field_are_refused(label):
         is_graded_ideal_L(inst, L_other)
     with pytest.raises(ValueError, match=r"^subspace is not inside A over gf3$"):
         is_graded_ideal_A(inst, A_other)
+
+
+def drawn_rows(inst, seed: int) -> list[dict]:
+    """The matrices ``base_change(inst, seed)`` draws, one per block: the
+    L grades in order, then the A grades, from one ``Random(seed)``."""
+    f, rng = inst.field, random.Random(seed)
+    return [{g: _random_invertible(f, basis.block_dim(g), rng)[0] for g in basis.grades()}
+            for basis in (inst.L, inst.A)]
+
+
+def transported_twist(inst, seed: int):
+    """``base_change(inst, seed)`` as ``transport`` builds it from the same rows."""
+    L_rows, A_rows = drawn_rows(inst, seed)
+    return transport(inst, f"{inst.name}~b{seed}", inst.L, L_rows, inst.A, A_rows)
+
+
+def test_base_changes_of_the_recipe_space_match_transport(monkeypatch):
+    counts = count_returns(monkeypatch, [(grlr.model, "transport")])
+    twists, wide = [], 0
+
+    def compared(inst, seed):
+        got = restricted(lambda: base_change(inst, seed))
+        assert counts["transport"] == 0, inst.name
+        assert got == restricted(lambda: transported_twist(inst, seed)), (inst.name, seed)
+        twists.append(inst.name)
+        return base_change(inst, seed)
+
+    monkeypatch.setattr(grlr.oracle, "base_change", compared)
+    for recipe in default_recipe_space():
+        try:
+            inst = generate_instance(recipe)
+        except ToolkitError:
+            continue
+        wide += any(inst.L.block_dim(g) > 1 for g in inst.L.grades())
+    # every twist step of the space, some on blocks of dimension 2
+    assert len(twists) == 85 and wide > 0
+
+
+def test_base_changes_match_transport_on_every_corpus():
+    cases = (list(recipe_and_catalog_instances()) + catalog_instances(("q", "gf3", "gf5", "gf7"))
+             + list(recipe_and_catalog_wild_mutants()))
+    lawless = 0
+    for label, inst in cases:
+        for seed in (3, 5):
+            got = restricted(lambda: base_change(inst, seed))
+            assert got == restricted(lambda: transported_twist(inst, seed)), (label, seed)
+        lawless += any(getattr(inst, r).off_grade_pairs for r, _ in RULES)
+    assert len(cases) == 160 + 18 + 640 and lawless > 500, lawless

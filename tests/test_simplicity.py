@@ -439,11 +439,19 @@ def test_seed_lines_scale_the_reference_seeds_in_order():
             basis = getattr(inst, side)
             seeds, exhaustive = homogeneous_seeds(inst, basis, CLOSURE_CAP)
             assert exhaustive == (f.kind == "prime"), (label, side)
-            expected = []
+            # each line at its first seed, standing for that seed and the
+            # seeds after it, up to the next new line, on lines already listed
+            expected, listed = [], set()
             for g, coords in seeds:
                 pivot = next(i for i, x in enumerate(coords) if not f.is_zero(x))
-                expected.append((g, tuple(f.div(x, coords[pivot]) for x in coords), pivot))
+                row = tuple(f.div(x, coords[pivot]) for x in coords)
+                if (g, row) in listed:
+                    expected[-1] = expected[-1][:3] + (expected[-1][3] + 1,)
+                else:
+                    listed.add((g, row))
+                    expected.append((g, row, pivot, 1))
             assert list(_seed_lines(inst, basis)) == expected, (label, side)
+            assert sum(draws for *_, draws in expected) == len(seeds), (label, side)
     assert rational == 23
 
 
@@ -455,11 +463,12 @@ def test_seed_lines_build_one_row_per_line_per_scan(inst, lines):
     for side in ("L", "A"):
         basis = getattr(inst, side)
         first, second = list(_seed_lines(inst, basis)), list(_seed_lines(inst, basis))
-        assert len({(g, row) for g, row, _ in first}) == lines[side] < len(first), side
-        # the lines repeat, the rows of one scan do not: one object per line
-        assert len({id(row) for _, row, _ in first}) == lines[side], side
+        # the seeds repeat lines, the listing does not: each line once, one object each
+        assert len({(g, row) for g, row, _, _ in first}) == lines[side] == len(first), side
+        assert sum(draws for *_, draws in first) > len(first), side
+        assert len({id(row) for _, row, _, _ in first}) == lines[side], side
         # and no row is kept from one scan for the next
-        assert not {id(row) for _, row, _ in first} & {id(row) for _, row, _ in second}, side
+        assert not {id(row) for _, row, _, _ in first} & {id(row) for _, row, _, _ in second}, side
 
 
 def _closure_seeds(inst, side):
@@ -468,7 +477,7 @@ def _closure_seeds(inst, side):
     its sum with the first seed line at the next grade."""
     f, basis = inst.field, getattr(inst, side)
     lines = list(_seed_lines(inst, basis))
-    for g, row, pivot in lines:
+    for g, row, pivot, _ in lines:
         seed = from_block_vectors(f, basis, [(g, row)])
         assert seed.blocks[g] == (row,) and seed.pivots[g] == (pivot,), (inst.name, side, g, row)
         yield seed
@@ -476,10 +485,10 @@ def _closure_seeds(inst, side):
         yield ideal.identity_part
         yield ideal.total
     first = {}
-    for g, row, _ in lines:
+    for g, row, _, _ in lines:
         first.setdefault(g, row)
     grades = sorted(first)
-    for g, row, _ in lines:
+    for g, row, _, _ in lines:
         h = grades[(grades.index(g) + 1) % len(grades)]
         if h != g:
             yield from_block_vectors(f, basis, [(g, row), (h, first[h])])
@@ -509,6 +518,13 @@ def _off_grade_prefixes(inst):
     return prefixes
 
 
+def _drawn_seeds(inst, basis):
+    """Each seed line of ``_seed_lines`` as (grade, row, pivot), once per
+    seed it stands for: on blocks of one line each, the seeds in order."""
+    for g, row, pivot, draws in _seed_lines(inst, basis):
+        yield from itertools.repeat((g, row, pivot), draws)
+
+
 def test_closures_on_wild_mutants_keep_the_plain_loop_or_refuse_or_fill():
     """On tables that break the grading, a spun closure equals the plain
     loop's when that returns.  Where the plain loop refuses, the spin
@@ -520,7 +536,7 @@ def test_closures_on_wild_mutants_keep_the_plain_loop_or_refuse_or_fill():
         prefixes = _off_grade_prefixes(inst)
         for side, closure_of in (("L", ideal_closure_L), ("A", ideal_closure_A)):
             basis = getattr(inst, side)
-            for g, row, pivot in itertools.islice(_seed_lines(inst, basis), 20):
+            for g, row, pivot in itertools.islice(_drawn_seeds(inst, basis), 20):
                 seed = GradedSubspace._from_rref(inst.field, basis, {g: ((row,), (pivot,))})
                 try:
                     expected = plain_closure(inst, seed, side)
@@ -569,9 +585,9 @@ def test_gr_simple_on_larger_blocks(inst, L_answer, A_answer):
 
 def test_each_seed_line_is_closed_once(monkeypatch):
     inst = cached("sl2_ga2")  # rational scalars, so the sampled seeds repeat lines
-    seeds = list(_seed_lines(inst, inst.L))
-    lines = {(g, row) for g, row, _ in seeds}
-    assert len(lines) < len(seeds)
+    lines = list(_seed_lines(inst, inst.L))
+    seeds = sum(draws for *_, draws in lines)
+    assert len({(g, row) for g, row, _, _ in lines}) == len(lines) < seeds
 
     calls = []
 
@@ -583,7 +599,7 @@ def test_each_seed_line_is_closed_once(monkeypatch):
     verdict = grlr.simplicity.gr_simple_L(inst)
     assert verdict.status == "undecided"
     assert len(calls) == len(lines)
-    assert verdict.closures_run == len(seeds)
+    assert verdict.closures_run == seeds
 
 
 # the rule whose whole product a pre-check verdict's reason says is zero
