@@ -8,7 +8,7 @@ from .errors import CharacteristicError, ToolkitError
 from .fields import Field, Scalar
 from .groups import Grade, direct_product, embed_left, embed_right
 from .linear import BilinearRule, GradedBasis, Row, Sparse, rref
-from .model import AlgebraInstance, rebuild_instance
+from .model import AlgebraInstance, contract, rebuild_instance
 
 
 def direct_sum(a: AlgebraInstance, b: AlgebraInstance, name: str | None = None) -> AlgebraInstance:
@@ -60,62 +60,23 @@ def base_change(inst: AlgebraInstance, seed: int) -> AlgebraInstance:
     matrix; axioms and every subspace-level invariant are preserved.
 
     The new vector at the k-th position of block g is row k of that
-    block's matrix M_g, in the old block coordinates, as ``transport``
-    reads it.  Each block pair (g, h) of an old rule is contracted once:
-    every entry at (a, b) is first read in the new coordinates of its
-    output block s (times the inverse of M_s, drawn with M_s), and the
-    image of the new pair (i, j) is then the sum of M_g[i][a] * M_h[j][b]
-    times those rows.  An entry's components are read block by block,
-    each in its own output block, so one that breaks the grade-shift law
-    is read as ``transport`` reads it: the table equals ``transport``'s on
-    the same rows, in contents and in its (left, right) order.
+    block's matrix M_g, in the old block coordinates, and the old vector
+    at offset k reads as row k of the inverse of M_g, drawn with it, with
+    no residue (``model.contract``).
     """
     f, rng = inst.field, random.Random(seed)
-    p = f.p
-    # one draw per block, the L grades in order, then the A grades: (M_g, its inverse)
-    drawn = {side: {g: _random_invertible(f, basis.block_dim(g), rng) for g in basis.grades()}
-             for side, basis in (("L", inst.L), ("A", inst.A))}
-
-    def contracted(rule: BilinearRule, dom: str) -> dict[tuple[int, int], Sparse]:
-        left, right, out = rule.left, rule.right, rule.out
-        M_left, M_right, inverses = drawn[dom[0]], drawn[dom[1]], drawn[dom[2]]
-        offset, grade_of = out._offset, out.grade_of
-        entries: list[tuple[tuple[int, int], Sparse]] = []
-        for (gu, gv), (_, triples) in rule.block_pairs().items():
-            # per output grade s (the target, unless the pair breaks the
-            # grade-shift law), each entry's (a, b, components in block s)
-            split: dict[Grade, list[tuple[int, int, list[tuple[int, Scalar]]]]] = {}
-            for a, b, entry in triples:
-                parts: dict[Grade, list[tuple[int, Scalar]]] = {}
-                for pos, c in entry.items():
-                    parts.setdefault(grade_of(pos), []).append((offset[pos], c))
-                for s, comps in parts.items():
-                    split.setdefault(s, []).append((a, b, comps))
-            images: dict[tuple[int, int], Sparse] = {}
-            for s, terms in split.items():
-                at, inv = out.positions_at(s), inverses[s][1]
-                # each entry in the new coordinates of block s
-                reread = []
-                for a, b, comps in terms:
-                    w = [0] * len(at)
-                    for k, c in comps:
-                        w = [y + c * z for y, z in zip(w, inv[k])]
-                    reread.append((a, b, w))
-                for i, u in zip(left.positions_at(gu), M_left[gu][0]):
-                    for j, v in zip(right.positions_at(gv), M_right[gv][0]):
-                        acc = [0] * len(at)
-                        for a, b, w in reread:
-                            x = u[a] * v[b]
-                            if x:
-                                acc = [y + x * z for y, z in zip(acc, w)]
-                        image = {pos: y for pos, y in zip(at, acc if p is None else (y % p for y in acc)) if y}
-                        if image:
-                            images.setdefault((i, j), {}).update(image)
-            entries += images.items()
-        entries.sort(key=lambda entry: entry[0])
-        return dict(entries)
-
-    return rebuild_instance(inst, f"{inst.name}~b{seed}", f, inst.group, inst.L, inst.A, contracted)
+    sides = []
+    # one draw per block, the L grades in order, then the A grades
+    for basis in (inst.L, inst.A):
+        rows: dict[Grade, list[list[Scalar]]] = {}
+        read: list = [None] * basis.dim
+        for g in basis.grades():
+            at = basis.positions_at(g)
+            rows[g], inverse = _random_invertible(f, len(at), rng)
+            for o, row in zip(at, inverse):
+                read[o] = [(k, x) for k, x in zip(at, row) if x]
+        sides.append((basis, rows, read))
+    return contract(inst, f"{inst.name}~b{seed}", *sides)
 
 
 def to_field(inst: AlgebraInstance, field: Field) -> AlgebraInstance:

@@ -69,7 +69,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ToolkitError
 from .fields import Field, Scalar
@@ -180,34 +180,6 @@ def _units(field: Field, n: int, cols: Sequence[int]) -> Echelon:
 
 def _identity(field: Field, n: int) -> Echelon:
     return _units(field, n, range(n))
-
-
-def coordinate_reader(
-    field: Field, rows: Sequence[Sequence[Scalar]]
-) -> Callable[[Sequence[Scalar]], list[Scalar] | None]:
-    """Reader of coordinates in the span of ``rows``: v -> x with sum_i x_i rows[i] = v, or None.
-
-    One elimination of [rows | I] gives the RREF basis E of the span (the
-    reduced rows with a pivot among the first n columns) and the matrix T
-    beside it, with T rows = E; each v is then read off E's pivots (c with
-    c E = v) and mapped to x = c T.  For independent rows x is unique.
-    """
-    n = len(rows[0]) if rows else 0
-    ech, pivots = rref(field, [tuple(row) + e for row, e in zip(rows, _identity(field, len(rows))[0])])
-    r = sum(p < n for p in pivots)
-    basis, to_rows = [row[:n] for row in ech[:r]], [row[n:] for row in ech[:r]]
-
-    def read(v: Sequence[Scalar]) -> list[Scalar] | None:
-        coords = coordinates_in_rref(field, basis, pivots[:r], v)
-        if coords is None:
-            return None
-        x = [field.zero] * len(rows)
-        for c, t in zip(coords, to_rows):
-            if c:
-                x = [a + c * b for a, b in zip(x, t)]
-        return x if field.p is None else [a % field.p for a in x]
-
-    return read
 
 
 def nullspace(field: Field, rows: Sequence[Sequence[Scalar]], ncols: int) -> Echelon:
@@ -423,11 +395,6 @@ class GradedSubspace:
             format_grade(g): [[self.field.format(x) for x in row] for row in self.blocks[g]]
             for g in self.grades()
         }
-
-    def describe(self) -> str:
-        if self.is_zero():
-            return "0"
-        return " , ".join(self.ambient.describe_sparse(v, self.field) for v in self.sparse_vectors())
 
 
 def _same_space(a: GradedSubspace, b: GradedSubspace, what: str) -> None:

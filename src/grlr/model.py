@@ -77,31 +77,39 @@ writes their conditions straight from the table entries, one row per
 pair by block pair, so the work grows with the number of entries, not
 with the square of the dimension.
 
-``transport`` rebuilds an instance on new homogeneous bases.  At grade g
-the new basis vectors are the rows of ``L_rows[g]`` (``A_rows[g]``), given
-in the old block coordinates; row k is the new vector at the k-th
-position of ``L.positions_at(g)``, so the row order within a block is
-the new position order.  Each new vector is homogeneous, so an old rule
-multiplies only the pairs of new vectors whose grade pair its
-``block_pairs`` lists; every other product is zero.  Each image is
-expressed block by block in those rows.
-
 Every derived instance (direct sums, base changes, field moves and
 restrictions) is built by ``rebuild_instance``, and its rules by
 ``BilinearRule._from_canonical``: each table is made from rules that were
 checked when they were built, so no scalar is checked again and only the
-grade-shift law is decided.  ``restrict_instance`` takes a coordinate
-subpair, whose every RREF row is a unit row, without ``transport``: each
-side keeps the basis vectors at its rows' pivots, an entry with both
-arguments kept moves to their new positions, and one whose output leaves
-the kept positions refuses the restriction with the text ``transport``
-gives, naming the least new left position of the first rule in ``RULES``
-order that has such an entry.  Any other subpair goes through
-``transport``.  A base change (``constructions.base_change``) never
-does: its new blocks span the old ones, so it contracts each block pair
-of each old rule once, with the new rows of its two blocks and one
-inverse per output block, and ``transport`` on the same rows is its
-reference in the tests.
+grade-shift law is decided.
+
+``contract`` puts an instance on new homogeneous bases; base changes
+(``constructions.base_change``) and restrictions (``restrict_instance``)
+are its two callers.  Each supplies, per side, the new basis, its rows
+and a reader.  At grade g the new basis vectors are the rows of the
+block at g, in the old block coordinates; row k is the new vector at the
+k-th position of the new basis at g.  The contraction keeps, for each
+old position, the (new position, coefficient) pairs of the new vectors
+it takes part in.  The reader gives each old output position as one
+linear combination: its new coordinates, keyed by new position, plus
+its residue, with residue component k keyed -1 - k.  The old table
+entries are walked once: an entry at (a, b) is read once, as the sum of
+its components' reads, and added, times the two coefficients, to the
+image of each pair (i, j) of new vectors that take part in a and b.
+Sums are formed on plain scalars, with no product by one, and reduced
+``% p`` at the end over GF(p).  A pair whose image keeps a residue key
+escapes the new span: the first rule in ``RULES`` order that has one
+refuses the instance, naming its least new left position.  The tables
+are sorted by (left, right).  Every component is read at its own
+position, so a component that breaks the grade-shift law is read in its
+own block.  The two readers:
+
+* base change: the old vector at offset k of block g reads as row k of
+  the inverse of the block's matrix, drawn with it; no residue;
+* restriction, on RREF rows E_t with pivots c_t: the old vector at c_t
+  reads as coordinate t plus the residue e_{c_t} - E_t, which lies in
+  the columns that are no pivot; any other old vector e_k is its own
+  residue.
 """
 from __future__ import annotations
 
@@ -120,7 +128,6 @@ from .linear import (
     GradedBasis,
     GradedSubspace,
     Sparse,
-    coordinate_reader,
     entry_kernel,
 )
 
@@ -517,59 +524,67 @@ def rebuild_instance(
     return AlgebraInstance(name, field, group, L, A, *rules)
 
 
-def transport(
-    inst: AlgebraInstance, name: str,
-    L: GradedBasis, L_rows: Mapping[Grade, Sequence[Sequence[Scalar]]],
-    A: GradedBasis, A_rows: Mapping[Grade, Sequence[Sequence[Scalar]]],
-) -> AlgebraInstance:
-    """The rules of ``inst`` on new bases L and A (module docstring); ToolkitError if not closed."""
-    f = inst.field
-    new = {"L": (L, inst.L, L_rows), "A": (A, inst.A, A_rows)}
-    vectors: dict[str, list[Sparse]] = {}
-    for side, (basis, old, rows) in new.items():
-        vectors[side] = [{} for _ in range(basis.dim)]
+# one new basis of a side: the basis, the rows of its blocks in the old
+# block coordinates, and the read of each old position as (key,
+# coefficient) pairs: a new position, or -1 - k for residue component k
+NewBasis = tuple[GradedBasis, Mapping[Grade, Sequence[Sequence[Scalar]]], Sequence[Sequence[tuple[int, Scalar]]]]
+
+
+def _reduced(sums: Sparse, p: int | None) -> Sparse:
+    """The nonzero sums, reduced ``% p`` over GF(p)."""
+    if p is None:
+        return {k: z for k, z in sums.items() if z}
+    return {k: y for k, z in sums.items() if (y := z % p)}
+
+
+def contract(inst: AlgebraInstance, name: str, L: NewBasis, A: NewBasis) -> AlgebraInstance:
+    """The rules of ``inst`` on new bases of L and A, each given with its
+    rows and its reader (module docstring); ToolkitError if a product of
+    two new basis vectors escapes the new span."""
+    p = inst.field.p
+    new = {"L": L, "A": A}
+    # per old position of each side, the new basis vectors it takes part in
+    spreads: dict[str, list[list[tuple[int, Scalar]]]] = {}
+    for side, (basis, rows, _) in new.items():
+        old = getattr(inst, side)
+        spread: list[list[tuple[int, Scalar]]] = [[] for _ in range(old.dim)]
         for g, block in rows.items():
+            at = old.positions_at(g)
             for pos, row in zip(basis.positions_at(g), block):
-                vectors[side][pos] = old.block_vector(g, row, f)
-
-    # one coordinate reader per new block, for every image that lands there
-    readers = {side: {g: coordinate_reader(f, block) for g, block in rows.items()}
-               for side, (_, _, rows) in new.items()}
-
-    def express(side: str, img: Sparse, what: str) -> Sparse:
-        basis, old, _ = new[side]
-        out: Sparse = {}
-        for g, coords in old.split_sparse(img, f).items():
-            combo = readers[side][g](coords) if g in readers[side] else None
-            if combo is None:
-                raise ToolkitError(f"restriction is not closed: {what} escapes the subspace")
-            out.update((p, c) for p, c in zip(basis.positions_at(g), combo) if not f.is_zero(c))
-        return out
+                for a, x in zip(at, row):
+                    if x:
+                        spread[a].append((pos, x))
+        spreads[side] = spread
 
     def make_rule(rule: BilinearRule, dom: str) -> dict[tuple[int, int], Sparse]:
-        table, left, right, pairs = {}, new[dom[0]][0], new[dom[1]][0], rule.block_pairs()
-        for i, u in enumerate(vectors[dom[0]]):
-            what, gu = f"{rule.name}({left.name_of(i)}, ...)", left.grade_of(i)
-            for j, v in enumerate(vectors[dom[1]]):
-                if (gu, right.grade_of(j)) in pairs and (img := rule.apply_sparse(u, v)):
-                    table[(i, j)] = express(dom[2], img, what)
+        left, right, read = spreads[dom[0]], spreads[dom[1]], new[dom[2]][2]
+        sums: dict[tuple[int, int], Sparse] = {}
+        for (a, b), entry in rule.table.items():
+            us, vs = left[a], right[b]
+            if not (us and vs):
+                continue
+            # the entry read, then added times x * y to each pair (i, j); on
+            # plain scalars, with no product by one and no sum with zero
+            w: Sparse = {}
+            for o, c in entry.items():
+                for k, z in read[o]:
+                    z = c if z == 1 else c * z
+                    w[k] = w[k] + z if k in w else z
+            for i, x in us:
+                for j, y in vs:
+                    xy = y if x == 1 else x if y == 1 else x * y
+                    acc = sums.setdefault((i, j), {})
+                    for k, z in w.items():
+                        z = z if xy == 1 else xy * z
+                        acc[k] = acc[k] + z if k in acc else z
+        table = {key: image for key in sorted(sums) if (image := _reduced(sums[key], p))}
+        escapes = [i for (i, _), image in table.items() if min(image) < 0]
+        if escapes:
+            what = f"{rule.name}({new[dom[0]][0].name_of(min(escapes))}, ...)"
+            raise ToolkitError(f"restriction is not closed: {what} escapes the subspace")
         return table
 
-    return rebuild_instance(inst, name, f, inst.group, L, A, make_rule)
-
-
-def _coordinate_positions(sub: GradedSubspace) -> dict[int, int] | None:
-    """The new position of each ambient position that ``sub`` keeps, in
-    ``block_vectors`` order, when every RREF row of ``sub`` is a unit row;
-    None when some row is not."""
-    new: dict[int, int] = {}
-    for g in sub.grades():
-        at = sub.ambient.positions_at(g)
-        for row, c in zip(sub.blocks[g], sub.pivots[g]):
-            if any(row[c + 1:]):
-                return None
-            new[at[c]] = len(new)
-    return new
+    return rebuild_instance(inst, name, inst.field, inst.group, L[0], A[0], make_rule)
 
 
 def restrict_instance(
@@ -581,39 +596,24 @@ def restrict_instance(
     landing back inside); otherwise a ToolkitError reports the escaping
     product.  Basis names are regenerated deterministically from the
     grade blocks.  A subspace of the wrong space, or over another field,
-    raises ValueError.  A coordinate subpair, every block spanned by unit
-    rows, is restricted by relabelling positions (module docstring); any
-    other goes through ``transport``.
+    raises ValueError.  The new basis vectors are the RREF rows of each
+    block, read at their pivots (module docstring).
     """
     if L_sub.ambient != inst.L or A_sub.ambient != inst.A:
         raise ValueError("subpair is not inside (L, A)")
     if L_sub.field != inst.field or A_sub.field != inst.field:
         raise ValueError(f"subpair is not over {inst.field.label}")
+    one = inst.field.one
 
-    def basis(sub: GradedSubspace, prefix: str) -> GradedBasis:
-        return GradedBasis((f"{prefix}{k}", g) for k, (g, _) in enumerate(sub.block_vectors()))
+    def side(sub: GradedSubspace, prefix: str) -> NewBasis:
+        basis = GradedBasis((f"{prefix}{k}", g) for k, (g, _) in enumerate(sub.block_vectors()))
+        # a position off the pivots, or in a block of no row, is its own residue
+        read = [[(-1 - o, one)] for o in range(sub.ambient.dim)]
+        for g, rows in sub.blocks.items():
+            at, pivots = sub.ambient.positions_at(g), sub.pivots[g]
+            free = [m for m in range(len(at)) if m not in pivots]
+            for pos, row, c in zip(basis.positions_at(g), rows, pivots):
+                read[at[c]] = [(pos, one)] + [(-1 - at[m], -row[m]) for m in free if row[m]]
+        return basis, sub.blocks, read
 
-    L, A = basis(L_sub, "l"), basis(A_sub, "a")
-    kept = {"L": _coordinate_positions(L_sub), "A": _coordinate_positions(A_sub)}
-    if kept["L"] is None or kept["A"] is None:
-        return transport(inst, name, L, L_sub.blocks, A, A_sub.blocks)
-    bases = {"L": L, "A": A}
-
-    def make_rule(rule: BilinearRule, dom: str) -> dict[tuple[int, int], Sparse]:
-        left, right, out = (kept[b] for b in dom)
-        entries, escapes = [], []
-        for (i, j), image in rule.table.items():
-            a, b = left.get(i), right.get(j)
-            if a is None or b is None:
-                continue
-            if all(p in out for p in image):
-                entries.append(((a, b), {out[p]: c for p, c in image.items()}))
-            else:
-                escapes.append(a)
-        if escapes:
-            what = f"{rule.name}({bases[dom[0]].name_of(min(escapes))}, ...)"
-            raise ToolkitError(f"restriction is not closed: {what} escapes the subspace")
-        entries.sort(key=lambda entry: entry[0])
-        return dict(entries)
-
-    return rebuild_instance(inst, name, inst.field, inst.group, L, A, make_rule)
+    return contract(inst, name, side(L_sub, "l"), side(A_sub, "a"))

@@ -6,7 +6,7 @@ import functools
 import itertools
 import random
 import sys
-from typing import Iterable
+from typing import Callable, Iterable, Mapping, Sequence
 
 from grlr import (
     RATIONALS,
@@ -34,13 +34,15 @@ from grlr.linear import (
     BilinearRule,
     Sparse,
     bilinear_image,
-    coordinate_reader,
+    coordinates_in_rref,
     in_span,
     nullspace,
+    rref,
     rule_from_names,
     sparse_add,
     subspace_sum,
 )
+from grlr.model import rebuild_instance
 from grlr.oracle import _block_echelons
 
 _cache: dict[tuple[str, str | None], AlgebraInstance] = {}
@@ -660,6 +662,86 @@ def reference_coordinates(field: Field, rows, pivots, v) -> list | None:
     return coords
 
 
+def coordinate_reader(
+    field: Field, rows: Sequence[Sequence[Scalar]]
+) -> Callable[[Sequence[Scalar]], list[Scalar] | None]:
+    """Reader of coordinates in the span of ``rows``: v -> x with sum_i x_i rows[i] = v, or None.
+
+    One elimination of [rows | I] gives the RREF basis E of the span (the
+    reduced rows with a pivot among the first n columns) and the matrix T
+    beside it, with T rows = E; each v is then read off E's pivots (c with
+    c E = v) and mapped to x = c T.  For independent rows x is unique.
+    """
+    n = len(rows[0]) if rows else 0
+    unit = [tuple(field.one if i == j else field.zero for j in range(len(rows))) for i in range(len(rows))]
+    ech, pivots = rref(field, [tuple(row) + e for row, e in zip(rows, unit)])
+    r = sum(p < n for p in pivots)
+    basis, to_rows = [row[:n] for row in ech[:r]], [row[n:] for row in ech[:r]]
+
+    def read(v: Sequence[Scalar]) -> list[Scalar] | None:
+        coords = coordinates_in_rref(field, basis, pivots[:r], v)
+        if coords is None:
+            return None
+        x = [field.zero] * len(rows)
+        for c, t in zip(coords, to_rows):
+            if c:
+                x = [a + c * b for a, b in zip(x, t)]
+        return x if field.p is None else [a % field.p for a in x]
+
+    return read
+
+
+def transport(
+    inst: AlgebraInstance, name: str,
+    L: GradedBasis, L_rows: Mapping[Grade, Sequence[Sequence[Scalar]]],
+    A: GradedBasis, A_rows: Mapping[Grade, Sequence[Sequence[Scalar]]],
+) -> AlgebraInstance:
+    """The rules of ``inst`` on new bases L and A, product by product: the
+    reference for ``model.contract``, its base changes and restrictions.
+
+    At grade g the new basis vectors are the rows of ``L_rows[g]``
+    (``A_rows[g]``), in the old block coordinates; row k is the new vector
+    at the k-th position of ``L.positions_at(g)``.  Every pair of new
+    vectors whose grade pair the old rule's ``block_pairs`` lists is
+    multiplied with ``apply_sparse``, and the image is read block by block
+    in the new rows by ``coordinate_reader``.  The first image that some
+    block does not hold, in ``RULES`` order, then (left, right) order,
+    refuses the instance, naming the rule and the new left position."""
+    f = inst.field
+    new = {"L": (L, inst.L, L_rows), "A": (A, inst.A, A_rows)}
+    vectors: dict[str, list[Sparse]] = {}
+    for side, (basis, old, rows) in new.items():
+        vectors[side] = [{} for _ in range(basis.dim)]
+        for g, block in rows.items():
+            for pos, row in zip(basis.positions_at(g), block):
+                vectors[side][pos] = old.block_vector(g, row, f)
+
+    # one coordinate reader per new block, for every image that lands there
+    readers = {side: {g: coordinate_reader(f, block) for g, block in rows.items()}
+               for side, (_, _, rows) in new.items()}
+
+    def express(side: str, img: Sparse, what: str) -> Sparse:
+        basis, old, _ = new[side]
+        out: Sparse = {}
+        for g, coords in old.split_sparse(img, f).items():
+            combo = readers[side][g](coords) if g in readers[side] else None
+            if combo is None:
+                raise ToolkitError(f"restriction is not closed: {what} escapes the subspace")
+            out.update((p, c) for p, c in zip(basis.positions_at(g), combo) if not f.is_zero(c))
+        return out
+
+    def make_rule(rule: BilinearRule, dom: str) -> dict[tuple[int, int], Sparse]:
+        table, left, right, pairs = {}, new[dom[0]][0], new[dom[1]][0], rule.block_pairs()
+        for i, u in enumerate(vectors[dom[0]]):
+            what, gu = f"{rule.name}({left.name_of(i)}, ...)", left.grade_of(i)
+            for j, v in enumerate(vectors[dom[1]]):
+                if (gu, right.grade_of(j)) in pairs and (img := rule.apply_sparse(u, v)):
+                    table[(i, j)] = express(dom[2], img, what)
+        return table
+
+    return rebuild_instance(inst, name, f, inst.group, L, A, make_rule)
+
+
 def from_block_vectors(field: Field, ambient: GradedBasis, vectors) -> GradedSubspace:
     """The span of homogeneous vectors, each (grade, block coordinates),
     through the checking constructor ``GradedSubspace(...)``."""
@@ -746,7 +828,8 @@ def reference_tightness(inst: AlgebraInstance) -> TightnessReport:
     for name, key in (("center_zero", "center"), ("ann_L_of_A_zero", "ann_L_of_A"), ("ann_A_zero", "ann_A")):
         conditions[name] = kernels[key].is_zero()
         if not conditions[name]:
-            witnesses[name] = f"nonzero element: {kernels[key].describe().split(' , ')[0]}"
+            kernel = kernels[key]
+            witnesses[name] = f"nonzero element: {kernel.ambient.describe_sparse(kernel.sparse_vectors()[0], f)}"
 
     def whole(basis: GradedBasis, g: Grade) -> GradedSubspace:
         return GradedSubspace.full(f, basis).at_grades([g])

@@ -21,7 +21,6 @@ from grlr.linear import (
     GradedSubspace,
     Span,
     bilinear_image,
-    coordinate_reader,
     coordinates_in_rref,
     entry_kernel,
     entry_rows,
@@ -38,6 +37,7 @@ from grlr.model import AlgebraInstance, verify_grading
 from helpers import (
     contains_block_vector,
     contains_sparse,
+    coordinate_reader,
     dim_at,
     from_block_vectors,
     from_sparse_vectors,

@@ -1,23 +1,24 @@
 """Derived instances: the rules that ``rebuild_instance`` builds unchecked,
-restrictions by relabelled positions and block-contracted base changes
-against ``transport``, and subspaces over another field."""
+restrictions and base changes by ``model.contract`` against the
+product-by-product reference ``helpers.transport``, and subspaces over
+another field."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
-import grlr.model
 import grlr.oracle
 from grlr import RATIONALS, GradedBasis, GradedSubspace, build, prime_field, to_field
 from grlr.constructions import _random_invertible, base_change
 from grlr.errors import ToolkitError
 from grlr.files import instance_to_json
 from grlr.linear import BilinearRule
-from grlr.model import RULES, is_graded_ideal_A, is_graded_ideal_L, restrict_instance, transport
+from grlr.model import RULES, is_graded_ideal_A, is_graded_ideal_L, restrict_instance
 from grlr.oracle import TemplateRecipe, default_recipe_space, generate_instance
 
-from helpers import catalog_instances, count_returns, recipe_and_catalog_instances, recipe_and_catalog_wild_mutants
+from helpers import catalog_instances, recipe_and_catalog_instances, recipe_and_catalog_wild_mutants, transport
 from test_constructions_golden import instances, subpairs
 
 
@@ -114,36 +115,30 @@ def test_rebuilt_rules_match_the_checked_constructor(checked_rebuilds):
     assert recipes > 600 and golden > 2000 and lawless > 0
 
 
-def test_coordinate_restrictions_match_transport(monkeypatch):
-    counts = count_returns(monkeypatch, [(grlr.model, "transport")])
+def test_restrictions_match_transport():
+    """Every restriction equals ``transport`` on the same RREF rows, in
+    its tables' order and its refusal text: the golden subpairs, random
+    coordinate subpairs and the subpairs of the wild mutants, whether
+    every row is a unit row or not."""
     rng = random.Random(0)
+    # e3 twisted: the identity part of a class ideal mixes the two grade-(0, 0) derivations
+    e3 = generate_instance(TemplateRecipe("e3@gf3+twist:1", "e3", "gf3", (("twist", 1),)))
+    name, L_sub, A_sub = next(pair for pair in subpairs(e3) if not is_coordinate(pair[1]))
+    got = restricted(lambda: restrict_instance(e3, L_sub, A_sub, name))
+    assert "json" in got and got == restricted(lambda: transported(e3, L_sub, A_sub, name))
     cases = []
     for inst in instances():
         cases += [(inst, pair) for pair in subpairs(inst)]
         cases += [(inst, (f"{inst.name}|random{k}", coordinate_subspace(rng, inst, "L"),
                           coordinate_subspace(rng, inst, "A"))) for k in range(3)]
     cases += [(mutant, pair) for mutant, pairs in mutant_subpairs() for pair in pairs]
-    compared, refused = 0, 0
+    # (coordinate subpair, refused) -> count
+    counts = Counter()
     for inst, (name, L_sub, A_sub) in cases:
-        if not (is_coordinate(L_sub) and is_coordinate(A_sub)):
-            continue
-        before = counts["transport"]
         got = restricted(lambda: restrict_instance(inst, L_sub, A_sub, name))
-        assert counts["transport"] == before, name
         assert got == restricted(lambda: transported(inst, L_sub, A_sub, name)), name
-        compared += 1
-        refused += "error" in got
-    assert compared > 3000 and refused > 400
-
-
-def test_a_non_unit_row_takes_transport(monkeypatch):
-    # e3 twisted: the identity part of a class ideal mixes the two grade-(0, 0) derivations
-    e3 = generate_instance(TemplateRecipe("e3@gf3+twist:1", "e3", "gf3", (("twist", 1),)))
-    name, L_sub, A_sub = next(pair for pair in subpairs(e3) if not is_coordinate(pair[1]))
-    counts = count_returns(monkeypatch, [(grlr.model, "transport")])
-    got = restricted(lambda: restrict_instance(e3, L_sub, A_sub, name))
-    assert counts["transport"] == 1
-    assert "json" in got and got == restricted(lambda: transported(e3, L_sub, A_sub, name))
+        counts[is_coordinate(L_sub) and is_coordinate(A_sub), "error" in got] += 1
+    assert counts == {(True, False): 3087, (True, True): 434, (False, False): 187, (False, True): 73}, counts
 
 
 @pytest.mark.parametrize("label", ["gf5", "q"])
@@ -176,12 +171,10 @@ def transported_twist(inst, seed: int):
 
 
 def test_base_changes_of_the_recipe_space_match_transport(monkeypatch):
-    counts = count_returns(monkeypatch, [(grlr.model, "transport")])
     twists, wide = [], 0
 
     def compared(inst, seed):
         got = restricted(lambda: base_change(inst, seed))
-        assert counts["transport"] == 0, inst.name
         assert got == restricted(lambda: transported_twist(inst, seed)), (inst.name, seed)
         twists.append(inst.name)
         return base_change(inst, seed)
