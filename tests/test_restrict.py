@@ -115,30 +115,51 @@ def test_rebuilt_rules_match_the_checked_constructor(checked_rebuilds):
     assert recipes > 600 and golden > 2000 and lawless > 0
 
 
-def test_restrictions_match_transport():
-    """Every restriction equals ``transport`` on the same RREF rows, in
-    its tables' order and its refusal text: the golden subpairs, random
-    coordinate subpairs and the subpairs of the wild mutants, whether
-    every row is a unit row or not."""
+def restriction_cases() -> list:
+    """(instance, (name, L_sub, A_sub)): the golden subpairs, three random
+    coordinate subpairs of each golden instance and the subpairs of the
+    wild mutants."""
     rng = random.Random(0)
-    # e3 twisted: the identity part of a class ideal mixes the two grade-(0, 0) derivations
-    e3 = generate_instance(TemplateRecipe("e3@gf3+twist:1", "e3", "gf3", (("twist", 1),)))
-    name, L_sub, A_sub = next(pair for pair in subpairs(e3) if not is_coordinate(pair[1]))
-    got = restricted(lambda: restrict_instance(e3, L_sub, A_sub, name))
-    assert "json" in got and got == restricted(lambda: transported(e3, L_sub, A_sub, name))
     cases = []
     for inst in instances():
         cases += [(inst, pair) for pair in subpairs(inst)]
         cases += [(inst, (f"{inst.name}|random{k}", coordinate_subspace(rng, inst, "L"),
                           coordinate_subspace(rng, inst, "A"))) for k in range(3)]
     cases += [(mutant, pair) for mutant, pairs in mutant_subpairs() for pair in pairs]
-    # (coordinate subpair, refused) -> count
+    return cases
+
+
+def compared_restrictions(coordinate: bool) -> Counter:
+    """Compare every case whose subpair is (``coordinate``) or is not
+    (not ``coordinate``) spanned by unit rows with ``transport`` on the
+    same RREF rows, in its tables' order and its refusal text; count the
+    cases by whether they were refused."""
+    # refused -> count
     counts = Counter()
-    for inst, (name, L_sub, A_sub) in cases:
+    for inst, (name, L_sub, A_sub) in restriction_cases():
+        if (is_coordinate(L_sub) and is_coordinate(A_sub)) != coordinate:
+            continue
         got = restricted(lambda: restrict_instance(inst, L_sub, A_sub, name))
         assert got == restricted(lambda: transported(inst, L_sub, A_sub, name)), name
-        counts[is_coordinate(L_sub) and is_coordinate(A_sub), "error" in got] += 1
-    assert counts == {(True, False): 3087, (True, True): 434, (False, False): 187, (False, True): 73}, counts
+        counts["error" in got] += 1
+    return counts
+
+
+def test_coordinate_restrictions_match_transport():
+    counts = compared_restrictions(coordinate=True)
+    assert counts == {False: 3087, True: 434}, counts
+
+
+def test_a_non_unit_row_takes_transport():
+    """Subpairs with a row that is not a unit row contract like the
+    others, and match ``transport`` as well."""
+    # e3 twisted: the identity part of a class ideal mixes the two grade-(0, 0) derivations
+    e3 = generate_instance(TemplateRecipe("e3@gf3+twist:1", "e3", "gf3", (("twist", 1),)))
+    name, L_sub, A_sub = next(pair for pair in subpairs(e3) if not is_coordinate(pair[1]))
+    got = restricted(lambda: restrict_instance(e3, L_sub, A_sub, name))
+    assert "json" in got and got == restricted(lambda: transported(e3, L_sub, A_sub, name))
+    counts = compared_restrictions(coordinate=False)
+    assert counts == {False: 187, True: 73}, counts
 
 
 @pytest.mark.parametrize("label", ["gf5", "q"])
