@@ -24,10 +24,10 @@ all of L with zero pairwise intersections.
 
 Each term is a product of two whole blocks, so it is the span of the
 table entries on the block pair (g^-1, g).  An identity part is
-therefore one elimination of those entries (``linear.row_span`` of
-``linear.entry_rows``), taken term by term in the order above, cross
-before own at each grade, so a block pair that breaks the grade-shift
-law is refused at the same term as a product would refuse it.
+therefore the span ``linear.fill_entries`` builds from those entries,
+taken term by term in the order above, cross before own at each grade,
+so a block pair that breaks the grade-shift law is refused at the same
+term as a product would refuse it.
 
 Tightness reads AA and AL the same way, from all block pairs of the
 product and the action, and reads the identity parts from the same
@@ -41,10 +41,10 @@ decided on its own ``linear.Span``, and reads its rows lazily:
   a time (``linear.kernel_conditions``), and no further than the row that
   fills the block;
 - AA = A, AL = L and each identity part hold iff the entry rows of their
-  terms fill every block asked for.  Every term's block pair still goes
-  through ``linear.checked_block_pair``, in term order, so a refusal
-  keeps its text and its place; its entry rows (``linear.pair_rows``)
-  are read only while its target block is not full.
+  terms fill every block asked for (``linear.fill_entries``).  Every
+  term's block pair still goes through ``linear.checked_block_pair``, in
+  term order, so a refusal keeps its text and its place; its entry rows
+  are built only while its target block is not full.
 A failing condition yields what names its witness, and ``check_tight``
 (``drain``) names it at once: in its first short block, in sorted grade
 order, from the rows that span holds, the first vector of their kernel,
@@ -70,12 +70,9 @@ from .linear import (
     GradedSubspace,
     Span,
     bilinear_image,
-    checked_block_pair,
-    entry_rows,
+    fill_entries,
     kernel_conditions,
     nullspace,
-    pair_rows,
-    row_span,
     subspace_intersect,
     subspace_sum,
 )
@@ -119,8 +116,7 @@ def _identity_terms(
 def _identity_part(inst: AlgebraInstance, side: str, grades: Iterable[Grade]) -> GradedSubspace:
     """Sum over g in ``grades`` of cross(X_{g^-1}, Y_g), for g in the cross
     support only, and of own(X_{g^-1}, Y_g): a subspace of the identity block."""
-    basis = _side(inst, side)[0]
-    return row_span(inst.field, basis, entry_rows(inst.field, basis, _identity_terms(inst, side, grades)))
+    return fill_entries(Span(inst.field, _side(inst, side)[0]), _identity_terms(inst, side, grades)).subspace()
 
 
 # ---------------------------------------------------------------------------
@@ -282,18 +278,6 @@ def drain(conditions: Iterable[Condition]) -> tuple[dict[str, bool], dict[str, s
     return holds, witnesses
 
 
-def _fill(span: Span, terms: list[tuple[BilinearRule, tuple[Grade, Grade]]]) -> None:
-    """Add the entry rows of each term to ``span``: every term's block pair
-    goes through ``checked_block_pair``, in order, and its rows
-    (``linear.pair_rows``) are read only while its target block is not
-    full."""
-    f = span.field
-    for rule, (gu, gv) in terms:
-        pair = checked_block_pair(rule, gu, gv)
-        if pair is not None and not span.full_at(pair[0]):
-            span.fills(pair[0], pair_rows(f, rule.out, *pair))
-
-
 def tightness(inst: AlgebraInstance) -> Iterator[Condition]:
     """The seven tightness conditions in report order, each decided when
     the iteration reaches it, on its own ``Span``: a kernel is zero iff
@@ -316,8 +300,7 @@ def tightness(inst: AlgebraInstance) -> Iterator[Condition]:
         ("L_identity_generated", L, _identity_terms(inst, "L", sorted(sup.sigma)), one),
         ("A_identity_generated", A, _identity_terms(inst, "A", sorted(sup.lam)), one),
     ):
-        span = Span(f, basis)
-        _fill(span, terms)
+        span = fill_entries(Span(f, basis), terms)
         short = next((g for g in grades if not span.full_at(g)), None)
         yield name, None if short is None else partial(_not_spanned_witness, f, basis, span, short)
 

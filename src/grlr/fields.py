@@ -16,8 +16,8 @@ canonical values of the field unchecked, like the kernels below.
 Scalars are validated once, where they enter the program: ``parse`` and
 ``from_int`` produce canonical values, and ``check`` guards the entry
 points that take scalars from outside: ``BilinearRule`` tables and
-``GradedBasis.checked_row``, which serves ``GradedBasis.block_vector``
-and the public constructor ``GradedSubspace(...)``.  The graded-ideal
+``GradedBasis.checked_row``, which serves the public constructor
+``GradedSubspace(...)``.  The graded-ideal
 predicates of ``model`` test membership with the unchecked private
 ``GradedSubspace._contains``, on the images they compute from checked
 tables.  ``format`` checks what it prints, and refuses (``GuardError``)

@@ -17,10 +17,10 @@ its pivot (``Fraction(x, pivot)`` over Q, times ``pow(pivot, -1, p)``
 over GF(p)); the reduced row echelon form is unique, so they equal what
 elimination with the field's operations gives.  ``_residue`` reduces one
 vector against semi-echelon rows (each 1 at its pivot and 0 at the
-pivots of the rows before it); membership, coordinates, sums and
-``Span`` call it.  ``Span`` is the one running basis: it grows block by
-block as rows are added, for the closures of ``simplicity`` and for
-tightness and the identity blocks in ``decompose``.
+pivots of the rows before it); membership, sums and ``Span`` call
+it.  ``Span`` is the one running basis: it grows block by block as rows
+are added, for the closures of ``simplicity``, the identity parts,
+complements and tightness of ``decompose``, and ``split_case_b``.
 
 Rows from a caller are checked and reduced in one place: the public
 constructor ``GradedSubspace(...)`` checks each row's length and
@@ -47,18 +47,20 @@ with each pair's target grade read off its entries, and
 ``bilinear_image`` visits only the block pairs of U x V that have table
 entries.  A product of two whole blocks needs no multiplication at all:
 it is the span of that block pair's table entries.  A sum of such
-products is ``row_span`` of the rows that ``entry_rows`` reads off the
-index, one block pair at a time (``pair_rows``); ``entry_rows`` and
+products, given as (rule, block pair) terms, is built by one builder,
+``fill_entries``: it adds each term's entries to a ``Span``, one row per
+entry, and builds no row for a block that is already full.  It and
 ``bilinear_image`` refuse a block pair that breaks the grade-shift law
-through ``checked_block_pair``, so the refusal reads the same whichever
-of them meets the pair first.  ``entry_kernel`` cuts out the common
+through ``checked_block_pair``, which ``fill_entries`` calls on every
+term, full target or not, so the refusal reads the same whichever of
+them meets the pair first.  ``entry_kernel`` cuts out the common
 kernel of maps v -> rule(v, .) and v -> rule(., v) with the rows that
 ``kernel_conditions`` builds, one condition per table entry component,
 lazily, one block pair at a time.  Where only a dimension is asked,
 ``Span.fills`` adds such rows to a block and stops at the one that
 fills it, so no later row is built: a kernel block is zero iff its
-conditions fill the block, and a block is spanned iff its entry rows
-do.  A block left short names its
+conditions fill the block, and a block is spanned iff the entry rows
+of ``fill_entries`` fill it.  A block left short names its
 witness from the same rows: ``nullspace`` of them, or
 ``Span.complement``, the unit rows at the columns that are no row's
 pivot.  ``BilinearRule.by_argument`` groups the same table by the grade
@@ -161,15 +163,9 @@ def _residue(field: Field, rows: Sequence[Sequence[Scalar]], pivots: Sequence[in
     return v
 
 
-def coordinates_in_rref(field: Field, rows: Sequence[Row], pivots: Sequence[int], v: Sequence[Scalar]) -> list[Scalar] | None:
-    """Coordinates of ``v`` in an RREF basis (pivot-column extraction), or None outside its span."""
-    if any(_residue(field, rows, pivots, v)):
-        return None
-    return [v[p] for p in pivots]
-
-
 def in_span(field: Field, rows: Sequence[Row], pivots: Sequence[int], v: Sequence[Scalar]) -> bool:
-    return coordinates_in_rref(field, rows, pivots, v) is not None
+    """Whether ``v`` lies in the span of semi-echelon ``rows`` with their pivots."""
+    return not any(_residue(field, rows, pivots, v))
 
 
 def _units(field: Field, n: int, cols: Sequence[int]) -> Echelon:
@@ -283,11 +279,6 @@ class GradedBasis:
         if len(coords) != n:
             raise ValueError(f"expected {n} coordinates at grade {format_grade(g)}, got {len(coords)}")
         return tuple(field.check(x) for x in coords)
-
-    def block_vector(self, g: Grade, coords: Sequence[Scalar], field: Field) -> Sparse:
-        """Sparse absolute vector from dense block coordinates at grade g."""
-        row = self.checked_row(g, coords, field)
-        return {p: c for p, c in zip(self.positions_at(g), row) if not field.is_zero(c)}
 
     def split_sparse(self, v: Sparse, field: Field) -> dict[Grade, list[Scalar]]:
         """Dense block coordinates of the homogeneous components of ``v``."""
@@ -806,40 +797,34 @@ def checked_block_pair(rule: BilinearRule, gu: Grade, gv: Grade) -> tuple[Grade,
     return pair
 
 
-def pair_rows(field: Field, out: GradedBasis, target: Grade, triples: Iterable[tuple[int, int, Sparse]]) -> Iterator[list[Scalar]]:
-    """The entries of one block pair (``block_pairs`` triples) as rows of
-    the output block at ``target``, lazily, one per entry."""
-    offset, zero_row = out._offset, [field.zero] * out.block_dim(target)
-    for _, _, entry in triples:
-        row = zero_row.copy()
-        for pos, x in entry.items():
-            row[offset[pos]] = x
-        yield row
+def fill_entries(span: Span, terms: Iterable[tuple[BilinearRule, tuple[Grade, Grade]]]) -> Span:
+    """Add the table entries of each (rule, block pair) of ``terms`` to
+    ``span``, as rows of their output block, and return ``span``.
 
-
-def entry_rows(
-    field: Field, out: GradedBasis, terms: Iterable[tuple[BilinearRule, tuple[Grade, Grade]]]
-) -> dict[Grade, list[list[Scalar]]]:
-    """The table entries of each (rule, block pair) of ``terms``, as rows
-    of their output block (``pair_rows``), per output grade.
-
-    Every rule must map into ``out``.  The pairs are checked in the order
-    given, so the first one that breaks the grade-shift law is refused;
-    a pair with no entry adds nothing.
+    Every rule must map into the span's basis.  Each block pair goes
+    through ``checked_block_pair`` in the order given, so the first one
+    that breaks the grade-shift law is refused, whether or not its target
+    block is full; its entry rows are built only while that block is not
+    full, and none past the one that fills it.  A pair with no entry adds
+    nothing.
     """
-    rows: dict[Grade, list[list[Scalar]]] = {}
+    basis = span.basis
+    offset, zero = basis._offset, span.field.zero
     for rule, (gu, gv) in terms:
-        if rule.out != out:
+        if rule.out != basis:
             raise ValueError(f"rule {rule.name!r} does not map into the given basis")
         pair = checked_block_pair(rule, gu, gv)
-        if pair is not None:
-            rows.setdefault(pair[0], []).extend(pair_rows(field, out, *pair))
-    return rows
-
-
-def row_span(field: Field, out: GradedBasis, rows: Mapping[Grade, Sequence[Sequence[Scalar]]]) -> GradedSubspace:
-    """The span of rows of canonical scalars, given per grade of ``out``: one elimination per block."""
-    return GradedSubspace._from_rref(field, out, {g: rref(field, block) for g, block in rows.items()})
+        if pair is None or span.full_at(pair[0]):
+            continue
+        target, triples = pair
+        zero_row = [zero] * basis.block_dim(target)
+        for _, _, entry in triples:
+            row = zero_row.copy()
+            for pos, x in entry.items():
+                row[offset[pos]] = x
+            if span.add(target, row) is not None and span.full_at(target):
+                break
+    return span
 
 
 def _pair_conditions(field: Field, n: int, pairs: list[tuple[bool, list[tuple[int, int, Sparse]]]]) -> Iterator[list[Scalar]]:

@@ -135,8 +135,7 @@ from .linear import (  # noqa: F401
     Span,
     bilinear_image,
     checked_block_pair,
-    entry_rows,
-    row_span,
+    fill_entries,
     subspace_intersect,
     subspace_sum,
 )
@@ -510,7 +509,7 @@ def split_case_b(inst: AlgebraInstance, I: GradedSubspace) -> tuple[GradedSubspa
     grades = sorted(sigma_I_inv)
     lam = supports(inst).lam
     terms = [(inst.action, (inst.group.inv(g), g)) for g in grades if inst.group.inv(g) in lam]
-    products = row_span(inst.field, inst.L, entry_rows(inst.field, inst.L, terms))
+    products = fill_entries(Span(inst.field, inst.L), terms).subspace()
     I_prime = subspace_sum(products, _block(inst, inst.L, grades))
 
     ok, witness = is_graded_ideal_L(inst, I_prime)

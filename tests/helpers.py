@@ -34,7 +34,6 @@ from grlr.linear import (
     BilinearRule,
     Sparse,
     bilinear_image,
-    coordinates_in_rref,
     in_span,
     nullspace,
     rref,
@@ -650,8 +649,8 @@ def reference_rref(field: Field, rows) -> tuple[tuple[tuple, ...], tuple[int, ..
 def reference_coordinates(field: Field, rows, pivots, v) -> list | None:
     """Coordinates of ``v`` in an RREF basis by the field-generic loop: read
     them at the pivots, subtract each multiple with the field's operations
-    and test the residual for zero.  The reference for
-    ``linear.coordinates_in_rref`` over every field."""
+    and test the residual for zero.  The reference for ``linear.in_span``
+    and ``coordinate_reader`` over every field."""
     coords = [v[p] for p in pivots]
     residual = list(v)
     for coef, row in zip(coords, rows):
@@ -679,12 +678,11 @@ def coordinate_reader(
     basis, to_rows = [row[:n] for row in ech[:r]], [row[n:] for row in ech[:r]]
 
     def read(v: Sequence[Scalar]) -> list[Scalar] | None:
-        coords = coordinates_in_rref(field, basis, pivots[:r], v)
-        if coords is None:
+        if not in_span(field, basis, pivots[:r], v):
             return None
         x = [field.zero] * len(rows)
-        for c, t in zip(coords, to_rows):
-            if c:
+        for k, t in zip(pivots, to_rows):
+            if c := v[k]:
                 x = [a + c * b for a, b in zip(x, t)]
         return x if field.p is None else [a % field.p for a in x]
 
@@ -714,7 +712,8 @@ def transport(
         vectors[side] = [{} for _ in range(basis.dim)]
         for g, block in rows.items():
             for pos, row in zip(basis.positions_at(g), block):
-                vectors[side][pos] = old.block_vector(g, row, f)
+                row = old.checked_row(g, row, f)
+                vectors[side][pos] = {p: c for p, c in zip(old.positions_at(g), row) if not f.is_zero(c)}
 
     # one coordinate reader per new block, for every image that lands there
     readers = {side: {g: coordinate_reader(f, block) for g, block in rows.items()}
@@ -888,6 +887,26 @@ def abelian_pair_instance() -> AlgebraInstance:
     )
     anchor = rule_from_names("anchor", f, G, L, A, A, {})
     return AlgebraInstance("abelian_pair", f, G, L, A, bracket, product, action, anchor)
+
+
+def split_product_instance(f: Field) -> AlgebraInstance:
+    """L = {v (1), w (-1), h (0)} and A = {one (0), a (1)} graded by Z, with
+    zero bracket and anchor, one acting as the unit, a.a = 0 and a.w = h:
+    span{v} is an ideal whose complement from ``split_case_b`` needs the
+    product A_1 L_{-1} = span{h}."""
+    G = GroupSpec(1)
+    L = GradedBasis([("v", (1,)), ("w", (-1,)), ("h", (0,))])
+    A = GradedBasis([("one", (0,)), ("a", (1,))])
+    one = f.one
+    product = {("one", "one"): {"one": one}, ("one", "a"): {"a": one}, ("a", "one"): {"a": one}}
+    action = {**{("one", x): {x: one} for x in ("v", "w", "h")}, ("a", "w"): {"h": one}}
+    return AlgebraInstance(
+        "split_product", f, G, L, A,
+        rule_from_names("bracket", f, G, L, L, L, {}),
+        rule_from_names("product", f, G, A, A, A, product),
+        rule_from_names("action", f, G, A, L, L, action),
+        rule_from_names("anchor", f, G, L, A, A, {}),
+    )
 
 
 def half_acted_pair_instance() -> AlgebraInstance:

@@ -21,12 +21,10 @@ from grlr.linear import (
     GradedSubspace,
     Span,
     bilinear_image,
-    coordinates_in_rref,
     entry_kernel,
-    entry_rows,
+    fill_entries,
     in_span,
     nullspace,
-    row_span,
     rref,
     rule_from_names,
     subspace_intersect,
@@ -225,10 +223,9 @@ def check_all(f, values):
 
 
 def test_reducer_clients_match_the_field_generic_references():
-    # coordinates_in_rref, in_span, coordinate_reader and nullspace run on
-    # plain values; each must agree with the same computation made with the
-    # field's operations, and return only canonical scalars (over Q, no
-    # bare int 0)
+    # in_span, coordinate_reader and nullspace run on plain values; each
+    # must agree with the same computation made with the field's
+    # operations, and return only canonical scalars (over Q, no bare int 0)
     rng = random.Random(43)
     inside = outside = 0
     for f, m in reducer_cases(rng):
@@ -248,8 +245,6 @@ def test_reducer_clients_match_the_field_generic_references():
         read = coordinate_reader(f, m)
         for v in probes:
             want = reference_coordinates(f, rows, pivots, v)
-            got = coordinates_in_rref(f, rows, pivots, v)
-            assert got == want, (f, m, v)
             assert in_span(f, rows, pivots, v) == (want is not None)
             coords = reference_coordinates(f, [row[:n] for row in ext_rows[:r]], ext_pivots[:r], v)
             assert (coords is None) == (want is None)
@@ -259,7 +254,6 @@ def test_reducer_clients_match_the_field_generic_references():
                 outside += 1
                 continue
             inside += 1
-            check_all(f, got)
             check_all(f, x)
             expect = [f.zero] * len(m)
             for c, row in zip(coords, ext_rows[:r]):
@@ -318,13 +312,11 @@ def test_rank_nullity():
                     assert f.is_zero(acc)
 
 
-def test_coordinates_in_rref():
+def test_in_span_of_an_rref_basis():
     f = prime_field(5)
     rows, pivots = rref(f, [[1, 0, 2], [0, 1, 3]])
-    v = [2, 1, 2]  # 2*r0 + 1*r1 = (2, 1, 4+3=7=2)
-    coords = coordinates_in_rref(f, rows, pivots, v)
-    assert coords == [2, 1]
-    assert coordinates_in_rref(f, rows, pivots, [0, 0, 1]) is None
+    assert in_span(f, rows, pivots, [2, 1, 2])  # 2*r0 + 1*r1 = (2, 1, 4+3=7=2)
+    assert not in_span(f, rows, pivots, [0, 0, 1])
 
 
 def test_coordinate_reader_solves_systems():
@@ -774,7 +766,6 @@ def test_public_entry_points_reject_noncanonical_scalars(f, bad):
         lambda: from_sparse_vectors(f, BASIS, [{0: bad}]),
         lambda: contains_block_vector(sub, (0,), row),
         lambda: contains_sparse(sub, {0: bad}),
-        lambda: BASIS.block_vector((0,), row, f),
     ):
         with pytest.raises((TypeError, ValueError)):
             call()
@@ -869,7 +860,7 @@ def test_nullspace_equals_reduced_kernel_basis(monkeypatch, f):
 
 def _entry_span(rule, pairs):
     """The span of ``rule``'s table entries on the block pairs ``pairs``, in order."""
-    return row_span(rule.field, rule.out, entry_rows(rule.field, rule.out, [(rule, pair) for pair in pairs]))
+    return fill_entries(Span(rule.field, rule.out), [(rule, pair) for pair in pairs]).subspace()
 
 
 def _whole_block_products(rule):
@@ -895,10 +886,10 @@ def test_entry_span_equals_bilinear_image_of_whole_blocks():
                 got, want = fast(), slow()
                 assert (got.blocks, got.pivots) == (want.blocks, want.pivots), (label, rule.name, pair)
                 nonzero += not got.is_zero()
-        # terms of two rules into one basis: one elimination equals the sum of the products
+        # terms of two rules into one basis: one span equals the sum of the products
         for rules in ((inst.action, inst.bracket), (inst.anchor, inst.product)):
             terms = [(rule, pair) for rule in rules for pair in sorted(rule.block_pairs())]
-            got = row_span(inst.field, rules[0].out, entry_rows(inst.field, rules[0].out, terms))
+            got = fill_entries(Span(inst.field, rules[0].out), terms).subspace()
             want = subspace_sum(*(bilinear_image(rule, GradedSubspace.full(inst.field, rule.left),
                                                  GradedSubspace.full(inst.field, rule.right)) for rule in rules))
             assert (got.blocks, got.pivots) == (want.blocks, want.pivots), label
@@ -916,9 +907,47 @@ def test_entry_span_refuses_off_grade_pairs_like_bilinear_image():
     assert refused > 500
 
 
+def test_entry_fill_builds_no_row_for_a_full_block(monkeypatch):
+    # entry rows are built only while their target block is short: none
+    # past the row that fills a block, and none for a later term on it
+    f = prime_field(3)
+    B = GradedBasis([("x", (0,)), ("y", (0,)), ("z", (1,))])
+    rule = rule_from_names("product", f, GroupSpec(1), B, B, B, {
+        ("x", "x"): {"x": 1}, ("x", "y"): {"y": 1}, ("y", "y"): {"x": 1, "y": 1},
+        ("x", "z"): {"z": 1}, ("y", "z"): {"z": 2},
+    })
+    added = []
+    real = Span.add
+    monkeypatch.setattr(Span, "add", lambda self, g, row: added.append((g, list(row))) or real(self, g, row))
+    span = fill_entries(Span(f, B), [(rule, ((0,), (0,))), (rule, ((0,), (1,))), (rule, ((0,), (0,)))])
+    assert added == [((0,), [1, 0]), ((0,), [0, 1]), ((1,), [1])]
+    assert span.subspace() == GradedSubspace.full(f, B)
+
+
+def test_entry_fill_checks_the_pair_of_a_term_on_a_full_block():
+    # on a wild mutant, an off-grade block pair placed after the lawful
+    # pairs that fill its target block is refused with bilinear_image's text
+    refused = 0
+    for label, inst in recipe_and_catalog_wild_mutants():
+        f = inst.field
+        for rule in (inst.bracket, inst.product, inst.action, inst.anchor):
+            lawful = [(rule, pair) for pair in sorted(rule.block_pairs()) if pair not in rule.off_grade_pairs]
+            for gu, gv in sorted(rule.off_grade_pairs):
+                span = fill_entries(Span(f, rule.out), lawful)
+                if not span.full_at(rule.block_pairs()[gu, gv][0]):
+                    continue
+                with pytest.raises(ToolkitError) as refusal:
+                    fill_entries(span, [(rule, (gu, gv))])
+                want = outcome(lambda _: bilinear_image(rule, GradedSubspace.full(f, rule.left).at_grades([gu]),
+                                                        GradedSubspace.full(f, rule.right).at_grades([gv])), inst)
+                assert [type(refusal.value).__name__, str(refusal.value)] == want, (label, rule.name)
+                refused += 1
+    assert refused == 483
+
+
 def test_entry_helpers_refuse_a_rule_on_another_basis():
     inst = build("e3")
     with pytest.raises(ValueError, match="does not map into"):
-        entry_rows(inst.field, inst.L, [(inst.product, ((0, 0), (0, 0)))])
+        fill_entries(Span(inst.field, inst.L), [(inst.product, ((0, 0), (0, 0)))])
     with pytest.raises(ValueError, match="does not take its argument from"):
         entry_kernel(inst.field, inst.L, [(inst.product, True)])

@@ -27,9 +27,9 @@ from grlr.cli import main
 from grlr.constructions import base_change, direct_sum
 from grlr.decompose import check_tight
 from grlr.errors import DecompositionError, ToolkitError
-from grlr.fields import prime_field
+from grlr.fields import parse_field_label, prime_field
 from grlr.groups import GroupSpec, format_grade
-from grlr.linear import GradedBasis, bilinear_image, entry_rows, rule_from_names
+from grlr.linear import GradedBasis, Span, bilinear_image, fill_entries, rule_from_names, subspace_sum
 from grlr.model import AlgebraInstance
 from grlr.oracle import default_recipe_space, generate_instance
 from grlr.simplicity import CLOSURE_CAP, _seed_lines, ideal_closure_A, ideal_closure_L
@@ -49,6 +49,7 @@ from helpers import (
     recipe_and_catalog_instances,
     recipe_and_catalog_wild_mutants,
     reference_kernels,
+    split_product_instance,
     truncated_poly_derivations,
     truncated_poly_one_block,
 )
@@ -146,6 +147,22 @@ def test_split_case_b_on_antisymmetric_ideal():
     assert left == I
     assert sorted(right.grades()) == [(-1,)]
     assert left.dim == 1 and right.dim == 1
+
+
+@pytest.mark.parametrize("label", ["q", "gf3"])
+def test_split_case_b_builds_its_product_term(label):
+    # I = span{v}, so I' = A_1 L_{-1} (+) L_{-1} = span{h} (+) span{w}: the
+    # product term is nonzero, and equals bilinear_image of that block pair
+    inst = split_product_instance(parse_field_label(label))
+    assert verify_all(inst).passed
+    f, full_L = inst.field, inst.full_L()
+    I = from_sparse_vectors(f, inst.L, [{0: f.one}])
+    left, right = split_case_b(inst, I)
+    L_inverse = full_L.at_grades([(-1,)])
+    product = bilinear_image(inst.action, inst.full_A().at_grades([(1,)]), L_inverse)
+    assert product == from_sparse_vectors(f, inst.L, [{2: f.one}])
+    assert left == I and right == subspace_sum(product, L_inverse)
+    assert right == from_sparse_vectors(f, inst.L, [{1: f.one}, {2: f.one}])
 
 
 def test_split_case_b_rejections():
@@ -640,7 +657,7 @@ def test_products_and_closures_multiply_no_grades_of_a_built_rule(monkeypatch):
         f = inst.field
         for rule in (inst.bracket, inst.product, inst.action, inst.anchor):
             bilinear_image(rule, GradedSubspace.full(f, rule.left), GradedSubspace.full(f, rule.right))
-            entry_rows(f, rule.out, [(rule, pair) for pair in sorted(rule.block_pairs())])
+            fill_entries(Span(f, rule.out), [(rule, pair) for pair in sorted(rule.block_pairs())])
         for basis, closure in ((inst.L, ideal_closure_L), (inst.A, ideal_closure_A)):
             for g, row in homogeneous_seeds(inst, basis, 40)[0]:
                 closure(inst, from_block_vectors(f, basis, [(g, row)]))
