@@ -20,7 +20,11 @@ vector against semi-echelon rows (each 1 at its pivot and 0 at the
 pivots of the rows before it); membership, sums and ``Span`` call
 it.  ``Span`` is the one running basis: it grows block by block as rows
 are added, for the closures of ``simplicity``, the identity parts,
-complements and tightness of ``decompose``, and ``split_case_b``.
+complements and tightness of ``decompose``, and ``split_case_b``.  On a
+1-dimensional block any nonzero row spans the block, so ``Span.add``
+keeps it as ``[one]`` with no reduction, and refuses every later row at
+once.  ``Span.subspace`` turns each block into its RREF by
+back-substitution, since its rows are already semi-echelon.
 
 Rows from a caller are checked and reduced in one place: the public
 constructor ``GradedSubspace(...)`` checks each row's length and
@@ -53,15 +57,23 @@ entry, and builds no row for a block that is already full.  It and
 ``bilinear_image`` refuse a block pair that breaks the grade-shift law
 through ``checked_block_pair``, which ``fill_entries`` calls on every
 term, full target or not, so the refusal reads the same whichever of
-them meets the pair first.  ``entry_kernel`` cuts out the common
+them meets the pair first.  Where only whether a product is zero is
+asked (the orthogonality of class ideals and the pairing of
+``decompose``), ``product_is_zero`` answers it beside
+``bilinear_image``, which stays the reference: it makes the same checks
+and refuses the same pair, since every block pair goes through
+``checked_block_pair`` before any product is formed, then sums row
+products on plain scalars and stops at the first nonzero one, with no
+image and no ``rref``.  ``entry_kernel`` cuts out the common
 kernel of maps v -> rule(v, .) and v -> rule(., v) with the rows that
 ``kernel_conditions`` builds, one condition per table entry component,
-lazily, one block pair at a time.  Where only a dimension is asked,
-``Span.fills`` adds such rows to a block and stops at the one that
-fills it, so no later row is built: a kernel block is zero iff its
-conditions fill the block, and a block is spanned iff the entry rows
-of ``fill_entries`` fill it.  A block left short names its
-witness from the same rows: ``nullspace`` of them, or
+lazily, one block pair at a time; on a 1-dimensional block every such
+condition is nonzero, so one row ``(one,)`` stands for them all.  Where
+only a dimension is asked, ``Span.fills`` adds such rows to a block and
+stops at the one that fills it, so no later row is built: a kernel
+block is zero iff its conditions fill the block, and a block is spanned
+iff the entry rows of ``fill_entries`` fill it.  A block left short
+names its witness from the same rows: ``nullspace`` of them, or
 ``Span.complement``, the unit rows at the columns that are no row's
 pivot.  ``BilinearRule.by_argument`` groups the same table by the grade
 of v, as the maps v -> rule(v, x) or rule(x, v), one per basis vector
@@ -467,14 +479,21 @@ class Span:
 
     def add(self, g: Grade, row: Sequence[Scalar]) -> list | None:
         """Add ``row`` (canonical scalars) to block g, reduced and scaled to
-        1 at its pivot; return it, or None when it is already in the span."""
+        1 at its pivot; return it, or None when it is already in the span.
+        On a 1-dimensional block any nonzero row spans the block, so it
+        becomes ``[one]`` unreduced, and every later row is in the span."""
         rows = self.rows.setdefault(g, [])
         pivots = self.pivots.setdefault(g, [])
-        row = _residue(self.field, rows, pivots, row)
-        lead = next((k for k, x in enumerate(row) if x), None)
-        if lead is None:
-            return None
-        row = _scaled(self.field, row, lead)
+        if len(row) == 1:
+            if rows or not row[0]:
+                return None
+            row, lead = [self.field.one], 0
+        else:
+            row = _residue(self.field, rows, pivots, row)
+            lead = next((k for k, x in enumerate(row) if x), None)
+            if lead is None:
+                return None
+            row = _scaled(self.field, row, lead)
         rows.append(row)
         pivots.append(lead)
         self.rank += 1
@@ -499,9 +518,27 @@ class Span:
         return _units(self.field, n, [c for c in range(n) if c not in taken])
 
     def subspace(self) -> GradedSubspace:
-        """The span, one RREF per block."""
+        """The span, one RREF per block, by ``_back_substituted``."""
         f = self.field
-        return GradedSubspace._from_rref(f, self.basis, {g: rref(f, rows) for g, rows in self.rows.items() if rows})
+        return GradedSubspace._from_rref(f, self.basis, {
+            g: _back_substituted(f, rows, self.pivots[g]) for g, rows in self.rows.items() if rows
+        })
+
+
+def _back_substituted(field: Field, rows: Sequence[Sequence[Scalar]], pivots: Sequence[int]) -> Echelon:
+    """The RREF of semi-echelon ``rows`` (``Span``'s), each 0 before its pivot.
+
+    From the last row to the first, each row has the pivots of the rows
+    after it cleared by ``_residue``; those rows are already 0 at each
+    other's pivots, and each is 0 before its own pivot, so no earlier
+    pivot moves.  The rows are then sorted by pivot.  A one-row block is
+    returned as it is.
+    """
+    rows = list(rows)
+    for k in range(len(rows) - 2, -1, -1):
+        rows[k] = _residue(field, rows[k + 1:], pivots[k + 1:], rows[k])
+    order = sorted(range(len(rows)), key=pivots.__getitem__)
+    return tuple(tuple(rows[k]) for k in order), tuple(pivots[k] for k in order)
 
 
 # ---------------------------------------------------------------------------
@@ -726,6 +763,14 @@ def rule_from_names(
     return BilinearRule(name, field, group, left, right, out, table)
 
 
+def _check_factors(rule: BilinearRule, U: GradedSubspace, V: GradedSubspace) -> None:
+    """ValueError unless U and V lie in the left and right bases of ``rule``, over its field."""
+    if U.ambient != rule.left or V.ambient != rule.right:
+        raise ValueError(f"subspace ambient does not match rule {rule.name!r}")
+    if U.field != rule.field or V.field != rule.field:
+        raise ValueError(f"subspace field does not match rule {rule.name!r}")
+
+
 def bilinear_image(rule: BilinearRule, U: GradedSubspace, V: GradedSubspace) -> GradedSubspace:
     """Span of rule(u, v) over basis vectors of U and V, one elimination per output block.
 
@@ -736,10 +781,7 @@ def bilinear_image(rule: BilinearRule, U: GradedSubspace, V: GradedSubspace) -> 
     off-grade component, whatever the coefficients of U and V on it.
     Run the grading verifier first for a full report.
     """
-    if U.ambient != rule.left or V.ambient != rule.right:
-        raise ValueError(f"subspace ambient does not match rule {rule.name!r}")
-    if U.field != rule.field or V.field != rule.field:
-        raise ValueError(f"subspace field does not match rule {rule.name!r}")
+    _check_factors(rule, U, V)
     field, out = rule.field, rule.out
     offset, mul, add, is_zero = out._offset, field.mul, field.add, field.is_zero
     images: dict[Grade, list[list[Scalar]]] = {}
@@ -772,6 +814,42 @@ def bilinear_image(rule: BilinearRule, U: GradedSubspace, V: GradedSubspace) -> 
                     if row is not None and not all(map(is_zero, row)):
                         rows.append(row)
     return GradedSubspace._from_rref(field, out, {g: rref(field, rows) for g, rows in images.items() if rows})
+
+
+def product_is_zero(rule: BilinearRule, U: GradedSubspace, V: GradedSubspace) -> bool:
+    """Whether ``bilinear_image(rule, U, V)`` is zero, building no image.
+
+    The same checks, and the same refusal: every block pair of U x V goes
+    through ``checked_block_pair`` in ``bilinear_image``'s sorted order
+    before any product is formed.  Then the products rule(u, v) of basis
+    rows are summed on plain scalars (``% p`` over GF(p)), and the first
+    nonzero one answers ``False``.
+    """
+    _check_factors(rule, U, V)
+    right = sorted(V.blocks.items())
+    pairs = [
+        (u_rows, v_rows, pair[1])
+        for gu, u_rows in sorted(U.blocks.items())
+        for gv, v_rows in right
+        if (pair := checked_block_pair(rule, gu, gv)) is not None
+    ]
+    p = rule.field.p
+    for u_rows, v_rows, triples in pairs:
+        for u in u_rows:
+            live = [(x, b, entry) for a, b, entry in triples if (x := u[a])]
+            if not live:
+                continue
+            for v in v_rows:
+                sums: dict[int, Scalar] = {}
+                for x, b, entry in live:
+                    y = v[b]
+                    if y:
+                        c = x * y
+                        for pos, e in entry.items():
+                            sums[pos] = sums.get(pos, 0) + c * e
+                if any(sums.values()) if p is None else any(s % p for s in sums.values()):
+                    return False
+    return True
 
 
 def checked_block_pair(rule: BilinearRule, gu: Grade, gv: Grade) -> tuple[Grade, list[tuple[int, int, Sparse]]] | None:
@@ -857,8 +935,10 @@ def kernel_conditions(
     argument, output coordinate) that some table entry with its v
     argument at g reaches; every other condition is 0 = 0.  They are
     built one block pair at a time, as they are read, so a reader that
-    stops early (``Span.fills``) builds no more.  Every grade of
-    ``basis`` is a key, with no rows when nothing reaches it.
+    stops early (``Span.fills``) builds no more.  On a 1-dimensional
+    block every such condition is a nonzero scalar, so the one row
+    ``(one,)`` stands for them all.  Every grade of ``basis`` is a key,
+    with no rows when nothing reaches it.
     """
     pairs: dict[Grade, list[tuple[bool, list[tuple[int, int, Sparse]]]]] = {g: [] for g in basis.grades()}
     for rule, v_left in maps:
@@ -866,7 +946,10 @@ def kernel_conditions(
             raise ValueError(f"rule {rule.name!r} does not take its argument from the given basis")
         for (gu, gv), (_, triples) in rule.block_pairs().items():
             pairs[gu if v_left else gv].append((v_left, triples))
-    return {g: _pair_conditions(field, basis.block_dim(g), at) for g, at in pairs.items()}
+    return {
+        g: _pair_conditions(field, n, at) if (n := basis.block_dim(g)) > 1 else iter([(field.one,)] if at else ())
+        for g, at in pairs.items()
+    }
 
 
 def entry_kernel(field: Field, basis: GradedBasis, maps: Sequence[tuple[BilinearRule, bool]]) -> GradedSubspace:

@@ -21,7 +21,7 @@ import grlr.decompose
 import grlr.linear
 import grlr.simplicity
 from grlr.errors import ToolkitError
-from grlr.linear import BilinearRule, GradedSubspace, bilinear_image, subspace_intersect
+from grlr.linear import BilinearRule, GradedSubspace, bilinear_image, product_is_zero, subspace_intersect
 from grlr.decompose import tightness
 from grlr.model import ann_A, ann_L_of_A, center, ker_anchor
 from grlr.simplicity import check_hypotheses5, gr_simple_A, gr_simple_L
@@ -249,6 +249,23 @@ def test_pairing_unique_on_tight_instances():
         assert all(p["unique"] for p in rep.pairs)
         matched = [tuple(p["A_classes"][0]) for p in rep.pairs]
         assert len(set(matched)) == len(matched)  # distinct L classes pair with distinct A classes
+
+
+def test_class_ideal_and_pairing_zero_tests_match_bilinear_image():
+    # every ordered pair of class ideals of a side under its own rule, and
+    # every (A ideal, L ideal) pair under the action, on the recipe and
+    # catalog corpora (catalog entries at q, gf3 and gf5)
+    zero = nonzero = 0
+    for label, inst in recipe_and_catalog_instances():
+        L, A = [i.total for i in decompose_L(inst).ideals], [i.total for i in decompose_A(inst).ideals]
+        for rule, lefts, rights in ((inst.bracket, L, L), (inst.product, A, A), (inst.action, A, L)):
+            for U in lefts:
+                for V in rights:
+                    got = product_is_zero(rule, U, V)
+                    assert got == bilinear_image(rule, U, V).is_zero(), (label, rule.name)
+                    zero += got
+                    nonzero += not got
+    assert (zero, nonzero) == (288, 406)
 
 
 def test_pairing_flags_contradiction_when_tight_claim_is_wrong():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ import grlr.linear
 from grlr import fields
 
 from grlr.catalog import build
+from grlr.decompose import decompose_A, decompose_L
 from grlr.errors import ToolkitError
 from grlr.fields import RATIONALS, Field, prime_field
 from grlr.groups import GroupSpec
@@ -25,6 +27,7 @@ from grlr.linear import (
     fill_entries,
     in_span,
     nullspace,
+    product_is_zero,
     rref,
     rule_from_names,
     subspace_intersect,
@@ -123,6 +126,8 @@ def span_cases(draw):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(span_cases())
+@example((prime_field(5), one_block(1), [((0,), [3]), ((0,), [1]), ((0,), [0])]))
+@example((RATIONALS, one_block(1), [((0,), [RATIONALS.zero]), ((0,), [Fraction(-2, 3)]), ((0,), [Fraction(5)])]))
 def test_span_pivots_are_the_rref_pivots_and_its_complement_splits_each_block(case):
     # the lemma the tightness witnesses rest on: the columns that are no
     # row's pivot are the RREF's free columns, so their unit rows complete
@@ -130,12 +135,23 @@ def test_span_pivots_are_the_rref_pivots_and_its_complement_splits_each_block(ca
     f, basis, rows = case
     span = Span(f, basis)
     for g, row in rows:
-        span.add(g, row)
+        before = list(span.rows.get(g, ()))
+        added = span.add(g, row)
+        # a row comes back, as kept, iff it leaves the span: canonical, 1 at
+        # its pivot, 0 before it and at the pivots of the rows before it
+        assert (added is None) == (len(reference_rref(f, before + [row])[1]) == len(before))
+        if added is not None:
+            check_all(f, added)
+            lead = span.pivots[g][-1]
+            assert span.rows[g][-1] is added and added[lead] == f.one
+            assert not any(added[:lead]) and not any(added[c] for c in span.pivots[g][:-1])
+    sub = span.subspace()
     for g in basis.grades():
         given_rows = [row for h, row in rows if h == g]
         ech, pivots = reference_rref(f, given_rows)
         assert sorted(span.pivots.get(g, ())) == list(pivots)
         assert reference_rref(f, span.rows.get(g, []))[0] == ech
+        assert (sub.blocks.get(g, ()), sub.pivots.get(g, ())) == (ech, pivots)
         comp, free = span.complement(g)
         n = basis.block_dim(g)
         assert list(free) == [c for c in range(n) if c not in pivots]
@@ -434,6 +450,7 @@ def test_bilinear_image_matches_pairwise_products():
         products = [rule.apply_sparse(u, v) for u in U.sparse_vectors() for v in V.sparse_vectors()]
         oracle = from_sparse_vectors(f, B, products)
         assert image == oracle
+        assert product_is_zero(rule, U, V) == image.is_zero()
 
     # rules with different left, right and output bases, over Q, GF(2) and
     # GF(3), with one block pair left empty on purpose
@@ -447,11 +464,15 @@ def test_bilinear_image_matches_pairwise_products():
             zero_left, zero_right = GradedSubspace.zero(f, left), GradedSubspace.zero(f, right)
             assert bilinear_image(rule, zero_left, GradedSubspace.full(f, right)).is_zero()
             assert bilinear_image(rule, GradedSubspace.full(f, left), zero_right).is_zero()
+            assert product_is_zero(rule, zero_left, GradedSubspace.full(f, right))
+            assert product_is_zero(rule, GradedSubspace.full(f, left), zero_right)
             for _ in range(25):
                 U, V = rand_subspace(rng, f, left), rand_subspace(rng, f, right)
                 touched_empty += dim_at(U, empty[0]) > 0 and dim_at(V, empty[1]) > 0
                 products = [rule.apply_sparse(u, v) for u in U.sparse_vectors() for v in V.sparse_vectors()]
-                assert bilinear_image(rule, U, V) == from_sparse_vectors(f, out, products)
+                image = bilinear_image(rule, U, V)
+                assert image == from_sparse_vectors(f, out, products)
+                assert product_is_zero(rule, U, V) == image.is_zero()
     assert touched_empty > 0
 
 
@@ -506,12 +527,63 @@ def test_bilinear_image_rejects_grade_violating_rule():
         bilinear_image(bad, GradedSubspace.full(f, B), GradedSubspace.full(f, B))
 
 
+def test_product_is_zero_refuses_an_off_grade_pair_after_a_nonzero_product():
+    # p.p = p comes first in sorted order and is nonzero, but the later
+    # pair (q, q) breaks the law: the zero test refuses, as bilinear_image does
+    f = prime_field(3)
+    B = GradedBasis([("p", (0,)), ("q", (1,))])
+    rule = rule_from_names("product", f, GroupSpec(0, (2,)), B, B, B, {("p", "p"): {"p": 1}, ("q", "q"): {"q": 1}})
+    full = GradedSubspace.full(f, B)
+    assert not product_is_zero(rule, full.at_grades([(0,)]), full.at_grades([(0,)]))
+    with pytest.raises(ToolkitError) as refusal:
+        product_is_zero(rule, full, full)
+    assert str(refusal.value) == "rule 'product' violates the grade-shift law on (1, 1): component q at grade 1, expected 0"
+    with pytest.raises(ToolkitError, match=re.escape(str(refusal.value))):
+        bilinear_image(rule, full, full)
+
+
+def _verdict(call):
+    """``call()``, or the refusal's exception type and message."""
+    try:
+        return call()
+    except ToolkitError as exc:
+        return [type(exc).__name__, str(exc)]
+
+
+def test_product_is_zero_matches_bilinear_image_on_wild_mutant_subspaces():
+    # whole blocks, whole spaces and the class ideals of the unmutated
+    # instance, multiplied by the mutant's rules: the same verdict, or the
+    # same refusal of the same first off-grade pair
+    checked = refused = 0
+    originals = recipe_and_catalog_instances()
+    for k, (label, inst) in enumerate(recipe_and_catalog_wild_mutants()):
+        origin = originals[k // 4][1]  # four mutants per instance, in order
+        ideals = {"L": [i.total for i in decompose_L(origin).ideals], "A": [i.total for i in decompose_A(origin).ideals]}
+        for rule, left, right in ((inst.bracket, "L", "L"), (inst.product, "A", "A"),
+                                  (inst.action, "A", "L"), (inst.anchor, "L", "A")):
+            full_left = GradedSubspace.full(inst.field, rule.left)
+            full_right = GradedSubspace.full(inst.field, rule.right)
+            pairs = [(full_left.at_grades([gu]), full_right.at_grades([gv]))
+                     for gu in rule.left.grades() for gv in rule.right.grades()]
+            pairs += [(full_left, full_right)] + [(U, V) for U in ideals[left] for V in ideals[right]]
+            for U, V in pairs:
+                got = _verdict(lambda: product_is_zero(rule, U, V))
+                assert got == _verdict(lambda: bilinear_image(rule, U, V).is_zero()), (label, rule.name)
+                checked += 1
+                refused += isinstance(got, list)
+    assert (checked, refused) == (35972, 2159)
+
+
 def test_bilinear_image_refuses_a_subspace_over_another_field():
     bracket = build("e1", prime_field(5)).bracket
     gf5, gf3 = GradedSubspace.full(prime_field(5), bracket.left), GradedSubspace.full(prime_field(3), bracket.left)
-    for U, V in ((gf3, gf3), (gf3, gf5), (gf5, gf3)):
-        with pytest.raises(ValueError, match="subspace field does not match rule 'bracket'"):
-            bilinear_image(bracket, U, V)
+    action = build("e1", prime_field(5)).action
+    for call in (bilinear_image, product_is_zero):
+        for U, V in ((gf3, gf3), (gf3, gf5), (gf5, gf3)):
+            with pytest.raises(ValueError, match="subspace field does not match rule 'bracket'"):
+                call(bracket, U, V)
+        with pytest.raises(ValueError, match="subspace ambient does not match rule 'action'"):
+            call(action, gf5, gf5)
     assert bilinear_image(bracket, gf5, gf5).field == prime_field(5)
 
 
