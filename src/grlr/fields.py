@@ -4,9 +4,10 @@ Scalars are plain values: ``fractions.Fraction`` for the rationals,
 canonical residues ``0..p-1`` (ints) for GF(p).  Arithmetic goes
 through a :class:`Field`, except in two places that run on plain values
 and reduce with ``% p`` or build ``Fraction``s themselves: ``linear``'s
-elimination (``rref``, the one reducer ``_residue`` and what calls it,
-the running basis ``Span`` of the closures, of tightness and of the
-decomposition complements included) and ``model.verify_all``, which
+elimination (one step, ``_extend``, on the one reducer ``_residue``,
+shared by ``rref``, membership, sums and the running basis ``Span`` of
+the closures, of tightness and of the decomposition complements) and
+``model.verify_all``, which
 sums the ten algebra laws over integer tables: the residues themselves
 over GF(p), each entry times the lcm D of all the tables' denominators
 over Q; a sum is tested with ``% p`` or against 0, and only a witness

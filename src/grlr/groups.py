@@ -5,11 +5,12 @@ are arbitrary ints, each torsion coordinate is reduced mod its modulus.
 Written multiplicatively in the math, additively in coordinates.
 
 Grades are validated once, where they enter the program: ``reduce``
-canonicalises raw coordinates, ``check`` rejects anything
-not canonical, and ``BilinearRule`` and ``AlgebraInstance`` check every
-basis grade on construction.  The kernels ``mul`` and ``inv`` assume
-canonical inputs of length ``rank`` and do not check them: they add or
-negate coordinatewise and reduce only the torsion coordinates.
+canonicalises raw coordinates, ``check`` rejects anything not canonical,
+a coordinate that is not an ``int`` included, and ``BilinearRule`` and
+``AlgebraInstance`` check every basis grade on construction.  The
+kernels ``mul`` and ``inv`` assume canonical inputs of length ``rank``
+and do not check them: they add or negate coordinatewise and reduce
+only the torsion coordinates.
 """
 from __future__ import annotations
 
@@ -55,6 +56,10 @@ class GroupSpec:
         return free + tors
 
     def check(self, g: Grade) -> Grade:
+        """``g`` as a tuple, refused unless every coordinate is an ``int``
+        (``bool`` excluded) and the grade is canonical."""
+        if not set(map(type, g)) <= {int}:
+            raise ValueError(f"grade {g!r} has a coordinate that is not an int")
         if self.reduce(g) != tuple(g):
             raise ValueError(f"grade {g} is not in canonical form")
         return tuple(g)

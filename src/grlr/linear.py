@@ -6,25 +6,22 @@ dictionaries are equal.  Sparse vectors over a graded basis are dicts
 mapping absolute basis position -> nonzero scalar.
 
 Rows are reduced here and nowhere else, on plain values: no ``Field``
-call per entry.  ``rref`` is one fraction-free loop for both fields.  A
-pivot row r clears column c from row i as ``row_i = pivot * row_i -
-factor * row_r``.  Over Q each row is first multiplied by the lcm of its
-denominators, and each new row is divided by the gcd of its entries
-(where integer-preserving elimination, Bareiss 1968, divides by the
-previous pivot); over GF(p) each new row is reduced ``% p``.  The
-canonical rows are built once, at the end, by dividing each pivot row by
-its pivot (``Fraction(x, pivot)`` over Q, times ``pow(pivot, -1, p)``
-over GF(p)); the reduced row echelon form is unique, so they equal what
-elimination with the field's operations gives.  ``_residue`` reduces one
-vector against semi-echelon rows (each 1 at its pivot and 0 at the
-pivots of the rows before it); membership, sums and ``Span`` call
-it.  ``Span`` is the one running basis: it grows block by block as rows
-are added, for the closures of ``simplicity``, the identity parts,
-complements and tightness of ``decompose``, and ``split_case_b``.  On a
-1-dimensional block any nonzero row spans the block, so ``Span.add``
-keeps it as ``[one]`` with no reduction, and refuses every later row at
-once.  ``Span.subspace`` turns each block into its RREF by
-back-substitution, since its rows are already semi-echelon.
+call per entry, residues reduced ``% p`` over GF(p), ``Fraction``s over
+Q.  There is one elimination step, ``_extend``: ``_residue`` reduces a
+row against semi-echelon rows (each 1 at its pivot and 0 at the pivots
+of the rows before it), and a nonzero residue is scaled to 1 at its
+first nonzero column (``_scaled``) and appended, that column being its
+pivot.  ``rref`` feeds each row through that step, then turns the
+semi-echelon rows into the RREF by back-substitution
+(``_back_substituted``); the reduced row echelon form is unique, so the
+result is what any elimination with the field's operations gives.
+Membership and sums call ``_residue`` too.  ``Span`` is the one running
+basis: it grows block by block through ``_extend`` as rows are added,
+for the closures of ``simplicity``, the identity parts, complements and
+tightness of ``decompose``, and ``split_case_b``.  On a 1-dimensional
+block any nonzero row spans the block, so ``Span.add`` keeps it as
+``[one]`` with no reduction, and refuses every later row at once.
+``Span.subspace`` back-substitutes each block, as ``rref`` does.
 
 Rows from a caller are checked and reduced in one place: the public
 constructor ``GradedSubspace(...)`` checks each row's length and
@@ -82,7 +79,6 @@ x, that the ideal closures of ``simplicity`` spin under.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ToolkitError
@@ -109,48 +105,18 @@ _LAWFUL: frozenset[tuple[Grade, Grade]] = frozenset()
 def rref(field: Field, rows: Iterable[Sequence[Scalar]]) -> Echelon:
     """Reduced row echelon form of rows of equal length; returns (nonzero rows, pivot columns).
 
-    One fraction-free loop serves both fields (module docstring): over Q
-    each row is first scaled to integers and each new row divided by the
-    gcd of its entries, over GF(p) each new row is reduced ``% p``.
+    Each row goes through ``_extend``, the step ``Span.add`` takes, and the
+    semi-echelon rows are then back-substituted (``_back_substituted``).
     """
-    p = field.p
-    if p is None:
-        mat = []
-        for row in rows:
-            scale = lcm(*(x.denominator for x in row))
-            mat.append([x.numerator * (scale // x.denominator) for x in row])
-    else:
-        mat = [list(row) for row in rows]
-    if not mat:
-        return (), ()
+    ech: list[Sequence[Scalar]] = []
     pivots: list[int] = []
-    r = 0
-    for c in range(len(mat[0])):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        top = mat[r]
-        pivot = top[c]
-        for i, row in enumerate(mat):
-            factor = row[c]
-            if i != r and factor:
-                new = [pivot * x - factor * y for x, y in zip(row, top)]
-                if p is not None:
-                    mat[i] = [x % p for x in new]
-                else:
-                    g = gcd(*new)
-                    mat[i] = [x // g for x in new] if g > 1 else new
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return tuple(tuple(_scaled(field, row, c)) for row, c in zip(mat, pivots)), tuple(pivots)
+    for row in rows:
+        _extend(field, ech, pivots, row)
+    return _back_substituted(field, ech, pivots)
 
 
 def _scaled(field: Field, row: Sequence[Scalar], c: int) -> list[Scalar]:
-    """``row`` (integers or canonical scalars) divided by its nonzero entry
-    at c, as canonical scalars of ``field``."""
+    """``row`` (canonical scalars) divided by its nonzero entry at c."""
     p, x = field.p, row[c]
     if p is None:
         zero, one = field.zero, field.one
@@ -173,6 +139,37 @@ def _residue(field: Field, rows: Sequence[Sequence[Scalar]], pivots: Sequence[in
         if x:
             v = [a - x * b for a, b in zip(v, row)] if p is None else [(a - x * b) % p for a, b in zip(v, row)]
     return v
+
+
+def _extend(field: Field, rows: list[Sequence[Scalar]], pivots: list[int], row: Sequence[Scalar]) -> list | None:
+    """Reduce ``row`` against semi-echelon ``rows`` (``_residue``), scale it
+    to 1 at its first nonzero column and append it, with that column to
+    ``pivots``; return it, or None when it lies in their span.  The rows
+    stay semi-echelon: the new one is 0 before its pivot and at theirs."""
+    row = _residue(field, rows, pivots, row)
+    lead = next((k for k, x in enumerate(row) if x), None)
+    if lead is None:
+        return None
+    row = _scaled(field, row, lead)
+    rows.append(row)
+    pivots.append(lead)
+    return row
+
+
+def _back_substituted(field: Field, rows: Sequence[Sequence[Scalar]], pivots: Sequence[int]) -> Echelon:
+    """The RREF of semi-echelon ``rows`` (``_extend``'s), each 0 before its pivot.
+
+    From the last row to the first, each row has the pivots of the rows
+    after it cleared by ``_residue``; those rows are already 0 at each
+    other's pivots, and each is 0 before its own pivot, so no earlier
+    pivot moves.  The rows are then sorted by pivot.  A one-row block is
+    returned as it is.
+    """
+    rows = list(rows)
+    for k in range(len(rows) - 2, -1, -1):
+        rows[k] = _residue(field, rows[k + 1:], pivots[k + 1:], rows[k])
+    order = sorted(range(len(rows)), key=pivots.__getitem__)
+    return tuple(tuple(rows[k]) for k in order), tuple(pivots[k] for k in order)
 
 
 def in_span(field: Field, rows: Sequence[Row], pivots: Sequence[int], v: Sequence[Scalar]) -> bool:
@@ -484,19 +481,16 @@ class Span:
         becomes ``[one]`` unreduced, and every later row is in the span."""
         rows = self.rows.setdefault(g, [])
         pivots = self.pivots.setdefault(g, [])
-        if len(row) == 1:
-            if rows or not row[0]:
-                return None
-            row, lead = [self.field.one], 0
+        if len(row) != 1:
+            row = _extend(self.field, rows, pivots, row)
+        elif rows or not row[0]:
+            return None
         else:
-            row = _residue(self.field, rows, pivots, row)
-            lead = next((k for k, x in enumerate(row) if x), None)
-            if lead is None:
-                return None
-            row = _scaled(self.field, row, lead)
-        rows.append(row)
-        pivots.append(lead)
-        self.rank += 1
+            row = [self.field.one]
+            rows.append(row)
+            pivots.append(0)
+        if row is not None:
+            self.rank += 1
         return row
 
     def fills(self, g: Grade, rows: Iterable[Sequence[Scalar]]) -> bool:
@@ -525,22 +519,6 @@ class Span:
         })
 
 
-def _back_substituted(field: Field, rows: Sequence[Sequence[Scalar]], pivots: Sequence[int]) -> Echelon:
-    """The RREF of semi-echelon ``rows`` (``Span``'s), each 0 before its pivot.
-
-    From the last row to the first, each row has the pivots of the rows
-    after it cleared by ``_residue``; those rows are already 0 at each
-    other's pivots, and each is 0 before its own pivot, so no earlier
-    pivot moves.  The rows are then sorted by pivot.  A one-row block is
-    returned as it is.
-    """
-    rows = list(rows)
-    for k in range(len(rows) - 2, -1, -1):
-        rows[k] = _residue(field, rows[k + 1:], pivots[k + 1:], rows[k])
-    order = sorted(range(len(rows)), key=pivots.__getitem__)
-    return tuple(tuple(rows[k]) for k in order), tuple(pivots[k] for k in order)
-
-
 # ---------------------------------------------------------------------------
 # bilinear structure rules
 
@@ -550,8 +528,9 @@ class BilinearRule:
 
     The table maps (absolute left position, absolute right position) to a
     sparse output vector; an entry at a position outside the bases is
-    refused (``ValueError``), once its zero coefficients are dropped.  The grade-shift law says an entry at (i, j) must
-    land in the output block at grade(i)*grade(j).  It is decided once
+    refused (``ValueError``), once its zero coefficients are dropped, and
+    so is any position that is not an ``int``.  The grade-shift law says
+    an entry at (i, j) must land in the output block at grade(i)*grade(j).  It is decided once
     per block pair, here, with one ``group.mul`` per pair in one pass
     over the canonical table; ``off_grade_pairs`` keeps the pairs
     that break it, shared and empty on a lawful rule.  They are not
@@ -592,8 +571,9 @@ class BilinearRule:
         canon: dict[tuple[int, int], Sparse] = {}
         nl, nr, no = len(left), len(right), len(out)
         for (i, j), image in table.items():
-            i, j = int(i), int(j)
-            vec = {int(p): x for p, x in image.items() if not field.is_zero(field.check(x))}
+            if {type(i), type(j), *map(type, image)} != {int}:  # bool refused too
+                raise ValueError(f"rule {name!r}: table position ({i!r}, {j!r}) -> {list(image)!r} is not made of ints")
+            vec = {p: x for p, x in image.items() if not field.is_zero(field.check(x))}
             # a negative position would index a basis from its end
             if not (0 <= i < nl and 0 <= j < nr) or vec and not 0 <= min(vec) <= max(vec) < no:
                 raise ValueError(f"rule {name!r}: table position ({i}, {j}) -> {sorted(vec)} lies outside its bases")

@@ -301,6 +301,29 @@ def test_rule_rejects_bad_basis_grades(group, grade, match):
         _rule(group, basis)
 
 
+@pytest.mark.parametrize("grade", [(True,), (2.0,)])
+def test_grades_with_coordinates_that_are_not_ints_are_refused(grade):
+    # (True,) == (1,) and (2.0,) == (2,), so both passed as canonical, and
+    # x at (True,) shared one block with y at (1,)
+    with pytest.raises(ValueError, match="not an int"):
+        GroupSpec(1).check(grade)
+    with pytest.raises(ValueError, match="not an int"):
+        _rule(GroupSpec(1), GradedBasis([("x", grade), ("y", (1,))]))
+
+
+@pytest.mark.parametrize("table", [
+    {(0.9, 1.2): {1.7: RATIONALS.one}},  # was stored as {(0, 1): {1: 1}}
+    {(0, True): {1: RATIONALS.one}},
+    {(0, 1): {1.0: RATIONALS.one}},
+    {(0, "1"): {1: RATIONALS.one}},
+    {(0, 1): {0.5: RATIONALS.zero}},  # refused before its zero coefficient is dropped
+])
+def test_rule_refuses_table_positions_that_are_not_ints(table):
+    basis = GradedBasis([("x", (0,)), ("y", (1,))])
+    with pytest.raises(ValueError, match="^rule 'bracket': table position .* is not made of ints$"):
+        BilinearRule("bracket", RATIONALS, GroupSpec(1), basis, basis, basis, table)
+
+
 @pytest.mark.parametrize(
     "rule_group, group, grade, match",
     [(GroupSpec(0, (8,)), GroupSpec(0, (4,)), (4,), "canonical"), (GroupSpec(1), GroupSpec(2), (1,), "length")],

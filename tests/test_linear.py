@@ -200,12 +200,29 @@ def rand_residue_matrix(rng, f, rows, cols):
 
 
 def reducer_cases(rng):
-    """(field, matrix) pairs over Q and GF(2, 3, 7, 2^61 - 1, LARGEST_PRIME)."""
+    """(field, matrix) pairs over Q and GF(2, 3, 7, 2^61 - 1, LARGEST_PRIME).
+
+    Besides the random ones, over Q, GF(7) and GF(LARGEST_PRIME): a 1 x 40
+    row, a 40 x 1 column, one row repeated 50 times and all-zero matrices,
+    and over Q matrices of 30-digit numerators and denominators."""
     cases = [(RATIONALS, rand_rational_matrix(rng, rng.randint(0, 6), rng.randint(0, 7))) for _ in range(400)]
     cases += [(RATIONALS, m) for m in (
         [], [[], []], [[Fraction(-3, 4), Fraction(1, 2)], [Fraction(3, 2), Fraction(-1)]],
         [[RATIONALS.zero, Fraction(-5, 7), Fraction(2, 3)], [RATIONALS.zero] * 3, [Fraction(-1, 6)] * 3],
     )]
+
+    def digits_30():
+        return Fraction(rng.choice((-1, 1)) * rng.randrange(10**29, 10**30), rng.randrange(10**29, 10**30))
+
+    cases += [(RATIONALS, [[digits_30() if rng.random() < 0.8 else RATIONALS.zero for _ in range(cols)]
+                           for _ in range(rows)]) for rows, cols in ((2, 2), (3, 4), (5, 5), (6, 3)) for _ in range(5)]
+    for f, draw in ((RATIONALS, digits_30), (prime_field(7), lambda: rng.randrange(1, 7)),
+                    (prime_field(LARGEST_PRIME), lambda: rng.randrange(1, LARGEST_PRIME))):
+        repeated = [draw() for _ in range(6)]
+        cases += [(f, m) for m in (
+            [[draw() for _ in range(40)]], [[draw()] for _ in range(40)], [repeated] * 50,
+            [[f.zero] * 5 for _ in range(4)], [[f.zero] for _ in range(3)],
+        )]
     for p in (2, 3, 7):
         f = prime_field(p)
         cases += [(f, rand_matrix(rng, f, rng.randint(0, 6), rng.randint(0, 7))) for _ in range(150)]
@@ -215,8 +232,8 @@ def reducer_cases(rng):
 
 
 def test_rref_matches_reference_elimination():
-    # rows and pivots of the field-generic loop, on every field; the one
-    # integer loop must also return canonical scalars: Fraction rows over Q
+    # rows and pivots of the field-generic loop, on every field; the plain
+    # value reducer must also return canonical scalars: Fraction rows over Q
     # and residues below p over GF(p)
     assert not any(fields._is_prime(n) for n in range(LARGEST_PRIME + 1, fields.MODULUS_LIMIT))
     rng = random.Random(41)
