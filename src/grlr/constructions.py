@@ -23,9 +23,10 @@ def direct_sum(a: AlgebraInstance, b: AlgebraInstance, name: str | None = None) 
     f = a.field
 
     def merged_basis(x: GradedBasis, y: GradedBasis) -> GradedBasis:
+        # the grades of a's and b's bases are checked, so their embeddings are canonical
         entries = [(f"{n}_1", embed_left(a.group, b.group, g)) for n, g in x.entries]
         entries += [(f"{n}_2", embed_right(a.group, b.group, g)) for n, g in y.entries]
-        return GradedBasis(entries)
+        return GradedBasis._checked_in(group, entries)
 
     L = merged_basis(a.L, b.L)
     A = merged_basis(a.A, b.A)
@@ -38,13 +39,20 @@ def direct_sum(a: AlgebraInstance, b: AlgebraInstance, name: str | None = None) 
             table[(i + dl, j + dr)] = {p + do: x for p, x in img.items()}
         return table
 
-    return rebuild_instance(a, name or f"{a.name}+{b.name}", f, group, L, A, merged_table)
+    return rebuild_instance((a, b), name or f"{a.name}+{b.name}", f, group, L, A, merged_table)
 
 
 def _random_invertible(field: Field, n: int, rng: random.Random) -> tuple[list[list[Scalar]], list[Row]]:
     """Small-entry invertible matrix, found by retry, and its inverse: one
     elimination of [matrix | I] per try, whose pivots all lie in the
-    matrix's columns exactly when it is invertible."""
+    matrix's columns exactly when it is invertible.  A 1x1 matrix needs no
+    elimination: its one entry, drawn as in a try, is inverted when it is
+    nonzero."""
+    if n == 1:
+        while True:
+            x = field.from_int(rng.randint(-2, 2))
+            if not field.is_zero(x):
+                return [[x]], [(field.inv(x),)]
     unit = [tuple(field.one if k == i else field.zero for k in range(n)) for i in range(n)]
     while True:
         mat = [[field.from_int(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
@@ -107,4 +115,4 @@ def to_field(inst: AlgebraInstance, field: Field) -> AlgebraInstance:
                 table[key] = moved
         return table
 
-    return rebuild_instance(inst, f"{inst.name}@{field.label}", field, inst.group, inst.L, inst.A, moved_table)
+    return rebuild_instance((inst,), f"{inst.name}@{field.label}", field, inst.group, inst.L, inst.A, moved_table)

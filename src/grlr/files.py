@@ -21,6 +21,16 @@ If both orientations are present they must agree up to sign.  The
 product is symmetrized the same way.  Files that violate the grading
 are loaded as-is so the verifier can report the violation rather than
 the parser.  A group of rank above ``MAX_GROUP_RANK`` is refused.
+
+Input is validated once, here, as it is parsed: every grade, name,
+position and scalar.  So the bases are built as checked
+(``GradedBasis._checked_in``) and the tables go straight into
+``BilinearRule._from_canonical``, which decides the grade-shift law and
+checks nothing again.  An image left empty, by an empty ``value`` or
+one whose scalars are all zero, still counts as an entry for the
+duplicate and mirror checks, so each refusal reads the same as when the
+checked constructor dropped it; it is dropped only from the table the
+rule keeps.
 """
 from __future__ import annotations
 
@@ -63,7 +73,7 @@ def _parse_basis(field: Field, group: GroupSpec, raw: Any, what: str) -> GradedB
         except ValueError as exc:
             raise InstanceFormatError(f"grade of {what} entry {name!r}: {exc}") from None
     try:
-        return GradedBasis(entries)
+        return GradedBasis._checked_in(group, entries)
     except ValueError as exc:
         raise InstanceFormatError(f"{what}: {exc}") from None
 
@@ -97,10 +107,11 @@ def _parse_image(field: Field, out: GradedBasis, raw: Any, where: str) -> Sparse
     return img
 
 
-def _parse_rule(
-    rule: str, field: Field, group: GroupSpec,
-    left: GradedBasis, right: GradedBasis, out: GradedBasis, raw: Any,
-) -> BilinearRule:
+def _parse_table(
+    rule: str, field: Field, left: GradedBasis, right: GradedBasis, out: GradedBasis, raw: Any,
+) -> dict[tuple[int, int], Sparse]:
+    """A rule's entries as parsed, with every position and scalar checked and
+    the mirror entries filled in; an image left empty is kept as an entry."""
     if raw is None:
         raw = []
     if not isinstance(raw, list):
@@ -138,7 +149,18 @@ def _parse_rule(
                     )
             else:
                 table[(j, i)] = mirror
-    return BilinearRule(rule, field, group, left, right, out, table)
+    return table
+
+
+def _parse_rule(
+    rule: str, field: Field, group: GroupSpec,
+    left: GradedBasis, right: GradedBasis, out: GradedBasis, raw: Any,
+) -> BilinearRule:
+    """The rule on ``_parse_table``'s table less its empty images: a table
+    already canonical, whose grade-shift law is decided once."""
+    table = _parse_table(rule, field, left, right, out, raw)
+    canon = {key: img for key, img in table.items() if img}
+    return BilinearRule._from_canonical(rule, field, group, left, right, out, canon, lawful=False)
 
 
 def instance_from_json(data: Any) -> AlgebraInstance:

@@ -7,10 +7,13 @@ Written multiplicatively in the math, additively in coordinates.
 Grades are validated once, where they enter the program: ``reduce``
 canonicalises raw coordinates, ``check`` rejects anything not canonical,
 a coordinate that is not an ``int`` included, and ``BilinearRule`` and
-``AlgebraInstance`` check every basis grade on construction.  The
-kernels ``mul`` and ``inv`` assume canonical inputs of length ``rank``
-and do not check them: they add or negate coordinatewise and reduce
-only the torsion coordinates.
+``AlgebraInstance`` check every basis grade on construction, once per
+basis and group (``GradedBasis.check_grades``).  The files loader checks
+each grade as it parses it, and a direct sum's grades embed grades
+already checked, so neither basis is checked again.  The kernels
+``mul``, ``inv``, ``embed_left`` and ``embed_right`` assume canonical
+inputs of length ``rank`` and do not check them: they add, negate or
+pad coordinatewise and reduce only the torsion coordinates.
 """
 from __future__ import annotations
 
@@ -101,8 +104,8 @@ def direct_product(a: GroupSpec, b: GroupSpec) -> GroupSpec:
 
 
 def embed_left(a: GroupSpec, b: GroupSpec, g: Grade) -> Grade:
-    """Embed a grade of ``a`` into ``a x b`` (zeros on the ``b`` block)."""
-    a.check(g)
+    """Embed a canonical grade of ``a`` into ``a x b`` (zeros on the ``b``
+    block); the input is not checked, and the result is canonical."""
     return (
         g[: a.free_rank]
         + (0,) * b.free_rank
@@ -112,7 +115,7 @@ def embed_left(a: GroupSpec, b: GroupSpec, g: Grade) -> Grade:
 
 
 def embed_right(a: GroupSpec, b: GroupSpec, g: Grade) -> Grade:
-    b.check(g)
+    """Embed a canonical grade of ``b`` into ``a x b``, unchecked, as ``embed_left``."""
     return (
         (0,) * a.free_rank
         + g[: b.free_rank]

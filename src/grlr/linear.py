@@ -36,11 +36,12 @@ The grade-shift law is decided once per block pair, when a
 ``BilinearRule`` is built: one ``group.mul`` per (left grade, right
 grade) that has table entries, in one pass over the canonical table,
 and the rule keeps only the set of pairs that break it
-(``off_grade_pairs``).  Everything after reads that verdict.  A pair that
-breaks the law is scanned only to name its components, by one routine
-that the grading verifier and the product refusals share,
-``BilinearRule.off_grade``; naming its expected grade is the only other
-``group.mul`` in this module.
+(``off_grade_pairs``).  A rule rebuilt from rules that all keep the law
+inherits that verdict with no pass (``BilinearRule``).  Everything
+after reads that verdict.  A pair that breaks the law is scanned only
+to name its components, by one routine that the grading verifier and
+the product refusals share, ``BilinearRule.off_grade``; naming its
+expected grade is the only other ``group.mul`` in this module.
 
 Products of subspaces run block pair by block pair.  Each rule groups
 its table by (left grade, right grade) on first use (``block_pairs``),
@@ -224,13 +225,22 @@ def sparse_add(field: Field, a: Sparse, b: Sparse) -> Sparse:
 
 
 class GradedBasis:
-    """Ordered homogeneous basis: named vectors with a grade each."""
+    """Ordered homogeneous basis: named vectors with a grade each.
+
+    A grade coordinate that is not an ``int`` (``bool`` included) is
+    refused here, in ``GroupSpec.check``'s words, so no two grades that
+    merely compare equal share a block.  Whether the grades are canonical
+    grades of a group is decided by :meth:`check_grades`, once per group.
+    """
 
     def __init__(self, entries: Iterable[tuple[str, Grade]]):
         self.entries: tuple[tuple[str, Grade], ...] = tuple((str(n), tuple(g)) for n, g in entries)
         names = [n for n, _ in self.entries]
         if len(set(names)) != len(names):
             raise ValueError("duplicate basis names")
+        if not {type(x) for _, g in self.entries for x in g} <= {int}:
+            g = next(g for _, g in self.entries if not set(map(type, g)) <= {int})
+            raise ValueError(f"grade {g!r} has a coordinate that is not an int")
         self._pos: dict[str, int] = {n: i for i, (n, _) in enumerate(self.entries)}
         self._blocks: dict[Grade, list[int]] = {}
         # _offset[pos]: the index of pos within its grade's block
@@ -240,6 +250,14 @@ class GradedBasis:
             self._offset.append(len(block))
             block.append(i)
         self._checked: set[GroupSpec] = set()
+
+    @classmethod
+    def _checked_in(cls, group: GroupSpec, entries: Iterable[tuple[str, Grade]]) -> "GradedBasis":
+        """A basis whose grades the caller has already checked as canonical
+        grades of ``group``: ``check_grades(group)`` does not check them again."""
+        basis = cls(entries)
+        basis._checked.add(group)
+        return basis
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GradedBasis) and self.entries == other.entries
@@ -530,10 +548,11 @@ class BilinearRule:
     sparse output vector; an entry at a position outside the bases is
     refused (``ValueError``), once its zero coefficients are dropped, and
     so is any position that is not an ``int``.  The grade-shift law says
-    an entry at (i, j) must land in the output block at grade(i)*grade(j).  It is decided once
-    per block pair, here, with one ``group.mul`` per pair in one pass
-    over the canonical table; ``off_grade_pairs`` keeps the pairs
-    that break it, shared and empty on a lawful rule.  They are not
+    an entry at (i, j) must land in the output block at grade(i)*grade(j).
+    It is decided once per block pair, when the rule is built, with one
+    ``group.mul`` per pair in one pass over the canonical table, unless
+    the rule keeps it by construction (below); ``off_grade_pairs`` keeps
+    the pairs that break it, shared and empty on a lawful rule.  They are not
     rejected, so that hand-edited files can be loaded and then failed by
     the grading verifier with a witness (:meth:`grading_violations`);
     the verifier and the product refusals both name the components of
@@ -541,14 +560,23 @@ class BilinearRule:
 
     Two constructors build a rule.  The checked one, ``BilinearRule(...)``,
     checks every scalar with ``Field.check``, drops the zero ones and the
-    empty images, and refuses positions outside the bases: the files
-    loader, the catalog's literal and derivation tables and every caller
-    of the public API hand it tables from outside, or tables assembled by
-    hand, so none of them skips it.  ``_from_canonical`` takes a table that
-    is already canonical as it is, and only checks the bases' grades and
-    decides the law, as the checked one does: ``model.rebuild_instance``,
-    the one builder of direct sums, base changes, field moves and
-    restrictions, calls it on tables made from rules already checked.
+    empty images, and refuses positions outside the bases: the catalog's
+    literal and derivation tables and every caller of the public API hand
+    it tables assembled by hand, so none of them skips it.
+    ``_from_canonical`` takes a table that is already canonical as it is,
+    and checks only the bases' grades, once per basis and group
+    (``GradedBasis.check_grades``).  Two builders call it:
+
+    * the files loader, which checks every position and scalar as it
+      parses them and drops the empty images itself; its rules decide the
+      law as the checked ones do;
+    * ``model.rebuild_instance``, the one builder of direct sums, base
+      changes, field moves and restrictions, on tables made from rules
+      already checked.  Each of these sends homogeneous basis vectors to
+      homogeneous vectors of the same grade, so a rebuilt rule whose every
+      source rule keeps the law keeps it too: it inherits that verdict
+      and skips the pass.  A rebuilt rule with a source that breaks the
+      law decides it in full.
 
     :meth:`block_pairs` is the table grouped by block pair, derived on
     first use.  Rules are built far more often than multiplied (every
@@ -579,27 +607,32 @@ class BilinearRule:
                 raise ValueError(f"rule {name!r}: table position ({i}, {j}) -> {sorted(vec)} lies outside its bases")
             if vec:
                 canon[(i, j)] = vec
-        self._adopt(name, field, group, left, right, out, canon)
+        self._adopt(name, field, group, left, right, out, canon, lawful=False)
 
     @classmethod
     def _from_canonical(
         cls, name: str, field: Field, group: GroupSpec,
         left: GradedBasis, right: GradedBasis, out: GradedBasis, table: dict[tuple[int, int], Sparse],
+        lawful: bool,
     ) -> "BilinearRule":
         """A rule on a table that is already canonical: every position in
         range, every image nonempty and its scalars nonzero canonical
-        scalars of ``field``.  The grades are checked and the grade-shift
-        law decided as by the constructor; no scalar is checked and the
-        table is kept as given, not copied."""
+        scalars of ``field``.  The grades are checked as by the
+        constructor; no scalar is checked and the table is kept as given,
+        not copied.  ``lawful`` says the table keeps the grade-shift law by
+        construction, and then the law is not decided again; otherwise it
+        is decided as by the constructor."""
         rule = cls.__new__(cls)
-        rule._adopt(name, field, group, left, right, out, table)
+        rule._adopt(name, field, group, left, right, out, table, lawful)
         return rule
 
     def _adopt(
         self, name: str, field: Field, group: GroupSpec,
         left: GradedBasis, right: GradedBasis, out: GradedBasis, table: dict[tuple[int, int], Sparse],
+        lawful: bool,
     ) -> None:
-        """Keep a canonical table, deciding the grade-shift law once per block pair."""
+        """Keep a canonical table, deciding the grade-shift law once per
+        block pair unless it is ``lawful`` by construction."""
         # grades are validated here; GroupSpec.mul and inv then trust them
         for basis in (left, right, out):
             basis.check_grades(group)
@@ -609,21 +642,26 @@ class BilinearRule:
         self.left = left
         self.right = right
         self.out = out
-        # each block pair's target grade, kept for this pass only, and the pairs that break the law
+        self.table = table
+        self.off_grade_pairs = _LAWFUL if lawful else self._decide_law()
+        self._block_pairs: dict[tuple[Grade, Grade], BlockPair] | None = None
+        self._by_argument: dict[bool, dict[Grade, Operators]] = {}
+
+    def _decide_law(self) -> frozenset[tuple[Grade, Grade]]:
+        """The block pairs whose entries break the grade-shift law: one
+        ``group.mul`` per block pair, in one pass over the table."""
+        # each block pair's target grade, kept for this pass only
         targets: dict[tuple[Grade, Grade], Grade] = {}
         off_grade: set[tuple[Grade, Grade]] = set()
-        lefts, rights, outs = left.entries, right.entries, out.entries
-        for (i, j), vec in table.items():
+        lefts, rights, outs = self.left.entries, self.right.entries, self.out.entries
+        for (i, j), vec in self.table.items():
             pair = (lefts[i][1], rights[j][1])
             if pair not in targets:
-                targets[pair] = group.mul(*pair)
+                targets[pair] = self.group.mul(*pair)
             for p in vec:
                 if outs[p][1] != targets[pair]:
                     off_grade.add(pair)
-        self.table = table
-        self.off_grade_pairs = frozenset(off_grade) if off_grade else _LAWFUL
-        self._block_pairs: dict[tuple[Grade, Grade], BlockPair] | None = None
-        self._by_argument: dict[bool, dict[Grade, Operators]] = {}
+        return frozenset(off_grade) if off_grade else _LAWFUL
 
     def block_pairs(self) -> dict[tuple[Grade, Grade], BlockPair]:
         """The table grouped by block pair, built on the first call.

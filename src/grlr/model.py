@@ -80,8 +80,12 @@ with the square of the dimension.
 Every derived instance (direct sums, base changes, field moves and
 restrictions) is built by ``rebuild_instance``, and its rules by
 ``BilinearRule._from_canonical``: each table is made from rules that were
-checked when they were built, so no scalar is checked again and only the
-grade-shift law is decided.
+checked when they were built, so no scalar is checked again.  Each of
+these constructions maps homogeneous vectors to homogeneous vectors of
+the same grade, so a rule whose source rules all keep the grade-shift
+law keeps it too, and inherits that verdict with no pass over its
+table; a direct sum has two sources, one from each summand.  A rule
+with a source that breaks the law decides it in full.
 
 ``contract`` puts an instance on new homogeneous bases; base changes
 (``constructions.base_change``) and restrictions (``restrict_instance``)
@@ -510,16 +514,23 @@ def is_graded_ideal_A(inst: AlgebraInstance, J: GradedSubspace) -> tuple[bool, d
 
 
 def rebuild_instance(
-    inst: AlgebraInstance, name: str, field: Field, group: GroupSpec, L: GradedBasis, A: GradedBasis,
+    sources: tuple[AlgebraInstance, ...], name: str, field: Field, group: GroupSpec, L: GradedBasis, A: GradedBasis,
     make_rule: Callable[[BilinearRule, str], dict[tuple[int, int], Sparse]],
 ) -> AlgebraInstance:
-    """An instance on L and A; each ``RULES`` row's table is ``make_rule(inst's rule, row letters)``.
+    """An instance on L and A; each ``RULES`` row's table is
+    ``make_rule(the first source's rule, row letters)``, made from that
+    rule of every source.
 
     Each table must be canonical (``BilinearRule._from_canonical``): it is
-    made from rules that were checked when they were built, so only the
-    grade-shift law is decided again."""
+    made from rules that were checked when they were built, so no scalar
+    is checked again.  ``make_rule`` must send homogeneous basis vectors
+    to homogeneous vectors of the same grade, mapped into ``group``, so a
+    rule keeps the grade-shift law when that rule of every source keeps
+    it: such a rule inherits the verdict, and any other decides it."""
     bases = {"L": L, "A": A}
-    rules = [BilinearRule._from_canonical(r, field, group, *(bases[b] for b in dom), make_rule(getattr(inst, r), dom))
+    rules = [BilinearRule._from_canonical(r, field, group, *(bases[b] for b in dom),
+                                          make_rule(getattr(sources[0], r), dom),
+                                          lawful=not any(getattr(s, r).off_grade_pairs for s in sources))
              for r, dom in RULES]
     return AlgebraInstance(name, field, group, L, A, *rules)
 
@@ -584,7 +595,7 @@ def contract(inst: AlgebraInstance, name: str, L: NewBasis, A: NewBasis) -> Alge
             raise ToolkitError(f"restriction is not closed: {what} escapes the subspace")
         return table
 
-    return rebuild_instance(inst, name, inst.field, inst.group, L[0], A[0], make_rule)
+    return rebuild_instance((inst,), name, inst.field, inst.group, L[0], A[0], make_rule)
 
 
 def restrict_instance(

@@ -738,7 +738,7 @@ def transport(
                     table[(i, j)] = express(dom[2], img, what)
         return table
 
-    return rebuild_instance(inst, name, f, inst.group, L, A, make_rule)
+    return rebuild_instance((inst,), name, f, inst.group, L, A, make_rule)
 
 
 def from_block_vectors(field: Field, ambient: GradedBasis, vectors) -> GradedSubspace:

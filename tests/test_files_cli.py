@@ -33,9 +33,19 @@ import grlr.oracle
 from grlr.cli import main
 from grlr.errors import InstanceFormatError
 from grlr.fields import MODULUS_LIMIT, prime_field
-from grlr.linear import rule_from_names
+from grlr.files import _parse_table
+from grlr.linear import BilinearRule, rule_from_names
+from grlr.model import RULES
 
-from helpers import cached, mutate_instance, on_basis, reference_verify
+from helpers import (
+    cached,
+    catalog_instances,
+    mutate_instance,
+    on_basis,
+    recipe_and_catalog_instances,
+    recipe_and_catalog_wild_mutants,
+    reference_verify,
+)
 
 CATALOG_NAMES = ["e1", "e2", "e3", "ga2", "ga3", "sl2_ga2"]
 
@@ -105,6 +115,91 @@ def test_inconsistent_orientations_are_rejected():
     ]
     with pytest.raises(InstanceFormatError, match="inconsistent"):
         instance_from_json(doc)
+
+
+def _entry(left: str, right: str, value: list) -> dict:
+    return {"left": left, "right": right, "value": value}
+
+
+def _doc_with_bracket(bracket: list) -> dict:
+    """The minimal document with z at grade 0, where [v, w] may land."""
+    doc = _minimal_doc()
+    doc["L"].append({"name": "z", "grade": [0]})
+    doc["action"].append({"left": "one", "right": "z", "value": [["z", "1"]]})
+    doc["bracket"] = bracket
+    return doc
+
+
+INCONSISTENT = "bracket: entries for (v, w) and (w, v) are inconsistent"
+DUPLICATE = "bracket: duplicate entry for (v, w)"
+
+
+@pytest.mark.parametrize("bracket,text", [
+    # an empty value whose mirror is nonzero, in both orientations and both file orders
+    ([_entry("v", "w", []), _entry("w", "v", [["z", "1"]])], INCONSISTENT),
+    ([_entry("w", "v", [["z", "1"]]), _entry("v", "w", [])], INCONSISTENT),
+    ([_entry("v", "w", [["z", "1"]]), _entry("w", "v", [])], INCONSISTENT),
+    ([_entry("w", "v", []), _entry("v", "w", [["z", "1"]])], INCONSISTENT),
+    # a duplicate of an empty entry
+    ([_entry("v", "w", []), _entry("v", "w", [])], DUPLICATE),
+    ([_entry("v", "w", []), _entry("v", "w", [["z", "1"]])], DUPLICATE),
+    ([_entry("v", "v", [["z", "0"]]), _entry("v", "v", [])], "bracket: duplicate entry for (v, v)"),
+    # an entry whose only scalar is "0": its mirror or its duplicate
+    ([_entry("v", "w", [["z", "0"]]), _entry("w", "v", [["z", "1"]])], INCONSISTENT),
+    ([_entry("w", "v", [["z", "1"]]), _entry("v", "w", [["z", "0"]])], INCONSISTENT),
+    ([_entry("v", "w", [["z", "0"]]), _entry("v", "w", [["z", "0"]])], DUPLICATE),
+])
+def test_refusals_that_meet_an_empty_image_keep_their_text(bracket, text):
+    # the loader drops an empty image only from the rule's table, after these checks
+    with pytest.raises(InstanceFormatError) as err:
+        instance_from_json(_doc_with_bracket(bracket))
+    assert str(err.value) == text
+
+
+def test_an_entry_of_zeros_with_an_empty_mirror_loads_as_no_entry():
+    inst = instance_from_json(_doc_with_bracket([_entry("v", "w", [["z", "0"]]), _entry("w", "v", [])]))
+    assert inst.bracket.table == {}
+
+
+def _with_zero_entry(data: dict, inst: AlgebraInstance) -> dict:
+    """``data`` with a bracket entry whose only scalar is "0" at the first
+    pair of L that has no entry in either orientation, when there is one."""
+    table, names = inst.bracket.table, [n for n, _ in inst.L.entries]
+    free = next(((i, j) for i in range(len(names)) for j in range(i + 1, len(names))
+                 if (i, j) not in table and (j, i) not in table), None)
+    if free is not None:
+        i, j = free
+        data = {**data, "bracket": [*data["bracket"], _entry(names[i], names[j], [[names[0], "0"]])]}
+    return data
+
+
+def test_loaded_rules_equal_the_checked_constructors_on_the_parsed_tables():
+    """Each catalog entry at q, gf3 and gf5, each rational recipe and the
+    wild mutants of all of them, dumped, given an entry of zeros where one
+    fits, and loaded: every rule equals what ``BilinearRule(...)`` makes of
+    the same parsed tables, in its table, the table's order and
+    ``off_grade_pairs``."""
+    instances = recipe_and_catalog_instances()
+    recipes = len(instances) - len(catalog_instances(("q", "gf3", "gf5")))
+    rational = [k for k in range(recipes) if instances[k][1].field.kind == "rational"]
+    picked = rational + list(range(recipes, len(instances)))
+    mutants = recipe_and_catalog_wild_mutants()
+    cases = [instances[k] for k in picked] + [mutants[m] for k in picked for m in range(4 * k, 4 * k + 4)]
+    lawless = zeros = 0
+    for label, inst in cases:
+        data = _with_zero_entry(instance_to_json(inst), inst)
+        zeros += len(data["bracket"]) > len(instance_to_json(inst)["bracket"])
+        loaded = instance_from_json(data)
+        bases = {"L": loaded.L, "A": loaded.A}
+        for r, dom in RULES:
+            left, right, out = (bases[b] for b in dom)
+            parsed = _parse_table(r, loaded.field, left, right, out, data[r])
+            checked = BilinearRule(r, loaded.field, loaded.group, left, right, out, parsed)
+            rule = getattr(loaded, r)
+            assert list(rule.table.items()) == list(checked.table.items()), (label, r)
+            assert rule.off_grade_pairs == checked.off_grade_pairs, (label, r)
+            lawless += bool(rule.off_grade_pairs)
+    assert len(rational) == 20 and len(cases) == 5 * len(picked) and lawless > 0 and zeros > 0
 
 
 @pytest.mark.parametrize("mangle,needle", [

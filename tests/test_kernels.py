@@ -311,6 +311,17 @@ def test_grades_with_coordinates_that_are_not_ints_are_refused(grade):
         _rule(GroupSpec(1), GradedBasis([("x", grade), ("y", (1,))]))
 
 
+@pytest.mark.parametrize("grade", [(True,), (2.0,), (1, False)])
+def test_graded_basis_refuses_grade_coordinates_that_are_not_ints(grade):
+    # the basis alone once kept x at (True,) in one block with y at (1,), and
+    # format_grade printed True; it is refused in GroupSpec.check's words
+    with pytest.raises(ValueError) as basis_err:
+        GradedBasis([("y", (1,) * len(grade)), ("x", grade)])
+    with pytest.raises(ValueError) as group_err:
+        GroupSpec(len(grade)).check(grade)
+    assert str(basis_err.value) == str(group_err.value) == f"grade {grade!r} has a coordinate that is not an int"
+
+
 @pytest.mark.parametrize("table", [
     {(0.9, 1.2): {1.7: RATIONALS.one}},  # was stored as {(0, 1): {1: 1}}
     {(0, True): {1: RATIONALS.one}},

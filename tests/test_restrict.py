@@ -11,7 +11,7 @@ import pytest
 
 import grlr.oracle
 from grlr import RATIONALS, GradedBasis, GradedSubspace, build, prime_field, to_field
-from grlr.constructions import _random_invertible, base_change
+from grlr.constructions import _random_invertible, base_change, direct_sum
 from grlr.errors import ToolkitError
 from grlr.files import instance_to_json
 from grlr.linear import BilinearRule
@@ -26,14 +26,16 @@ from test_constructions_golden import instances, subpairs
 def checked_rebuilds(monkeypatch) -> list[BilinearRule]:
     """Every rule built through ``BilinearRule._from_canonical`` while the
     test runs, each compared on the spot with what the checked constructor
-    ``BilinearRule(...)`` makes of the same table."""
+    ``BilinearRule(...)`` makes of the same table: the table, its order
+    and ``off_grade_pairs``, which a rule marked lawful inherits."""
     built: list[BilinearRule] = []
     unchecked = BilinearRule._from_canonical.__func__
 
-    def compared(cls, name, field, group, left, right, out, table):
-        rule = unchecked(cls, name, field, group, left, right, out, table)
+    def compared(cls, name, field, group, left, right, out, table, lawful):
+        rule = unchecked(cls, name, field, group, left, right, out, table, lawful)
         checked = BilinearRule(name, field, group, left, right, out, table)
-        assert (rule.table, rule.off_grade_pairs) == (checked.table, checked.off_grade_pairs), name
+        assert list(rule.table.items()) == list(checked.table.items()), name
+        assert rule.off_grade_pairs == checked.off_grade_pairs, name
         built.append(rule)
         return rule
 
@@ -113,6 +115,39 @@ def test_rebuilt_rules_match_the_checked_constructor(checked_rebuilds):
     # [e, f] = h and [h, e] = 2e, [h, f] = -2f with their mirrors: only h survives mod 2
     assert (len(e1.bracket.table), len(gf2.bracket.table)) == (6, 2)
     assert recipes > 600 and golden > 2000 and lawless > 0
+
+
+def test_rules_rebuilt_from_wild_mutants_inherit_only_lawful_verdicts(checked_rebuilds):
+    """Each of the 640 wild mutants summed with a lawful atom on either
+    side and with the next mutant of its instance, twisted, and, over Q,
+    moved to GF(3) and GF(5): ``checked_rebuilds`` compares every rule with
+    the checked constructor's on the same table.  Every kind meets rules
+    that break the grade-shift law, so a verdict inherited from a source
+    that keeps it, while another breaks it, would show."""
+    mutants = recipe_and_catalog_wild_mutants()
+    atoms, lawless = {}, Counter()
+    for k, (label, mutant) in enumerate(mutants):
+        f = mutant.field
+        if f not in atoms:
+            try:
+                atoms[f] = build("e1", f)
+            except ToolkitError:
+                atoms[f] = build("ga2", f)
+        atom, sibling = atoms[f], mutants[k - k % 4 + (k + 1) % 4][1]
+        assert not any(getattr(atom, r).off_grade_pairs for r, _ in RULES), label
+        built = [("mutant+atom", direct_sum(mutant, atom)), ("atom+mutant", direct_sum(atom, mutant)),
+                 ("mutant+mutant", direct_sum(mutant, sibling)), ("twist", base_change(mutant, k))]
+        if f.kind == "rational":
+            for p in (3, 5):
+                try:
+                    built.append(("to", to_field(mutant, prime_field(p))))
+                except ToolkitError:
+                    continue
+        for kind, inst in built:
+            lawless[kind] += sum(bool(getattr(inst, r).off_grade_pairs) for r, _ in RULES)
+    assert len(mutants) == 640 and len(checked_rebuilds) > 4 * 4 * 640
+    assert sorted(lawless) == ["atom+mutant", "mutant+atom", "mutant+mutant", "to", "twist"]
+    assert min(lawless.values()) > 0, lawless
 
 
 def restriction_cases() -> list:
